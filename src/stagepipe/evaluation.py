@@ -185,7 +185,6 @@ def error_table(
     decimals, and the percentage uses the per-run total.
     """
     rows = []
-    expected_total: int | None = None
     for method, value in record_sets.items():
         runs: list[Sequence[PredictionRecord]]
         if value and isinstance(value[0], PredictionRecord):
@@ -198,8 +197,6 @@ def error_table(
         if len(totals) != 1:
             raise EvaluationError(f"method {method!r} runs have unequal sizes {sorted(totals)}")
         total = totals.pop()
-        if expected_total is None:
-            expected_total = total
         mean_errors = sum(count_errors(run, corpus, category) for run in runs) / len(runs)
         multi = len(runs) > 1
         rows.append(

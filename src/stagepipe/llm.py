@@ -502,9 +502,15 @@ class HttpChatBackend:
                 retryable=False,
             )
         try:
-            return resp.json()["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, ValueError) as exc:
+            content = resp.json()["choices"][0]["message"]["content"]
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise TransportError(f"malformed chat response: {exc}", retryable=False)
+        if not isinstance(content, str):
+            raise TransportError(
+                f"malformed chat response: content is {type(content).__name__}, not a string",
+                retryable=False,
+            )
+        return content
 
 
 class HttpEmbedBackend:

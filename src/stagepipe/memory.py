@@ -2,9 +2,10 @@
 
 The memory is an ordered list of natural-language staging rules. Candidate
 updates proposed during induction are accepted only when the candidate's
-serialization is similar enough to the current one, measured by character
-level Levenshtein distance rescaled to a 0-100 similarity score. The first
-candidate (empty memory) is always accepted.
+serialization is similar enough to the current one, measured by the exact
+character-level Levenshtein distance (bit-parallel, Myers/Hyyrö) rescaled
+to a 0-100 similarity score. The first candidate (empty memory) is always
+accepted.
 """
 
 from __future__ import annotations
@@ -15,12 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .corpus import StageCategory
-
-# below this length the two-row python DP beats numpy's per-call overhead
-_DIAGONAL_MIN_LEN = 48
 
 
 class RuleMemoryError(ValueError):
@@ -74,54 +70,15 @@ def render_numbered(memory: RuleMemory | Sequence[str]) -> str:
     return "\n".join(f"{i}. {r.strip()}" for i, r in enumerate(rules, 1))
 
 
-def _distance_rows(a: str, b: str) -> int:
-    """Classic two-row DP; fastest for short strings."""
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, 1):
-        cur = [i] + [0] * len(b)
-        for j, cb in enumerate(b, 1):
-            cur[j] = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb))
-        prev = cur
-    return prev[-1]
-
-
-def _distance_diagonals(a: str, b: str) -> int:
-    """Anti-diagonal DP: each diagonal depends elementwise on the previous
-    two, so the inner loop vectorizes. O(n+m) numpy calls instead of O(n*m)
-    python steps; worthwhile for the multi-kilobyte serializations produced
-    during induction."""
-    n, m = len(a), len(b)
-    ca = np.frombuffer(a.encode("utf-32-le"), dtype=np.uint32)
-    cb = np.frombuffer(b.encode("utf-32-le"), dtype=np.uint32)
-    big = n + m + 1
-    prev2 = np.full(n + 1, big, dtype=np.int64)  # diagonal k-2
-    prev = np.full(n + 1, big, dtype=np.int64)  # diagonal k-1
-    prev2[0] = 0  # D[0][0]
-    prev[0] = 1  # D[0][1]; n,m >= 1 here
-    prev[1] = 1  # D[1][0]
-    for k in range(2, n + m + 1):
-        cur = np.full(n + 1, big, dtype=np.int64)
-        if k <= m:
-            cur[0] = k  # D[0][k]
-        if k <= n:
-            cur[k] = k  # D[k][0]
-        lo = max(1, k - m)
-        hi = min(n, k - 1)
-        if lo <= hi:
-            i = np.arange(lo, hi + 1)
-            cost = (ca[i - 1] != cb[k - i - 1]).astype(np.int64)
-            cur[lo : hi + 1] = np.minimum(
-                np.minimum(prev[lo - 1 : hi] + 1, prev[lo : hi + 1] + 1),
-                prev2[lo - 1 : hi] + cost,
-            )
-        prev2, prev = prev, cur
-    return int(prev[n])
-
-
 def edit_distance(a: str, b: str) -> int:
     """Character-level Levenshtein distance over Unicode scalar values.
 
     Unit-cost insertions, deletions, and substitutions; no case folding.
+    Exact, computed with the bit-parallel algorithm of Myers (J. ACM 46(3),
+    1999) in Hyyrö's global-distance form (2001): one column of the DP
+    matrix is held as vertical +1/-1 delta bit vectors over the shorter
+    string, one Python int each, and advanced by a fixed sequence of
+    big-int operations per character of the longer string.
     """
     if a == b:
         return 0
@@ -133,13 +90,35 @@ def edit_distance(a: str, b: str) -> int:
         hi_a -= 1
         hi_b -= 1
     a, b = a[lo:hi_a], b[lo:hi_b]
+    if len(a) > len(b):
+        a, b = b, a
     if not a:
         return len(b)
-    if not b:
-        return len(a)
-    if min(len(a), len(b)) < _DIAGONAL_MIN_LEN:
-        return _distance_rows(a, b)
-    return _distance_diagonals(a, b)
+    match: dict[str, int] = {}  # bit i set where a[i] is the character
+    for i, c in enumerate(a):
+        match[c] = match.get(c, 0) | (1 << i)
+    # Complements are taken by xor with `mask`, not `~`, so every int stays
+    # non-negative: CPython's bitwise ops on negative big ints are markedly
+    # slower. Stray bits above len(a) never reach the bits below it, since
+    # carries and shifts only move upward; masking `pv` keeps them bounded.
+    mask = (1 << len(a)) - 1
+    last = 1 << (len(a) - 1)
+    pv, mv, dist = mask, 0, len(a)
+    for c in b:
+        eq = match.get(c, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ((xh | pv) ^ mask)
+        mh = pv & xh
+        if ph & last:
+            dist += 1
+        elif mh & last:
+            dist -= 1
+        # the top DP row is 0..len(b), so every horizontal delta entering it is +1
+        ph = (ph << 1) | 1
+        pv = ((mh << 1) | ((xv | ph) ^ mask)) & mask
+        mv = ph & xv
+    return dist
 
 
 def similarity(a: str, b: str) -> float:

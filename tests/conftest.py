@@ -53,3 +53,19 @@ def rules_body(stage: str, rules: list[str], reasoning: str = "because") -> dict
 def scripted_client(entries: list[dict]) -> tuple[LlmClient, ScriptedBackend]:
     backend = ScriptedBackend.from_entries(entries)
     return LlmClient(chat_backend=backend, embed_backend=backend), backend
+
+
+class JsonResponse:
+    """Stands in for the `requests.Response` of a 200 reply carrying `body`."""
+
+    status_code = 200
+
+    def __init__(self, body):
+        self.body = body
+        self.text = json.dumps(body)
+
+    def json(self):
+        return self.body
+
+
+NULL_CONTENT_REPLY = {"choices": [{"message": {"role": "assistant", "content": None}}]}

@@ -4,7 +4,7 @@ import json
 from pathlib import Path
 
 from stagepipe.cli import main
-from .conftest import write_corpus_jsonl
+from .conftest import NULL_CONTENT_REPLY, JsonResponse, write_corpus_jsonl
 
 LABELS = ["T1", "T2", "T3", "T4"]
 
@@ -137,6 +137,24 @@ class TestRunZscot:
             ["run", "--method", "zscot", "--category", "T",
              "--corpus", str(corpus), "--out", str(tmp_path / "o")]
         ) == 2
+
+    def test_null_content_writes_failed_manifest(self, tmp_path, monkeypatch):
+        import requests
+
+        reply = JsonResponse(NULL_CONTENT_REPLY)
+        monkeypatch.setattr(requests, "post", lambda url, **kwargs: reply)
+        monkeypatch.setenv("STAGEPIPE_LLM_BASE", "http://localhost:1")
+        corpus = tmp_path / "c.jsonl"
+        write_corpus(corpus, 4)
+        out = tmp_path / "out"
+        code = main(
+            ["run", "--method", "zscot", "--category", "T",
+             "--corpus", str(corpus), "--out", str(out)]
+        )
+        assert code == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "FAILED"
+        assert "content is NoneType" in manifest["error"]
 
 
 class TestRunKewltm:

@@ -11,6 +11,7 @@ from stagepipe.llm import (
     AuthenticationError,
     ChatRequest,
     EmbeddingVector,
+    HttpChatBackend,
     LlmClient,
     LlmError,
     OutputSchema,
@@ -23,7 +24,14 @@ from stagepipe.llm import (
     parse_structured,
     scripted_backend,
 )
-from .conftest import chat_entry, rules_body, scripted_client, staging_body
+from .conftest import (
+    NULL_CONTENT_REPLY,
+    JsonResponse,
+    chat_entry,
+    rules_body,
+    scripted_client,
+    staging_body,
+)
 
 T = StageCategory.T
 STAGING_T = OutputSchema.staging(T)
@@ -272,6 +280,31 @@ class _RecordingBackend:
     def complete(self, request):
         self.requests.append(request)
         return self.responses.pop(0)
+
+
+class TestHttpChatBackend:
+    @pytest.mark.parametrize(
+        "body",
+        [NULL_CONTENT_REPLY, []],
+        ids=["null-content", "list-body"],
+    )
+    def test_unusable_reply_is_a_non_retryable_transport_error(self, monkeypatch, body):
+        import requests
+
+        posts = []
+
+        def fake_post(url, **kwargs):
+            posts.append(url)
+            return JsonResponse(body)
+
+        monkeypatch.setattr(requests, "post", fake_post)
+        client = LlmClient(
+            chat_backend=HttpChatBackend("http://localhost:1"), sleep=lambda _: None
+        )
+        with pytest.raises(TransportError) as info:
+            client.chat(ChatRequest(user="q", schema=STAGING_T))
+        assert not info.value.retryable
+        assert posts == ["http://localhost:1/v1/chat/completions"]
 
 
 class TestClientRetries:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import functools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -11,8 +12,6 @@ from stagepipe.memory import (
     RuleMemory,
     RuleMemoryError,
     UpdateTrace,
-    _distance_diagonals,
-    _distance_rows,
     edit_distance,
     gated_update,
     load,
@@ -44,7 +43,34 @@ def naive_levenshtein(a: str, b: str) -> int:
     return d(len(a), len(b))
 
 
+def two_row_levenshtein(a: str, b: str) -> int:
+    """Independent oracle for long strings: the untrimmed two-row DP."""
+    prev = list(range(len(b) + 1))
+    for i, ca in enumerate(a, 1):
+        cur = [i]
+        for j, cb in enumerate(b, 1):
+            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
+        prev = cur
+    return prev[-1]
+
+
+def mutate(rng: random.Random, text: str, rate: float, alphabet: str) -> str:
+    """Apply about `rate` random substitutions, insertions and deletions."""
+    out = []
+    for ch in text:
+        roll = rng.random()
+        if roll < rate / 3:
+            out.append(rng.choice(alphabet))  # substitution
+        elif roll < 2 * rate / 3:
+            out += [ch, rng.choice(alphabet)]  # insertion
+        elif roll >= rate:
+            out.append(ch)  # kept; otherwise deleted
+    return "".join(out)
+
+
 short_text = st.text(alphabet="abcxyz é世", max_size=12)
+# masks are keyed by code point, so include a character outside the BMP
+long_text = st.text(alphabet="abcdef é世\n𝄞", min_size=30, max_size=150)
 
 
 class TestEditDistance:
@@ -79,13 +105,32 @@ class TestEditDistance:
     def test_identity_of_indiscernibles(self, a, b):
         assert (edit_distance(a, b) == 0) == (a == b)
 
-    @given(
-        a=st.text(alphabet="abcdef", min_size=30, max_size=150),
-        b=st.text(alphabet="abcdef", min_size=30, max_size=150),
-    )
+    @given(a=long_text, b=long_text)
     @settings(max_examples=40, deadline=None)
-    def test_dp_paths_agree(self, a, b):
-        assert _distance_rows(a, b) == _distance_diagonals(a, b)
+    def test_matches_recursive_oracle_on_long_text(self, a, b):
+        assert edit_distance(a, b) == naive_levenshtein(a, b)
+
+    def test_matches_two_row_dp_on_kilobyte_text(self):
+        rng = random.Random(2)
+        alphabet = "abcdefgh ,.\né世𝄞"
+
+        def text(n: int) -> str:
+            return "".join(rng.choice(alphabet) for _ in range(n))
+
+        base = text(700)
+        longer = text(1000)
+        prefix, suffix = text(250), text(250)
+        pairs = [
+            (base, mutate(rng, base, 0.2, alphabet)),
+            # 1000 against 700 characters
+            (longer, mutate(rng, longer, 0.2, alphabet)[:700]),
+            # only a middle section differs once the shared ends are trimmed
+            (prefix + text(120) + suffix, prefix + text(90) + suffix),
+        ]
+        for a, b in pairs:
+            expected = two_row_levenshtein(a, b)
+            assert edit_distance(a, b) == expected
+            assert edit_distance(b, a) == expected
 
 
 class TestSimilarity:
