@@ -23,19 +23,14 @@ from . import evaluation, memory, pipelines, prompts, retrieval
 from .corpus import (
     Corpus,
     CorpusError,
+    Split,
     StageCategory,
     label_distribution,
     load_corpus,
     make_splits,
     truncate_train,
 )
-from .llm import (
-    HttpChatBackend,
-    HttpEmbedBackend,
-    LlmClient,
-    LlmError,
-    scripted_backend,
-)
+from .llm import LlmClient, LlmError, client_from_env, scripted_backend
 from .pipelines import PipelineError, PredictionRecord, record_from_json, record_to_json
 from .retrieval import RetrievalError, RetrievalQuery
 
@@ -125,17 +120,20 @@ def _build_client(cfg: RunConfig) -> LlmClient:
     if cfg.script:
         backend = scripted_backend(cfg.script)
         return LlmClient(chat_backend=backend, embed_backend=backend)
-    chat = (
-        HttpChatBackend(cfg.llm_base, cfg.llm_key, model=cfg.llm_model)
-        if cfg.llm_base
-        else None
+    return client_from_env(
+        llm_base=cfg.llm_base,
+        llm_key=cfg.llm_key,
+        embed_base=cfg.embed_base,
+        embed_key=cfg.embed_key,
+        llm_model=cfg.llm_model,
+        embed_model=cfg.embed_model,
     )
-    embed = (
-        HttpEmbedBackend(cfg.embed_base, cfg.embed_key, model=cfg.embed_model)
-        if cfg.embed_base
-        else None
-    )
-    return LlmClient(chat_backend=chat, embed_backend=embed)
+
+
+def _check_thresholds(values: Sequence[float], flag: str) -> None:
+    for value in values:
+        if not 0 <= value <= 100:
+            raise UsageError(f"{flag} must be within [0, 100], got {value}")
 
 
 def _templates(cfg: RunConfig, category: StageCategory) -> prompts.TemplateRegistry:
@@ -264,12 +262,18 @@ def cmd_index(cfg: RunConfig) -> int:
     return 0
 
 
+def _evaluable(
+    records: Sequence[PredictionRecord], corpus: Corpus, category: StageCategory
+) -> list[PredictionRecord]:
+    """The records whose report carries a gold label for `category`."""
+    by_id = corpus.by_id
+    return [r for r in records if by_id[r.report_id].gold_label(category) is not None]
+
+
 def _score_block(
     records: list[PredictionRecord], corpus: Corpus, category: StageCategory
 ) -> tuple[dict, evaluation.MacroMetrics]:
-    evaluable = [
-        r for r in records if corpus.by_id[r.report_id].gold_label(category) is not None
-    ]
+    evaluable = _evaluable(records, corpus, category)
     if not evaluable:
         raise PipelineError(f"no records carry a gold {category.value} label")
     _, macro = evaluation.score(evaluable, corpus, category)
@@ -296,6 +300,44 @@ def _score_block(
     return block, macro
 
 
+def _evaluate_split(
+    split: Split,
+    i: int,
+    n_train: int,
+    threshold: float,
+    corpus: Corpus,
+    category: StageCategory,
+    client: LlmClient,
+    registry: prompts.TemplateRegistry,
+    *,
+    prefix: str = "",
+    out: Path | None = None,
+) -> tuple[pipelines.InductionResult, list[PredictionRecord], dict, evaluation.MacroMetrics]:
+    """One kewltm cycle on split `i`: truncate -> induce -> infer -> score.
+
+    Errors name the split after `prefix`. With `out`, the frozen memory and
+    the induction trace are written there before inference starts, so a run
+    whose inference fails still keeps the split's induction.
+    """
+    split = truncate_train(split, n_train)
+    by_id = corpus.by_id
+    induction = pipelines.induce_ltm(
+        [by_id[rid] for rid in split.train_ids], category, client, registry,
+        threshold=threshold,
+    )
+    if induction.final_memory is None:
+        raise PipelineError(f"{prefix}split {i}: induction produced no memory")
+    if out is not None:
+        memory.persist(induction.final_memory, out / f"memory_split{i}.json")
+        memory.write_traces(induction.traces, out / f"trace_split{i}.csv")
+    records = pipelines.run_kewltm_inference(
+        [by_id[rid] for rid in split.test_ids], category, induction.final_memory,
+        client, registry,
+    )
+    block, macro = _score_block(records, corpus, category)
+    return induction, records, block, macro
+
+
 def _run_kewltm(
     cfg: RunConfig,
     corpus: Corpus,
@@ -305,37 +347,23 @@ def _run_kewltm(
     out: Path,
 ) -> tuple[dict, list[dict], list[int]]:
     splits = make_splits(corpus, cfg.n_splits, cfg.train_size, cfg.seed)
-    by_id = corpus.by_id
     prediction_rows: list[dict] = []
     per_split_metrics: list[dict] = []
     macros: list[evaluation.MacroMetrics] = []
-    error_counts: list[int] = []
-    totals: list[int] = []
     all_traces: list[list[memory.UpdateTrace]] = []
     for i, split in enumerate(splits):
-        split = truncate_train(split, cfg.n_train)
-        train_reports = [by_id[rid] for rid in split.train_ids]
-        induction = pipelines.induce_ltm(
-            train_reports, category, client, registry, threshold=cfg.threshold
+        induction, records, block, macro = _evaluate_split(
+            split, i, cfg.n_train, cfg.threshold, corpus, category, client, registry,
+            out=out,
         )
-        if induction.final_memory is None:
-            raise PipelineError(f"split {i}: induction produced no memory")
-        memory.persist(induction.final_memory, out / f"memory_split{i}.json")
-        memory.write_traces(induction.traces, out / f"trace_split{i}.csv")
         all_traces.append(list(induction.traces))
-        test_reports = [by_id[rid] for rid in split.test_ids]
-        records = pipelines.run_kewltm_inference(
-            test_reports, category, induction.final_memory, client, registry
-        )
         prediction_rows += [record_to_json(r, split=i) for r in records]
-        block, macro = _score_block(records, corpus, category)
         block.update({"split": i, "seed": split.seed,
                       "memory_version": induction.final_memory.version})
         per_split_metrics.append(block)
         macros.append(macro)
-        error_counts.append(block["num_errors"])
-        totals.append(block["n_evaluated"])
-    mean_errors = sum(error_counts) / len(error_counts)
+    totals = [block["n_evaluated"] for block in per_split_metrics]
+    mean_errors = sum(block["num_errors"] for block in per_split_metrics) / len(splits)
     metrics = {
         "per_split": per_split_metrics,
         "aggregate": evaluation.aggregate_macro_runs(macros),
@@ -360,12 +388,14 @@ def cmd_run(cfg: RunConfig) -> int:
     if not cfg.corpus:
         raise UsageError("--corpus is required")
     category = cfg.category_enum
-    if method in ("rag", "kewrag") and not (cfg.guideline or cfg.index):
+    _check_thresholds([cfg.threshold], "--threshold")
+    retrieves = method in ("rag", "kewrag")
+    if retrieves and not (cfg.guideline or cfg.index):
         raise UsageError(f"--guideline (or --index) is required for method {method}")
     client = _build_client(cfg)
     if client.chat_backend is None:
         raise UsageError("no chat backend configured (set STAGEPIPE_LLM_BASE or --script)")
-    if method in ("rag", "kewrag") and client.embed_backend is None:
+    if retrieves and client.embed_backend is None:
         raise UsageError(
             "no embedding backend configured (set STAGEPIPE_EMBED_BASE or --script)"
         )
@@ -379,6 +409,23 @@ def cmd_run(cfg: RunConfig) -> int:
     )
     doc_hash: str | None = None
     seeds: list[int] | None = None
+
+    def write_manifest(**outcome) -> None:
+        _write_json(
+            out / "manifest.json",
+            _manifest(
+                cfg,
+                "run",
+                client,
+                seeds=seeds,
+                template_hashes=registry.hashes(),
+                doc_hash=doc_hash,
+                query=query_text if retrieves else None,
+                query_provenance=query_provenance if retrieves else None,
+                **outcome,
+            ),
+        )
+
     try:
         if method == "kewltm":
             metrics, prediction_rows, seeds = _run_kewltm(
@@ -415,38 +462,12 @@ def cmd_run(cfg: RunConfig) -> int:
             prediction_rows = [record_to_json(r) for r in records]
             metrics, _ = _score_block(records, corpus, category)
     except (PipelineError, LlmError, RetrievalError, CorpusError) as exc:
-        _write_json(
-            out / "manifest.json",
-            _manifest(
-                cfg,
-                "run",
-                client,
-                seeds=seeds,
-                template_hashes=registry.hashes(),
-                doc_hash=doc_hash,
-                query=query_text if method in ("rag", "kewrag") else None,
-                query_provenance=query_provenance if method in ("rag", "kewrag") else None,
-                status="FAILED",
-                error=str(exc),
-            ),
-        )
+        write_manifest(status="FAILED", error=str(exc))
         print(f"error: {exc}", file=sys.stderr)
         return 1
     _write_jsonl(out / "predictions.jsonl", prediction_rows)
     _write_json(out / "metrics.json", metrics)
-    _write_json(
-        out / "manifest.json",
-        _manifest(
-            cfg,
-            "run",
-            client,
-            seeds=seeds,
-            template_hashes=registry.hashes(),
-            doc_hash=doc_hash,
-            query=query_text if method in ("rag", "kewrag") else None,
-            query_provenance=query_provenance if method in ("rag", "kewrag") else None,
-        ),
-    )
+    write_manifest()
     if method == "kewltm":
         agg = metrics["aggregate"]
         print(
@@ -491,12 +512,13 @@ def cmd_sweep(cfg: RunConfig, train_counts: list[int] | None, thresholds: list[f
     if not cfg.corpus:
         raise UsageError("--corpus is required")
     category = cfg.category_enum
+    _check_thresholds([cfg.threshold], "--threshold")
+    _check_thresholds(thresholds or [], "--thresholds")
     client = _build_client(cfg)
     if client.chat_backend is None:
         raise UsageError("no chat backend configured (set STAGEPIPE_LLM_BASE or --script)")
     registry = _templates(cfg, category)
     corpus = load_corpus(cfg.corpus)
-    by_id = corpus.by_id
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     splits = make_splits(corpus, cfg.n_splits, cfg.train_size, cfg.seed)
@@ -511,26 +533,11 @@ def cmd_sweep(cfg: RunConfig, train_counts: list[int] | None, thresholds: list[f
             macros = []
             traces_per_split = []
             for i, split in enumerate(splits):
-                split = truncate_train(split, int(n_train))
-                train_reports = [by_id[rid] for rid in split.train_ids]
-                induction = pipelines.induce_ltm(
-                    train_reports, category, client, registry, threshold=float(threshold)
+                induction, _, _, macro = _evaluate_split(
+                    split, i, int(n_train), float(threshold), corpus, category, client,
+                    registry, prefix=f"{param}={point} ",
                 )
-                if induction.final_memory is None:
-                    raise PipelineError(
-                        f"{param}={point} split {i}: induction produced no memory"
-                    )
                 traces_per_split.append(list(induction.traces))
-                test_reports = [by_id[rid] for rid in split.test_ids]
-                records = pipelines.run_kewltm_inference(
-                    test_reports, category, induction.final_memory, client, registry
-                )
-                evaluable = [
-                    r
-                    for r in records
-                    if by_id[r.report_id].gold_label(category) is not None
-                ]
-                _, macro = evaluation.score(evaluable, corpus, category)
                 macros.append(macro)
                 metric_lines.append(
                     f"{point},{i},{split.seed},{macro.precision!r},"
@@ -611,9 +618,7 @@ def cmd_evaluate(cfg: RunConfig, prediction_paths: list[str]) -> int:
                 raise UsageError(
                     f"{path}: record references unknown report id {rec.report_id!r}"
                 )
-        evaluable = [
-            r for r in records if by_id[r.report_id].gold_label(category) is not None
-        ]
+        evaluable = _evaluable(records, corpus, category)
         skipped = len(records) - len(evaluable)
         _, macro = evaluation.score(evaluable, corpus, category)
         n_errors = evaluation.count_errors(evaluable, corpus, category)

@@ -13,6 +13,8 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from types import MappingProxyType
+from typing import Mapping
 
 
 class CorpusError(ValueError):
@@ -111,11 +113,12 @@ class Corpus:
     def __post_init__(self) -> None:
         if not self.reports:
             raise CorpusError("corpus must contain at least one report")
-        seen: set[str] = set()
+        by_id: dict[str, Report] = {}
         for r in self.reports:
-            if r.id in seen:
+            if r.id in by_id:
                 raise CorpusError(f"duplicate report id {r.id!r}")
-            seen.add(r.id)
+            by_id[r.id] = r
+        object.__setattr__(self, "_by_id", MappingProxyType(by_id))
 
     def __len__(self) -> int:
         return len(self.reports)
@@ -124,9 +127,9 @@ class Corpus:
         return iter(self.reports)
 
     @property
-    def by_id(self) -> dict[str, Report]:
-        # rebuilt on demand; corpora are small and immutable
-        return {r.id: r for r in self.reports}
+    def by_id(self) -> Mapping[str, Report]:
+        """Read-only id -> report lookup, built once with the corpus."""
+        return self._by_id
 
     def ids(self) -> list[str]:
         return [r.id for r in self.reports]

@@ -15,7 +15,7 @@ import statistics
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -83,21 +83,15 @@ def _safe_div(num: float, den: float) -> float:
     return num / den if den > 0 else 0.0
 
 
-def score(
-    records: Sequence[PredictionRecord],
-    corpus: Corpus,
-    category: StageCategory,
-) -> tuple[ConfusionMatrix, MacroMetrics]:
-    """Score records against the corpus gold labels for one category.
+def _with_gold(
+    records: Sequence[PredictionRecord], corpus: Corpus, category: StageCategory
+) -> Iterator[tuple[PredictionRecord, StageLabel]]:
+    """Each record paired with its report's gold label for `category`.
 
-    Every record's report must exist and carry a gold label for the
-    category; callers filter out unlabeled reports beforehand.
+    Every record's report must exist and carry that label; callers filter
+    out unlabeled reports beforehand.
     """
     by_id = corpus.by_id
-    labels = category.labels()
-    offset = category.ranks.start
-    counts = np.zeros((4, 4), dtype=np.int64)
-    unparseable = np.zeros(4, dtype=np.int64)
     for rec in records:
         report = by_id.get(rec.report_id)
         if report is None:
@@ -107,6 +101,20 @@ def score(
             raise EvaluationError(
                 f"report {rec.report_id!r} lacks a gold {category.value} label"
             )
+        yield rec, gold
+
+
+def score(
+    records: Sequence[PredictionRecord],
+    corpus: Corpus,
+    category: StageCategory,
+) -> tuple[ConfusionMatrix, MacroMetrics]:
+    """Score records against the corpus gold labels for one category."""
+    labels = category.labels()
+    offset = category.ranks.start
+    counts = np.zeros((4, 4), dtype=np.int64)
+    unparseable = np.zeros(4, dtype=np.int64)
+    for rec, gold in _with_gold(records, corpus, category):
         if rec.predicted is None:
             unparseable[gold.rank - offset] += 1
         else:
@@ -134,20 +142,7 @@ def count_errors(
     records: Sequence[PredictionRecord], corpus: Corpus, category: StageCategory
 ) -> int:
     """Records whose prediction differs from gold, unparseable included."""
-    by_id = corpus.by_id
-    wrong = 0
-    for rec in records:
-        report = by_id.get(rec.report_id)
-        if report is None:
-            raise EvaluationError(f"record references unknown report id {rec.report_id!r}")
-        gold = report.gold_label(category)
-        if gold is None:
-            raise EvaluationError(
-                f"report {rec.report_id!r} lacks a gold {category.value} label"
-            )
-        if rec.predicted is None or rec.predicted != gold:
-            wrong += 1
-    return wrong
+    return sum(rec.predicted != gold for rec, gold in _with_gold(records, corpus, category))
 
 
 def format_error_pct(count: float, total: int) -> str:
@@ -251,22 +246,11 @@ def compare_unique_errors(
         raise EvaluationError(f"record sets cover different report ids (e.g. {sample})")
 
     def wrong_ids(records: Sequence[PredictionRecord]) -> set[str]:
-        by_id = corpus.by_id
-        out = set()
-        for rec in records:
-            report = by_id.get(rec.report_id)
-            if report is None:
-                raise EvaluationError(
-                    f"record references unknown report id {rec.report_id!r}"
-                )
-            gold = report.gold_label(category)
-            if gold is None:
-                raise EvaluationError(
-                    f"report {rec.report_id!r} lacks a gold {category.value} label"
-                )
-            if rec.predicted is None or rec.predicted != gold:
-                out.add(rec.report_id)
-        return out
+        return {
+            rec.report_id
+            for rec, gold in _with_gold(records, corpus, category)
+            if rec.predicted != gold
+        }
 
     wrong_a = wrong_ids(a)
     wrong_b = wrong_ids(b)

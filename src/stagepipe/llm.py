@@ -26,8 +26,18 @@ class LlmError(Exception):
     """Base class for client and backend failures."""
 
 
+# Longest server-requested Retry-After wait honoured, in seconds.
+MAX_RETRY_AFTER_S = 60.0
+
+
 class TransportError(LlmError):
-    """Network-level failure. Retried with backoff when `retryable`."""
+    """Network-level failure. Retried with backoff when `retryable`.
+
+    `retry_after_s` is the wait a rate-limited (429) reply asked for; the
+    retry sleeps at least that long, up to MAX_RETRY_AFTER_S.
+    """
+
+    retry_after_s = 0.0
 
     def __init__(self, message: str, retryable: bool = True):
         super().__init__(message)
@@ -440,10 +450,65 @@ def _endpoint(base: str, path: str) -> str:
     return f"{base}{path}"
 
 
-class HttpChatBackend:
-    """POSTs to ``{base}/v1/chat/completions``; forwards the JSON schema."""
+class _HttpBackend:
+    """An OpenAI-compatible endpoint; `_post` is the one HTTP path."""
 
     deterministic = False
+    endpoint = ""  # names the endpoint in error messages
+
+    def __init__(
+        self, base_url: str, api_key: str = "", model: str = "default", timeout_s: float = 120.0
+    ):
+        self.base_url = base_url
+        self.api_key = api_key
+        self.model_id = model
+        self.timeout_s = timeout_s
+
+    def _post(self, path: str, payload: dict):
+        """POST `payload` as JSON and return the decoded body of a 200 reply.
+
+        401/403 raise AuthenticationError. 429 and 5xx raise a retryable
+        TransportError, a 429 carrying its Retry-After seconds. Any other
+        status, or a body that is not JSON, raises a non-retryable one.
+        """
+        import requests
+
+        headers = {"Content-Type": "application/json"}
+        if self.api_key:
+            headers["Authorization"] = f"Bearer {self.api_key}"
+        try:
+            resp = requests.post(
+                _endpoint(self.base_url, path), json=payload, headers=headers,
+                timeout=self.timeout_s,
+            )
+        except requests.RequestException as exc:
+            raise TransportError(f"{self.endpoint} endpoint unreachable: {exc}")
+        status = resp.status_code
+        if status in (401, 403):
+            raise AuthenticationError(f"{self.endpoint} endpoint rejected credentials ({status})")
+        if status == 429:
+            limited = TransportError(f"{self.endpoint} endpoint rate limited (429)")
+            try:
+                limited.retry_after_s = max(0.0, float(resp.headers.get("Retry-After", "")))
+            except ValueError:  # absent, or an HTTP date: back off as usual
+                pass
+            raise limited
+        if status >= 500:
+            raise TransportError(f"{self.endpoint} endpoint error {status}")
+        if status != 200:
+            raise TransportError(
+                f"{self.endpoint} endpoint returned {status}: {resp.text[:200]}", retryable=False
+            )
+        try:
+            return resp.json()
+        except ValueError as exc:
+            raise TransportError(f"malformed {self.endpoint} response: {exc}", retryable=False)
+
+
+class HttpChatBackend(_HttpBackend):
+    """POSTs to ``{base}/v1/chat/completions``; forwards the JSON schema."""
+
+    endpoint = "chat"
 
     def __init__(
         self,
@@ -453,15 +518,10 @@ class HttpChatBackend:
         forward_schema: bool = True,
         timeout_s: float = 120.0,
     ):
-        self.base_url = base_url
-        self.api_key = api_key
-        self.model_id = model
+        super().__init__(base_url, api_key, model, timeout_s)
         self.forward_schema = forward_schema
-        self.timeout_s = timeout_s
 
     def complete(self, request: ChatRequest) -> str:
-        import requests
-
         messages = []
         if request.system:
             messages.append({"role": "system", "content": request.system})
@@ -480,30 +540,10 @@ class HttpChatBackend:
                     "schema": request.schema.json_schema(),
                 },
             }
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
+        body = self._post("/v1/chat/completions", payload)
         try:
-            resp = requests.post(
-                _endpoint(self.base_url, "/v1/chat/completions"),
-                json=payload,
-                headers=headers,
-                timeout=self.timeout_s,
-            )
-        except requests.RequestException as exc:
-            raise TransportError(f"chat endpoint unreachable: {exc}")
-        if resp.status_code in (401, 403):
-            raise AuthenticationError(f"chat endpoint rejected credentials ({resp.status_code})")
-        if resp.status_code >= 500:
-            raise TransportError(f"chat endpoint error {resp.status_code}")
-        if resp.status_code != 200:
-            raise TransportError(
-                f"chat endpoint returned {resp.status_code}: {resp.text[:200]}",
-                retryable=False,
-            )
-        try:
-            content = resp.json()["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            content = body["choices"][0]["message"]["content"]
+        except (KeyError, IndexError, TypeError) as exc:
             raise TransportError(f"malformed chat response: {exc}", retryable=False)
         if not isinstance(content, str):
             raise TransportError(
@@ -513,51 +553,14 @@ class HttpChatBackend:
         return content
 
 
-class HttpEmbedBackend:
+class HttpEmbedBackend(_HttpBackend):
     """POSTs to ``{base}/v1/embeddings``."""
 
-    deterministic = False
-
-    def __init__(
-        self,
-        base_url: str,
-        api_key: str = "",
-        model: str = "default",
-        timeout_s: float = 120.0,
-    ):
-        self.base_url = base_url
-        self.api_key = api_key
-        self.model_id = model
-        self.timeout_s = timeout_s
+    endpoint = "embedding"
 
     def embed(self, texts: Sequence[str]) -> tuple[list[list[float]], str]:
-        import requests
-
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
+        data = self._post("/v1/embeddings", {"model": self.model_id, "input": list(texts)})
         try:
-            resp = requests.post(
-                _endpoint(self.base_url, "/v1/embeddings"),
-                json={"model": self.model_id, "input": list(texts)},
-                headers=headers,
-                timeout=self.timeout_s,
-            )
-        except requests.RequestException as exc:
-            raise TransportError(f"embedding endpoint unreachable: {exc}")
-        if resp.status_code in (401, 403):
-            raise AuthenticationError(
-                f"embedding endpoint rejected credentials ({resp.status_code})"
-            )
-        if resp.status_code >= 500:
-            raise TransportError(f"embedding endpoint error {resp.status_code}")
-        if resp.status_code != 200:
-            raise TransportError(
-                f"embedding endpoint returned {resp.status_code}: {resp.text[:200]}",
-                retryable=False,
-            )
-        try:
-            data = resp.json()
             rows = sorted(data["data"], key=lambda d: d["index"])
             vectors = [list(map(float, row["embedding"])) for row in rows]
             model = data.get("model", self.model_id)
@@ -609,7 +612,7 @@ class LlmClient:
         last: SchemaViolation | None = None
         raw = ""
         for _ in range(1 + self.max_schema_retries):
-            raw = self._complete(attempt_request)
+            raw = self._transport(lambda: self.chat_backend.complete(attempt_request))
             try:
                 return parse_structured(raw, request.schema)
             except SchemaViolation as violation:
@@ -634,17 +637,21 @@ class LlmClient:
         parts.append(f"Respond with a single JSON object containing {' and '.join(fields)}.")
         return request.user + "\n\n" + " ".join(parts)
 
-    def _complete(self, request: ChatRequest) -> str:
-        assert self.chat_backend is not None
+    def _transport(self, call: Callable):
+        """Run one backend call, retrying retryable transport errors.
+
+        Waits double from `backoff_s`; a rate-limited reply's Retry-After
+        (capped at MAX_RETRY_AFTER_S) lengthens the wait when it is longer.
+        """
         delay = self.backoff_s
         for attempt in range(1, self.transport_attempts + 1):
             try:
                 with self._gate:
-                    return self.chat_backend.complete(request)
+                    return call()
             except TransportError as exc:
                 if not exc.retryable or attempt == self.transport_attempts:
                     raise
-                self._sleep(delay)
+                self._sleep(max(delay, min(exc.retry_after_s, MAX_RETRY_AFTER_S)))
                 delay *= 2
         raise AssertionError("unreachable")
 
@@ -657,17 +664,7 @@ class LlmClient:
         for t in texts:
             if not t:
                 raise LlmError("cannot embed empty text")
-        delay = self.backoff_s
-        for attempt in range(1, self.transport_attempts + 1):
-            try:
-                with self._gate:
-                    vectors, model_id = self.embed_backend.embed(texts)
-                break
-            except TransportError as exc:
-                if not exc.retryable or attempt == self.transport_attempts:
-                    raise
-                self._sleep(delay)
-                delay *= 2
+        vectors, model_id = self._transport(lambda: self.embed_backend.embed(texts))
         if len(vectors) != len(texts):
             raise LlmError(
                 f"embedding backend returned {len(vectors)} vectors for {len(texts)} texts"

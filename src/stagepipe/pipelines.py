@@ -13,10 +13,10 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .corpus import Report, StageCategory, StageLabel
-from .llm import LlmClient, SchemaViolationError
+from .llm import ChatRequest, LlmClient, SchemaViolationError
 from .memory import RuleMemory, UpdateTrace, gated_update, render_numbered, serialize
 from .prompts import TemplateRegistry, render
 from .retrieval import ChunkIndex, RetrievalQuery, top_k
@@ -136,32 +136,55 @@ def _timer(client: LlmClient):
     return lambda start: int((time.perf_counter() - start) * 1000)
 
 
-def _infer_one(
+def _infer_all(
     client: LlmClient,
-    request,
-    report: Report,
+    reports: Sequence[Report],
     category: StageCategory,
     method: str,
-    *,
+    prepare: Callable[[Report], tuple[ChatRequest, tuple[int, ...] | None]],
     memory_version: int | None = None,
-    chunk_ids: tuple[int, ...] | None = None,
-) -> PredictionRecord:
+) -> list[PredictionRecord]:
+    """The inference step every method shares: one chat call per report.
+
+    `prepare(report)` returns the rendered request and the retrieved chunk
+    ids the record carries. A report whose output stays unparseable is
+    recorded as such and the batch goes on. Records are sorted by report id.
+    """
+    if not reports:
+        raise PipelineError("no reports to run")
     elapsed = _timer(client)
-    start = time.perf_counter()
-    try:
-        out = client.chat(request)
-        predicted, reasoning = out.stage, out.reasoning or ""
-    except SchemaViolationError:
-        predicted, reasoning = None, ""
-    return PredictionRecord(
-        report_id=report.id,
-        category=category,
-        predicted=predicted,
-        reasoning=reasoning,
-        method=method,
-        memory_version=memory_version,
-        retrieved_chunk_ids=chunk_ids,
-        timing_ms=elapsed(start),
+    records = []
+    for report in reports:
+        request, chunk_ids = prepare(report)
+        start = time.perf_counter()
+        try:
+            out = client.chat(request)
+            predicted, reasoning = out.stage, out.reasoning or ""
+        except SchemaViolationError:
+            predicted, reasoning = None, ""
+        records.append(
+            PredictionRecord(
+                report_id=report.id,
+                category=category,
+                predicted=predicted,
+                reasoning=reasoning,
+                method=method,
+                memory_version=memory_version,
+                retrieved_chunk_ids=chunk_ids,
+                timing_ms=elapsed(start),
+            )
+        )
+    return sorted(records, key=lambda rec: rec.report_id)
+
+
+def _retrieve(
+    index: ChunkIndex, query: RetrievalQuery, client: LlmClient
+) -> tuple[str, tuple[int, ...]]:
+    """Top-k chunks for `query`: their texts joined in rank order, and their ids."""
+    hits = top_k(index, query, client.embed)
+    return (
+        CHUNK_SEPARATOR.join(c.text for c, _ in hits),
+        tuple(c.chunk_id for c, _ in hits),
     )
 
 
@@ -172,16 +195,11 @@ def run_zscot(
     templates: TemplateRegistry,
 ) -> list[PredictionRecord]:
     """Plain step-by-step inference: no memory, no retrieval."""
-    if not reports:
-        raise PipelineError("no reports to run")
     template = templates.get("zscot_inference")
-    records = [
-        _infer_one(
-            client, render(template, {"report": r.text}), r, category, "zscot"
-        )
-        for r in reports
-    ]
-    return sorted(records, key=lambda rec: rec.report_id)
+    return _infer_all(
+        client, reports, category, "zscot",
+        lambda r: (render(template, {"report": r.text}), None),
+    )
 
 
 def run_rag(
@@ -197,36 +215,25 @@ def run_rag(
     """Raw-context inference: retrieved chunks concatenated into each prompt.
 
     In the default ``guideline`` mode the query is report-independent and
-    retrieval happens once per run; ``report-text`` mode retrieves per report
-    using the report text as the query.
+    retrieval happens once per run; ``report-text`` mode retrieves per report,
+    just before its chat call, using the report text as the query.
     """
     if rag_query_mode not in RAG_QUERY_MODES:
         raise PipelineError(f"unknown rag_query_mode {rag_query_mode!r}")
-    if not reports:
+    if not reports:  # before the shared retrieval spends an embed call
         raise PipelineError("no reports to run")
     if len(index) == 0:
         raise PipelineError("retrieval index is empty")
     template = templates.get("rawrag_inference")
-    records = []
-    if rag_query_mode == "guideline":
-        hits = top_k(index, query, client.embed)
-        context = CHUNK_SEPARATOR.join(c.text for c, _ in hits)
-        ids = tuple(c.chunk_id for c, _ in hits)
-        for r in reports:
-            request = render(template, {"report": r.text, "chunks": context})
-            records.append(
-                _infer_one(client, request, r, category, "rag", chunk_ids=ids)
-            )
-    else:
-        for r in reports:
-            hits = top_k(index, RetrievalQuery(r.text, query.k), client.embed)
-            context = CHUNK_SEPARATOR.join(c.text for c, _ in hits)
-            ids = tuple(c.chunk_id for c, _ in hits)
-            request = render(template, {"report": r.text, "chunks": context})
-            records.append(
-                _infer_one(client, request, r, category, "rag", chunk_ids=ids)
-            )
-    return sorted(records, key=lambda rec: rec.report_id)
+    shared = _retrieve(index, query, client) if rag_query_mode == "guideline" else None
+
+    def prepare(report: Report):
+        context, ids = shared or _retrieve(
+            index, RetrievalQuery(report.text, query.k), client
+        )
+        return render(template, {"report": report.text, "chunks": context}), ids
+
+    return _infer_all(client, reports, category, "rag", prepare)
 
 
 def induce_ltm(
@@ -267,6 +274,7 @@ def induce_ltm(
         try:
             out = client.chat(request)
         except SchemaViolationError:
+            predicted, reasoning = None, ""
             current_len = len(serialize(memory)) if memory is not None else 0
             traces.append(
                 UpdateTrace(
@@ -277,31 +285,21 @@ def induce_ltm(
                     accepted=False,
                 )
             )
-            auxiliary.append(
-                PredictionRecord(
-                    report_id=report.id,
-                    category=category,
-                    predicted=None,
-                    reasoning="",
-                    method="kewltm",
-                    memory_version=memory.version if memory is not None else 0,
-                    timing_ms=elapsed(start),
-                )
+        else:
+            predicted, reasoning = out.stage, out.reasoning or ""
+            assert out.rules is not None
+            memory, trace = gated_update(
+                memory, list(out.rules), threshold, step, category=category
             )
-            continue
-        assert out.rules is not None
-        memory, trace = gated_update(
-            memory, list(out.rules), threshold, step, category=category
-        )
-        traces.append(trace)
+            traces.append(trace)
         auxiliary.append(
             PredictionRecord(
                 report_id=report.id,
                 category=category,
-                predicted=out.stage,
-                reasoning=out.reasoning or "",
+                predicted=predicted,
+                reasoning=reasoning,
                 method="kewltm",
-                memory_version=memory.version,
+                memory_version=memory.version if memory is not None else 0,
                 timing_ms=elapsed(start),
             )
         )
@@ -323,22 +321,13 @@ def run_kewltm_inference(
     """Memory-guided inference with the frozen induced rule list."""
     if memory is None or not memory.rules:
         raise PipelineError("cannot run memory-guided inference without induced rules")
-    if not test_reports:
-        raise PipelineError("no reports to run")
     template = templates.get("ltm_inference")
     rendered_memory = render_numbered(memory)
-    records = [
-        _infer_one(
-            client,
-            render(template, {"report": r.text, "memory": rendered_memory}),
-            r,
-            category,
-            "kewltm",
-            memory_version=memory.version,
-        )
-        for r in test_reports
-    ]
-    return sorted(records, key=lambda rec: rec.report_id)
+    return _infer_all(
+        client, test_reports, category, "kewltm",
+        lambda r: (render(template, {"report": r.text, "memory": rendered_memory}), None),
+        memory_version=memory.version,
+    )
 
 
 def elicit_kewrag_rules(
@@ -354,8 +343,7 @@ def elicit_kewrag_rules(
     """
     if len(index) == 0:
         raise PipelineError("retrieval index is empty")
-    hits = top_k(index, query, client.embed)
-    context = CHUNK_SEPARATOR.join(c.text for c, _ in hits)
+    context, chunk_ids = _retrieve(index, query, client)
     request = render(templates.get("rag_elicit"), {"chunks": context})
     try:
         out = client.chat(request)
@@ -363,7 +351,7 @@ def elicit_kewrag_rules(
         raise PipelineError(f"rule synthesis failed: {exc}")
     assert out.rules is not None
     memory = RuleMemory(category=templates.category, rules=tuple(out.rules), version=1)
-    return ElicitedRules(memory=memory, chunk_ids=tuple(c.chunk_id for c, _ in hits))
+    return ElicitedRules(memory=memory, chunk_ids=chunk_ids)
 
 
 def run_kewrag_inference(
@@ -378,20 +366,11 @@ def run_kewrag_inference(
     """Rule-guided inference with the frozen synthesized rules; no retrieval."""
     if rules is None or not rules.rules:
         raise PipelineError("cannot run rule-guided inference with an empty rule set")
-    if not reports:
-        raise PipelineError("no reports to run")
     template = templates.get("rag_inference")
     rendered_rules = render_numbered(rules)
-    records = [
-        _infer_one(
-            client,
-            render(template, {"report": r.text, "rules": rendered_rules}),
-            r,
-            category,
-            "kewrag",
-            memory_version=rules.version,
-            chunk_ids=tuple(chunk_ids),
-        )
-        for r in reports
-    ]
-    return sorted(records, key=lambda rec: rec.report_id)
+    chunk_ids = tuple(chunk_ids)
+    return _infer_all(
+        client, reports, category, "kewrag",
+        lambda r: (render(template, {"report": r.text, "rules": rendered_rules}), chunk_ids),
+        memory_version=rules.version,
+    )

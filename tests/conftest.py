@@ -56,12 +56,12 @@ def scripted_client(entries: list[dict]) -> tuple[LlmClient, ScriptedBackend]:
 
 
 class JsonResponse:
-    """Stands in for the `requests.Response` of a 200 reply carrying `body`."""
+    """Stands in for a `requests.Response` carrying `body` as JSON."""
 
-    status_code = 200
-
-    def __init__(self, body):
+    def __init__(self, body, status_code: int = 200, headers: dict | None = None):
         self.body = body
+        self.status_code = status_code
+        self.headers = headers or {}
         self.text = json.dumps(body)
 
     def json(self):

@@ -1,0 +1,37 @@
+"""The benchmark's tracer still finds every stagepipe function it wraps.
+
+`perfbench/spans.py` wraps functions by rebinding the names stagepipe
+modules hold, and the benchmark compares the traced call counts with counts
+derived from the workload parameters. A refactor that drops or renames one
+of those bindings would only show up when the benchmark runs; this test runs
+one traced `ltm-cpu` repetition so it shows up in the test suite too.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _bench_runner():
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_ltm_cpu_repetition_matches_derived_counts(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "worker.py"), "ltm-cpu", "7", str(tmp_path), "1"],
+        cwd=PERFBENCH.parent, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    rep = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert rep["exit_code"] == 0, proc.stderr[-2000:]
+    bench = _bench_runner()
+    assert bench.check_trace(bench.WORKLOADS["ltm-cpu"], rep) == []

@@ -3,7 +3,11 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import pytest
+
+from stagepipe import cli
 from stagepipe.cli import main
+from stagepipe.llm import LlmClient, ScriptedBackend
 from .conftest import NULL_CONTENT_REPLY, JsonResponse, write_corpus_jsonl
 
 LABELS = ["T1", "T2", "T3", "T4"]
@@ -155,6 +159,34 @@ class TestRunZscot:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "FAILED"
         assert "content is NoneType" in manifest["error"]
+
+    def test_rate_limited_on_every_attempt_writes_failed_manifest(self, tmp_path, monkeypatch):
+        import requests
+
+        posts, sleeps = [], []
+        reply = JsonResponse({"error": "rate limited"}, status_code=429, headers={"Retry-After": "3"})
+
+        def fake_post(url, **kwargs):
+            posts.append(url)
+            return reply
+
+        monkeypatch.setattr(requests, "post", fake_post)
+        # the CLI builds its client with the default sleep; record the waits instead
+        monkeypatch.setitem(LlmClient.__init__.__kwdefaults__, "sleep", sleeps.append)
+        monkeypatch.setenv("STAGEPIPE_LLM_BASE", "http://localhost:1")
+        corpus = tmp_path / "c.jsonl"
+        write_corpus(corpus, 4)
+        out = tmp_path / "out"
+        code = main(
+            ["run", "--method", "zscot", "--category", "T",
+             "--corpus", str(corpus), "--out", str(out)]
+        )
+        assert code == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "FAILED"
+        assert "429" in manifest["error"]
+        assert len(posts) == 3  # every transport attempt, then give up
+        assert sleeps == [3.0, 3.0]  # Retry-After outlasts the 1 s and 2 s backoff
 
 
 class TestRunKewltm:
@@ -320,6 +352,81 @@ class TestSweep:
             ["sweep", "--category", "T", "--corpus", str(corpus),
              "--out", str(tmp_path / "o")]
         ) == 2
+
+
+    def test_train_count_point_scores_like_run(self, tmp_path):
+        corpus = tmp_path / "c.jsonl"
+        write_corpus(corpus, 12)
+        script = tmp_path / "script.json"
+        # 2 splits x (2 induction + 9 inference) calls, the same order in both commands
+        write_script(script, 22)
+        shared = ["--category", "T", "--corpus", str(corpus), "--script", str(script),
+                  "--splits", "2", "--train-size", "3"]
+        run_out, sweep_out = tmp_path / "run", tmp_path / "sweep"
+        assert main(["run", "--method", "kewltm", "--n-train", "2",
+                     "--out", str(run_out)] + shared) == 0
+        assert main(["sweep", "--train-counts", "2", "--out", str(sweep_out)] + shared) == 0
+        per_split = json.loads((run_out / "metrics.json").read_text())["per_split"]
+        rows = (sweep_out / "sweep_metrics.csv").read_text().splitlines()[1:]
+        split_rows = [row.split(",") for row in rows if ",mean," not in row]
+        assert len(split_rows) == len(per_split) == 2
+        for row, block in zip(split_rows, per_split):
+            point, split, seed, precision, recall, f1 = row
+            assert (int(point), int(split), int(seed)) == (2, block["split"], block["seed"])
+            assert [float(precision), float(recall), float(f1)] == [
+                block["macro"]["precision"], block["macro"]["recall"], block["macro"]["f1"]
+            ]
+
+    def test_no_gold_label_fails_like_run(self, tmp_path):
+        corpus = tmp_path / "c.jsonl"
+        rows = [{"id": f"r{i:03d}", "text": f"report body {i}", "t_label": "T1",
+                 "n_label": None} for i in range(6)]
+        write_corpus_jsonl(corpus, rows)
+        script = tmp_path / "script.json"
+        write_script(script, 12, labels=["N0", "N1", "N2", "N3"])
+        out = tmp_path / "out"
+        code = main(
+            ["sweep", "--category", "N", "--corpus", str(corpus), "--script", str(script),
+             "--out", str(out), "--splits", "1", "--train-size", "2", "--train-counts", "1"]
+        )
+        assert code == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "FAILED"
+        assert "no records carry a gold N label" in manifest["error"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--method", "kewltm", "--threshold", "150"],
+        ["sweep", "--thresholds", "0,150"],
+        ["sweep", "--train-counts", "2", "--threshold", "-1"],
+    ],
+    ids=["run", "sweep-thresholds", "sweep-threshold"],
+)
+def test_threshold_out_of_range_is_usage_error_before_any_call(
+    tmp_path, capsys, monkeypatch, argv
+):
+    corpus = tmp_path / "c.jsonl"
+    write_corpus(corpus, 12)
+    script = tmp_path / "script.json"
+    write_script(script, 60)
+    built: list[ScriptedBackend] = []
+
+    def recording_backend(path):
+        built.append(ScriptedBackend.from_file(path))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "scripted_backend", recording_backend)
+    out = tmp_path / "out"
+    code = main(
+        argv + ["--category", "T", "--corpus", str(corpus), "--script", str(script),
+                "--out", str(out), "--splits", "2", "--train-size", "3", "--n-train", "2"]
+    )
+    assert code == 2
+    assert "[0, 100]" in capsys.readouterr().err
+    assert sum(b.chat_calls + b.embed_calls for b in built) == 0
+    assert not out.exists()
 
 
 class TestEvaluate:

@@ -218,6 +218,16 @@ def test_corpus_rejects_duplicates():
         Corpus((make_report("a", t="T1"), make_report("a", t="T2")))
 
 
+def test_by_id_is_built_once_and_read_only():
+    corpus = Corpus((make_report("a", t="T1"), make_report("b", t="T2")))
+    assert corpus.by_id is corpus.by_id
+    assert corpus.by_id["b"] is corpus.reports[1]
+    with pytest.raises(TypeError):
+        corpus.by_id["c"] = make_report("c")  # type: ignore[index]
+    with pytest.raises(AttributeError):
+        corpus.by_id = {}  # type: ignore[misc]
+
+
 def test_report_rejects_mismatched_gold():
     with pytest.raises(CorpusError):
         Report(id="x", text="body", gold={StageCategory.T: StageLabel.parse("N1")})

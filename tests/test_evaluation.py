@@ -60,6 +60,21 @@ def brute_force_metrics(pairs: list[tuple[str, str | None]]):
     return per_class, macro
 
 
+@pytest.fixture(
+    params=[
+        score,
+        count_errors,
+        lambda records, corpus, category: compare_unique_errors(
+            records, records, corpus, category
+        ),
+    ],
+    ids=["score", "count_errors", "compare_unique_errors"],
+)
+def scorer(request):
+    """Each entry point that checks records against the gold labels."""
+    return request.param
+
+
 class TestScore:
     def test_perfect_classifier(self):
         gold = {"a": "T1", "b": "T2", "c": "T3", "d": "T4"}
@@ -101,15 +116,15 @@ class TestScore:
         assert matrix.unparseable.sum() == 1
         assert matrix.total == 2
 
-    def test_unknown_report_id(self):
+    def test_unknown_report_id(self, scorer):
         corpus = corpus_with_gold({"a": "T1"})
         with pytest.raises(EvaluationError, match="ghost"):
-            score([prediction("ghost", "T1")], corpus, T)
+            scorer([prediction("ghost", "T1")], corpus, T)
 
-    def test_missing_gold_label(self):
+    def test_missing_gold_label(self, scorer):
         corpus = Corpus((make_report("a", n="N1"),))
         with pytest.raises(EvaluationError, match="gold"):
-            score([prediction("a", "T1")], corpus, T)
+            scorer([prediction("a", "T1")], corpus, T)
 
     def test_matches_brute_force_on_random_sets(self):
         rng = random.Random(9)

@@ -11,7 +11,9 @@ from stagepipe.llm import (
     AuthenticationError,
     ChatRequest,
     EmbeddingVector,
+    MAX_RETRY_AFTER_S,
     HttpChatBackend,
+    HttpEmbedBackend,
     LlmClient,
     LlmError,
     OutputSchema,
@@ -305,6 +307,73 @@ class TestHttpChatBackend:
             client.chat(ChatRequest(user="q", schema=STAGING_T))
         assert not info.value.retryable
         assert posts == ["http://localhost:1/v1/chat/completions"]
+
+
+CHAT_REPLY = {"choices": [{"message": {"content": json.dumps(staging_body("T1"))}}]}
+EMBED_REPLY = {"data": [{"index": 0, "embedding": [1.0, 0.0]}], "model": "m"}
+
+
+def rate_limited(retry_after: str | None) -> JsonResponse:
+    headers = {} if retry_after is None else {"Retry-After": retry_after}
+    return JsonResponse({"error": "rate limited"}, status_code=429, headers=headers)
+
+
+def patch_posts(monkeypatch, replies: list) -> list[str]:
+    """Answer each `requests.post` with the next reply; returns the posted urls."""
+    import requests
+
+    posts = []
+
+    def fake_post(url, **kwargs):
+        posts.append(url)
+        return replies.pop(0)
+
+    monkeypatch.setattr(requests, "post", fake_post)
+    return posts
+
+
+class TestRateLimit:
+    def test_chat_429_waits_retry_after_then_succeeds(self, monkeypatch):
+        posts = patch_posts(monkeypatch, [rate_limited("3"), JsonResponse(CHAT_REPLY)])
+        sleeps = []
+        client = LlmClient(chat_backend=HttpChatBackend("http://localhost:1"), sleep=sleeps.append)
+        out = client.chat(ChatRequest(user="q", schema=STAGING_T))
+        assert out.stage.render() == "T1"
+        assert len(posts) == 2
+        assert sleeps == [3.0]
+
+    def test_embed_429_waits_retry_after_then_succeeds(self, monkeypatch):
+        posts = patch_posts(monkeypatch, [rate_limited("3"), JsonResponse(EMBED_REPLY)])
+        sleeps = []
+        client = LlmClient(embed_backend=HttpEmbedBackend("http://localhost:1"), sleep=sleeps.append)
+        assert [v.values for v in client.embed(["x"])] == [(1.0, 0.0)]
+        assert posts == ["http://localhost:1/v1/embeddings"] * 2
+        assert sleeps == [3.0]
+
+    @pytest.mark.parametrize(
+        "retry_after, expected",
+        [("0.5", 1.0), (None, 1.0), ("Wed, 21 Oct 2015 07:28:00 GMT", 1.0),
+         ("86400", MAX_RETRY_AFTER_S)],
+        ids=["shorter-than-backoff", "absent", "http-date", "capped"],
+    )
+    def test_wait_is_the_longer_of_backoff_and_capped_retry_after(
+        self, monkeypatch, retry_after, expected
+    ):
+        patch_posts(monkeypatch, [rate_limited(retry_after), JsonResponse(CHAT_REPLY)])
+        sleeps = []
+        client = LlmClient(
+            chat_backend=HttpChatBackend("http://localhost:1"), sleep=sleeps.append, backoff_s=1.0
+        )
+        client.chat(ChatRequest(user="q", schema=STAGING_T))
+        assert sleeps == [expected]
+
+    def test_client_error_other_than_429_is_not_retried(self, monkeypatch):
+        posts = patch_posts(monkeypatch, [JsonResponse({}, status_code=400)])
+        client = LlmClient(chat_backend=HttpChatBackend("http://localhost:1"), sleep=lambda _: None)
+        with pytest.raises(TransportError) as info:
+            client.chat(ChatRequest(user="q", schema=STAGING_T))
+        assert not info.value.retryable
+        assert len(posts) == 1
 
 
 class TestClientRetries:
