@@ -526,12 +526,18 @@ def cmd_sweep(cfg: RunConfig, train_counts: list[int] | None, thresholds: list[f
     points: list = train_counts if train_counts else thresholds  # type: ignore[assignment]
     metric_lines = [f"{param},split,seed,precision,recall,f1"]
     curve_lines = [f"{param},step,mean_len"]
+
+    def write_csvs() -> None:
+        (out / "sweep_metrics.csv").write_text("\n".join(metric_lines) + "\n", encoding="utf-8")
+        (out / "sweep_curves.csv").write_text("\n".join(curve_lines) + "\n", encoding="utf-8")
+
     try:
         for point in points:
             n_train = point if train_counts else cfg.n_train
             threshold = cfg.threshold if train_counts else point
             macros = []
             traces_per_split = []
+            point_lines = []
             for i, split in enumerate(splits):
                 induction, _, _, macro = _evaluate_split(
                     split, i, int(n_train), float(threshold), corpus, category, client,
@@ -539,17 +545,19 @@ def cmd_sweep(cfg: RunConfig, train_counts: list[int] | None, thresholds: list[f
                 )
                 traces_per_split.append(list(induction.traces))
                 macros.append(macro)
-                metric_lines.append(
+                point_lines.append(
                     f"{point},{i},{split.seed},{macro.precision!r},"
                     f"{macro.recall!r},{macro.f1!r}"
                 )
             mean_p = sum(m.precision for m in macros) / len(macros)
             mean_r = sum(m.recall for m in macros) / len(macros)
             mean_f = sum(m.f1 for m in macros) / len(macros)
+            metric_lines.extend(point_lines)
             metric_lines.append(f"{point},mean,,{mean_p!r},{mean_r!r},{mean_f!r}")
             for step, mean_len in evaluation.memory_curve(traces_per_split):
                 curve_lines.append(f"{point},{step},{mean_len!r}")
     except (PipelineError, LlmError, CorpusError) as exc:
+        write_csvs()  # the points that finished
         _write_json(
             out / "manifest.json",
             _manifest(
@@ -564,8 +572,7 @@ def cmd_sweep(cfg: RunConfig, train_counts: list[int] | None, thresholds: list[f
         )
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    (out / "sweep_metrics.csv").write_text("\n".join(metric_lines) + "\n", encoding="utf-8")
-    (out / "sweep_curves.csv").write_text("\n".join(curve_lines) + "\n", encoding="utf-8")
+    write_csvs()
     _write_json(
         out / "manifest.json",
         _manifest(

@@ -295,9 +295,13 @@ class ScriptedBackend:
     index) when keyed, otherwise consumed in file order. Embed entries are
     either persistent lookups (``{"map": {...}}`` / ``{"hash_dim": n}``) or
     positionally consumed ``{"vectors": [...]}`` batches.
+
+    Both the call indices and the file-order queues follow the order calls
+    arrive in, so a client over this backend makes one call at a time.
     """
 
     deterministic = True
+    replays_in_call_order = True
     model_id = "scripted"
 
     def __init__(self, entries: Sequence[_ScriptEntry]):
@@ -575,7 +579,11 @@ class HttpEmbedBackend(_HttpBackend):
 
 
 class LlmClient:
-    """Shared handle over chat/embed backends with validation and retries."""
+    """Shared handle over chat/embed backends with validation and retries.
+
+    `max_in_flight` is how many reports inference may run at once; it is 1
+    when either backend replays by call order (`replays_in_call_order`).
+    """
 
     def __init__(
         self,
@@ -594,7 +602,10 @@ class LlmClient:
         self.transport_attempts = transport_attempts
         self.backoff_s = backoff_s
         self._sleep = sleep
-        self._gate = threading.Semaphore(max_in_flight)
+        replays = any(
+            getattr(b, "replays_in_call_order", False) for b in (chat_backend, embed_backend)
+        )
+        self.max_in_flight = 1 if replays else max_in_flight
 
     @property
     def deterministic(self) -> bool:
@@ -646,8 +657,7 @@ class LlmClient:
         delay = self.backoff_s
         for attempt in range(1, self.transport_attempts + 1):
             try:
-                with self._gate:
-                    return call()
+                return call()
             except TransportError as exc:
                 if not exc.retryable or attempt == self.transport_attempts:
                     raise

@@ -4,14 +4,16 @@ Two baselines (plain step-by-step inference; raw retrieved context per
 report) and the two rule-elicitation workflows: iterative induction of a
 gated long-term rule memory followed by memory-guided inference, and
 one-shot synthesis of rules from retrieved guideline chunks applied at every
-inference. Induction is strictly sequential by design; inference records are
-sorted by report id so output bytes never depend on scheduling.
+inference. Induction is strictly sequential by design; test-set inference
+runs up to `max_in_flight` reports at once, and its records are sorted by
+report id so output bytes never depend on scheduling.
 """
 
 from __future__ import annotations
 
 import logging
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -148,33 +150,47 @@ def _infer_all(
 
     `prepare(report)` returns the rendered request and the retrieved chunk
     ids the record carries. A report whose output stays unparseable is
-    recorded as such and the batch goes on. Records are sorted by report id.
+    recorded as such and the batch goes on. Up to `client.max_in_flight`
+    reports run at once, each preparing its request just before its chat
+    call. Any other failure is terminal: no report starts after it, the
+    reports in flight finish, and the first failure is raised. Records are
+    sorted by report id.
     """
     if not reports:
         raise PipelineError("no reports to run")
     elapsed = _timer(client)
-    records = []
-    for report in reports:
-        request, chunk_ids = prepare(report)
-        start = time.perf_counter()
+    failures: list[Exception] = []
+
+    def infer(report: Report) -> PredictionRecord | None:
+        if failures:
+            return None
         try:
-            out = client.chat(request)
-            predicted, reasoning = out.stage, out.reasoning or ""
-        except SchemaViolationError:
-            predicted, reasoning = None, ""
-        records.append(
-            PredictionRecord(
-                report_id=report.id,
-                category=category,
-                predicted=predicted,
-                reasoning=reasoning,
-                method=method,
-                memory_version=memory_version,
-                retrieved_chunk_ids=chunk_ids,
-                timing_ms=elapsed(start),
-            )
+            request, chunk_ids = prepare(report)
+            start = time.perf_counter()
+            try:
+                out = client.chat(request)
+                predicted, reasoning = out.stage, out.reasoning or ""
+            except SchemaViolationError:
+                predicted, reasoning = None, ""
+        except Exception as exc:  # terminal: raised below, once the pool drains
+            failures.append(exc)
+            return None
+        return PredictionRecord(
+            report_id=report.id,
+            category=category,
+            predicted=predicted,
+            reasoning=reasoning,
+            method=method,
+            memory_version=memory_version,
+            retrieved_chunk_ids=chunk_ids,
+            timing_ms=elapsed(start),
         )
-    return sorted(records, key=lambda rec: rec.report_id)
+
+    with ThreadPoolExecutor(max_workers=client.max_in_flight) as pool:
+        futures = [pool.submit(infer, report) for report in reports]
+    if failures:
+        raise failures[0]
+    return sorted((f.result() for f in futures), key=lambda rec: rec.report_id)
 
 
 def _retrieve(

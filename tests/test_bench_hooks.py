@@ -4,7 +4,9 @@
 modules hold, and the benchmark compares the traced call counts with counts
 derived from the workload parameters. A refactor that drops or renames one
 of those bindings would only show up when the benchmark runs; this test runs
-one traced `ltm-cpu` repetition so it shows up in the test suite too.
+one traced `ltm-cpu` and one traced `rag-latency` repetition so it shows up
+in the test suite too. The `rag-latency` one also fails when test-set
+inference no longer overlaps its model calls.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -25,13 +29,17 @@ def _bench_runner():
     return module
 
 
-def test_traced_ltm_cpu_repetition_matches_derived_counts(tmp_path):
+@pytest.mark.parametrize("workload", ["ltm-cpu", "rag-latency"])
+def test_traced_repetition_matches_derived_counts(tmp_path, workload):
     proc = subprocess.run(
-        [sys.executable, str(PERFBENCH / "worker.py"), "ltm-cpu", "7", str(tmp_path), "1"],
+        [sys.executable, str(PERFBENCH / "worker.py"), workload, "7", str(tmp_path), "1"],
         cwd=PERFBENCH.parent, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     rep = json.loads(proc.stdout.strip().splitlines()[-1])
     assert rep["exit_code"] == 0, proc.stderr[-2000:]
     bench = _bench_runner()
-    assert bench.check_trace(bench.WORKLOADS["ltm-cpu"], rep) == []
+    assert bench.check_trace(bench.WORKLOADS[workload], rep) == []
+    if workload == "rag-latency":
+        # test-set inference overlaps its model calls
+        assert rep["layers"]["llm.in_flight_max"] > 1

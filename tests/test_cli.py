@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -167,7 +168,7 @@ class TestRunZscot:
         reply = JsonResponse({"error": "rate limited"}, status_code=429, headers={"Retry-After": "3"})
 
         def fake_post(url, **kwargs):
-            posts.append(url)
+            posts.append(kwargs["json"]["messages"][-1]["content"])
             return reply
 
         monkeypatch.setattr(requests, "post", fake_post)
@@ -185,8 +186,13 @@ class TestRunZscot:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "FAILED"
         assert "429" in manifest["error"]
-        assert len(posts) == 3  # every transport attempt, then give up
-        assert sleeps == [3.0, 3.0]  # Retry-After outlasts the 1 s and 2 s backoff
+        # reports run up to four at once: the first to give up stops new ones
+        # from starting, and the ones already posting each finish their attempts
+        per_report = Counter(posts)
+        assert 1 <= len(per_report) <= 4
+        assert set(per_report.values()) == {3}  # every transport attempt, then give up
+        # Retry-After outlasts the 1 s and 2 s backoff
+        assert sleeps == [3.0] * 2 * len(per_report)
 
 
 class TestRunKewltm:
@@ -376,6 +382,24 @@ class TestSweep:
             assert [float(precision), float(recall), float(f1)] == [
                 block["macro"]["precision"], block["macro"]["recall"], block["macro"]["f1"]
             ]
+
+    def test_failed_point_keeps_finished_points(self, tmp_path):
+        corpus = tmp_path / "c.jsonl"
+        write_corpus(corpus, 10)
+        shared = ["sweep", "--category", "T", "--corpus", str(corpus),
+                  "--splits", "2", "--train-size", "2"]
+        complete, failing = tmp_path / "complete.json", tmp_path / "failing.json"
+        write_script(complete, 9 * 2)  # point 1: (1 + 8) calls per split
+        write_script(failing, 9 * 2 + 5)  # runs out during point 2
+        assert main(shared + ["--script", str(complete), "--out", str(tmp_path / "one"),
+                              "--train-counts", "1"]) == 0
+        out = tmp_path / "two"
+        assert main(shared + ["--script", str(failing), "--out", str(out),
+                              "--train-counts", "1,2"]) == 1
+        assert json.loads((out / "manifest.json").read_text())["status"] == "FAILED"
+        for name in ("sweep_metrics.csv", "sweep_curves.csv"):
+            finished = (tmp_path / "one" / name).read_text().splitlines()
+            assert (out / name).read_text().splitlines() == finished
 
     def test_no_gold_label_fails_like_run(self, tmp_path):
         corpus = tmp_path / "c.jsonl"

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import re
+import sys
+import threading
 
 import pytest
 
 from stagepipe.corpus import StageCategory, StageLabel
-from stagepipe.llm import LlmClient, TransportError
+from stagepipe.llm import LlmClient, ScriptedBackend, TransportError
 from stagepipe.memory import RuleMemory
 from stagepipe.pipelines import (
     CHUNK_SEPARATOR,
@@ -353,6 +357,100 @@ class TestKewragInference:
             run_kewrag_inference(
                 reports(1), T, RuleMemory(T, (), version=0), client, REGISTRY
             )
+
+
+class _ContentKeyed:
+    """A chat backend whose reply depends only on the prompt.
+
+    Calls wait at `barrier` when one is given, so a test can hold a number
+    of calls in flight together without relying on timing. The call for
+    report `fail_id` raises `error`; the other calls held at the barrier
+    with it return only once it has raised.
+    """
+
+    deterministic = True
+    model_id = "content-keyed"
+
+    def __init__(self, barrier=None, fail_id=None):
+        self.barrier = barrier
+        self.fail_id = fail_id
+        self.error = TransportError(f"{fail_id} rejected", retryable=False)
+        self.raised = threading.Event()
+        self.started: list[str] = []
+        self.in_flight = self.peak = 0
+        self._lock = threading.Lock()
+
+    def complete(self, request):
+        report_id = re.search(r"pathology report body for (r\d+)", request.user).group(1)
+        with self._lock:
+            self.started.append(report_id)
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+        try:
+            if self.barrier is not None:
+                self.barrier.wait()
+            if report_id == self.fail_id:
+                self.raised.set()
+                raise self.error
+            if self.fail_id is not None and self.barrier is not None:
+                assert self.raised.wait(timeout=10)
+            digest = hashlib.sha256(request.user.encode()).digest()
+            return json.dumps(staging_body(f"T{digest[0] % 4 + 1}", reasoning=report_id))
+        finally:
+            with self._lock:
+                self.in_flight -= 1
+
+
+class TestConcurrentInference:
+    def test_width_bounds_calls_in_flight_and_keeps_records(self):
+        wide = _ContentKeyed(barrier=threading.Barrier(4, timeout=10))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, so interleavings vary
+        try:
+            records = run_zscot(
+                reports(12), T, LlmClient(chat_backend=wide, max_in_flight=4), REGISTRY
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert wide.peak == 4  # the barrier lets 4 through together, the pool no more
+        narrow = _ContentKeyed()
+        sequential = run_zscot(
+            reports(12), T, LlmClient(chat_backend=narrow, max_in_flight=1), REGISTRY
+        )
+        assert narrow.peak == 1
+        assert narrow.started == [f"r{i:02d}" for i in range(12)]
+        assert records == sequential
+        assert len({r.predicted for r in records}) > 1
+
+    def test_terminal_failure_starts_no_further_report(self):
+        backend = _ContentKeyed(barrier=threading.Barrier(4, timeout=10), fail_id="r02")
+        client = LlmClient(chat_backend=backend, max_in_flight=4)
+        with pytest.raises(TransportError) as info:
+            run_zscot(reports(12), T, client, REGISTRY)
+        assert info.value is backend.error
+        # the first four were in flight together; none of the eight queued started
+        assert sorted(backend.started) == ["r00", "r01", "r02", "r03"]
+
+    def test_terminal_failure_one_at_a_time_stops_at_the_failing_report(self):
+        backend = _ContentKeyed(fail_id="r05")
+        client = LlmClient(chat_backend=backend, max_in_flight=1)
+        with pytest.raises(TransportError) as info:
+            run_zscot(reports(12), T, client, REGISTRY)
+        assert info.value is backend.error
+        assert backend.started == [f"r{i:02d}" for i in range(6)]
+
+    def test_scripted_backend_replays_keyed_script_in_report_order(self):
+        stages = ["T1", "T2", "T3", "T4", "T2", "T1", "T3", "T3"]
+        entries = [
+            chat_entry(staging_body(stage, reasoning=f"call {i}"), "zscot_inference", i)
+            for i, stage in enumerate(stages, 1)
+        ]
+        backend = ScriptedBackend.from_entries(entries)
+        client = LlmClient(chat_backend=backend, embed_backend=backend, max_in_flight=4)
+        assert client.max_in_flight == 1
+        records = run_zscot(reports(len(stages)), T, client, REGISTRY)
+        assert [r.predicted.render() for r in records] == stages
+        assert [r.reasoning for r in records] == [f"call {i}" for i in range(1, 9)]
 
 
 class TestPredictionRecord:
