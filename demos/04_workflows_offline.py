@@ -89,7 +89,7 @@ client, backend = scripted(8, ["T1", "T2"])
 induction = induce_ltm(reports[:3], T, client, registry, threshold=80.0)
 print(
     f"kewltm: induced memory v{induction.final_memory.version} "
-    f"({len(induction.final_memory.rules)} rules) over {induction.n_consumed} reports; "
+    f"({len(induction.final_memory.rules)} rules) over {len(induction.traces)} reports; "
     f"acceptance pattern {[t.accepted for t in induction.traces]}"
 )
 records = run_kewltm_inference(reports[3:], T, induction.final_memory, client, registry)

@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import evaluation, memory, pipelines, prompts, retrieval
 from .corpus import (
@@ -75,6 +75,14 @@ _ENV_KEYS = {
 
 class UsageError(ValueError):
     """Bad flags/config combination; reported before any work starts."""
+
+
+# Every error a command can end with other than a UsageError: exit code 1,
+# and, once a run's or sweep's output directory exists, a FAILED manifest.
+COMMAND_ERRORS = (
+    CorpusError, LlmError, RetrievalError, PipelineError, evaluation.EvaluationError,
+    memory.RuleMemoryError, prompts.TemplateError, OSError,
+)
 
 
 @dataclass
@@ -174,20 +182,17 @@ def _redact(cfg: RunConfig) -> dict:
 def _manifest(
     cfg: RunConfig,
     command: str,
-    client: LlmClient | None,
+    client: LlmClient,
     *,
     seeds: list[int] | None = None,
     template_hashes: dict | None = None,
     doc_hash: str | None = None,
     query: str | None = None,
     query_provenance: str | None = None,
-    status: str = "ok",
     error: str | None = None,
     sweep: dict | None = None,
 ) -> dict:
-    deterministic = client.deterministic if client is not None else False
-    chat_model = getattr(client.chat_backend, "model_id", None) if client else None
-    embed_model = getattr(client.embed_backend, "model_id", None) if client else None
+    """The manifest of a `run` or `sweep`: status ok, or FAILED with `error`."""
     return {
         "command": command,
         "method": cfg.values.get("method"),
@@ -195,13 +200,16 @@ def _manifest(
         "config": _redact(cfg),
         "seeds": seeds,
         "template_hashes": template_hashes,
-        "model_ids": {"chat": chat_model, "embed": embed_model},
+        "model_ids": {
+            "chat": getattr(client.chat_backend, "model_id", None),
+            "embed": getattr(client.embed_backend, "model_id", None),
+        },
         "doc_hash": doc_hash,
         "query": query,
         "query_provenance": query_provenance,
         "sweep": sweep,
-        "timestamp": None if deterministic else datetime.now(timezone.utc).isoformat(),
-        "status": status,
+        "timestamp": None if client.deterministic else datetime.now(timezone.utc).isoformat(),
+        "status": "ok" if error is None else "FAILED",
         "error": error,
     }
 
@@ -312,11 +320,13 @@ def _evaluate_split(
     *,
     prefix: str = "",
     out: Path | None = None,
-) -> tuple[pipelines.InductionResult, list[PredictionRecord], dict, evaluation.MacroMetrics]:
+) -> tuple[list[PredictionRecord], dict, evaluation.MacroMetrics, list[memory.UpdateTrace]]:
     """One kewltm cycle on split `i`: truncate -> induce -> infer -> score.
 
-    Errors name the split after `prefix`. With `out`, the frozen memory and
-    the induction trace are written there before inference starts, so a run
+    Returns the records, the score block tagged with the split's index, seed
+    and memory version, its macro metrics and the induction trace. Errors
+    name the split after `prefix`. With `out`, the frozen memory and the
+    induction trace are written there before inference starts, so a run
     whose inference fails still keeps the split's induction.
     """
     split = truncate_train(split, n_train)
@@ -335,63 +345,53 @@ def _evaluate_split(
         client, registry,
     )
     block, macro = _score_block(records, corpus, category)
-    return induction, records, block, macro
+    block.update({"split": i, "seed": split.seed,
+                  "memory_version": induction.final_memory.version})
+    return records, block, macro, list(induction.traces)
 
 
-def _run_kewltm(
-    cfg: RunConfig,
+def _kewltm_point(
+    splits: Sequence[Split],
+    n_train: int,
+    threshold: float,
     corpus: Corpus,
     category: StageCategory,
     client: LlmClient,
     registry: prompts.TemplateRegistry,
-    out: Path,
-) -> tuple[dict, list[dict], list[int]]:
-    splits = make_splits(corpus, cfg.n_splits, cfg.train_size, cfg.seed)
-    prediction_rows: list[dict] = []
-    per_split_metrics: list[dict] = []
-    macros: list[evaluation.MacroMetrics] = []
-    all_traces: list[list[memory.UpdateTrace]] = []
+    *,
+    prefix: str = "",
+    out: Path | None = None,
+) -> tuple[list[tuple[list[PredictionRecord], dict, evaluation.MacroMetrics]],
+           list[tuple[int, float]]]:
+    """The kewltm protocol at one (n_train, threshold) point: every split
+    through `_evaluate_split`. Returns each split's (records, score block,
+    macro metrics) and the mean memory-length curve over the splits."""
+    results = []
+    traces = []
     for i, split in enumerate(splits):
-        induction, records, block, macro = _evaluate_split(
-            split, i, cfg.n_train, cfg.threshold, corpus, category, client, registry,
-            out=out,
+        records, block, macro, split_traces = _evaluate_split(
+            split, i, n_train, threshold, corpus, category, client, registry,
+            prefix=prefix, out=out,
         )
-        all_traces.append(list(induction.traces))
-        prediction_rows += [record_to_json(r, split=i) for r in records]
-        block.update({"split": i, "seed": split.seed,
-                      "memory_version": induction.final_memory.version})
-        per_split_metrics.append(block)
-        macros.append(macro)
-    totals = [block["n_evaluated"] for block in per_split_metrics]
-    mean_errors = sum(block["num_errors"] for block in per_split_metrics) / len(splits)
-    metrics = {
-        "per_split": per_split_metrics,
-        "aggregate": evaluation.aggregate_macro_runs(macros),
-        "num_errors_mean": evaluation.format_error_count(
-            mean_errors, multi_run=len(splits) > 1
-        ),
-        "error_pct": (
-            evaluation.format_error_pct(mean_errors, totals[0])
-            if len(set(totals)) == 1
-            else None
-        ),
-    }
-    curve = evaluation.memory_curve(all_traces)
-    evaluation.write_curve_csv(curve, out / "curves.csv")
-    return metrics, prediction_rows, [s.seed for s in splits]
+        results.append((records, block, macro))
+        traces.append(split_traces)
+    return results, evaluation.memory_curve(traces)
 
 
-def cmd_run(cfg: RunConfig) -> int:
-    method = cfg.values.get("method")
-    if method not in pipelines.METHODS:
-        raise UsageError(f"--method must be one of {pipelines.METHODS}")
+def _setup(
+    cfg: RunConfig, retrieves: bool
+) -> tuple[StageCategory, LlmClient, prompts.TemplateRegistry, Corpus, Path]:
+    """Checks the inputs of a `run` or `sweep`, then creates its output directory.
+
+    Every check runs before any model call and before the directory exists,
+    so a usage error leaves nothing behind.
+    """
     if not cfg.corpus:
         raise UsageError("--corpus is required")
     category = cfg.category_enum
     _check_thresholds([cfg.threshold], "--threshold")
-    retrieves = method in ("rag", "kewrag")
     if retrieves and not (cfg.guideline or cfg.index):
-        raise UsageError(f"--guideline (or --index) is required for method {method}")
+        raise UsageError(f"--guideline (or --index) is required for method {cfg.method}")
     client = _build_client(cfg)
     if client.chat_backend is None:
         raise UsageError("no chat backend configured (set STAGEPIPE_LLM_BASE or --script)")
@@ -403,102 +403,123 @@ def cmd_run(cfg: RunConfig) -> int:
     corpus = load_corpus(cfg.corpus)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    query_text = cfg.query or retrieval.DEFAULT_QUERIES[category]
-    query_provenance = (
-        "user" if cfg.query else retrieval.QUERY_PROVENANCE[category]
-    )
-    doc_hash: str | None = None
-    seeds: list[int] | None = None
+    return category, client, registry, corpus, out
 
-    def write_manifest(**outcome) -> None:
-        _write_json(
-            out / "manifest.json",
-            _manifest(
-                cfg,
-                "run",
-                client,
-                seeds=seeds,
-                template_hashes=registry.hashes(),
-                doc_hash=doc_hash,
-                query=query_text if retrieves else None,
-                query_provenance=query_provenance if retrieves else None,
-                **outcome,
-            ),
+
+def _run_command(
+    cfg: RunConfig,
+    command: str,
+    client: LlmClient,
+    out: Path,
+    fields: dict,
+    body: Callable[[dict], None],
+) -> int:
+    """Runs `body(fields)`, then writes `out/manifest.json` from `fields`.
+
+    `body` adds to the manifest `fields` what it learns as it goes (split
+    seeds, the guideline hash), so a failed command records as much as it
+    got to. An error in COMMAND_ERRORS ends as a FAILED manifest and exit
+    code 1.
+    """
+    error = None
+    try:
+        body(fields)
+    except COMMAND_ERRORS as exc:
+        error = str(exc)
+    _write_json(out / "manifest.json", _manifest(cfg, command, client, error=error, **fields))
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+        return 1
+    return 0
+
+
+def cmd_run(cfg: RunConfig) -> int:
+    method = cfg.values.get("method")
+    if method not in pipelines.METHODS:
+        raise UsageError(f"--method must be one of {pipelines.METHODS}")
+    retrieves = method in ("rag", "kewrag")
+    category, client, registry, corpus, out = _setup(cfg, retrieves)
+    query_text = cfg.query or retrieval.DEFAULT_QUERIES[category]
+    fields = {"template_hashes": registry.hashes()}
+    if retrieves:
+        fields["query"] = query_text
+        fields["query_provenance"] = (
+            "user" if cfg.query else retrieval.QUERY_PROVENANCE[category]
         )
 
-    try:
+    def body(fields: dict) -> None:
         if method == "kewltm":
-            metrics, prediction_rows, seeds = _run_kewltm(
-                cfg, corpus, category, client, registry, out
+            splits = make_splits(corpus, cfg.n_splits, cfg.train_size, cfg.seed)
+            fields["seeds"] = [s.seed for s in splits]
+            results, curve = _kewltm_point(
+                splits, cfg.n_train, cfg.threshold, corpus, category, client, registry,
+                out=out,
+            )
+            evaluation.write_curve_csv(curve, out / "curves.csv")
+            prediction_rows = [
+                record_to_json(r, split=block["split"]) for records, block, _ in results
+                for r in records
+            ]
+            per_split = [block for _, block, _ in results]
+            totals = [block["n_evaluated"] for block in per_split]
+            mean_errors = sum(block["num_errors"] for block in per_split) / len(splits)
+            metrics = {
+                "per_split": per_split,
+                "aggregate": evaluation.aggregate_macro_runs([m for _, _, m in results]),
+                "num_errors_mean": evaluation.format_error_count(
+                    mean_errors, multi_run=len(splits) > 1
+                ),
+                "error_pct": (
+                    evaluation.format_error_pct(mean_errors, totals[0])
+                    if len(set(totals)) == 1
+                    else None
+                ),
+            }
+            agg = metrics["aggregate"]
+            summary = (
+                f"kewltm {category.value}: precision {agg['precision']} "
+                f"recall {agg['recall']} f1 {agg['f1']} over {len(splits)} splits"
             )
         else:
             if method == "zscot":
                 records = pipelines.run_zscot(list(corpus), category, client, registry)
-            elif method == "rag":
-                index, doc_hash = _load_or_build_index(cfg, client)
-                records = pipelines.run_rag(
-                    list(corpus),
-                    category,
-                    client,
-                    index,
-                    RetrievalQuery(query_text, cfg.k),
-                    registry,
-                    rag_query_mode=cfg.rag_query_mode,
-                )
-            else:  # kewrag
-                index, doc_hash = _load_or_build_index(cfg, client)
-                elicited = pipelines.elicit_kewrag_rules(
-                    index, RetrievalQuery(query_text, cfg.k), client, registry
-                )
-                memory.persist(elicited.memory, out / "rules.json")
-                records = pipelines.run_kewrag_inference(
-                    list(corpus),
-                    category,
-                    elicited.memory,
-                    client,
-                    registry,
-                    chunk_ids=elicited.chunk_ids,
-                )
+            else:
+                index, fields["doc_hash"] = _load_or_build_index(cfg, client)
+                query = RetrievalQuery(query_text, cfg.k)
+                if method == "rag":
+                    records = pipelines.run_rag(
+                        list(corpus), category, client, index, query, registry,
+                        rag_query_mode=cfg.rag_query_mode,
+                    )
+                else:  # kewrag
+                    elicited = pipelines.elicit_kewrag_rules(index, query, client, registry)
+                    memory.persist(elicited.memory, out / "rules.json")
+                    records = pipelines.run_kewrag_inference(
+                        list(corpus), category, elicited.memory, client, registry,
+                        chunk_ids=elicited.chunk_ids,
+                    )
             prediction_rows = [record_to_json(r) for r in records]
-            metrics, _ = _score_block(records, corpus, category)
-    except (PipelineError, LlmError, RetrievalError, CorpusError) as exc:
-        write_manifest(status="FAILED", error=str(exc))
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    _write_jsonl(out / "predictions.jsonl", prediction_rows)
-    _write_json(out / "metrics.json", metrics)
-    write_manifest()
-    if method == "kewltm":
-        agg = metrics["aggregate"]
-        print(
-            f"kewltm {category.value}: precision {agg['precision']} "
-            f"recall {agg['recall']} f1 {agg['f1']} over {len(seeds or [])} splits"
-        )
-    else:
-        m = metrics["macro"]
-        print(
-            f"{method} {category.value}: precision {m['precision']:.3f} "
-            f"recall {m['recall']:.3f} f1 {m['f1']:.3f} "
-            f"errors {metrics['num_errors']} ({metrics['error_pct']})"
-        )
-    return 0
+            metrics, m = _score_block(records, corpus, category)
+            summary = (
+                f"{method} {category.value}: precision {m.precision:.3f} "
+                f"recall {m.recall:.3f} f1 {m.f1:.3f} "
+                f"errors {metrics['num_errors']} ({metrics['error_pct']})"
+            )
+        _write_jsonl(out / "predictions.jsonl", prediction_rows)
+        _write_json(out / "metrics.json", metrics)
+        print(summary)
+
+    return _run_command(cfg, "run", client, out, fields, body)
 
 
-def _parse_int_list(text: str, flag: str) -> list[int]:
+def _parse_list(text: str | None, flag: str, kind: type) -> list | None:
+    """A comma-separated flag value as a list of `kind`; None when unset."""
+    if not text:
+        return None
     try:
-        values = [int(x) for x in text.split(",") if x.strip()]
+        values = [kind(x) for x in text.split(",") if x.strip()]
     except ValueError:
-        raise UsageError(f"{flag} must be a comma-separated integer list")
-    if not values:
-        raise UsageError(f"{flag} must be non-empty")
-    return values
-
-
-def _parse_float_list(text: str, flag: str) -> list[float]:
-    try:
-        values = [float(x) for x in text.split(",") if x.strip()]
-    except ValueError:
-        raise UsageError(f"{flag} must be a comma-separated number list")
+        raise UsageError(f"{flag} must be a comma-separated {kind.__name__} list")
     if not values:
         raise UsageError(f"{flag} must be non-empty")
     return values
@@ -509,83 +530,43 @@ def cmd_sweep(cfg: RunConfig, train_counts: list[int] | None, thresholds: list[f
         raise UsageError("sweep supports only method kewltm")
     if bool(train_counts) == bool(thresholds):
         raise UsageError("provide exactly one of --train-counts or --thresholds")
-    if not cfg.corpus:
-        raise UsageError("--corpus is required")
-    category = cfg.category_enum
-    _check_thresholds([cfg.threshold], "--threshold")
     _check_thresholds(thresholds or [], "--thresholds")
-    client = _build_client(cfg)
-    if client.chat_backend is None:
-        raise UsageError("no chat backend configured (set STAGEPIPE_LLM_BASE or --script)")
-    registry = _templates(cfg, category)
-    corpus = load_corpus(cfg.corpus)
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    splits = make_splits(corpus, cfg.n_splits, cfg.train_size, cfg.seed)
+    category, client, registry, corpus, out = _setup(cfg, retrieves=False)
     param = "n_train" if train_counts else "threshold"
-    points: list = train_counts if train_counts else thresholds  # type: ignore[assignment]
-    metric_lines = [f"{param},split,seed,precision,recall,f1"]
-    curve_lines = [f"{param},step,mean_len"]
+    points: list = train_counts or thresholds  # type: ignore[assignment]
 
-    def write_csvs() -> None:
-        (out / "sweep_metrics.csv").write_text("\n".join(metric_lines) + "\n", encoding="utf-8")
-        (out / "sweep_curves.csv").write_text("\n".join(curve_lines) + "\n", encoding="utf-8")
-
-    try:
-        for point in points:
-            n_train = point if train_counts else cfg.n_train
-            threshold = cfg.threshold if train_counts else point
-            macros = []
-            traces_per_split = []
-            point_lines = []
-            for i, split in enumerate(splits):
-                induction, _, _, macro = _evaluate_split(
-                    split, i, int(n_train), float(threshold), corpus, category, client,
+    def body(fields: dict) -> None:
+        splits = make_splits(corpus, cfg.n_splits, cfg.train_size, cfg.seed)
+        fields["seeds"] = [s.seed for s in splits]
+        metric_lines = [f"{param},split,seed,precision,recall,f1"]
+        curve_lines = [f"{param},step,mean_len"]
+        try:
+            for point in points:
+                n_train = point if train_counts else cfg.n_train
+                threshold = cfg.threshold if train_counts else point
+                results, curve = _kewltm_point(
+                    splits, int(n_train), float(threshold), corpus, category, client,
                     registry, prefix=f"{param}={point} ",
                 )
-                traces_per_split.append(list(induction.traces))
-                macros.append(macro)
-                point_lines.append(
-                    f"{point},{i},{split.seed},{macro.precision!r},"
+                macros = [macro for _, _, macro in results]
+                metric_lines.extend(
+                    f"{point},{block['split']},{block['seed']},{macro.precision!r},"
                     f"{macro.recall!r},{macro.f1!r}"
+                    for _, block, macro in results
                 )
-            mean_p = sum(m.precision for m in macros) / len(macros)
-            mean_r = sum(m.recall for m in macros) / len(macros)
-            mean_f = sum(m.f1 for m in macros) / len(macros)
-            metric_lines.extend(point_lines)
-            metric_lines.append(f"{point},mean,,{mean_p!r},{mean_r!r},{mean_f!r}")
-            for step, mean_len in evaluation.memory_curve(traces_per_split):
-                curve_lines.append(f"{point},{step},{mean_len!r}")
-    except (PipelineError, LlmError, CorpusError) as exc:
-        write_csvs()  # the points that finished
-        _write_json(
-            out / "manifest.json",
-            _manifest(
-                cfg,
-                "sweep",
-                client,
-                template_hashes=registry.hashes(),
-                sweep={param: points},
-                status="FAILED",
-                error=str(exc),
-            ),
-        )
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    write_csvs()
-    _write_json(
-        out / "manifest.json",
-        _manifest(
-            cfg,
-            "sweep",
-            client,
-            seeds=[s.seed for s in splits],
-            template_hashes=registry.hashes(),
-            sweep={param: points},
-        ),
-    )
-    print(f"swept {param} over {points} -> {out}")
-    return 0
+                mean_p = sum(m.precision for m in macros) / len(macros)
+                mean_r = sum(m.recall for m in macros) / len(macros)
+                mean_f = sum(m.f1 for m in macros) / len(macros)
+                metric_lines.append(f"{point},mean,,{mean_p!r},{mean_r!r},{mean_f!r}")
+                curve_lines.extend(f"{point},{step},{mean_len!r}" for step, mean_len in curve)
+        finally:  # a failed sweep keeps the rows of the points that finished
+            for name, lines in (("sweep_metrics.csv", metric_lines),
+                                ("sweep_curves.csv", curve_lines)):
+                (out / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        print(f"swept {param} over {points} -> {out}")
+
+    fields = {"template_hashes": registry.hashes(), "sweep": {param: points}}
+    return _run_command(cfg, "sweep", client, out, fields, body)
 
 
 def _load_predictions(path: str | Path, category: StageCategory) -> list[PredictionRecord]:
@@ -714,26 +695,18 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "run":
             return cmd_run(cfg)
         if args.command == "sweep":
-            train_counts = (
-                _parse_int_list(args.train_counts, "--train-counts")
-                if args.train_counts
-                else None
+            return cmd_sweep(
+                cfg,
+                _parse_list(args.train_counts, "--train-counts", int),
+                _parse_list(args.thresholds, "--thresholds", float),
             )
-            thresholds = (
-                _parse_float_list(args.thresholds, "--thresholds")
-                if args.thresholds
-                else None
-            )
-            return cmd_sweep(cfg, train_counts, thresholds)
         if args.command == "evaluate":
             return cmd_evaluate(cfg, args.predictions)
         parser.error(f"unknown command {args.command}")
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (CorpusError, LlmError, RetrievalError, PipelineError,
-            evaluation.EvaluationError, memory.RuleMemoryError,
-            prompts.TemplateError, OSError) as exc:
+    except COMMAND_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -75,9 +75,6 @@ class ConfusionMatrix:
     def total(self) -> int:
         return int(self.counts.sum() + self.unparseable.sum())
 
-    def _idx(self, label: StageLabel) -> int:
-        return label.rank - self.category.ranks.start
-
 
 def _safe_div(num: float, den: float) -> float:
     return num / den if den > 0 else 0.0

@@ -514,37 +514,24 @@ class HttpChatBackend(_HttpBackend):
 
     endpoint = "chat"
 
-    def __init__(
-        self,
-        base_url: str,
-        api_key: str = "",
-        model: str = "default",
-        forward_schema: bool = True,
-        timeout_s: float = 120.0,
-    ):
-        super().__init__(base_url, api_key, model, timeout_s)
-        self.forward_schema = forward_schema
-
     def complete(self, request: ChatRequest) -> str:
         messages = []
         if request.system:
             messages.append({"role": "system", "content": request.system})
         messages.append({"role": "user", "content": request.user})
-        payload: dict = {
+        body = self._post("/v1/chat/completions", {
             "model": self.model_id,
             "messages": messages,
             "temperature": request.temperature,
             "max_tokens": request.max_tokens,
-        }
-        if self.forward_schema:
-            payload["response_format"] = {
+            "response_format": {
                 "type": "json_schema",
                 "json_schema": {
                     "name": "staging_output",
                     "schema": request.schema.json_schema(),
                 },
-            }
-        body = self._post("/v1/chat/completions", payload)
+            },
+        })
         try:
             content = body["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:

@@ -79,12 +79,6 @@ class InductionResult:
 
     final_memory: RuleMemory | None
     traces: tuple[UpdateTrace, ...]
-    n_consumed: int
-    auxiliary_predictions: tuple[PredictionRecord, ...]
-
-    def __post_init__(self) -> None:
-        if self.n_consumed != len(self.traces):
-            raise PipelineError("n_consumed must equal the number of traces")
 
 
 @dataclass(frozen=True)
@@ -258,27 +252,19 @@ def induce_ltm(
     client: LlmClient,
     templates: TemplateRegistry,
     threshold: float = 80.0,
-    n_train: int | None = None,
 ) -> InductionResult:
-    """Iteratively induce the rule memory over the first `n_train` reports.
+    """Iteratively induce the rule memory over `train_reports`, in order.
 
     While the memory is empty the elicitation template runs and its candidate
     is accepted unconditionally; afterwards each report runs the update
     template with the current memory bound in, gated by the similarity
     threshold. A step whose output stays unparseable is skipped: the memory
-    is unchanged and the trace records a rejection at similarity 0. Stage
-    predictions made along the way are auxiliary and never evaluated.
+    is unchanged and the trace records a rejection at similarity 0. The
+    stage each step predicts is not used.
     """
-    n = len(train_reports) if n_train is None else n_train
-    if not 1 <= n <= len(train_reports):
-        raise PipelineError(
-            f"n_train must be in [1, {len(train_reports)}], got {n}"
-        )
     memory: RuleMemory | None = None
     traces: list[UpdateTrace] = []
-    auxiliary: list[PredictionRecord] = []
-    elapsed = _timer(client)
-    for step, report in enumerate(train_reports[:n], 1):
+    for step, report in enumerate(train_reports, 1):
         if memory is None:
             request = render(templates.get("ltm_elicit"), {"report": report.text})
         else:
@@ -286,11 +272,9 @@ def induce_ltm(
                 templates.get("ltm_update"),
                 {"report": report.text, "memory": render_numbered(memory)},
             )
-        start = time.perf_counter()
         try:
             out = client.chat(request)
         except SchemaViolationError:
-            predicted, reasoning = None, ""
             current_len = len(serialize(memory)) if memory is not None else 0
             traces.append(
                 UpdateTrace(
@@ -302,29 +286,12 @@ def induce_ltm(
                 )
             )
         else:
-            predicted, reasoning = out.stage, out.reasoning or ""
             assert out.rules is not None
             memory, trace = gated_update(
                 memory, list(out.rules), threshold, step, category=category
             )
             traces.append(trace)
-        auxiliary.append(
-            PredictionRecord(
-                report_id=report.id,
-                category=category,
-                predicted=predicted,
-                reasoning=reasoning,
-                method="kewltm",
-                memory_version=memory.version if memory is not None else 0,
-                timing_ms=elapsed(start),
-            )
-        )
-    return InductionResult(
-        final_memory=memory,
-        traces=tuple(traces),
-        n_consumed=len(traces),
-        auxiliary_predictions=tuple(auxiliary),
-    )
+    return InductionResult(final_memory=memory, traces=tuple(traces))
 
 
 def run_kewltm_inference(

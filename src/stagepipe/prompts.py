@@ -128,9 +128,6 @@ class TemplateRegistry:
         except KeyError:
             raise TemplateError(f"unknown template id {template_id!r}")
 
-    def ids(self) -> tuple[str, ...]:
-        return TEMPLATE_IDS
-
     def hashes(self) -> dict[str, str]:
         return {tid: self._templates[tid].body_hash() for tid in TEMPLATE_IDS}
 

@@ -3,9 +3,9 @@
 `perfbench/spans.py` wraps functions by rebinding the names stagepipe
 modules hold, and the benchmark compares the traced call counts with counts
 derived from the workload parameters. A refactor that drops or renames one
-of those bindings would only show up when the benchmark runs; this test runs
-one traced `ltm-cpu` and one traced `rag-latency` repetition so it shows up
-in the test suite too. The `rag-latency` one also fails when test-set
+of those bindings, or changes how often a command calls it, would only show
+up when the benchmark runs; this test runs one traced repetition of each
+workload so it shows up in the test suite too. The `rag-latency` one also fails when test-set
 inference no longer overlaps its model calls.
 """
 
@@ -29,7 +29,7 @@ def _bench_runner():
     return module
 
 
-@pytest.mark.parametrize("workload", ["ltm-cpu", "rag-latency"])
+@pytest.mark.parametrize("workload", ["ltm-cpu", "rag-latency", "sweep-latency"])
 def test_traced_repetition_matches_derived_counts(tmp_path, workload):
     proc = subprocess.run(
         [sys.executable, str(PERFBENCH / "worker.py"), workload, "7", str(tmp_path), "1"],

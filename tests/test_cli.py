@@ -310,6 +310,28 @@ class TestRunRag:
         assert manifest["status"] == "FAILED"
         assert manifest["error"]
 
+    @pytest.mark.parametrize(
+        "method, flag",
+        [("rag", "--guideline"), ("kewrag", "--index")],
+        ids=["rag-guideline", "kewrag-index"],
+    )
+    def test_missing_input_file_writes_failed_manifest(self, tmp_path, capsys, method, flag):
+        corpus = tmp_path / "c.jsonl"
+        write_corpus(corpus, 5)
+        script = tmp_path / "script.json"
+        write_script(script, 6, hash_dim=8)
+        missing = tmp_path / "nope"
+        out = tmp_path / "out"
+        code = main(
+            ["run", "--method", method, "--category", "T", "--corpus", str(corpus),
+             flag, str(missing), "--script", str(script), "--out", str(out)]
+        )
+        assert code == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "FAILED"
+        assert str(missing) in manifest["error"]
+        assert str(missing) in capsys.readouterr().err
+
 
 class TestSweep:
     def test_train_count_sweep(self, tmp_path):
@@ -359,6 +381,23 @@ class TestSweep:
              "--out", str(tmp_path / "o")]
         ) == 2
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--train-counts", "1,2.5", "int list"), ("--thresholds", "0,high", "float list"),
+         ("--train-counts", ",", "non-empty")],
+    )
+    def test_malformed_point_list_is_usage_error(self, tmp_path, capsys, flag, value, message):
+        corpus = tmp_path / "c.jsonl"
+        write_corpus(corpus, 10)
+        out = tmp_path / "o"
+        assert main(
+            ["sweep", "--category", "T", "--corpus", str(corpus), "--out", str(out),
+             flag, value]
+        ) == 2
+        err = capsys.readouterr().err
+        assert f"{flag} must be" in err and message in err
+        assert not out.exists()
+
 
     def test_train_count_point_scores_like_run(self, tmp_path):
         corpus = tmp_path / "c.jsonl"
@@ -396,7 +435,9 @@ class TestSweep:
         out = tmp_path / "two"
         assert main(shared + ["--script", str(failing), "--out", str(out),
                               "--train-counts", "1,2"]) == 1
-        assert json.loads((out / "manifest.json").read_text())["status"] == "FAILED"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "FAILED"
+        assert manifest["seeds"] == [0, 1]  # the splits were drawn before the failure
         for name in ("sweep_metrics.csv", "sweep_curves.csv"):
             finished = (tmp_path / "one" / name).read_text().splitlines()
             assert (out / name).read_text().splitlines() == finished

@@ -308,6 +308,22 @@ class TestHttpChatBackend:
         assert not info.value.retryable
         assert posts == ["http://localhost:1/v1/chat/completions"]
 
+    def test_payload_carries_the_output_schema(self, monkeypatch):
+        import requests
+
+        payloads = []
+
+        def fake_post(url, **kwargs):
+            payloads.append(kwargs["json"])
+            return JsonResponse(CHAT_REPLY)
+
+        monkeypatch.setattr(requests, "post", fake_post)
+        client = LlmClient(chat_backend=HttpChatBackend("http://localhost:1"))
+        client.chat(ChatRequest(user="q", schema=STAGING_T))
+        (payload,) = payloads
+        assert payload["messages"] == [{"role": "user", "content": "q"}]
+        assert payload["response_format"]["json_schema"]["schema"] == STAGING_T.json_schema()
+
 
 CHAT_REPLY = {"choices": [{"message": {"content": json.dumps(staging_body("T1"))}}]}
 EMBED_REPLY = {"data": [{"index": 0, "embedding": [1.0, 0.0]}], "model": "m"}

@@ -164,7 +164,7 @@ class TestInduceLtm:
         entries = [chat_entry(rules_body("T1", rules))] * 3
         client, _ = scripted_client(entries)
         result = induce_ltm(reports(3), T, client, REGISTRY, threshold=80.0)
-        assert result.n_consumed == 3
+        assert len(result.traces) == 3
         assert result.final_memory.rules == tuple(rules)
         assert result.final_memory.version == 3
         assert [t.accepted for t in result.traces] == [True, True, True]
@@ -192,13 +192,22 @@ class TestInduceLtm:
         assert lens == sorted(lens)  # appends only -> nondecreasing
         assert result.final_memory.version == 3
 
-    def test_consumes_exactly_n_train_in_order(self):
+    def test_consumes_exactly_the_given_reports_in_order(self):
         entries = [chat_entry(rules_body("T1", [f"rule {i}"])) for i in range(5)]
         client, backend = scripted_client(entries)
-        result = induce_ltm(reports(5), T, client, REGISTRY, threshold=0.0, n_train=3)
-        assert result.n_consumed == 3
+        prompts = []
+        original = backend.complete
+
+        def spy(request):
+            prompts.append(request.user)
+            return original(request)
+
+        backend.complete = spy
+        result = induce_ltm(reports(5)[:3], T, client, REGISTRY, threshold=0.0)
+        assert [t.step for t in result.traces] == [1, 2, 3]
         assert backend.chat_calls == 3
-        assert [p.report_id for p in result.auxiliary_predictions] == ["r00", "r01", "r02"]
+        for i, prompt in enumerate(prompts):
+            assert f"report body for r{i:02d}" in prompt
 
     def test_unparseable_step_skipped(self):
         bad = {"reasoning": "no rules field", "stage": "T1"}
@@ -207,14 +216,14 @@ class TestInduceLtm:
             + [chat_entry(bad)] * 4  # step 2: exhausts retry budget
             + [chat_entry(rules_body("T1", ["aaaaa"]))]
         )
-        client, _ = scripted_client(entries)
+        client, backend = scripted_client(entries)
         result = induce_ltm(reports(3), T, client, REGISTRY, threshold=80.0)
         assert [t.accepted for t in result.traces] == [True, False, True]
         skipped = result.traces[1]
         assert skipped.similarity == 0.0
         assert skipped.proposed_len == 0
         assert skipped.current_len == len("aaaaa")
-        assert result.auxiliary_predictions[1].is_unparseable
+        assert backend.chat_calls == 6  # the unparseable step spent its 4 attempts
         assert result.final_memory.version == 2
 
     def test_elicit_reused_until_first_acceptance(self):
@@ -247,11 +256,6 @@ class TestInduceLtm:
         client = LlmClient(chat_backend=Dying())
         with pytest.raises(TransportError):
             induce_ltm(reports(2), T, client, REGISTRY, threshold=80.0)
-
-    def test_n_train_out_of_range(self):
-        client, _ = scripted_client([])
-        with pytest.raises(PipelineError):
-            induce_ltm(reports(2), T, client, REGISTRY, threshold=80.0, n_train=3)
 
     def test_replay_reproduces_traces_and_memory(self):
         entries = [

@@ -24,7 +24,8 @@ N = StageCategory.N
 class TestDefaultTemplates:
     def test_seven_templates(self):
         registry = default_templates(T)
-        assert registry.ids() == TEMPLATE_IDS
+        assert len(TEMPLATE_IDS) == 7
+        assert tuple(registry.hashes()) == TEMPLATE_IDS
         for tid in TEMPLATE_IDS:
             assert registry.get(tid).template_id == tid
 
