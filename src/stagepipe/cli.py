@@ -121,6 +121,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         flag_val = getattr(args, key, None)
         if flag_val is not None:
             merged[key] = flag_val
+    for key, default in DEFAULTS.items():
+        # bool is an int subclass, so compare exact types
+        if type(default) is int and type(merged[key]) is not int:
+            raise UsageError(f"{key} must be an integer, got {merged[key]!r}")
     return RunConfig(merged)
 
 
@@ -320,6 +324,8 @@ def _evaluate_split(
     *,
     prefix: str = "",
     out: Path | None = None,
+    width: int,
+    stop: pipelines.StopSignal,
 ) -> tuple[list[PredictionRecord], dict, evaluation.MacroMetrics, list[memory.UpdateTrace]]:
     """One kewltm cycle on split `i`: truncate -> induce -> infer -> score.
 
@@ -327,13 +333,14 @@ def _evaluate_split(
     and memory version, its macro metrics and the induction trace. Errors
     name the split after `prefix`. With `out`, the frozen memory and the
     induction trace are written there before inference starts, so a run
-    whose inference fails still keeps the split's induction.
+    whose inference fails still keeps the split's induction. Inference runs
+    `width` reports at once; induction and inference both stop at `stop`.
     """
     split = truncate_train(split, n_train)
     by_id = corpus.by_id
     induction = pipelines.induce_ltm(
         [by_id[rid] for rid in split.train_ids], category, client, registry,
-        threshold=threshold,
+        threshold=threshold, stop=stop,
     )
     if induction.final_memory is None:
         raise PipelineError(f"{prefix}split {i}: induction produced no memory")
@@ -342,7 +349,7 @@ def _evaluate_split(
         memory.write_traces(induction.traces, out / f"trace_split{i}.csv")
     records = pipelines.run_kewltm_inference(
         [by_id[rid] for rid in split.test_ids], category, induction.final_memory,
-        client, registry,
+        client, registry, width=width, stop=stop,
     )
     block, macro = _score_block(records, corpus, category)
     block.update({"split": i, "seed": split.seed,
@@ -365,17 +372,31 @@ def _kewltm_point(
            list[tuple[int, float]]]:
     """The kewltm protocol at one (n_train, threshold) point: every split
     through `_evaluate_split`. Returns each split's (records, score block,
-    macro metrics) and the mean memory-length curve over the splits."""
-    results = []
-    traces = []
-    for i, split in enumerate(splits):
-        records, block, macro, split_traces = _evaluate_split(
+    macro metrics) and the mean memory-length curve over the splits.
+
+    The splits are independent, so up to `s = min(n_splits, max_in_flight)`
+    of them run at once, each inferring `max_in_flight // s` reports at a
+    time. An induction step has one call in flight, so the run never has
+    more than `max_in_flight` model calls in flight. At width 1 (scripted
+    replays) the calls keep their sequential order: split 0 induces and
+    infers, then split 1, and so on. The first terminal failure stops every
+    split: none starts after it, the splits in flight start no further
+    induction step or report, and that failure is raised. Results are in
+    split order.
+    """
+    width = min(len(splits), client.max_in_flight)
+    stop = pipelines.StopSignal()
+
+    def cycle(indexed: tuple[int, Split]):
+        i, split = indexed
+        return _evaluate_split(
             split, i, n_train, threshold, corpus, category, client, registry,
-            prefix=prefix, out=out,
+            prefix=prefix, out=out, width=client.max_in_flight // width, stop=stop,
         )
-        results.append((records, block, macro))
-        traces.append(split_traces)
-    return results, evaluation.memory_curve(traces)
+
+    cycles = pipelines.run_bounded(cycle, list(enumerate(splits)), width, stop)
+    results = [(records, block, macro) for records, block, macro, _ in cycles]
+    return results, evaluation.memory_curve([traces for *_, traces in cycles])
 
 
 def _setup(

@@ -568,7 +568,8 @@ class HttpEmbedBackend(_HttpBackend):
 class LlmClient:
     """Shared handle over chat/embed backends with validation and retries.
 
-    `max_in_flight` is how many reports inference may run at once; it is 1
+    `max_in_flight` bounds the model calls in flight at once, across the
+    reports of one inference and the splits of one kewltm point; it is 1
     when either backend replays by call order (`replays_in_call_order`).
     """
 

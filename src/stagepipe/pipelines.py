@@ -4,18 +4,23 @@ Two baselines (plain step-by-step inference; raw retrieved context per
 report) and the two rule-elicitation workflows: iterative induction of a
 gated long-term rule memory followed by memory-guided inference, and
 one-shot synthesis of rules from retrieved guideline chunks applied at every
-inference. Induction is strictly sequential by design; test-set inference
-runs up to `max_in_flight` reports at once, and its records are sorted by
-report id so output bytes never depend on scheduling.
+inference. Each induction is a strictly sequential chain, since every step
+reads the memory the previous one left; the caller may run the chains of
+independent splits concurrently. Test-set inference runs up to
+`max_in_flight` reports at once, and its records are sorted by report id so
+output bytes never depend on scheduling. Tasks that share one bound on calls
+in flight also share one `StopSignal`: after the first terminal failure none
+of them starts another step.
 """
 
 from __future__ import annotations
 
 import logging
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TypeVar
 
 from .corpus import Report, StageCategory, StageLabel
 from .llm import ChatRequest, LlmClient, SchemaViolationError
@@ -32,6 +37,60 @@ RAG_QUERY_MODES = ("guideline", "report-text")
 
 class PipelineError(RuntimeError):
     """A workflow could not run (bad configuration or terminal step failure)."""
+
+
+class StopSignal:
+    """The first terminal failure among tasks that run under one bound.
+
+    Once a task has recorded a failure, `check()` raises that very error in
+    every task that calls it, so no task sharing the signal starts another
+    step, and every level of nested pools raises the same first error.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self.error: Exception | None = None
+
+    def fail(self, exc: Exception) -> None:
+        with self._lock:
+            if self.error is None:
+                self.error = exc
+
+    def check(self) -> None:
+        if self.error is not None:
+            raise self.error
+
+
+_Item = TypeVar("_Item")
+_Result = TypeVar("_Result")
+
+
+def run_bounded(
+    task: Callable[[_Item], _Result],
+    items: Sequence[_Item],
+    width: int,
+    stop: StopSignal,
+) -> list[_Result]:
+    """`task(item)` for every item, `width` at a time; results in item order.
+
+    The first task to raise records its error in `stop`. An item that finds
+    `stop` set, by this call or by any other that shares it, does not start;
+    the tasks in flight finish, and the first error is raised.
+    """
+
+    def guarded(item: _Item) -> _Result | None:
+        if stop.error is not None:
+            return None
+        try:
+            return task(item)
+        except Exception as exc:  # terminal: raised below, once the pool drains
+            stop.fail(exc)
+            return None
+
+    with ThreadPoolExecutor(max_workers=width) as pool:
+        futures = [pool.submit(guarded, item) for item in items]
+    stop.check()
+    return [f.result() for f in futures]
 
 
 @dataclass(frozen=True)
@@ -139,36 +198,32 @@ def _infer_all(
     method: str,
     prepare: Callable[[Report], tuple[ChatRequest, tuple[int, ...] | None]],
     memory_version: int | None = None,
+    *,
+    width: int | None = None,
+    stop: StopSignal | None = None,
 ) -> list[PredictionRecord]:
     """The inference step every method shares: one chat call per report.
 
     `prepare(report)` returns the rendered request and the retrieved chunk
     ids the record carries. A report whose output stays unparseable is
-    recorded as such and the batch goes on. Up to `client.max_in_flight`
-    reports run at once, each preparing its request just before its chat
-    call. Any other failure is terminal: no report starts after it, the
-    reports in flight finish, and the first failure is raised. Records are
-    sorted by report id.
+    recorded as such and the batch goes on. Up to `width` reports (default
+    `client.max_in_flight`) run at once, each preparing its request just
+    before its chat call. Any other failure is terminal: it is recorded in
+    `stop`, no report starts after it, the reports in flight finish, and the
+    first failure is raised. Records are sorted by report id.
     """
     if not reports:
         raise PipelineError("no reports to run")
     elapsed = _timer(client)
-    failures: list[Exception] = []
 
-    def infer(report: Report) -> PredictionRecord | None:
-        if failures:
-            return None
+    def infer(report: Report) -> PredictionRecord:
+        request, chunk_ids = prepare(report)
+        start = time.perf_counter()
         try:
-            request, chunk_ids = prepare(report)
-            start = time.perf_counter()
-            try:
-                out = client.chat(request)
-                predicted, reasoning = out.stage, out.reasoning or ""
-            except SchemaViolationError:
-                predicted, reasoning = None, ""
-        except Exception as exc:  # terminal: raised below, once the pool drains
-            failures.append(exc)
-            return None
+            out = client.chat(request)
+            predicted, reasoning = out.stage, out.reasoning or ""
+        except SchemaViolationError:
+            predicted, reasoning = None, ""
         return PredictionRecord(
             report_id=report.id,
             category=category,
@@ -180,11 +235,10 @@ def _infer_all(
             timing_ms=elapsed(start),
         )
 
-    with ThreadPoolExecutor(max_workers=client.max_in_flight) as pool:
-        futures = [pool.submit(infer, report) for report in reports]
-    if failures:
-        raise failures[0]
-    return sorted((f.result() for f in futures), key=lambda rec: rec.report_id)
+    records = run_bounded(
+        infer, reports, width or client.max_in_flight, stop or StopSignal()
+    )
+    return sorted(records, key=lambda rec: rec.report_id)
 
 
 def _retrieve(
@@ -252,6 +306,8 @@ def induce_ltm(
     client: LlmClient,
     templates: TemplateRegistry,
     threshold: float = 80.0,
+    *,
+    stop: StopSignal | None = None,
 ) -> InductionResult:
     """Iteratively induce the rule memory over `train_reports`, in order.
 
@@ -260,11 +316,15 @@ def induce_ltm(
     template with the current memory bound in, gated by the similarity
     threshold. A step whose output stays unparseable is skipped: the memory
     is unchanged and the trace records a rejection at similarity 0. The
-    stage each step predicts is not used.
+    stage each step predicts is not used. Once `stop` holds a failure (of
+    this or a concurrent task) no further step starts and that failure is
+    raised.
     """
     memory: RuleMemory | None = None
     traces: list[UpdateTrace] = []
     for step, report in enumerate(train_reports, 1):
+        if stop is not None:
+            stop.check()
         if memory is None:
             request = render(templates.get("ltm_elicit"), {"report": report.text})
         else:
@@ -300,8 +360,12 @@ def run_kewltm_inference(
     memory: RuleMemory,
     client: LlmClient,
     templates: TemplateRegistry,
+    *,
+    width: int | None = None,
+    stop: StopSignal | None = None,
 ) -> list[PredictionRecord]:
-    """Memory-guided inference with the frozen induced rule list."""
+    """Memory-guided inference with the frozen induced rule list; `width`
+    and `stop` as in `_infer_all`."""
     if memory is None or not memory.rules:
         raise PipelineError("cannot run memory-guided inference without induced rules")
     template = templates.get("ltm_inference")
@@ -309,7 +373,7 @@ def run_kewltm_inference(
     return _infer_all(
         client, test_reports, category, "kewltm",
         lambda r: (render(template, {"report": r.text, "memory": rendered_memory}), None),
-        memory_version=memory.version,
+        memory_version=memory.version, width=width, stop=stop,
     )
 
 

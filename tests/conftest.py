@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import re
+import threading
 
 import pytest
 
 from stagepipe.corpus import Corpus, Report, StageCategory, StageLabel
-from stagepipe.llm import LlmClient, ScriptedBackend
+from stagepipe.llm import LlmClient, ScriptedBackend, TransportError
 
 
 def make_report(rid: str, t: str | None = None, n: str | None = None, text: str | None = None) -> Report:
@@ -69,3 +72,65 @@ class JsonResponse:
 
 
 NULL_CONTENT_REPLY = {"choices": [{"message": {"role": "assistant", "content": None}}]}
+
+
+class ContentKeyedBackend:
+    """A chat backend whose reply depends only on the prompt.
+
+    Every call is recorded as (template id, report id) in start order, with
+    the peak number of calls in flight. Calls wait at `barrier` when one is
+    given (`*_inference` calls at `infer_barrier` instead, when that is
+    given), so a test can hold a number of calls in flight together without
+    relying on timing. The call for report `fail_id` raises `error`; calls
+    that passed a barrier return only once `release` is set, by default once
+    it has raised (only those for the reports in `hold`, when given). After
+    it has raised no call waits at a barrier. The reply is a rule list with a stage, valid under every schema.
+    """
+
+    deterministic = True
+    model_id = "content-keyed"
+
+    def __init__(
+        self, barrier=None, fail_id=None, *, infer_barrier=None, release=None, hold=None
+    ):
+        self.barrier = barrier
+        self.infer_barrier = infer_barrier
+        self.fail_id = fail_id
+        self.error = TransportError(f"{fail_id} rejected", retryable=False)
+        self.raised = threading.Event()
+        self.release = release or self.raised
+        self.hold = hold
+        self.calls: list[tuple[str, str]] = []
+        self.in_flight = self.peak = 0
+        self._lock = threading.Lock()
+
+    @property
+    def started(self) -> list[str]:
+        return [report_id for _, report_id in self.calls]
+
+    def complete(self, request):
+        report_id = re.search(r"pathology report body for (\S+)", request.user).group(1)
+        with self._lock:
+            self.calls.append((request.template_id, report_id))
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+        try:
+            barrier = self.barrier
+            if self.infer_barrier is not None and request.template_id.endswith("_inference"):
+                barrier = self.infer_barrier
+            held = barrier is not None and not self.raised.is_set()
+            if held:
+                barrier.wait()
+            if report_id == self.fail_id:
+                self.raised.set()
+                raise self.error
+            if held and self.fail_id is not None and report_id in (self.hold or {report_id}):
+                assert self.release.wait(timeout=10)
+            digest = hashlib.sha256(request.user.encode()).digest()
+            return json.dumps(rules_body(
+                f"T{digest[0] % 4 + 1}", [f"rule {digest[1] % 3}", f"rule {report_id}"],
+                reasoning=report_id,
+            ))
+        finally:
+            with self._lock:
+                self.in_flight -= 1

@@ -6,7 +6,9 @@ derived from the workload parameters. A refactor that drops or renames one
 of those bindings, or changes how often a command calls it, would only show
 up when the benchmark runs; this test runs one traced repetition of each
 workload so it shows up in the test suite too. The `rag-latency` one also fails when test-set
-inference no longer overlaps its model calls.
+inference no longer overlaps its model calls, and the `sweep-latency` one when
+the splits of a kewltm point no longer induce concurrently or their calls in
+flight exceed the client's bound.
 """
 
 from __future__ import annotations
@@ -43,3 +45,8 @@ def test_traced_repetition_matches_derived_counts(tmp_path, workload):
     if workload == "rag-latency":
         # test-set inference overlaps its model calls
         assert rep["layers"]["llm.in_flight_max"] > 1
+    if workload == "sweep-latency":
+        assert rep["layers"]["llm.in_flight_max"] <= 4  # LlmClient's max_in_flight
+        spans = [json.loads(line) for line in (tmp_path / "spans.jsonl").open()]
+        induce = sorted((s["start"], s["end"]) for s in spans if s["name"] == "pipelines.induce")
+        assert any(later[0] < earlier[1] for earlier, later in zip(induce, induce[1:]))

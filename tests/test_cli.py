@@ -1,15 +1,25 @@
 from __future__ import annotations
 
 import json
+import sys
+import threading
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from stagepipe import cli
+from stagepipe import cli, pipelines
 from stagepipe.cli import main
-from stagepipe.llm import LlmClient, ScriptedBackend
-from .conftest import NULL_CONTENT_REPLY, JsonResponse, write_corpus_jsonl
+from stagepipe.corpus import Corpus, Split, StageCategory, load_corpus, make_splits
+from stagepipe.llm import LlmClient, ScriptedBackend, TransportError
+from stagepipe.prompts import default_templates
+from .conftest import (
+    NULL_CONTENT_REPLY,
+    ContentKeyedBackend,
+    JsonResponse,
+    make_report,
+    write_corpus_jsonl,
+)
 
 LABELS = ["T1", "T2", "T3", "T4"]
 
@@ -234,6 +244,36 @@ class TestRunKewltm:
         first = tree_bytes(out)
         again = self._run(tmp_path, "out")  # same fixed config, same directory
         assert tree_bytes(again) == first
+
+    def test_terminal_failure_across_splits_writes_failed_manifest(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        corpus = tmp_path / "c.jsonl"
+        write_corpus_jsonl(corpus, [
+            {"id": f"r{i:03d}", "text": f"pathology report body for r{i:03d}",
+             "t_label": LABELS[i % 4], "n_label": None}
+            for i in range(12)
+        ])
+        splits = make_splits(load_corpus(corpus), 4, 6, 0)
+        # four splits in step, one call each at a time; the first round fails
+        backend = ContentKeyedBackend(
+            barrier=threading.Barrier(4, timeout=10), fail_id=splits[2].train_ids[0]
+        )
+        monkeypatch.setattr(cli, "scripted_backend", lambda path: backend)
+        out = tmp_path / "out"
+        code = main(
+            ["run", "--method", "kewltm", "--category", "T", "--corpus", str(corpus),
+             "--script", "content-keyed", "--out", str(out),
+             "--splits", "4", "--train-size", "6", "--n-train", "3"]
+        )
+        assert code == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "FAILED"
+        assert manifest["error"] == str(backend.error)
+        assert manifest["seeds"] == [0, 1, 2, 3]
+        assert f"error: {backend.error}" in capsys.readouterr().err
+        assert backend.peak == 4
+        assert not (out / "predictions.jsonl").exists()
 
 
 class TestRunKewrag:
@@ -494,6 +534,117 @@ def test_threshold_out_of_range_is_usage_error_before_any_call(
     assert not out.exists()
 
 
+T = StageCategory.T
+REGISTRY = default_templates(T)
+N_TRAIN, N_TEST = 3, 4
+
+
+def disjoint_splits(n_splits: int) -> tuple[Corpus, list[Split]]:
+    """Hand-made splits that share no report, so every call names its split:
+    report `s{i}t{j}` trains split i and report `s{i}e{j}` tests it."""
+    reports, splits = [], []
+    for i in range(n_splits):
+        train = tuple(f"s{i}t{j}" for j in range(N_TRAIN))
+        test = tuple(f"s{i}e{j}" for j in range(N_TEST))
+        splits.append(Split(seed=i, train_ids=train, test_ids=test))
+        reports += [make_report(rid, t=LABELS[j % 4]) for j, rid in enumerate(train + test)]
+    return Corpus(tuple(reports), source="fixture"), splits
+
+
+def sequential_calls(splits: list[Split]) -> list[tuple[str, str]]:
+    """The (template, report) of every call when one call runs at a time:
+    each split induces, then infers, before the next split starts."""
+    calls = []
+    for split in splits:
+        calls.append(("ltm_elicit", split.train_ids[0]))
+        calls += [("ltm_update", rid) for rid in split.train_ids[1:]]
+        calls += [("ltm_inference", rid) for rid in split.test_ids]
+    return calls
+
+
+def kewltm_point(backend: ContentKeyedBackend, splits: list[Split], corpus: Corpus, width: int):
+    client = LlmClient(chat_backend=backend, max_in_flight=width)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, so interleavings vary
+    try:
+        return cli._kewltm_point(splits, N_TRAIN, 80.0, corpus, T, client, REGISTRY)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class TestConcurrentSplits:
+    @pytest.mark.parametrize("n_splits", [4, 8])
+    def test_splits_induce_together_up_to_the_bound(self, n_splits):
+        corpus, splits = disjoint_splits(n_splits)
+        backend = ContentKeyedBackend(barrier=threading.Barrier(4, timeout=10))
+        kewltm_point(backend, splits, corpus, width=4)
+        assert backend.peak == 4  # the barrier lets 4 through together, the pools no more
+        # the first round is the elicit call of each of the first four splits
+        first_round = sorted(sequential_calls(splits[:4])[::N_TRAIN + N_TEST])
+        assert sorted(backend.calls[:4]) == first_round
+
+    def test_inference_of_two_splits_stays_within_the_bound(self):
+        corpus, splits = disjoint_splits(2)
+        backend = ContentKeyedBackend(
+            barrier=threading.Barrier(2, timeout=10),  # the two inductions in step
+            infer_barrier=threading.Barrier(4, timeout=10),  # two reports per split
+        )
+        kewltm_point(backend, splits, corpus, width=4)
+        assert backend.peak == 4
+        assert sorted(backend.calls) == sorted(sequential_calls(splits))
+
+    def test_width_one_keeps_the_sequential_call_order(self):
+        corpus, splits = disjoint_splits(3)
+        backend = ContentKeyedBackend()
+        kewltm_point(backend, splits, corpus, width=1)
+        assert backend.peak == 1
+        assert backend.calls == sequential_calls(splits)
+
+    def test_results_match_the_width_one_run(self):
+        corpus, splits = disjoint_splits(4)
+        backend = ContentKeyedBackend(barrier=threading.Barrier(4, timeout=10))
+        wide = kewltm_point(backend, splits, corpus, width=4)
+        narrow = kewltm_point(ContentKeyedBackend(), splits, corpus, width=1)
+        assert wide == narrow
+        results, curve = wide
+        assert [block["split"] for _, block, _ in results] == [0, 1, 2, 3]
+        assert [len(records) for records, _, _ in results] == [N_TEST] * 4
+        assert len(curve) == N_TRAIN
+
+    def test_terminal_failure_stops_every_split(self, monkeypatch):
+        corpus, splits = disjoint_splits(4)
+        recorded = threading.Event()
+        fail = pipelines.StopSignal.fail
+
+        def fail_and_signal(self, exc):
+            fail(self, exc)
+            recorded.set()
+
+        monkeypatch.setattr(pipelines.StopSignal, "fail", fail_and_signal)
+        backend = ContentKeyedBackend(
+            barrier=threading.Barrier(2, timeout=10), fail_id="s1t1",
+            release=recorded, hold={"s0t1"},
+        )
+        with pytest.raises(TransportError) as info:
+            kewltm_point(backend, splits, corpus, width=2)
+        assert info.value is backend.error
+        # splits 0 and 1 induced in step; split 0's second step, in flight with
+        # the failing one, was its last; splits 2 and 3 never started
+        assert sorted(backend.calls) == [
+            ("ltm_elicit", "s0t0"), ("ltm_elicit", "s1t0"),
+            ("ltm_update", "s0t1"), ("ltm_update", "s1t1"),
+        ]
+
+    def test_terminal_failure_one_at_a_time_stops_at_the_failing_call(self):
+        corpus, splits = disjoint_splits(3)
+        backend = ContentKeyedBackend(fail_id="s1e1")
+        with pytest.raises(TransportError) as info:
+            kewltm_point(backend, splits, corpus, width=1)
+        assert info.value is backend.error
+        calls = sequential_calls(splits)
+        assert backend.calls == calls[:calls.index(("ltm_inference", "s1e1")) + 1]
+
+
 class TestEvaluate:
     def _write_predictions(self, path: Path, preds: dict[str, str]) -> None:
         rows = [
@@ -574,6 +725,51 @@ class TestConfigPrecedence:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["category"] == "T"  # flag wins over file
         assert manifest["config"]["method"] == "zscot"  # file supplies the rest
+
+    @pytest.mark.parametrize(
+        "values", [{"n_train": 2.0}, {"k": True}, {"seed": 1.5}, {"max_tokens": "512"}],
+        ids=["float", "bool", "fraction", "string"],
+    )
+    def test_non_integer_config_value_is_usage_error_before_any_call(
+        self, tmp_path, capsys, monkeypatch, values
+    ):
+        corpus = tmp_path / "c.jsonl"
+        write_corpus(corpus, 12)
+        script = tmp_path / "script.json"
+        write_script(script, 60)
+        built: list[ScriptedBackend] = []
+
+        def recording_backend(path):
+            built.append(ScriptedBackend.from_file(path))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "scripted_backend", recording_backend)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        out = tmp_path / "out"
+        code = main(
+            ["run", "--method", "kewltm", "--config", str(cfg), "--category", "T",
+             "--corpus", str(corpus), "--script", str(script), "--out", str(out),
+             "--splits", "2", "--train-size", "3"]
+        )
+        assert code == 2
+        (key,) = values
+        assert f"{key} must be an integer" in capsys.readouterr().err
+        assert sum(b.chat_calls + b.embed_calls for b in built) == 0
+        assert not out.exists()
+
+    def test_integral_threshold_and_temperature_accepted(self, tmp_path):
+        corpus = tmp_path / "c.jsonl"
+        write_corpus(corpus, 8)
+        script = tmp_path / "script.json"
+        write_script(script, 8)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"threshold": 80, "temperature": 0}))
+        code = main(
+            ["run", "--method", "zscot", "--config", str(cfg), "--category", "T",
+             "--corpus", str(corpus), "--script", str(script), "--out", str(tmp_path / "out")]
+        )
+        assert code == 0
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

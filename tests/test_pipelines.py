@@ -1,8 +1,6 @@
 from __future__ import annotations
 
-import hashlib
 import json
-import re
 import sys
 import threading
 
@@ -26,7 +24,14 @@ from stagepipe.pipelines import (
 )
 from stagepipe.prompts import default_templates
 from stagepipe.retrieval import Chunk, RetrievalQuery, build_index
-from .conftest import chat_entry, make_report, rules_body, scripted_client, staging_body
+from .conftest import (
+    ContentKeyedBackend,
+    chat_entry,
+    make_report,
+    rules_body,
+    scripted_client,
+    staging_body,
+)
 
 T = StageCategory.T
 REGISTRY = default_templates(T)
@@ -363,51 +368,9 @@ class TestKewragInference:
             )
 
 
-class _ContentKeyed:
-    """A chat backend whose reply depends only on the prompt.
-
-    Calls wait at `barrier` when one is given, so a test can hold a number
-    of calls in flight together without relying on timing. The call for
-    report `fail_id` raises `error`; the other calls held at the barrier
-    with it return only once it has raised.
-    """
-
-    deterministic = True
-    model_id = "content-keyed"
-
-    def __init__(self, barrier=None, fail_id=None):
-        self.barrier = barrier
-        self.fail_id = fail_id
-        self.error = TransportError(f"{fail_id} rejected", retryable=False)
-        self.raised = threading.Event()
-        self.started: list[str] = []
-        self.in_flight = self.peak = 0
-        self._lock = threading.Lock()
-
-    def complete(self, request):
-        report_id = re.search(r"pathology report body for (r\d+)", request.user).group(1)
-        with self._lock:
-            self.started.append(report_id)
-            self.in_flight += 1
-            self.peak = max(self.peak, self.in_flight)
-        try:
-            if self.barrier is not None:
-                self.barrier.wait()
-            if report_id == self.fail_id:
-                self.raised.set()
-                raise self.error
-            if self.fail_id is not None and self.barrier is not None:
-                assert self.raised.wait(timeout=10)
-            digest = hashlib.sha256(request.user.encode()).digest()
-            return json.dumps(staging_body(f"T{digest[0] % 4 + 1}", reasoning=report_id))
-        finally:
-            with self._lock:
-                self.in_flight -= 1
-
-
 class TestConcurrentInference:
     def test_width_bounds_calls_in_flight_and_keeps_records(self):
-        wide = _ContentKeyed(barrier=threading.Barrier(4, timeout=10))
+        wide = ContentKeyedBackend(barrier=threading.Barrier(4, timeout=10))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # switch threads often, so interleavings vary
         try:
@@ -417,7 +380,7 @@ class TestConcurrentInference:
         finally:
             sys.setswitchinterval(interval)
         assert wide.peak == 4  # the barrier lets 4 through together, the pool no more
-        narrow = _ContentKeyed()
+        narrow = ContentKeyedBackend()
         sequential = run_zscot(
             reports(12), T, LlmClient(chat_backend=narrow, max_in_flight=1), REGISTRY
         )
@@ -427,7 +390,7 @@ class TestConcurrentInference:
         assert len({r.predicted for r in records}) > 1
 
     def test_terminal_failure_starts_no_further_report(self):
-        backend = _ContentKeyed(barrier=threading.Barrier(4, timeout=10), fail_id="r02")
+        backend = ContentKeyedBackend(barrier=threading.Barrier(4, timeout=10), fail_id="r02")
         client = LlmClient(chat_backend=backend, max_in_flight=4)
         with pytest.raises(TransportError) as info:
             run_zscot(reports(12), T, client, REGISTRY)
@@ -436,7 +399,7 @@ class TestConcurrentInference:
         assert sorted(backend.started) == ["r00", "r01", "r02", "r03"]
 
     def test_terminal_failure_one_at_a_time_stops_at_the_failing_report(self):
-        backend = _ContentKeyed(fail_id="r05")
+        backend = ContentKeyedBackend(fail_id="r05")
         client = LlmClient(chat_backend=backend, max_in_flight=1)
         with pytest.raises(TransportError) as info:
             run_zscot(reports(12), T, client, REGISTRY)
