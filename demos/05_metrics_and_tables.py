@@ -11,7 +11,6 @@ from stagepipe import (
     StageCategory,
     aggregate_runs,
     compare_unique_errors,
-    score,
     tally_annotations,
 )
 from stagepipe.corpus import Corpus, Report, StageLabel
@@ -20,6 +19,7 @@ from stagepipe.evaluation import (
     error_table,
     format_error_pct,
     render_metrics_table,
+    score_block,
 )
 from stagepipe.pipelines import PredictionRecord
 
@@ -57,9 +57,8 @@ records_b = [
     for rid, lab in preds_b.items()
 ]
 
-_, macro_a = score(records_a, corpus, T)
 print("method A:")
-print(render_metrics_table(macro_a))
+print(render_metrics_table(score_block(records_a, corpus, T)))
 
 # unparseable predictions (None above) count as errors for their gold class
 rows = error_table({"A": records_a, "B": records_b}, corpus, T)

@@ -73,6 +73,15 @@ _ENV_KEYS = {
 }
 
 
+# the keys that hold one of a fixed set of values (or null, where the
+# command that needs one says so)
+_CHOICES = {
+    "category": ("T", "N"),
+    "method": pipelines.METHODS,
+    "rag_query_mode": pipelines.RAG_QUERY_MODES,
+}
+
+
 class UsageError(ValueError):
     """Bad flags/config combination; reported before any work starts."""
 
@@ -122,9 +131,18 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         if flag_val is not None:
             merged[key] = flag_val
     for key, default in DEFAULTS.items():
+        value = merged[key]
         # bool is an int subclass, so compare exact types
-        if type(default) is int and type(merged[key]) is not int:
-            raise UsageError(f"{key} must be an integer, got {merged[key]!r}")
+        if type(default) is int and type(value) is not int:
+            raise UsageError(f"{key} must be an integer, got {value!r}")
+        if type(default) is float and type(value) not in (int, float):
+            raise UsageError(f"{key} must be a number, got {value!r}")
+        if type(default) is str and type(value) is not str:
+            raise UsageError(f"{key} must be a string, got {value!r}")
+        if default is None and value is not None and type(value) is not str:
+            raise UsageError(f"{key} must be a string or null, got {value!r}")
+        if key in _CHOICES and value is not None and value not in _CHOICES[key]:
+            raise UsageError(f"{key} must be one of {_CHOICES[key]}, got {value!r}")
     return RunConfig(merged)
 
 
@@ -244,15 +262,20 @@ def cmd_ingest(cfg: RunConfig) -> int:
 def _load_or_build_index(
     cfg: RunConfig, client: LlmClient
 ) -> tuple[retrieval.ChunkIndex, str]:
-    """Returns (index, doc_hash). Prefers --index; else chunks --guideline."""
+    """Returns (index, doc_hash). Prefers --index, which must have been built
+    from --guideline when both are given; else chunks --guideline."""
+    doc = Path(cfg.guideline).read_text(encoding="utf-8") if cfg.guideline else None
+    doc_hash = retrieval.hash_document(doc) if doc is not None else None
     if cfg.index:
         idx = retrieval.load_index(cfg.index)
+        if doc_hash is not None and idx.doc_hash != doc_hash:
+            raise RetrievalError(
+                f"index {cfg.index} was built from another document than {cfg.guideline}"
+            )
         return idx, idx.doc_hash
-    doc = Path(cfg.guideline).read_text(encoding="utf-8")
     chunks = retrieval.chunk_document(
         doc, max_chars=cfg.chunk_max_chars, overlap_chars=cfg.chunk_overlap
     )
-    doc_hash = retrieval.hash_document(doc)
     return retrieval.build_index(chunks, client.embed, doc_hash), doc_hash
 
 
@@ -274,44 +297,6 @@ def cmd_index(cfg: RunConfig) -> int:
     return 0
 
 
-def _evaluable(
-    records: Sequence[PredictionRecord], corpus: Corpus, category: StageCategory
-) -> list[PredictionRecord]:
-    """The records whose report carries a gold label for `category`."""
-    by_id = corpus.by_id
-    return [r for r in records if by_id[r.report_id].gold_label(category) is not None]
-
-
-def _score_block(
-    records: list[PredictionRecord], corpus: Corpus, category: StageCategory
-) -> tuple[dict, evaluation.MacroMetrics]:
-    evaluable = _evaluable(records, corpus, category)
-    if not evaluable:
-        raise PipelineError(f"no records carry a gold {category.value} label")
-    _, macro = evaluation.score(evaluable, corpus, category)
-    n_errors = evaluation.count_errors(evaluable, corpus, category)
-    block = {
-        "n_evaluated": len(evaluable),
-        "macro": {
-            "precision": macro.precision,
-            "recall": macro.recall,
-            "f1": macro.f1,
-        },
-        "per_class": [
-            {
-                "label": cm.label.render(),
-                "precision": cm.precision,
-                "recall": cm.recall,
-                "f1": cm.f1,
-            }
-            for cm in macro.per_class
-        ],
-        "num_errors": n_errors,
-        "error_pct": evaluation.format_error_pct(n_errors, len(evaluable)),
-    }
-    return block, macro
-
-
 def _evaluate_split(
     split: Split,
     i: int,
@@ -326,11 +311,11 @@ def _evaluate_split(
     out: Path | None = None,
     width: int,
     stop: pipelines.StopSignal,
-) -> tuple[list[PredictionRecord], dict, evaluation.MacroMetrics, list[memory.UpdateTrace]]:
+) -> tuple[list[PredictionRecord], dict, list[memory.UpdateTrace]]:
     """One kewltm cycle on split `i`: truncate -> induce -> infer -> score.
 
     Returns the records, the score block tagged with the split's index, seed
-    and memory version, its macro metrics and the induction trace. Errors
+    and memory version, and the induction trace. Errors
     name the split after `prefix`. With `out`, the frozen memory and the
     induction trace are written there before inference starts, so a run
     whose inference fails still keeps the split's induction. Inference runs
@@ -351,10 +336,10 @@ def _evaluate_split(
         [by_id[rid] for rid in split.test_ids], category, induction.final_memory,
         client, registry, width=width, stop=stop,
     )
-    block, macro = _score_block(records, corpus, category)
+    block = evaluation.score_block(records, corpus, category)
     block.update({"split": i, "seed": split.seed,
                   "memory_version": induction.final_memory.version})
-    return records, block, macro, list(induction.traces)
+    return records, block, list(induction.traces)
 
 
 def _kewltm_point(
@@ -368,11 +353,10 @@ def _kewltm_point(
     *,
     prefix: str = "",
     out: Path | None = None,
-) -> tuple[list[tuple[list[PredictionRecord], dict, evaluation.MacroMetrics]],
-           list[tuple[int, float]]]:
+) -> tuple[list[tuple[list[PredictionRecord], dict]], list[tuple[int, float]]]:
     """The kewltm protocol at one (n_train, threshold) point: every split
-    through `_evaluate_split`. Returns each split's (records, score block,
-    macro metrics) and the mean memory-length curve over the splits.
+    through `_evaluate_split`. Returns each split's (records, score block)
+    and the mean memory-length curve over the splits.
 
     The splits are independent, so up to `s = min(n_splits, max_in_flight)`
     of them run at once, each inferring `max_in_flight // s` reports at a
@@ -395,7 +379,7 @@ def _kewltm_point(
         )
 
     cycles = pipelines.run_bounded(cycle, list(enumerate(splits)), width, stop)
-    results = [(records, block, macro) for records, block, macro, _ in cycles]
+    results = [(records, block) for records, block, _ in cycles]
     return results, evaluation.memory_curve([traces for *_, traces in cycles])
 
 
@@ -478,24 +462,11 @@ def cmd_run(cfg: RunConfig) -> int:
             )
             evaluation.write_curve_csv(curve, out / "curves.csv")
             prediction_rows = [
-                record_to_json(r, split=block["split"]) for records, block, _ in results
+                record_to_json(r, split=block["split"]) for records, block in results
                 for r in records
             ]
-            per_split = [block for _, block, _ in results]
-            totals = [block["n_evaluated"] for block in per_split]
-            mean_errors = sum(block["num_errors"] for block in per_split) / len(splits)
-            metrics = {
-                "per_split": per_split,
-                "aggregate": evaluation.aggregate_macro_runs([m for _, _, m in results]),
-                "num_errors_mean": evaluation.format_error_count(
-                    mean_errors, multi_run=len(splits) > 1
-                ),
-                "error_pct": (
-                    evaluation.format_error_pct(mean_errors, totals[0])
-                    if len(set(totals)) == 1
-                    else None
-                ),
-            }
+            per_split = [block for _, block in results]
+            metrics = {"per_split": per_split, **evaluation.aggregate_splits(per_split)}
             agg = metrics["aggregate"]
             summary = (
                 f"kewltm {category.value}: precision {agg['precision']} "
@@ -520,10 +491,11 @@ def cmd_run(cfg: RunConfig) -> int:
                         chunk_ids=elicited.chunk_ids,
                     )
             prediction_rows = [record_to_json(r) for r in records]
-            metrics, m = _score_block(records, corpus, category)
+            metrics = evaluation.score_block(records, corpus, category)
+            m = metrics["macro"]
             summary = (
-                f"{method} {category.value}: precision {m.precision:.3f} "
-                f"recall {m.recall:.3f} f1 {m.f1:.3f} "
+                f"{method} {category.value}: precision {m['precision']:.3f} "
+                f"recall {m['recall']:.3f} f1 {m['f1']:.3f} "
                 f"errors {metrics['num_errors']} ({metrics['error_pct']})"
             )
         _write_jsonl(out / "predictions.jsonl", prediction_rows)
@@ -569,16 +541,13 @@ def cmd_sweep(cfg: RunConfig, train_counts: list[int] | None, thresholds: list[f
                     splits, int(n_train), float(threshold), corpus, category, client,
                     registry, prefix=f"{param}={point} ",
                 )
-                macros = [macro for _, _, macro in results]
-                metric_lines.extend(
-                    f"{point},{block['split']},{block['seed']},{macro.precision!r},"
-                    f"{macro.recall!r},{macro.f1!r}"
-                    for _, block, macro in results
-                )
-                mean_p = sum(m.precision for m in macros) / len(macros)
-                mean_r = sum(m.recall for m in macros) / len(macros)
-                mean_f = sum(m.f1 for m in macros) / len(macros)
-                metric_lines.append(f"{point},mean,,{mean_p!r},{mean_r!r},{mean_f!r}")
+                blocks = [block for _, block in results]
+                mean = {key: sum(b["macro"][key] for b in blocks) / len(blocks)
+                        for key in blocks[0]["macro"]}
+                rows = [(b["split"], b["seed"], b["macro"]) for b in blocks] + [("mean", "", mean)]
+                # macro dicts keep the header's precision, recall, f1 order
+                metric_lines.extend(f"{point},{split},{seed}," + ",".join(map(repr, m.values()))
+                                    for split, seed, m in rows)
                 curve_lines.extend(f"{point},{step},{mean_len!r}" for step, mean_len in curve)
         finally:  # a failed sweep keeps the rows of the points that finished
             for name, lines in (("sweep_metrics.csv", metric_lines),
@@ -590,25 +559,38 @@ def cmd_sweep(cfg: RunConfig, train_counts: list[int] | None, thresholds: list[f
     return _run_command(cfg, "sweep", client, out, fields, body)
 
 
-def _load_predictions(path: str | Path, category: StageCategory) -> list[PredictionRecord]:
-    records = []
+def _load_predictions(
+    path: str | Path, category: StageCategory, corpus: Corpus
+) -> dict[int | None, list[PredictionRecord]]:
+    """The records of a predictions file, grouped by the `split` field that
+    `run --method kewltm` writes, in split order; one group keyed None for a
+    file without that field."""
+    groups: dict[int | None, list[PredictionRecord]] = {}
     with Path(path).open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
             try:
-                rec = record_from_json(json.loads(line))
+                obj = json.loads(line)
+                rec = record_from_json(obj)
             except (json.JSONDecodeError, KeyError, ValueError, PipelineError) as exc:
                 raise UsageError(f"{path} line {lineno}: {exc}")
+            split = obj.get("split")
+            if split is not None and type(split) is not int:
+                raise UsageError(f"{path} line {lineno}: split must be an integer")
             if rec.category is not category:
                 raise UsageError(
                     f"{path} line {lineno}: record category {rec.category.value} "
                     f"does not match --category {category.value}"
                 )
-            records.append(rec)
-    if not records:
+            if rec.report_id not in corpus.by_id:
+                raise UsageError(f"{path}: record references unknown report id {rec.report_id!r}")
+            groups.setdefault(split, []).append(rec)
+    if not groups:
         raise UsageError(f"{path}: no prediction records found")
-    return records
+    if None in groups and len(groups) > 1:
+        raise UsageError(f"{path}: some records carry a split and some do not")
+    return dict(sorted(groups.items()))
 
 
 def cmd_evaluate(cfg: RunConfig, prediction_paths: list[str]) -> int:
@@ -618,34 +600,29 @@ def cmd_evaluate(cfg: RunConfig, prediction_paths: list[str]) -> int:
         raise UsageError("evaluate takes one or two prediction files")
     category = cfg.category_enum
     corpus = load_corpus(cfg.corpus)
-    by_id = corpus.by_id
-    record_sets = []
-    for path in prediction_paths:
-        records = _load_predictions(path, category)
-        for rec in records:
-            if rec.report_id not in by_id:
-                raise UsageError(
-                    f"{path}: record references unknown report id {rec.report_id!r}"
-                )
-        evaluable = _evaluable(records, corpus, category)
-        skipped = len(records) - len(evaluable)
-        _, macro = evaluation.score(evaluable, corpus, category)
-        n_errors = evaluation.count_errors(evaluable, corpus, category)
+    runs = [_load_predictions(path, category, corpus) for path in prediction_paths]
+    if len(runs) == 2 and list(runs[0]) != list(runs[1]):
+        raise UsageError("the two prediction files cover different splits")
+    for path, groups in zip(prediction_paths, runs):
+        blocks = [evaluation.score_block(records, corpus, category) for records in groups.values()]
+        skipped = sum(map(len, groups.values())) - sum(b["n_evaluated"] for b in blocks)
         print(f"== {path} ==")
         if skipped:
             print(f"(skipped {skipped} records without a gold {category.value} label)")
-        print(evaluation.render_metrics_table(macro))
-        print(
-            f"num_errors={n_errors} of {len(evaluable)} "
-            f"error_pct={evaluation.format_error_pct(n_errors, len(evaluable))}"
-        )
-        record_sets.append(evaluable)
-    if len(record_sets) == 2:
-        a_only, b_only = evaluation.compare_unique_errors(
-            record_sets[0], record_sets[1], corpus, category
-        )
-        print(f"unique errors of {prediction_paths[0]} ({len(a_only)}): {', '.join(a_only)}")
-        print(f"unique errors of {prediction_paths[1]} ({len(b_only)}): {', '.join(b_only)}")
+        if None in groups:
+            print(evaluation.render_metrics_table(blocks[0]))
+        else:
+            agg = evaluation.aggregate_splits(blocks)
+            print(" ".join(f"{key}={value}" for key, value in agg["aggregate"].items())
+                  + f" over {len(blocks)} splits")
+            print(f"num_errors_mean={agg['num_errors_mean']} error_pct={agg['error_pct']}")
+    if len(runs) == 2:
+        for split in runs[0]:
+            a, b = (evaluation.evaluable(run[split], corpus, category) for run in runs)
+            label = "" if split is None else f"split {split}: "
+            unique = evaluation.compare_unique_errors(a, b, corpus, category)
+            for path, ids in zip(prediction_paths, unique):
+                print(f"{label}unique errors of {path} ({len(ids)}): {', '.join(ids)}")
     return 0
 
 

@@ -256,23 +256,3 @@ def truncate_train(split: Split, n: int) -> Split:
         )
     return Split(seed=split.seed, train_ids=split.train_ids[:n], test_ids=split.test_ids)
 
-
-def save_split(split: Split, path: str | Path) -> None:
-    payload = {
-        "seed": split.seed,
-        "train_ids": list(split.train_ids),
-        "test_ids": list(split.test_ids),
-    }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-
-
-def load_split(path: str | Path) -> Split:
-    try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-        return Split(
-            seed=int(obj["seed"]),
-            train_ids=tuple(str(x) for x in obj["train_ids"]),
-            test_ids=tuple(str(x) for x in obj["test_ids"]),
-        )
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise CorpusError(f"malformed split file {path}: {exc}")

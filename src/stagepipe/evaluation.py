@@ -152,8 +152,62 @@ def format_error_pct(count: float, total: int) -> str:
     return f"{pct}%"
 
 
-def format_error_count(count: float, *, multi_run: bool) -> str:
-    return f"{count:.2f}" if multi_run else str(int(count))
+def evaluable(
+    records: Sequence[PredictionRecord], corpus: Corpus, category: StageCategory
+) -> list[PredictionRecord]:
+    """The records whose report carries a gold label for `category`."""
+    by_id = corpus.by_id
+    for rec in records:
+        if rec.report_id not in by_id:
+            raise EvaluationError(f"record references unknown report id {rec.report_id!r}")
+    return [r for r in records if by_id[r.report_id].gold_label(category) is not None]
+
+
+def score_block(
+    records: Sequence[PredictionRecord], corpus: Corpus, category: StageCategory
+) -> dict:
+    """The score block of one run or split, over its records with a gold label:
+    macro and per-class metrics, the error count and its percentage."""
+    scored = evaluable(records, corpus, category)
+    if not scored:
+        raise EvaluationError(f"no records carry a gold {category.value} label")
+    _, macro = score(scored, corpus, category)
+    n_errors = count_errors(scored, corpus, category)
+    return {
+        "n_evaluated": len(scored),
+        "macro": {
+            "precision": macro.precision,
+            "recall": macro.recall,
+            "f1": macro.f1,
+        },
+        "per_class": [
+            {
+                "label": cm.label.render(),
+                "precision": cm.precision,
+                "recall": cm.recall,
+                "f1": cm.f1,
+            }
+            for cm in macro.per_class
+        ],
+        "num_errors": n_errors,
+        "error_pct": format_error_pct(n_errors, len(scored)),
+    }
+
+
+def aggregate_splits(blocks: Sequence[dict]) -> dict:
+    """The KEwLTM statistic over the score blocks of its splits (or of any
+    runs): mean±std of the macro metrics, the mean error count (two decimals
+    for several runs), and its percentage of the per-run evaluated total,
+    None when the runs evaluated different numbers of records."""
+    aggregate = aggregate_macro_runs([MacroMetrics(**b["macro"]) for b in blocks])
+    errors = [b["num_errors"] for b in blocks]
+    totals = {b["n_evaluated"] for b in blocks}
+    mean = sum(errors) / len(errors)
+    return {
+        "aggregate": aggregate,
+        "num_errors_mean": f"{mean:.2f}" if len(errors) > 1 else str(errors[0]),
+        "error_pct": format_error_pct(mean, totals.pop()) if len(totals) == 1 else None,
+    }
 
 
 @dataclass(frozen=True)
@@ -161,7 +215,6 @@ class ErrorTableRow:
     method: str
     num_errors: str
     error_pct: str
-    mean_errors: float
     total: int
 
 
@@ -170,11 +223,12 @@ def error_table(
     corpus: Corpus,
     category: StageCategory,
 ) -> list[ErrorTableRow]:
-    """Error counts and percentages per method.
+    """Error counts and percentages per method, over the records whose
+    report carries a gold label, as `aggregate_splits` renders them.
 
     A value may be one record list (single run) or a list of runs; for
-    multi-run methods the count is the mean across runs, rendered to two
-    decimals, and the percentage uses the per-run total.
+    multi-run methods the count is the mean across runs, and the percentage
+    uses the per-run total.
     """
     rows = []
     for method, value in record_sets.items():
@@ -183,25 +237,14 @@ def error_table(
             runs = [value]  # type: ignore[list-item]
         else:
             runs = list(value)  # type: ignore[arg-type]
-        if not runs or not runs[0]:
-            raise EvaluationError(f"method {method!r} has no records")
-        totals = {len(run) for run in runs}
-        if len(totals) != 1:
-            raise EvaluationError(f"method {method!r} runs have unequal sizes {sorted(totals)}")
-        total = totals.pop()
-        mean_errors = sum(count_errors(run, corpus, category) for run in runs) / len(runs)
-        multi = len(runs) > 1
-        rows.append(
-            ErrorTableRow(
-                method=method,
-                num_errors=format_error_count(mean_errors, multi_run=multi),
-                error_pct=format_error_pct(
-                    mean_errors if multi else int(mean_errors), total
-                ),
-                mean_errors=mean_errors,
-                total=total,
-            )
-        )
+        # an empty run or method raises in score_block or aggregate_splits
+        blocks = [score_block(run, corpus, category) for run in runs]
+        summary = aggregate_splits(blocks)
+        if summary["error_pct"] is None:
+            raise EvaluationError(f"method {method!r} runs have unequal sizes")
+        rows.append(ErrorTableRow(
+            method, summary["num_errors_mean"], summary["error_pct"], blocks[0]["n_evaluated"]
+        ))
     return rows
 
 
@@ -334,12 +377,14 @@ def load_annotations(path: str | Path) -> list[ErrorAnnotation]:
     return out
 
 
-def render_metrics_table(macro: MacroMetrics) -> str:
-    """Human-readable per-class and macro metrics block."""
+def render_metrics_table(block: dict) -> str:
+    """Human-readable per-class and macro metrics and error count of a `score_block`."""
+    rows = [(c["label"], c) for c in block["per_class"]] + [("macro", block["macro"])]
     lines = [f"{'label':<8}{'precision':>10}{'recall':>10}{'f1':>10}"]
-    for cm in macro.per_class:
-        lines.append(
-            f"{cm.label.render():<8}{cm.precision:>10.3f}{cm.recall:>10.3f}{cm.f1:>10.3f}"
-        )
-    lines.append(f"{'macro':<8}{macro.precision:>10.3f}{macro.recall:>10.3f}{macro.f1:>10.3f}")
+    lines += [
+        f"{label:<8}{m['precision']:>10.3f}{m['recall']:>10.3f}{m['f1']:>10.3f}"
+        for label, m in rows
+    ]
+    lines.append(f"num_errors={block['num_errors']} of {block['n_evaluated']} "
+                 f"error_pct={block['error_pct']}")
     return "\n".join(lines)

@@ -217,18 +217,3 @@ def write_traces(traces: Sequence[UpdateTrace], path: str | Path) -> None:
                  "true" if t.accepted else "false"]
             )
 
-
-def read_traces(path: str | Path) -> list[UpdateTrace]:
-    traces = []
-    with Path(path).open("r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            traces.append(
-                UpdateTrace(
-                    step=int(row["step"]),
-                    proposed_len=int(row["proposed_len"]),
-                    current_len=int(row["current_len"]),
-                    similarity=float(row["similarity"]),
-                    accepted=row["accepted"] == "true",
-                )
-            )
-    return traces

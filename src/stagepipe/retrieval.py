@@ -171,17 +171,6 @@ def chunk_document(
     return chunks
 
 
-def reconstruct(chunks: Sequence[Chunk], doc: str) -> str:
-    """Concatenate the non-overlap spans; equals `doc` for its own chunks."""
-    out = []
-    prev_end = 0
-    for c in chunks:
-        start = max(c.source_span[0], prev_end)
-        out.append(doc[start : c.source_span[1]])
-        prev_end = c.source_span[1]
-    return "".join(out)
-
-
 EmbedFn = Callable[[Sequence[str]], list[EmbeddingVector]]
 
 
@@ -215,7 +204,8 @@ def top_k(
     """Exact cosine ranking of all chunks against the query.
 
     Descending score; ties broken by ascending chunk_id; k clamped to the
-    index size with a warning.
+    index size with a warning. The query must be embedded by the model that
+    built the index.
     """
     if len(index) == 0:
         raise RetrievalError("index is empty")
@@ -223,7 +213,16 @@ def top_k(
     if k > len(index):
         log.warning("k=%d exceeds index size %d; clamping", k, len(index))
         k = len(index)
-    qvec = np.array(embed_fn([query.text])[0].values, dtype=np.float64)
+    embedded = embed_fn([query.text])[0]
+    if len(embedded.values) != index.dim:
+        raise RetrievalError(
+            f"query embedding has dimension {len(embedded.values)}, the index {index.dim}"
+        )
+    if embedded.model_id != index.model_id:
+        raise RetrievalError(
+            f"query embedded by model {embedded.model_id!r}, the index by {index.model_id!r}"
+        )
+    qvec = np.array(embedded.values, dtype=np.float64)
     qnorm = np.linalg.norm(qvec)
     if qnorm == 0:
         raise RetrievalError("query embedded to the zero vector")
@@ -248,6 +247,8 @@ def save_index(index: ChunkIndex, path: str | Path) -> None:
 
 
 def load_index(path: str | Path) -> ChunkIndex:
+    """Reads a `save_index` file; its vectors must be a finite 2-D matrix of
+    unit-norm rows."""
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
         chunks = tuple(
@@ -259,11 +260,12 @@ def load_index(path: str | Path) -> ChunkIndex:
             for c in obj["chunks"]
         )
         vectors = np.array(obj["vectors"], dtype=np.float64)
-        return ChunkIndex(
-            chunks=chunks,
-            vectors=vectors,
-            model_id=str(obj["model_id"]),
-            doc_hash=str(obj["doc_hash"]),
-        )
-    except (json.JSONDecodeError, KeyError, TypeError, IndexError) as exc:
+        model_id, doc_hash = str(obj["model_id"]), str(obj["doc_hash"])
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
+        # ValueError covers bad JSON and ragged vector lists
         raise RetrievalError(f"malformed index file {path}: {exc}")
+    if vectors.ndim != 2 or not np.isfinite(vectors).all():
+        raise RetrievalError(f"index file {path}: vectors are not a finite 2-D matrix")
+    if not np.allclose(np.linalg.norm(vectors, axis=1), 1.0, rtol=0, atol=1e-6):
+        raise RetrievalError(f"index file {path}: vectors are not unit-norm")
+    return ChunkIndex(chunks=chunks, vectors=vectors, model_id=model_id, doc_hash=doc_hash)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import sys
 import threading
 from collections import Counter
@@ -68,6 +69,19 @@ def write_guideline(path: Path) -> None:
         for i in range(6)
     ]
     path.write_text("\n\n".join(p.strip() for p in paras))
+
+
+@pytest.fixture
+def built_backends(monkeypatch) -> list[ScriptedBackend]:
+    """Every scripted backend the commands build, so a test can count its calls."""
+    built: list[ScriptedBackend] = []
+
+    def recording_backend(path):
+        built.append(ScriptedBackend.from_file(path))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "scripted_backend", recording_backend)
+    return built
 
 
 def tree_bytes(root: Path) -> dict[str, bytes]:
@@ -373,6 +387,75 @@ class TestRunRag:
         assert str(missing) in capsys.readouterr().err
 
 
+class TestIndexInputs:
+    """An index that disagrees with the run's other inputs fails the run
+    before any chat call."""
+
+    def _index(self, tmp_path, hash_dim: int = 8) -> tuple[Path, Path]:
+        guideline = tmp_path / "guide.md"
+        write_guideline(guideline)
+        script = tmp_path / "index_script.json"
+        write_script(script, 0, hash_dim=hash_dim)
+        index = tmp_path / "idx.json"
+        assert main(["index", "--guideline", str(guideline), "--script", str(script),
+                     "--out", str(index)]) == 0
+        return guideline, index
+
+    def _failed_run(self, tmp_path, built, flags: list[str], hash_dim: int = 8) -> str:
+        corpus = tmp_path / "c.jsonl"
+        write_corpus(corpus, 4)
+        script = tmp_path / "script.json"
+        write_script(script, 5, hash_dim=hash_dim)
+        out = tmp_path / "out"
+        code = main(
+            ["run", "--method", "kewrag", "--category", "T", "--corpus", str(corpus),
+             "--script", str(script), "--out", str(out)] + flags
+        )
+        assert code == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "FAILED"
+        assert sum(b.chat_calls for b in built) == 0
+        return manifest["error"]
+
+    def test_index_of_another_guideline(self, tmp_path, built_backends):
+        guideline, index = self._index(tmp_path)
+        guideline.write_text(guideline.read_text() + "\n\nA later amendment.")
+        error = self._failed_run(
+            tmp_path, built_backends, ["--index", str(index), "--guideline", str(guideline)]
+        )
+        assert "another document" in error
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda v: [v[0][:-1]] + v[1:], "malformed"),
+            (lambda v: [x for row in v for x in row], "2-D"),
+            (lambda v: [[float("nan")] + row[1:] for row in v], "finite"),
+            (lambda v: [[3 * x for x in row] for row in v], "unit-norm"),
+        ],
+        ids=["ragged", "flat", "nan", "scaled"],
+    )
+    def test_malformed_vectors(self, tmp_path, built_backends, corrupt, message):
+        _, index = self._index(tmp_path)
+        obj = json.loads(index.read_text())
+        obj["vectors"] = corrupt(obj["vectors"])
+        index.write_text(json.dumps(obj))
+        assert message in self._failed_run(tmp_path, built_backends, ["--index", str(index)])
+
+    def test_query_embedded_with_another_dimension(self, tmp_path, built_backends):
+        _, index = self._index(tmp_path, hash_dim=8)
+        error = self._failed_run(tmp_path, built_backends, ["--index", str(index)], hash_dim=16)
+        assert "dimension 16" in error
+
+    def test_query_embedded_by_another_model(self, tmp_path, built_backends):
+        _, index = self._index(tmp_path)
+        obj = json.loads(index.read_text())
+        obj["model_id"] = "another-embedder"
+        index.write_text(json.dumps(obj))
+        error = self._failed_run(tmp_path, built_backends, ["--index", str(index)])
+        assert "another-embedder" in error
+
+
 class TestSweep:
     def test_train_count_sweep(self, tmp_path):
         corpus = tmp_path / "c.jsonl"
@@ -510,19 +593,12 @@ class TestSweep:
     ids=["run", "sweep-thresholds", "sweep-threshold"],
 )
 def test_threshold_out_of_range_is_usage_error_before_any_call(
-    tmp_path, capsys, monkeypatch, argv
+    tmp_path, capsys, built_backends, argv
 ):
     corpus = tmp_path / "c.jsonl"
     write_corpus(corpus, 12)
     script = tmp_path / "script.json"
     write_script(script, 60)
-    built: list[ScriptedBackend] = []
-
-    def recording_backend(path):
-        built.append(ScriptedBackend.from_file(path))
-        return built[-1]
-
-    monkeypatch.setattr(cli, "scripted_backend", recording_backend)
     out = tmp_path / "out"
     code = main(
         argv + ["--category", "T", "--corpus", str(corpus), "--script", str(script),
@@ -530,7 +606,7 @@ def test_threshold_out_of_range_is_usage_error_before_any_call(
     )
     assert code == 2
     assert "[0, 100]" in capsys.readouterr().err
-    assert sum(b.chat_calls + b.embed_calls for b in built) == 0
+    assert sum(b.chat_calls + b.embed_calls for b in built_backends) == 0
     assert not out.exists()
 
 
@@ -607,8 +683,8 @@ class TestConcurrentSplits:
         narrow = kewltm_point(ContentKeyedBackend(), splits, corpus, width=1)
         assert wide == narrow
         results, curve = wide
-        assert [block["split"] for _, block, _ in results] == [0, 1, 2, 3]
-        assert [len(records) for records, _, _ in results] == [N_TEST] * 4
+        assert [block["split"] for _, block in results] == [0, 1, 2, 3]
+        assert [len(records) for records, _ in results] == [N_TEST] * 4
         assert len(curve) == N_TRAIN
 
     def test_terminal_failure_stops_every_split(self, monkeypatch):
@@ -695,6 +771,79 @@ class TestEvaluate:
         assert "unique errors" in out
         assert "(0)" in out
 
+    def _kewltm_run(self, tmp_path, capsys) -> tuple[Path, Path]:
+        corpus = tmp_path / "c.jsonl"
+        write_corpus(corpus, 12)
+        script = tmp_path / "script.json"
+        write_script(script, 24)  # 2 splits x (3 induction + 9 inference)
+        out = tmp_path / "out"
+        assert main(
+            ["run", "--method", "kewltm", "--category", "T", "--corpus", str(corpus),
+             "--script", str(script), "--out", str(out),
+             "--splits", "2", "--train-size", "3", "--n-train", "3"]
+        ) == 0
+        capsys.readouterr()
+        return corpus, out
+
+    def test_kewltm_file_reproduces_the_run_aggregate(self, tmp_path, capsys):
+        corpus, out = self._kewltm_run(tmp_path, capsys)
+        code = main(
+            ["evaluate", "--predictions", str(out / "predictions.jsonl"),
+             "--corpus", str(corpus), "--category", "T"]
+        )
+        assert code == 0
+        printed = dict(re.findall(r"(\w+)=(\S+)", capsys.readouterr().out))
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert metrics["error_pct"] is not None
+        for key, value in metrics["aggregate"].items():
+            assert printed[key] == value
+        assert printed["num_errors_mean"] == metrics["num_errors_mean"]
+        assert printed["error_pct"] == metrics["error_pct"]
+
+    def test_kewltm_files_compare_split_by_split(self, tmp_path, capsys):
+        corpus, out = self._kewltm_run(tmp_path, capsys)
+        preds = out / "predictions.jsonl"
+        rows = [json.loads(line) for line in preds.read_text().splitlines()]
+        unparsed = tmp_path / "unparsed.jsonl"
+        # split 1 turns unparseable: its correct predictions become the only unique errors
+        unparsed.write_text("".join(
+            json.dumps(dict(row, predicted="unparseable") if row["split"] == 1 else row) + "\n"
+            for row in rows
+        ))
+        code = main(
+            ["evaluate", "--predictions", str(preds), str(unparsed),
+             "--corpus", str(corpus), "--category", "T"]
+        )
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        gold = {r.id: r.gold_label(T) for r in load_corpus(corpus)}
+        correct = sorted(
+            row["report_id"] for row in rows
+            if row["split"] == 1 and row["predicted"] == gold[row["report_id"]].render()
+        )
+        assert correct
+        assert f"split 0: unique errors of {unparsed} (0): " in lines
+        assert f"split 1: unique errors of {preds} (0): " in lines
+        assert (
+            f"split 1: unique errors of {unparsed} ({len(correct)}): {', '.join(correct)}"
+            in lines
+        )
+
+    def test_files_with_different_splits_are_usage_error(self, tmp_path, capsys):
+        corpus, out = self._kewltm_run(tmp_path, capsys)
+        preds = out / "predictions.jsonl"
+        first = tmp_path / "split0.jsonl"
+        first.write_text("".join(
+            line + "\n" for line in preds.read_text().splitlines()
+            if json.loads(line)["split"] == 0
+        ))
+        code = main(
+            ["evaluate", "--predictions", str(preds), str(first),
+             "--corpus", str(corpus), "--category", "T"]
+        )
+        assert code == 2
+        assert "different splits" in capsys.readouterr().err
+
     def test_unknown_id_names_it(self, tmp_path, capsys):
         corpus = tmp_path / "c.jsonl"
         write_corpus(corpus, 2)
@@ -727,23 +876,30 @@ class TestConfigPrecedence:
         assert manifest["config"]["method"] == "zscot"  # file supplies the rest
 
     @pytest.mark.parametrize(
-        "values", [{"n_train": 2.0}, {"k": True}, {"seed": 1.5}, {"max_tokens": "512"}],
-        ids=["float", "bool", "fraction", "string"],
+        "values, message",
+        [
+            ({"n_train": 2.0}, "must be an integer"),
+            ({"k": True}, "must be an integer"),
+            ({"seed": 1.5}, "must be an integer"),
+            ({"max_tokens": "512"}, "must be an integer"),
+            ({"threshold": "80"}, "must be a number"),
+            ({"temperature": "0"}, "must be a number"),
+            ({"threshold": True}, "must be a number"),
+            ({"llm_model": None}, "must be a string"),
+            ({"query": 5}, "must be a string or null"),
+            ({"rag_query_mode": "bogus"}, "must be one of"),
+        ],
+        ids=["float", "bool", "fraction", "string", "string-threshold",
+             "string-temperature", "bool-threshold", "null-model", "int-query",
+             "unknown-query-mode"],
     )
     def test_non_integer_config_value_is_usage_error_before_any_call(
-        self, tmp_path, capsys, monkeypatch, values
+        self, tmp_path, capsys, built_backends, values, message
     ):
         corpus = tmp_path / "c.jsonl"
         write_corpus(corpus, 12)
         script = tmp_path / "script.json"
         write_script(script, 60)
-        built: list[ScriptedBackend] = []
-
-        def recording_backend(path):
-            built.append(ScriptedBackend.from_file(path))
-            return built[-1]
-
-        monkeypatch.setattr(cli, "scripted_backend", recording_backend)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(values))
         out = tmp_path / "out"
@@ -754,9 +910,22 @@ class TestConfigPrecedence:
         )
         assert code == 2
         (key,) = values
-        assert f"{key} must be an integer" in capsys.readouterr().err
-        assert sum(b.chat_calls + b.embed_calls for b in built) == 0
+        assert f"{key} {message}" in capsys.readouterr().err
+        assert sum(b.chat_calls + b.embed_calls for b in built_backends) == 0
         assert not out.exists()
+
+    @pytest.mark.parametrize("values", [{"category": "X"}, {"method": "bogus"}],
+                             ids=["category", "method"])
+    def test_unknown_choice_rejected_by_a_command_that_does_not_use_it(
+        self, tmp_path, capsys, values
+    ):
+        corpus = tmp_path / "c.jsonl"
+        write_corpus(corpus, 4)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        assert main(["ingest", "--config", str(cfg), "--corpus", str(corpus)]) == 2
+        (key,) = values
+        assert f"{key} must be one of" in capsys.readouterr().err
 
     def test_integral_threshold_and_temperature_accepted(self, tmp_path):
         corpus = tmp_path / "c.jsonl"

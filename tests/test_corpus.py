@@ -12,9 +12,7 @@ from stagepipe.corpus import (
     StageLabel,
     label_distribution,
     load_corpus,
-    load_split,
     make_splits,
-    save_split,
     truncate_train,
 )
 from .conftest import make_report, write_corpus_jsonl
@@ -203,14 +201,6 @@ class TestTruncate:
         (split,) = make_splits(corpus, 1, 4, 0)
         with pytest.raises(CorpusError):
             truncate_train(split, n)
-
-
-def test_split_file_round_trip(tmp_path):
-    corpus = make_corpus(10)
-    (split,) = make_splits(corpus, 1, 3, 5)
-    path = tmp_path / "split.json"
-    save_split(split, path)
-    assert load_split(path) == split
 
 
 def test_corpus_rejects_duplicates():

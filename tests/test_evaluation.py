@@ -11,6 +11,7 @@ from stagepipe.evaluation import (
     EvaluationError,
     aggregate_macro_runs,
     aggregate_runs,
+    aggregate_splits,
     compare_unique_errors,
     count_errors,
     error_table,
@@ -19,6 +20,7 @@ from stagepipe.evaluation import (
     memory_curve,
     save_annotations,
     score,
+    score_block,
     tally_annotations,
 )
 from stagepipe.memory import UpdateTrace
@@ -234,6 +236,36 @@ class TestAggregateRuns:
         agg = aggregate_macro_runs(runs)
         assert agg["recall"] == "0.200±0.000"
         assert agg["f1"].startswith("0.350±")
+
+
+class TestAggregateSplits:
+    def test_error_pct_only_for_equal_split_totals(self):
+        gold = {f"r{i}": "T1" for i in range(4)}
+        corpus = corpus_with_gold(gold)
+        wrong = score_block([prediction(rid, "T2") for rid in gold], corpus, T)  # 4 errors
+        right = score_block([prediction(rid, "T1") for rid in gold], corpus, T)  # 0 errors
+        one = score_block([prediction("r0", "T2")], corpus, T)  # 1 error of 1
+        assert aggregate_splits([wrong]) == {
+            "aggregate": {"precision": "0.000", "recall": "0.000", "f1": "0.000"},
+            "num_errors_mean": "4",
+            "error_pct": "100.0%",
+        }
+        even = aggregate_splits([wrong, right])
+        assert (even["num_errors_mean"], even["error_pct"]) == ("2.00", "50.0%")
+        uneven = aggregate_splits([wrong, one])
+        assert (uneven["num_errors_mean"], uneven["error_pct"]) == ("2.50", None)
+        assert uneven["aggregate"]["recall"] == aggregate_runs(
+            [wrong["macro"]["recall"], one["macro"]["recall"]]
+        )
+
+    def test_score_block_skips_unlabeled_reports(self):
+        corpus = Corpus((make_report("a", t="T1"), make_report("b", n="N1")))
+        block = score_block([prediction("a", "T1"), prediction("b", "T2")], corpus, T)
+        assert (block["n_evaluated"], block["num_errors"], block["error_pct"]) == (1, 0, "0.0%")
+        with pytest.raises(EvaluationError, match="gold"):
+            score_block([prediction("b", "T2")], corpus, T)
+        with pytest.raises(EvaluationError, match="ghost"):
+            score_block([prediction("ghost", "T1")], corpus, T)
 
 
 class TestCompareUniqueErrors:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import functools
 import random
 
@@ -16,13 +17,27 @@ from stagepipe.memory import (
     gated_update,
     load,
     persist,
-    read_traces,
     render_numbered,
     serialize,
     serialize_rules,
     similarity,
     write_traces,
 )
+
+
+def read_traces(path) -> list[UpdateTrace]:
+    """Oracle: parse a `write_traces` CSV back into traces."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        return [
+            UpdateTrace(
+                step=int(row["step"]),
+                proposed_len=int(row["proposed_len"]),
+                current_len=int(row["current_len"]),
+                similarity=float(row["similarity"]),
+                accepted=row["accepted"] == "true",
+            )
+            for row in csv.DictReader(fh)
+        ]
 
 
 def naive_levenshtein(a: str, b: str) -> int:

