@@ -10,11 +10,11 @@ rerunning a command with the same config reproduces every output byte.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Sequence
@@ -36,35 +36,6 @@ from .retrieval import RetrievalError, RetrievalQuery
 
 log = logging.getLogger(__name__)
 
-DEFAULTS: dict = {
-    "category": None,
-    "method": None,
-    "corpus": None,
-    "guideline": None,
-    "index": None,
-    "k": 5,
-    "threshold": 80.0,
-    "n_train": 40,
-    "n_splits": 8,
-    "seed": 0,
-    "train_size": 100,
-    "out": "runs/out",
-    "script": None,
-    "rag_query_mode": "guideline",
-    "templates": None,
-    "llm_base": None,
-    "llm_key": "",
-    "llm_model": "default",
-    "embed_base": None,
-    "embed_key": "",
-    "embed_model": "default",
-    "temperature": 0.0,
-    "max_tokens": 1024,
-    "chunk_max_chars": 1200,
-    "chunk_overlap": 0,
-    "query": None,
-}
-
 _ENV_KEYS = {
     "STAGEPIPE_LLM_BASE": "llm_base",
     "STAGEPIPE_LLM_KEY": "llm_key",
@@ -72,6 +43,13 @@ _ENV_KEYS = {
     "STAGEPIPE_EMBED_KEY": "embed_key",
 }
 
+# the value types of each field annotation (bool is an int, so compare exactly)
+_TYPES = {
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+    "str": ((str,), "a string"),
+    "str | None": ((str, type(None)), "a string or null"),
+}
 
 # the keys that hold one of a fixed set of values (or null, where the
 # command that needs one says so)
@@ -94,56 +72,80 @@ COMMAND_ERRORS = (
 )
 
 
-@dataclass
+@dataclasses.dataclass(frozen=True)
 class RunConfig:
-    values: dict
+    """Every config key with its default. Building one checks each value's
+    type, choice and range, so a bad value is a usage error before any
+    call; values are stored as given (an integral threshold stays an int)."""
 
-    def __getattr__(self, name: str):
-        try:
-            return self.values[name]
-        except KeyError:
-            raise AttributeError(name)
+    category: str | None = None
+    method: str | None = None
+    corpus: str | None = None
+    guideline: str | None = None
+    index: str | None = None
+    k: int = 5
+    threshold: float = 80.0
+    n_train: int = 40
+    n_splits: int = 8
+    seed: int = 0
+    train_size: int = 100
+    out: str = "runs/out"
+    script: str | None = None
+    rag_query_mode: str = "guideline"
+    templates: str | None = None
+    llm_base: str | None = None
+    llm_key: str = ""
+    llm_model: str = "default"
+    embed_base: str | None = None
+    embed_key: str = ""
+    embed_model: str = "default"
+    temperature: float = 0.0
+    max_tokens: int = 1024
+    chunk_max_chars: int = 1200
+    chunk_overlap: int = 0
+    query: str | None = None
 
-    @property
-    def category_enum(self) -> StageCategory:
-        if self.values.get("category") not in ("T", "N"):
-            raise UsageError("--category must be T or N")
-        return StageCategory(self.values["category"])
+    def __post_init__(self) -> None:
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            kinds, noun = _TYPES[field.type]
+            if type(value) not in kinds:
+                raise UsageError(f"{field.name} must be {noun}, got {value!r}")
+            choices = _CHOICES.get(field.name)
+            if choices and value is not None and value not in choices:
+                raise UsageError(f"{field.name} must be one of {choices}, got {value!r}")
+        for key in ("k", "n_train", "n_splits", "train_size"):
+            if getattr(self, key) < 1:
+                raise UsageError(f"{key} must be at least 1, got {getattr(self, key)}")
+        if not 0 <= self.threshold <= 100:
+            raise UsageError(f"threshold must be within [0, 100], got {self.threshold}")
+        if not self.out:  # Path("") is the working directory
+            raise UsageError("out must be a non-empty path")
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    merged = dict(DEFAULTS)
+    keys = {field.name for field in dataclasses.fields(RunConfig)}
+    merged = {}
     config_path = getattr(args, "config", None)
     if config_path:
         try:
             file_cfg = json.loads(Path(config_path).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read config file {config_path}: {exc}")
-        unknown = set(file_cfg) - set(DEFAULTS)
+        if not isinstance(file_cfg, dict):
+            raise UsageError(f"config file {config_path} must hold a JSON object")
+        unknown = set(file_cfg) - keys
         if unknown:
             raise UsageError(f"unknown config key(s): {sorted(unknown)}")
         merged.update(file_cfg)
     for env_name, key in _ENV_KEYS.items():
         if env_name in os.environ:
             merged[key] = os.environ[env_name]
-    for key in DEFAULTS:
+    for key in keys:
         flag_val = getattr(args, key, None)
         if flag_val is not None:
             merged[key] = flag_val
-    for key, default in DEFAULTS.items():
-        value = merged[key]
-        # bool is an int subclass, so compare exact types
-        if type(default) is int and type(value) is not int:
-            raise UsageError(f"{key} must be an integer, got {value!r}")
-        if type(default) is float and type(value) not in (int, float):
-            raise UsageError(f"{key} must be a number, got {value!r}")
-        if type(default) is str and type(value) is not str:
-            raise UsageError(f"{key} must be a string, got {value!r}")
-        if default is None and value is not None and type(value) is not str:
-            raise UsageError(f"{key} must be a string or null, got {value!r}")
-        if key in _CHOICES and value is not None and value not in _CHOICES[key]:
-            raise UsageError(f"{key} must be one of {_CHOICES[key]}, got {value!r}")
-    return RunConfig(merged)
+    return RunConfig(**merged)
 
 
 def _build_client(cfg: RunConfig) -> LlmClient:
@@ -158,12 +160,6 @@ def _build_client(cfg: RunConfig) -> LlmClient:
         llm_model=cfg.llm_model,
         embed_model=cfg.embed_model,
     )
-
-
-def _check_thresholds(values: Sequence[float], flag: str) -> None:
-    for value in values:
-        if not 0 <= value <= 100:
-            raise UsageError(f"{flag} must be within [0, 100], got {value}")
 
 
 def _templates(cfg: RunConfig, category: StageCategory) -> prompts.TemplateRegistry:
@@ -195,9 +191,9 @@ def _write_jsonl(path: Path, rows: Sequence[dict]) -> None:
 
 
 def _redact(cfg: RunConfig) -> dict:
-    out = dict(cfg.values)
+    out = dataclasses.asdict(cfg)
     for secret in ("llm_key", "embed_key"):
-        out[secret] = bool(out.get(secret))
+        out[secret] = bool(out[secret])
     return out
 
 
@@ -217,8 +213,8 @@ def _manifest(
     """The manifest of a `run` or `sweep`: status ok, or FAILED with `error`."""
     return {
         "command": command,
-        "method": cfg.values.get("method"),
-        "category": cfg.values.get("category"),
+        "method": cfg.method,
+        "category": cfg.category,
         "config": _redact(cfg),
         "seeds": seeds,
         "template_hashes": template_hashes,
@@ -282,8 +278,6 @@ def _load_or_build_index(
 def cmd_index(cfg: RunConfig) -> int:
     if not cfg.guideline:
         raise UsageError("--guideline is required for index")
-    if not cfg.out:
-        raise UsageError("--out (index file path) is required for index")
     client = _build_client(cfg)
     if client.embed_backend is None:
         raise UsageError(
@@ -383,6 +377,15 @@ def _kewltm_point(
     return results, evaluation.memory_curve([traces for *_, traces in cycles])
 
 
+def _category(cfg: RunConfig) -> StageCategory:
+    """The category of a command that scores a corpus; both are required."""
+    if not cfg.corpus:
+        raise UsageError("--corpus is required")
+    if cfg.category is None:
+        raise UsageError("--category is required")
+    return StageCategory(cfg.category)
+
+
 def _setup(
     cfg: RunConfig, retrieves: bool
 ) -> tuple[StageCategory, LlmClient, prompts.TemplateRegistry, Corpus, Path]:
@@ -391,10 +394,7 @@ def _setup(
     Every check runs before any model call and before the directory exists,
     so a usage error leaves nothing behind.
     """
-    if not cfg.corpus:
-        raise UsageError("--corpus is required")
-    category = cfg.category_enum
-    _check_thresholds([cfg.threshold], "--threshold")
+    category = _category(cfg)
     if retrieves and not (cfg.guideline or cfg.index):
         raise UsageError(f"--guideline (or --index) is required for method {cfg.method}")
     client = _build_client(cfg)
@@ -439,8 +439,8 @@ def _run_command(
 
 
 def cmd_run(cfg: RunConfig) -> int:
-    method = cfg.values.get("method")
-    if method not in pipelines.METHODS:
+    method = cfg.method
+    if method is None:
         raise UsageError(f"--method must be one of {pipelines.METHODS}")
     retrieves = method in ("rag", "kewrag")
     category, client, registry, corpus, out = _setup(cfg, retrieves)
@@ -519,14 +519,16 @@ def _parse_list(text: str | None, flag: str, kind: type) -> list | None:
 
 
 def cmd_sweep(cfg: RunConfig, train_counts: list[int] | None, thresholds: list[float] | None) -> int:
-    if cfg.values.get("method") not in (None, "kewltm"):
+    if cfg.method not in (None, "kewltm"):
         raise UsageError("sweep supports only method kewltm")
     if bool(train_counts) == bool(thresholds):
         raise UsageError("provide exactly one of --train-counts or --thresholds")
-    _check_thresholds(thresholds or [], "--thresholds")
-    category, client, registry, corpus, out = _setup(cfg, retrieves=False)
+    if train_counts and max(train_counts) > cfg.train_size:
+        raise UsageError(f"--train-counts must not exceed train_size {cfg.train_size}")
     param = "n_train" if train_counts else "threshold"
     points: list = train_counts or thresholds  # type: ignore[assignment]
+    point_cfgs = [dataclasses.replace(cfg, **{param: point}) for point in points]
+    category, client, registry, corpus, out = _setup(cfg, retrieves=False)
 
     def body(fields: dict) -> None:
         splits = make_splits(corpus, cfg.n_splits, cfg.train_size, cfg.seed)
@@ -534,12 +536,11 @@ def cmd_sweep(cfg: RunConfig, train_counts: list[int] | None, thresholds: list[f
         metric_lines = [f"{param},split,seed,precision,recall,f1"]
         curve_lines = [f"{param},step,mean_len"]
         try:
-            for point in points:
-                n_train = point if train_counts else cfg.n_train
-                threshold = cfg.threshold if train_counts else point
+            for point_cfg in point_cfgs:
+                point = getattr(point_cfg, param)
                 results, curve = _kewltm_point(
-                    splits, int(n_train), float(threshold), corpus, category, client,
-                    registry, prefix=f"{param}={point} ",
+                    splits, point_cfg.n_train, point_cfg.threshold, corpus, category,
+                    client, registry, prefix=f"{param}={point} ",
                 )
                 blocks = [block for _, block in results]
                 mean = {key: sum(b["macro"][key] for b in blocks) / len(blocks)
@@ -594,11 +595,9 @@ def _load_predictions(
 
 
 def cmd_evaluate(cfg: RunConfig, prediction_paths: list[str]) -> int:
-    if not cfg.corpus:
-        raise UsageError("--corpus is required")
+    category = _category(cfg)
     if not 1 <= len(prediction_paths) <= 2:
         raise UsageError("evaluate takes one or two prediction files")
-    category = cfg.category_enum
     corpus = load_corpus(cfg.corpus)
     runs = [_load_predictions(path, category, corpus) for path in prediction_paths]
     if len(runs) == 2 and list(runs[0]) != list(runs[1]):

@@ -229,6 +229,10 @@ def make_splits(
     """
     if n_splits < 1:
         raise CorpusError(f"n_splits must be >= 1, got {n_splits}")
+    # Random(-s) draws the same stream as Random(s), so a negative base
+    # seed would repeat splits: seeds -1, 0, 1 give splits 0 and 2 alike
+    if base_seed < 0:
+        raise CorpusError(f"base seed must be >= 0, got {base_seed}")
     if not 0 < train_size < len(corpus):
         raise CorpusError(
             f"train_size must be in (0, {len(corpus)}), got {train_size}"

@@ -48,16 +48,9 @@ class AuthenticationError(LlmError):
     """Endpoint rejected the credentials; never retried."""
 
 
-class SchemaViolation(LlmError):
-    """A single model response failed schema validation (internal, retried)."""
-
-
 class SchemaViolationError(LlmError):
-    """All retries produced schema-violating output; terminal for the call."""
-
-    def __init__(self, message: str, raw: str = ""):
-        super().__init__(message)
-        self.raw = raw
+    """A model response failed schema validation. `LlmClient.chat` retries
+    it, and raises it once the retries are spent."""
 
 
 class ScriptError(LlmError):
@@ -213,43 +206,43 @@ def _extract_json_object(text: str) -> dict:
                     except json.JSONDecodeError:
                         break
         start = text.find("{", start + 1)
-    raise SchemaViolation("response is not a JSON object")
+    raise SchemaViolationError("response is not a JSON object")
 
 
 def parse_structured(raw: str, schema: OutputSchema) -> StructuredOutput:
-    """Validate raw model text against the schema, or raise SchemaViolation."""
+    """Validate raw model text against the schema, or raise SchemaViolationError."""
     obj = _extract_json_object(raw)
     reasoning: str | None = None
     stage: StageLabel | None = None
     rules: tuple[str, ...] | None = None
     if schema.wants_stage:
         if "reasoning" not in obj:
-            raise SchemaViolation("missing required field 'reasoning'")
+            raise SchemaViolationError("missing required field 'reasoning'")
         if not isinstance(obj["reasoning"], str):
-            raise SchemaViolation("'reasoning' must be a string")
+            raise SchemaViolationError("'reasoning' must be a string")
         reasoning = obj["reasoning"]
         if "stage" not in obj:
-            raise SchemaViolation("missing required field 'stage'")
+            raise SchemaViolationError("missing required field 'stage'")
         if not isinstance(obj["stage"], str):
-            raise SchemaViolation("'stage' must be a string")
+            raise SchemaViolationError("'stage' must be a string")
         assert schema.category is not None
         try:
             stage = StageLabel.parse(obj["stage"], schema.category)
         except CorpusError:
-            raise SchemaViolation(
+            raise SchemaViolationError(
                 f"'stage' must be one of {', '.join(schema.label_names())}; "
                 f"got {obj['stage']!r}"
             )
     if schema.wants_rules:
         if "rules" not in obj:
-            raise SchemaViolation("missing required field 'rules'")
+            raise SchemaViolationError("missing required field 'rules'")
         val = obj["rules"]
         if not isinstance(val, list) or not val:
-            raise SchemaViolation("'rules' must be a non-empty list of strings")
+            raise SchemaViolationError("'rules' must be a non-empty list of strings")
         cleaned = []
         for r in val:
             if not isinstance(r, str) or not r.strip():
-                raise SchemaViolation("'rules' entries must be non-empty strings")
+                raise SchemaViolationError("'rules' entries must be non-empty strings")
             cleaned.append(r.strip())
         rules = tuple(cleaned)
     return StructuredOutput(raw=raw, reasoning=reasoning, stage=stage, rules=rules)
@@ -608,23 +601,21 @@ class LlmClient:
         if self.chat_backend is None:
             raise LlmError("no chat backend configured")
         attempt_request = request
-        last: SchemaViolation | None = None
-        raw = ""
+        last: SchemaViolationError | None = None
         for _ in range(1 + self.max_schema_retries):
             raw = self._transport(lambda: self.chat_backend.complete(attempt_request))
             try:
                 return parse_structured(raw, request.schema)
-            except SchemaViolation as violation:
+            except SchemaViolationError as violation:
                 last = violation
                 attempt_request = replace(
                     request, user=self._corrective(request, violation)
                 )
         raise SchemaViolationError(
-            f"schema still violated after {self.max_schema_retries} retries: {last}",
-            raw=raw,
+            f"schema still violated after {self.max_schema_retries} retries: {last}"
         )
 
-    def _corrective(self, request: ChatRequest, violation: SchemaViolation) -> str:
+    def _corrective(self, request: ChatRequest, violation: SchemaViolationError) -> str:
         schema = request.schema
         parts = [f"Your previous response was invalid: {violation}."]
         fields = []

@@ -289,6 +289,23 @@ class TestRunKewltm:
         assert backend.peak == 4
         assert not (out / "predictions.jsonl").exists()
 
+    def test_negative_seed_fails_before_any_call(self, tmp_path, capsys, built_backends):
+        corpus = tmp_path / "c.jsonl"
+        write_corpus(corpus, 12)
+        script = tmp_path / "script.json"
+        write_script(script, 24)
+        out = tmp_path / "out"
+        code = main(
+            ["run", "--method", "kewltm", "--category", "T", "--corpus", str(corpus),
+             "--script", str(script), "--out", str(out),
+             "--splits", "3", "--train-size", "3", "--n-train", "2", "--seed", "-1"]
+        )
+        assert code == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "FAILED"
+        assert "seed must be >= 0" in manifest["error"]
+        assert sum(b.chat_calls + b.embed_calls for b in built_backends) == 0
+
 
 class TestRunKewrag:
     def test_run_with_guideline(self, tmp_path):
@@ -608,6 +625,72 @@ def test_threshold_out_of_range_is_usage_error_before_any_call(
     assert "[0, 100]" in capsys.readouterr().err
     assert sum(b.chat_calls + b.embed_calls for b in built_backends) == 0
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (["run", "--method", "rag", "--k", "0"], None, "k must be at least 1"),
+        (["run", "--method", "rag"], {"k": 0}, "k must be at least 1"),
+        (["run", "--method", "kewltm", "--splits", "0"], None, "n_splits must be at least 1"),
+        (["run", "--method", "kewltm", "--train-size", "0"], None,
+         "train_size must be at least 1"),
+        (["run", "--method", "kewltm", "--n-train", "0"], None, "n_train must be at least 1"),
+        (["sweep", "--train-counts", "0,2"], None, "n_train must be at least 1"),
+        (["sweep", "--train-counts", "2,5"], None,
+         "--train-counts must not exceed train_size 3"),
+    ],
+    ids=["k", "config-k", "splits", "train-size", "n-train", "sweep-train-counts",
+         "sweep-train-counts-above-train-size"],
+)
+def test_out_of_range_setting_is_usage_error_before_any_call(
+    tmp_path, capsys, built_backends, argv, config, message
+):
+    corpus = tmp_path / "c.jsonl"
+    write_corpus(corpus, 12)
+    guideline = tmp_path / "guide.md"
+    write_guideline(guideline)
+    script = tmp_path / "script.json"
+    write_script(script, 60, hash_dim=8)
+    out = tmp_path / "out"
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = argv + ["--config", str(cfg)]
+    # argv comes last, so its flags override these
+    code = main(
+        [argv[0], "--category", "T", "--corpus", str(corpus), "--guideline", str(guideline),
+         "--script", str(script), "--out", str(out),
+         "--splits", "2", "--train-size", "3", "--n-train", "2"] + argv[1:]
+    )
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert sum(b.chat_calls + b.embed_calls for b in built_backends) == 0
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["run", "--method", "zscot"], ["sweep", "--train-counts", "1"]],
+    ids=["run", "sweep"],
+)
+def test_empty_out_is_usage_error(tmp_path, capsys, monkeypatch, argv):
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    corpus = inputs / "c.jsonl"
+    write_corpus(corpus, 8)
+    script = inputs / "script.json"
+    write_script(script, 40)
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    code = main(
+        argv + ["--category", "T", "--corpus", str(corpus), "--script", str(script),
+                "--out", "", "--splits", "2", "--train-size", "2"]
+    )
+    assert code == 2
+    assert "out must be a non-empty path" in capsys.readouterr().err
+    assert list(cwd.iterdir()) == []
 
 
 T = StageCategory.T
@@ -939,6 +1022,13 @@ class TestConfigPrecedence:
              "--corpus", str(corpus), "--script", str(script), "--out", str(tmp_path / "out")]
         )
         assert code == 0
+
+    @pytest.mark.parametrize("text", ["5", '["k"]'], ids=["number", "list"])
+    def test_config_file_not_an_object_rejected(self, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert main(["ingest", "--config", str(cfg), "--corpus", "x"]) == 2
+        assert "must hold a JSON object" in capsys.readouterr().err
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -166,6 +166,11 @@ class TestSplits:
             with pytest.raises(CorpusError):
                 make_splits(corpus, 1, train_size, 0)
 
+    def test_negative_base_seed_rejected(self):
+        # Random(-1) draws the stream of Random(1): split 0 and split 2 would be alike
+        with pytest.raises(CorpusError, match="seed must be >= 0"):
+            make_splits(make_corpus(50), 3, 10, -1)
+
     @given(
         n=st.integers(min_value=2, max_value=40),
         train=st.integers(min_value=1, max_value=39),

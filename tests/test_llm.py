@@ -17,7 +17,6 @@ from stagepipe.llm import (
     LlmClient,
     LlmError,
     OutputSchema,
-    SchemaViolation,
     SchemaViolationError,
     ScriptedBackend,
     ScriptError,
@@ -68,11 +67,11 @@ class TestParseStructured:
         assert out.rules is None
 
     def test_enum_rejection(self):
-        with pytest.raises(SchemaViolation, match="T5"):
+        with pytest.raises(SchemaViolationError, match="T5"):
             parse_structured('{"reasoning": "x", "stage": "T5"}', STAGING_T)
 
     def test_wrong_category_rejected(self):
-        with pytest.raises(SchemaViolation):
+        with pytest.raises(SchemaViolationError):
             parse_structured('{"reasoning": "x", "stage": "N1"}', STAGING_T)
 
     def test_case_normalized(self):
@@ -84,7 +83,7 @@ class TestParseStructured:
         assert parse_structured(raw, STAGING_T).stage == StageLabel.parse("T1")
 
     def test_missing_reasoning(self):
-        with pytest.raises(SchemaViolation, match="reasoning"):
+        with pytest.raises(SchemaViolationError, match="reasoning"):
             parse_structured('{"stage": "T1"}', STAGING_T)
 
     def test_rules_schema(self):
@@ -95,11 +94,11 @@ class TestParseStructured:
         assert out.rules == ("a", "b")
 
     def test_missing_rules(self):
-        with pytest.raises(SchemaViolation, match="rules"):
+        with pytest.raises(SchemaViolationError, match="rules"):
             parse_structured('{"reasoning": "r", "stage": "T1"}', OutputSchema.staging_with_rules(T))
 
     def test_empty_rule_string_rejected(self):
-        with pytest.raises(SchemaViolation):
+        with pytest.raises(SchemaViolationError):
             parse_structured('{"rules": ["ok", "  "]}', OutputSchema.rules_only())
 
     def test_rules_only(self):
@@ -108,7 +107,7 @@ class TestParseStructured:
         assert out.stage is None and out.reasoning is None
 
     def test_not_json(self):
-        with pytest.raises(SchemaViolation):
+        with pytest.raises(SchemaViolationError):
             parse_structured("no json here", STAGING_T)
 
 
