@@ -17,7 +17,7 @@ import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import evaluation, memory, pipelines, prompts, retrieval
 from .corpus import (
@@ -336,45 +336,72 @@ def _evaluate_split(
     return records, block, list(induction.traces)
 
 
-def _kewltm_point(
+def _kewltm_points(
     splits: Sequence[Split],
-    n_train: int,
-    threshold: float,
+    points: Sequence[RunConfig],
     corpus: Corpus,
     category: StageCategory,
     client: LlmClient,
     registry: prompts.TemplateRegistry,
     *,
-    prefix: str = "",
+    param: str | None = None,
     out: Path | None = None,
-) -> tuple[list[tuple[list[PredictionRecord], dict]], list[tuple[int, float]]]:
-    """The kewltm protocol at one (n_train, threshold) point: every split
-    through `_evaluate_split`. Returns each split's (records, score block)
-    and the mean memory-length curve over the splits.
+) -> Iterator[tuple[RunConfig, list[tuple[list[PredictionRecord], dict]], list[tuple[int, float]]]]:
+    """The kewltm protocol at each point's (n_train, threshold): every split
+    of every point through `_evaluate_split`, all on one pool.
 
-    The splits are independent, so up to `s = min(n_splits, max_in_flight)`
-    of them run at once, each inferring `max_in_flight // s` reports at a
-    time. An induction step has one call in flight, so the run never has
-    more than `max_in_flight` model calls in flight. At width 1 (scripted
-    replays) the calls keep their sequential order: split 0 induces and
-    infers, then split 1, and so on. The first terminal failure stops every
-    split: none starts after it, the splits in flight start no further
-    induction step or report, and that failure is raised. Results are in
-    split order.
+    Yields, in point order, each point whose splits all finished, with each
+    split's (records, score block) and the mean memory-length curve over the
+    splits; then raises the first terminal failure, if there was one. Errors
+    name the point by its `param` value. With `out` (one point only), each
+    split's memory and induction trace are written there.
+
+    Every (point, split) cycle is independent, so up to `s = min(points x
+    splits, max_in_flight)` of them run at once, each inferring
+    `max_in_flight // s` reports at a time. An induction step has one call in
+    flight, so the run never has more than `max_in_flight` model calls in
+    flight. Cycles start in (point, split) order, so at width 1 (scripted
+    replays) the calls keep their sequential order: split 0 of point 0
+    induces and infers, then split 1, and so on, point after point. The
+    first terminal failure stops every cycle: none starts after it, and the
+    cycles in flight start no further induction step or report.
     """
-    width = min(len(splits), client.max_in_flight)
+    tasks = [(p, i) for p in range(len(points)) for i in range(len(splits))]
+    width = min(len(tasks), client.max_in_flight)
     stop = pipelines.StopSignal()
+    finished = {}
 
-    def cycle(indexed: tuple[int, Split]):
-        i, split = indexed
-        return _evaluate_split(
-            split, i, n_train, threshold, corpus, category, client, registry,
-            prefix=prefix, out=out, width=client.max_in_flight // width, stop=stop,
+    def cycle(task: tuple[int, int]) -> None:
+        p, i = task
+        point = points[p]
+        finished[task] = _evaluate_split(
+            splits[i], i, point.n_train, point.threshold, corpus, category, client, registry,
+            prefix=f"{param}={getattr(point, param)} " if param else "", out=out,
+            width=client.max_in_flight // width, stop=stop,
         )
 
-    cycles = pipelines.run_bounded(cycle, list(enumerate(splits)), width, stop)
-    results = [(records, block) for records, block, _ in cycles]
-    return results, evaluation.memory_curve([traces for *_, traces in cycles])
+    error = None
+    try:
+        pipelines.run_bounded(cycle, tasks, width, stop)
+    except Exception as exc:  # raised once the finished points are out
+        error = exc
+    for p, point in enumerate(points):
+        if all((p, i) in finished for i in range(len(splits))):
+            cycles = [finished[p, i] for i in range(len(splits))]
+            yield (point, [(records, block) for records, block, _ in cycles],
+                   evaluation.memory_curve([traces for *_, traces in cycles]))
+    if error is not None:
+        raise error
+
+
+def _check_n_train(points: Sequence[RunConfig], flag: str) -> None:
+    """Each kewltm point induces from at most its splits' `train_size`
+    reports; `flag` is the one that set `n_train`."""
+    for point in points:
+        if point.n_train > point.train_size:
+            raise UsageError(
+                f"{flag} must not exceed train_size {point.train_size}, got {point.n_train}"
+            )
 
 
 def _category(cfg: RunConfig) -> StageCategory:
@@ -443,6 +470,8 @@ def cmd_run(cfg: RunConfig) -> int:
     if method is None:
         raise UsageError(f"--method must be one of {pipelines.METHODS}")
     retrieves = method in ("rag", "kewrag")
+    if method == "kewltm":
+        _check_n_train([cfg], "--n-train")
     category, client, registry, corpus, out = _setup(cfg, retrieves)
     query_text = cfg.query or retrieval.DEFAULT_QUERIES[category]
     fields = {"template_hashes": registry.hashes()}
@@ -456,9 +485,8 @@ def cmd_run(cfg: RunConfig) -> int:
         if method == "kewltm":
             splits = make_splits(corpus, cfg.n_splits, cfg.train_size, cfg.seed)
             fields["seeds"] = [s.seed for s in splits]
-            results, curve = _kewltm_point(
-                splits, cfg.n_train, cfg.threshold, corpus, category, client, registry,
-                out=out,
+            ((_, results, curve),) = _kewltm_points(
+                splits, [cfg], corpus, category, client, registry, out=out
             )
             evaluation.write_curve_csv(curve, out / "curves.csv")
             prediction_rows = [
@@ -523,11 +551,10 @@ def cmd_sweep(cfg: RunConfig, train_counts: list[int] | None, thresholds: list[f
         raise UsageError("sweep supports only method kewltm")
     if bool(train_counts) == bool(thresholds):
         raise UsageError("provide exactly one of --train-counts or --thresholds")
-    if train_counts and max(train_counts) > cfg.train_size:
-        raise UsageError(f"--train-counts must not exceed train_size {cfg.train_size}")
     param = "n_train" if train_counts else "threshold"
     points: list = train_counts or thresholds  # type: ignore[assignment]
     point_cfgs = [dataclasses.replace(cfg, **{param: point}) for point in points]
+    _check_n_train(point_cfgs, "--train-counts" if train_counts else "--n-train")
     category, client, registry, corpus, out = _setup(cfg, retrieves=False)
 
     def body(fields: dict) -> None:
@@ -536,12 +563,10 @@ def cmd_sweep(cfg: RunConfig, train_counts: list[int] | None, thresholds: list[f
         metric_lines = [f"{param},split,seed,precision,recall,f1"]
         curve_lines = [f"{param},step,mean_len"]
         try:
-            for point_cfg in point_cfgs:
+            for point_cfg, results, curve in _kewltm_points(
+                splits, point_cfgs, corpus, category, client, registry, param=param
+            ):
                 point = getattr(point_cfg, param)
-                results, curve = _kewltm_point(
-                    splits, point_cfg.n_train, point_cfg.threshold, corpus, category,
-                    client, registry, prefix=f"{param}={point} ",
-                )
                 blocks = [block for _, block in results]
                 mean = {key: sum(b["macro"][key] for b in blocks) / len(blocks)
                         for key in blocks[0]["macro"]}
@@ -550,7 +575,7 @@ def cmd_sweep(cfg: RunConfig, train_counts: list[int] | None, thresholds: list[f
                 metric_lines.extend(f"{point},{split},{seed}," + ",".join(map(repr, m.values()))
                                     for split, seed, m in rows)
                 curve_lines.extend(f"{point},{step},{mean_len!r}" for step, mean_len in curve)
-        finally:  # a failed sweep keeps the rows of the points that finished
+        finally:  # a failed sweep keeps the rows of every point that finished
             for name, lines in (("sweep_metrics.csv", metric_lines),
                                 ("sweep_curves.csv", curve_lines)):
                 (out / name).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -6,7 +6,7 @@ gated long-term rule memory followed by memory-guided inference, and
 one-shot synthesis of rules from retrieved guideline chunks applied at every
 inference. Each induction is a strictly sequential chain, since every step
 reads the memory the previous one left; the caller may run the chains of
-independent splits concurrently. Test-set inference runs up to
+independent (point, split) cycles concurrently. Test-set inference runs up to
 `max_in_flight` reports at once, and its records are sorted by report id so
 output bytes never depend on scheduling. Tasks that share one bound on calls
 in flight also share one `StopSignal`: after the first terminal failure none

@@ -11,7 +11,14 @@ import pytest
 
 from stagepipe import cli, pipelines
 from stagepipe.cli import main
-from stagepipe.corpus import Corpus, Split, StageCategory, load_corpus, make_splits
+from stagepipe.corpus import (
+    Corpus,
+    Split,
+    StageCategory,
+    load_corpus,
+    make_splits,
+    truncate_train,
+)
 from stagepipe.llm import LlmClient, ScriptedBackend, TransportError
 from stagepipe.prompts import default_templates
 from .conftest import (
@@ -36,6 +43,15 @@ def write_corpus(path: Path, n: int) -> None:
         for i in range(n)
     ]
     write_corpus_jsonl(path, rows)
+
+
+def write_keyed_corpus(path: Path, n: int) -> None:
+    """A corpus whose texts name their report, as `ContentKeyedBackend` reads them."""
+    write_corpus_jsonl(path, [
+        {"id": f"r{i:03d}", "text": f"pathology report body for r{i:03d}",
+         "t_label": LABELS[i % 4], "n_label": None}
+        for i in range(n)
+    ])
 
 
 def rules_entry(rules: list[str], stage: str = "T1") -> dict:
@@ -263,11 +279,7 @@ class TestRunKewltm:
         self, tmp_path, capsys, monkeypatch
     ):
         corpus = tmp_path / "c.jsonl"
-        write_corpus_jsonl(corpus, [
-            {"id": f"r{i:03d}", "text": f"pathology report body for r{i:03d}",
-             "t_label": LABELS[i % 4], "n_label": None}
-            for i in range(12)
-        ])
+        write_keyed_corpus(corpus, 12)
         splits = make_splits(load_corpus(corpus), 4, 6, 0)
         # four splits in step, one call each at a time; the first round fails
         backend = ContentKeyedBackend(
@@ -639,9 +651,14 @@ def test_threshold_out_of_range_is_usage_error_before_any_call(
         (["sweep", "--train-counts", "0,2"], None, "n_train must be at least 1"),
         (["sweep", "--train-counts", "2,5"], None,
          "--train-counts must not exceed train_size 3"),
+        (["run", "--method", "kewltm", "--n-train", "25", "--train-size", "20"], None,
+         "--n-train must not exceed train_size 20, got 25"),
+        (["sweep", "--thresholds", "0,80", "--n-train", "4"], None,
+         "--n-train must not exceed train_size 3, got 4"),
     ],
     ids=["k", "config-k", "splits", "train-size", "n-train", "sweep-train-counts",
-         "sweep-train-counts-above-train-size"],
+         "sweep-train-counts-above-train-size", "n-train-above-train-size",
+         "sweep-thresholds-n-train-above-train-size"],
 )
 def test_out_of_range_setting_is_usage_error_before_any_call(
     tmp_path, capsys, built_backends, argv, config, message
@@ -721,14 +738,40 @@ def sequential_calls(splits: list[Split]) -> list[tuple[str, str]]:
     return calls
 
 
-def kewltm_point(backend: ContentKeyedBackend, splits: list[Split], corpus: Corpus, width: int):
+def kewltm_points(
+    backend: ContentKeyedBackend, splits: list[Split], corpus: Corpus, width: int,
+    points: list[cli.RunConfig],
+):
+    """(results, curve) of each point, through one `cli._kewltm_points` pool."""
     client = LlmClient(chat_backend=backend, max_in_flight=width)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # switch threads often, so interleavings vary
     try:
-        return cli._kewltm_point(splits, N_TRAIN, 80.0, corpus, T, client, REGISTRY)
+        return [(results, curve) for _, results, curve in cli._kewltm_points(
+            splits, points, corpus, T, client, REGISTRY
+        )]
     finally:
         sys.setswitchinterval(interval)
+
+
+def kewltm_point(backend: ContentKeyedBackend, splits: list[Split], corpus: Corpus, width: int):
+    [result] = kewltm_points(backend, splits, corpus, width, [cli.RunConfig(n_train=N_TRAIN)])
+    return result
+
+
+@pytest.fixture
+def failure_recorded(monkeypatch) -> threading.Event:
+    """Set once a `StopSignal` has recorded a failure, so a call held on it
+    returns only when no task sharing the signal starts another step."""
+    recorded = threading.Event()
+    fail = pipelines.StopSignal.fail
+
+    def fail_and_signal(self, exc):
+        fail(self, exc)
+        recorded.set()
+
+    monkeypatch.setattr(pipelines.StopSignal, "fail", fail_and_signal)
+    return recorded
 
 
 class TestConcurrentSplits:
@@ -770,19 +813,11 @@ class TestConcurrentSplits:
         assert [len(records) for records, _ in results] == [N_TEST] * 4
         assert len(curve) == N_TRAIN
 
-    def test_terminal_failure_stops_every_split(self, monkeypatch):
+    def test_terminal_failure_stops_every_split(self, failure_recorded):
         corpus, splits = disjoint_splits(4)
-        recorded = threading.Event()
-        fail = pipelines.StopSignal.fail
-
-        def fail_and_signal(self, exc):
-            fail(self, exc)
-            recorded.set()
-
-        monkeypatch.setattr(pipelines.StopSignal, "fail", fail_and_signal)
         backend = ContentKeyedBackend(
             barrier=threading.Barrier(2, timeout=10), fail_id="s1t1",
-            release=recorded, hold={"s0t1"},
+            release=failure_recorded, hold={"s0t1"},
         )
         with pytest.raises(TransportError) as info:
             kewltm_point(backend, splits, corpus, width=2)
@@ -802,6 +837,100 @@ class TestConcurrentSplits:
         assert info.value is backend.error
         calls = sequential_calls(splits)
         assert backend.calls == calls[:calls.index(("ltm_inference", "s1e1")) + 1]
+
+
+class TestCrossPointPool:
+    """Every (point, split) cycle of a sweep runs on one pool under one bound."""
+
+    def _sweep(self, tmp_path, monkeypatch, backend, out_name: str, argv: list[str]) -> int:
+        corpus = tmp_path / "c.jsonl"
+        write_keyed_corpus(corpus, 12)
+        monkeypatch.setattr(cli, "scripted_backend", lambda path: backend)
+        return main(
+            ["sweep", "--category", "T", "--corpus", str(corpus), "--script", "content-keyed",
+             "--out", str(tmp_path / out_name), "--train-size", "3"] + argv
+        )
+
+    def test_two_points_of_two_splits_induce_together(self):
+        corpus, splits = disjoint_splits(2)
+        backend = ContentKeyedBackend(barrier=threading.Barrier(4, timeout=10))
+        points = [cli.RunConfig(n_train=N_TRAIN, threshold=t) for t in (0, 80)]
+        results = kewltm_points(backend, splits, corpus, 4, points)
+        assert backend.peak == 4  # the barrier lets 4 through together, the pools no more
+        # the first round is the elicit call of every (point, split)
+        assert sorted(backend.calls[:4]) == sorted(2 * sequential_calls(splits)[::N_TRAIN + N_TEST])
+        assert len(results) == 2
+
+    def test_width_one_keeps_the_point_then_split_order(self):
+        corpus, splits = disjoint_splits(2)
+        backend = ContentKeyedBackend()
+        points = [cli.RunConfig(n_train=n) for n in (2, N_TRAIN)]
+        kewltm_points(backend, splits, corpus, 1, points)
+        assert backend.peak == 1
+        assert backend.calls == (
+            sequential_calls([truncate_train(split, 2) for split in splits])
+            + sequential_calls(splits)
+        )
+
+    def test_wide_sweep_writes_the_width_one_csvs(self, tmp_path, monkeypatch):
+        argv = ["--splits", "2", "--n-train", "3", "--thresholds", "0,80"]
+        wide = ContentKeyedBackend(barrier=threading.Barrier(4, timeout=10))
+        narrow = ContentKeyedBackend()
+        narrow.replays_in_call_order = True  # so the client runs one call at a time
+        assert self._sweep(tmp_path, monkeypatch, wide, "wide", argv) == 0
+        assert self._sweep(tmp_path, monkeypatch, narrow, "narrow", argv) == 0
+        assert (wide.peak, narrow.peak) == (4, 1)  # both points' splits ran together
+        for name in ("sweep_metrics.csv", "sweep_curves.csv"):
+            wide_csv, narrow_csv = ((tmp_path / side / name).read_bytes() for side in ("wide", "narrow"))
+            assert wide_csv == narrow_csv
+
+    def test_terminal_failure_stops_every_point(self, failure_recorded):
+        corpus, splits = disjoint_splits(2)
+        backend = ContentKeyedBackend(
+            barrier=threading.Barrier(4, timeout=10), fail_id="s1t1",
+            release=failure_recorded, hold={"s0t1"},
+        )
+        points = [cli.RunConfig(n_train=N_TRAIN, threshold=t) for t in (0, 50, 80)]
+        with pytest.raises(TransportError) as info:
+            kewltm_points(backend, splits, corpus, 4, points)
+        assert info.value is backend.error
+        # the splits of points 0 and 1 induced in step and stopped at the failing
+        # round; the cycles of point 2 never started
+        assert sorted(backend.calls) == sorted(2 * [
+            ("ltm_elicit", "s0t0"), ("ltm_elicit", "s1t0"),
+            ("ltm_update", "s0t1"), ("ltm_update", "s1t1"),
+        ])
+
+    def test_failed_sweep_keeps_every_finished_point(self, tmp_path, monkeypatch):
+        write_keyed_corpus(tmp_path / "c.jsonl", 12)  # as `_sweep` writes it
+        splits = make_splits(load_corpus(tmp_path / "c.jsonl"), 1, 3, 0)
+        # only the n_train=3 point induces from the third train report
+        backend = ContentKeyedBackend(fail_id=splits[0].train_ids[2])
+        others_done = threading.Event()
+        finished = []
+        evaluate = cli._evaluate_split
+
+        def hold_the_failing_point(split, i, n_train, *args, **kwargs):
+            if n_train == 3:  # start only once the other two points have finished
+                assert others_done.wait(timeout=10)
+            result = evaluate(split, i, n_train, *args, **kwargs)
+            finished.append(n_train)
+            if len(finished) == 2:
+                others_done.set()
+            return result
+
+        monkeypatch.setattr(cli, "_evaluate_split", hold_the_failing_point)
+        code = self._sweep(tmp_path, monkeypatch, backend, "failed",
+                           ["--splits", "1", "--train-counts", "1,3,2"])
+        assert code == 1
+        manifest = json.loads((tmp_path / "failed" / "manifest.json").read_text())
+        assert (manifest["status"], manifest["error"]) == ("FAILED", str(backend.error))
+        monkeypatch.setattr(cli, "_evaluate_split", evaluate)
+        assert self._sweep(tmp_path, monkeypatch, ContentKeyedBackend(), "finished",
+                           ["--splits", "1", "--train-counts", "1,2"]) == 0
+        for name in ("sweep_metrics.csv", "sweep_curves.csv"):
+            kept = (tmp_path / "failed" / name).read_text()
+            assert kept == (tmp_path / "finished" / name).read_text()
 
 
 class TestEvaluate:
