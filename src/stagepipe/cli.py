@@ -15,6 +15,7 @@ import json
 import logging
 import os
 import sys
+import threading
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
@@ -303,7 +304,7 @@ def _evaluate_split(
     *,
     prefix: str = "",
     out: Path | None = None,
-    width: int,
+    width: Callable[[], int],
     stop: pipelines.StopSignal,
 ) -> tuple[list[PredictionRecord], dict, list[memory.UpdateTrace]]:
     """One kewltm cycle on split `i`: truncate -> induce -> infer -> score.
@@ -313,7 +314,8 @@ def _evaluate_split(
     name the split after `prefix`. With `out`, the frozen memory and the
     induction trace are written there before inference starts, so a run
     whose inference fails still keeps the split's induction. Inference runs
-    `width` reports at once; induction and inference both stop at `stop`.
+    `width()` reports at once, asked when inference starts; induction and
+    inference both stop at `stop`.
     """
     split = truncate_train(split, n_train)
     by_id = corpus.by_id
@@ -328,7 +330,7 @@ def _evaluate_split(
         memory.write_traces(induction.traces, out / f"trace_split{i}.csv")
     records = pipelines.run_kewltm_inference(
         [by_id[rid] for rid in split.test_ids], category, induction.final_memory,
-        client, registry, width=width, stop=stop,
+        client, registry, width=width(), stop=stop,
     )
     block = evaluation.score_block(records, corpus, category)
     block.update({"split": i, "seed": split.seed,
@@ -357,28 +359,41 @@ def _kewltm_points(
     split's memory and induction trace are written there.
 
     Every (point, split) cycle is independent, so up to `s = min(points x
-    splits, max_in_flight)` of them run at once, each inferring
-    `max_in_flight // s` reports at a time. An induction step has one call in
-    flight, so the run never has more than `max_in_flight` model calls in
-    flight. Cycles start in (point, split) order, so at width 1 (scripted
-    replays) the calls keep their sequential order: split 0 of point 0
-    induces and infers, then split 1, and so on, point after point. The
-    first terminal failure stops every cycle: none starts after it, and the
-    cycles in flight start no further induction step or report.
+    splits, max_in_flight)` of them run at once. A cycle's inference runs
+    `max_in_flight // min(s, u)` reports at a time, `u` being the cycles not
+    yet finished when it starts, so the last cycles use the calls that
+    finished ones left free. `u` only falls, so the at most `min(s, u)`
+    cycles in flight (an induction step has one call) never hold more than
+    `max_in_flight` model calls. Cycles start in (point, split) order, so at
+    width 1 (scripted replays) the calls keep their sequential order: split
+    0 of point 0 induces and infers, then split 1, and so on, point after
+    point. The first terminal failure stops every cycle: none starts after
+    it, and the cycles in flight start no further induction step or report.
     """
     tasks = [(p, i) for p in range(len(points)) for i in range(len(splits))]
     width = min(len(tasks), client.max_in_flight)
     stop = pipelines.StopSignal()
     finished = {}
+    lock = threading.Lock()
+    unfinished = len(tasks)
+
+    def inference_width() -> int:
+        with lock:
+            return client.max_in_flight // min(width, unfinished)
 
     def cycle(task: tuple[int, int]) -> None:
+        nonlocal unfinished
         p, i = task
         point = points[p]
-        finished[task] = _evaluate_split(
-            splits[i], i, point.n_train, point.threshold, corpus, category, client, registry,
-            prefix=f"{param}={getattr(point, param)} " if param else "", out=out,
-            width=client.max_in_flight // width, stop=stop,
-        )
+        try:
+            finished[task] = _evaluate_split(
+                splits[i], i, point.n_train, point.threshold, corpus, category, client,
+                registry, prefix=f"{param}={getattr(point, param)} " if param else "",
+                out=out, width=inference_width, stop=stop,
+            )
+        finally:  # every call of the cycle has returned, failed or not
+            with lock:
+                unfinished -= 1
 
     error = None
     try:

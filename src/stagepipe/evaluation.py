@@ -17,8 +17,6 @@ from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
-import numpy as np
-
 from .corpus import Corpus, StageCategory, StageLabel
 from .memory import UpdateTrace
 from .pipelines import PredictionRecord
@@ -68,12 +66,12 @@ class ConfusionMatrix:
     """4x4 grid indexed (gold rank, predicted rank) plus per-gold unparseable counts."""
 
     category: StageCategory
-    counts: np.ndarray  # (4, 4) int64
-    unparseable: np.ndarray  # (4,) int64
+    counts: tuple[tuple[int, ...], ...]  # 4 rows of 4
+    unparseable: tuple[int, ...]  # 4
 
     @property
     def total(self) -> int:
-        return int(self.counts.sum() + self.unparseable.sum())
+        return sum(map(sum, self.counts)) + sum(self.unparseable)
 
 
 def _safe_div(num: float, den: float) -> float:
@@ -109,19 +107,19 @@ def score(
     """Score records against the corpus gold labels for one category."""
     labels = category.labels()
     offset = category.ranks.start
-    counts = np.zeros((4, 4), dtype=np.int64)
-    unparseable = np.zeros(4, dtype=np.int64)
+    counts = [[0] * 4 for _ in range(4)]
+    unparseable = [0] * 4
     for rec, gold in _with_gold(records, corpus, category):
         if rec.predicted is None:
             unparseable[gold.rank - offset] += 1
         else:
-            counts[gold.rank - offset, rec.predicted.rank - offset] += 1
+            counts[gold.rank - offset][rec.predicted.rank - offset] += 1
     per_class = []
     for lab in labels:
         i = lab.rank - offset
-        tp = int(counts[i, i])
-        fp = int(counts[:, i].sum() - counts[i, i])
-        fn = int(counts[i, :].sum() - counts[i, i] + unparseable[i])
+        tp = counts[i][i]
+        fp = sum(row[i] for row in counts) - tp
+        fn = sum(counts[i]) - tp + unparseable[i]
         p = _safe_div(tp, tp + fp)
         r = _safe_div(tp, tp + fn)
         f1 = _safe_div(2 * p * r, p + r)
@@ -132,7 +130,8 @@ def score(
         f1=sum(c.f1 for c in per_class) / len(per_class),
         per_class=tuple(per_class),
     )
-    return ConfusionMatrix(category, counts, unparseable), macro
+    matrix = ConfusionMatrix(category, tuple(map(tuple, counts)), tuple(unparseable))
+    return matrix, macro
 
 
 def count_errors(

@@ -4,6 +4,9 @@ The guideline corpus is small, so retrieval is exact: every chunk vector is
 compared against the query. Chunking splits on blank-line paragraph
 boundaries and packs paragraphs greedily up to a size cap; the non-overlap
 spans of consecutive chunks tile the document exactly.
+
+numpy is imported by the functions that handle vectors, on first use, so
+the commands that never embed (zscot, kewltm) do not load it.
 """
 
 from __future__ import annotations
@@ -14,12 +17,13 @@ import logging
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .corpus import StageCategory
 from .llm import EmbeddingVector
+
+if TYPE_CHECKING:
+    import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -175,6 +179,8 @@ EmbedFn = Callable[[Sequence[str]], list[EmbeddingVector]]
 
 
 def _normalize(rows: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     norms = np.linalg.norm(rows, axis=1, keepdims=True)
     if np.any(norms == 0):
         raise RetrievalError("cannot normalize an all-zero embedding")
@@ -183,6 +189,8 @@ def _normalize(rows: np.ndarray) -> np.ndarray:
 
 def build_index(chunks: Sequence[Chunk], embed_fn: EmbedFn, doc_hash: str) -> ChunkIndex:
     """Embed every chunk and store L2-normalized vectors."""
+    import numpy as np
+
     if not chunks:
         raise RetrievalError("cannot build an index over zero chunks")
     vectors = embed_fn([c.text for c in chunks])
@@ -207,6 +215,8 @@ def top_k(
     index size with a warning. The query must be embedded by the model that
     built the index.
     """
+    import numpy as np
+
     if len(index) == 0:
         raise RetrievalError("index is empty")
     k = query.k
@@ -249,6 +259,8 @@ def save_index(index: ChunkIndex, path: str | Path) -> None:
 def load_index(path: str | Path) -> ChunkIndex:
     """Reads a `save_index` file; its vectors must be a finite 2-D matrix of
     unit-norm rows."""
+    import numpy as np
+
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
         chunks = tuple(

@@ -71,19 +71,20 @@ def test_metrics_oracle():
             for rid, p in preds.items()
         ]
         matrix, macro = score(records, corpus, T)
+        counts, unparseable = np.asarray(matrix.counts), np.asarray(matrix.unparseable)
         macro_p = macro_r = macro_f = 0.0
         for idx, lab in enumerate(T_LABELS):
             tp = sum(1 for rid in gold if gold[rid] == lab and preds[rid] == lab)
             fp = sum(1 for rid in gold if gold[rid] != lab and preds[rid] == lab)
             fn = sum(1 for rid in gold if gold[rid] == lab and preds[rid] != lab)
             # integer counts must match exactly
-            assert int(matrix.counts[idx, idx]) == tp
-            assert int(matrix.counts[:, idx].sum() - matrix.counts[idx, idx]) == fp
+            assert int(counts[idx, idx]) == tp
+            assert int(counts[:, idx].sum() - counts[idx, idx]) == fp
             assert (
                 int(
-                    matrix.counts[idx, :].sum()
-                    - matrix.counts[idx, idx]
-                    + matrix.unparseable[idx]
+                    counts[idx, :].sum()
+                    - counts[idx, idx]
+                    + unparseable[idx]
                 )
                 == fn
             )

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
 import sys
 import threading
 from collections import Counter
@@ -861,6 +863,37 @@ class TestCrossPointPool:
         assert sorted(backend.calls[:4]) == sorted(2 * sequential_calls(splits)[::N_TRAIN + N_TEST])
         assert len(results) == 2
 
+    def test_last_cycle_infers_with_the_calls_finished_cycles_left(self, monkeypatch):
+        corpus, splits = disjoint_splits(1)
+        backend = ContentKeyedBackend()
+        short_done = threading.Event()
+        evaluate = cli._evaluate_split
+
+        def long_cycle_after_short(split, i, n_train, *args, **kwargs):
+            if n_train == N_TRAIN:
+                assert short_done.wait(timeout=10)
+                # only the long cycle's calls are left: all 4 of its reports
+                # must infer together, not max_in_flight // s = 2
+                backend.infer_barrier = threading.Barrier(N_TEST, timeout=10)
+            result = evaluate(split, i, n_train, *args, **kwargs)
+            if n_train == 1:
+                short_done.set()
+            return result
+
+        monkeypatch.setattr(cli, "_evaluate_split", long_cycle_after_short)
+        points = [cli.RunConfig(n_train=n) for n in (1, N_TRAIN)]
+        results = kewltm_points(backend, splits, corpus, 4, points)
+        assert backend.peak == 4
+        assert [len(records) for cycles, _ in results for records, _ in cycles] == [N_TEST] * 2
+
+    def test_unequal_points_stay_within_the_bound(self):
+        corpus, splits = disjoint_splits(3)
+        points = [cli.RunConfig(n_train=n) for n in (1, 2, N_TRAIN)]
+        backend = ContentKeyedBackend()
+        wide = kewltm_points(backend, splits, corpus, 4, points)
+        assert backend.peak <= 4
+        assert wide == kewltm_points(ContentKeyedBackend(), splits, corpus, 1, points)
+
     def test_width_one_keeps_the_point_then_split_order(self):
         corpus, splits = disjoint_splits(2)
         backend = ContentKeyedBackend()
@@ -1164,3 +1197,49 @@ class TestConfigPrecedence:
         cfg.write_text(json.dumps({"wat": 1}))
         assert main(["ingest", "--config", str(cfg), "--corpus", "x"]) == 2
         assert "wat" in capsys.readouterr().err
+
+
+class TestNumpyLoadsOnlyWithVectors:
+    """Only commands that embed import numpy; the others start without it."""
+
+    SRC = Path(__file__).resolve().parents[1] / "src"
+    # runs one command in a fresh interpreter, prints whether it imported
+    # numpy and exits with the command's code
+    PROBE = (
+        "import sys\n"
+        "from stagepipe.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print('numpy' in sys.modules)\n"
+        "sys.exit(code)\n"
+    )
+
+    def _numpy_loaded(self, tmp_path, argv: list[str]) -> bool:
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(self.SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", self.PROBE] + argv + ["--out", str(tmp_path / "out")],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()[-1] == "True"
+
+    @pytest.mark.parametrize("argv, n_chat", [
+        (["run", "--method", "zscot"], 12),
+        # 2 splits x (3 induction + 9 inference)
+        (["run", "--method", "kewltm", "--splits", "2", "--train-size", "3", "--n-train", "3"], 24),
+        # points 1 and 2: (1 + 10) + (2 + 10) calls per split, 2 splits
+        (["sweep", "--splits", "2", "--train-size", "2", "--train-counts", "1,2"], (11 + 12) * 2),
+    ], ids=["zscot", "kewltm", "sweep"])
+    def test_commands_without_vectors_never_import_numpy(self, tmp_path, argv, n_chat):
+        write_corpus(tmp_path / "c.jsonl", 12)
+        write_script(tmp_path / "script.json", n_chat)
+        assert not self._numpy_loaded(tmp_path, argv + [
+            "--category", "T", "--corpus", "c.jsonl", "--script", "script.json"])
+
+    def test_rag_imports_numpy(self, tmp_path):
+        write_corpus(tmp_path / "c.jsonl", 5)
+        write_guideline(tmp_path / "guide.md")
+        write_script(tmp_path / "script.json", 5, hash_dim=8)
+        assert self._numpy_loaded(tmp_path, [
+            "run", "--method", "rag", "--category", "T", "--corpus", "c.jsonl",
+            "--guideline", "guide.md", "--script", "script.json"])

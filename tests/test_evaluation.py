@@ -115,7 +115,7 @@ class TestScore:
         t1 = macro.per_class[0]
         assert t1.precision == 1.0  # the unparseable added no false positive
         assert t1.recall == 0.5  # but counts as a miss for T1
-        assert matrix.unparseable.sum() == 1
+        assert sum(matrix.unparseable) == 1
         assert matrix.total == 2
 
     def test_unknown_report_id(self, scorer):
