@@ -170,42 +170,21 @@ class EmbeddingVector:
 
 
 def _extract_json_object(text: str) -> dict:
-    """Parse the response as JSON, tolerating surrounding prose."""
+    """Parse the response as a JSON object; failing that, take the object
+    that parses from the first `{` it can, ignoring the prose around it."""
     try:
         obj = json.loads(text)
         if isinstance(obj, dict):
             return obj
     except json.JSONDecodeError:
         pass
-    # fall back to the first balanced {...} block
+    decoder = json.JSONDecoder()
     start = text.find("{")
     while start != -1:
-        depth = 0
-        in_str = False
-        escaped = False
-        for i in range(start, len(text)):
-            ch = text[i]
-            if in_str:
-                if escaped:
-                    escaped = False
-                elif ch == "\\":
-                    escaped = True
-                elif ch == '"':
-                    in_str = False
-            elif ch == '"':
-                in_str = True
-            elif ch == "{":
-                depth += 1
-            elif ch == "}":
-                depth -= 1
-                if depth == 0:
-                    try:
-                        obj = json.loads(text[start : i + 1])
-                        if isinstance(obj, dict):
-                            return obj
-                    except json.JSONDecodeError:
-                        break
-        start = text.find("{", start + 1)
+        try:
+            return decoder.raw_decode(text, start)[0]  # a value at "{" is an object
+        except json.JSONDecodeError:
+            start = text.find("{", start + 1)
     raise SchemaViolationError("response is not a JSON object")
 
 
@@ -281,13 +260,21 @@ def _hash_vector(text: str, dim: int) -> list[float]:
     return values
 
 
+def _is_vector(value) -> bool:
+    """A non-empty list of numbers, as a scripted embed entry gives one."""
+    return isinstance(value, list) and bool(value) and all(
+        type(x) in (int, float) for x in value
+    )
+
+
 class ScriptedBackend:
     """Replays scripted chat/embed responses; deterministic by construction.
 
     Chat entries are matched by (template_id, per-template 1-based call
     index) when keyed, otherwise consumed in file order. Embed entries are
     either persistent lookups (``{"map": {...}}`` / ``{"hash_dim": n}``) or
-    positionally consumed ``{"vectors": [...]}`` batches.
+    positionally consumed ``{"vectors": [...]}`` batches; their shapes are
+    checked when the script loads.
 
     Both the call indices and the file-order queues follow the order calls
     arrive in, so a client over this backend makes one call at a time.
@@ -312,11 +299,21 @@ class ScriptedBackend:
                 else:
                     self._chat_queue.append(e)
             elif "map" in e.body:
-                self._maps.append(e.body["map"])
+                lookup = e.body["map"]
+                if not isinstance(lookup, dict) or not all(map(_is_vector, lookup.values())):
+                    raise ScriptError("embed 'map' must map texts to non-empty number lists")
+                self._maps.append(lookup)
             elif "hash_dim" in e.body:
-                if self._hash_dim is None:
-                    self._hash_dim = int(e.body["hash_dim"])
+                dim = e.body["hash_dim"]
+                if type(dim) is not int or dim < 1:
+                    raise ScriptError(f"embed 'hash_dim' must be a positive integer, got {dim!r}")
+                if self._hash_dim not in (None, dim):
+                    raise ScriptError(f"embed 'hash_dim' {dim} contradicts {self._hash_dim}")
+                self._hash_dim = dim
             elif "vectors" in e.body:
+                vectors = e.body["vectors"]
+                if not isinstance(vectors, list) or not all(map(_is_vector, vectors)):
+                    raise ScriptError("embed 'vectors' must be a list of non-empty number lists")
                 self._vector_queue.append(e)
             else:
                 raise ScriptError(
@@ -561,9 +558,11 @@ class HttpEmbedBackend(_HttpBackend):
 class LlmClient:
     """Shared handle over chat/embed backends with validation and retries.
 
-    `max_in_flight` bounds the model calls in flight at once, across the
-    reports of one inference and the splits of one kewltm point; it is 1
-    when either backend replays by call order (`replays_in_call_order`).
+    At most `max_in_flight` backend calls run at once, across every thread
+    that shares the client; it is 1 when either backend replays by call
+    order (`replays_in_call_order`). A call holds its slot through its
+    transport retries and nothing else, so a caller never holds one while it
+    waits on other tasks.
     """
 
     def __init__(
@@ -577,6 +576,13 @@ class LlmClient:
         sleep: Callable[[float], None] = time.sleep,
         max_in_flight: int = 4,
     ):
+        for name, value, least in (
+            ("max_schema_retries", max_schema_retries, 0),
+            ("transport_attempts", transport_attempts, 1),
+            ("max_in_flight", max_in_flight, 1),
+        ):
+            if value < least:
+                raise LlmError(f"{name} must be at least {least}, got {value}")
         self.chat_backend = chat_backend
         self.embed_backend = embed_backend
         self.max_schema_retries = max_schema_retries
@@ -587,6 +593,7 @@ class LlmClient:
             getattr(b, "replays_in_call_order", False) for b in (chat_backend, embed_backend)
         )
         self.max_in_flight = 1 if replays else max_in_flight
+        self._slots = threading.BoundedSemaphore(self.max_in_flight)
 
     @property
     def deterministic(self) -> bool:
@@ -628,21 +635,22 @@ class LlmClient:
         return request.user + "\n\n" + " ".join(parts)
 
     def _transport(self, call: Callable):
-        """Run one backend call, retrying retryable transport errors.
+        """Run one backend call in a slot, retrying retryable transport errors.
 
         Waits double from `backoff_s`; a rate-limited reply's Retry-After
         (capped at MAX_RETRY_AFTER_S) lengthens the wait when it is longer.
         """
         delay = self.backoff_s
-        for attempt in range(1, self.transport_attempts + 1):
-            try:
-                return call()
-            except TransportError as exc:
-                if not exc.retryable or attempt == self.transport_attempts:
-                    raise
-                self._sleep(max(delay, min(exc.retry_after_s, MAX_RETRY_AFTER_S)))
-                delay *= 2
-        raise AssertionError("unreachable")
+        with self._slots:
+            for _ in range(1, self.transport_attempts):
+                try:
+                    return call()
+                except TransportError as exc:
+                    if not exc.retryable:
+                        raise
+                    self._sleep(max(delay, min(exc.retry_after_s, MAX_RETRY_AFTER_S)))
+                    delay *= 2
+            return call()
 
     def embed(self, texts: Sequence[str]) -> list[EmbeddingVector]:
         """Embed a batch; one vector per text, order preserved."""

@@ -150,6 +150,30 @@ class TestIndex:
         assert main(["index", "--out", str(tmp_path / "x.json")]) == 2
         assert "guideline" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bodies, complaint", [
+        ([{"hash_dim": "x"}], "'hash_dim' must be a positive integer"),
+        ([{"hash_dim": 0}], "'hash_dim' must be a positive integer"),
+        ([{"hash_dim": -4}], "'hash_dim' must be a positive integer"),
+        ([{"hash_dim": True}], "'hash_dim' must be a positive integer"),
+        ([{"hash_dim": 8}, {"hash_dim": 8}, {"hash_dim": 16}], "'hash_dim' 16 contradicts 8"),
+        ([{"vectors": 7}], "'vectors' must be"),
+        ([{"vectors": [1.0, 0.0]}], "'vectors' must be"),
+        ([{"vectors": [[1.0, "0"]]}], "'vectors' must be"),
+        ([{"vectors": [[]]}], "'vectors' must be"),
+        ([{"map": 5}], "'map' must"),
+        ([{"map": {"x": 1.0}}], "'map' must"),
+    ])
+    def test_malformed_embed_entry_fails_before_any_call(self, tmp_path, capsys, bodies, complaint):
+        guideline = tmp_path / "guide.md"
+        write_guideline(guideline)
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps([{"key": None, "kind": "embed", "body": b} for b in bodies]))
+        out = tmp_path / "idx.json"
+        code = main(["index", "--guideline", str(guideline), "--script", str(script), "--out", str(out)])
+        assert code == 1
+        assert complaint in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRunZscot:
     def test_predictions_and_metrics(self, tmp_path):
@@ -780,9 +804,14 @@ class TestConcurrentSplits:
     @pytest.mark.parametrize("n_splits", [4, 8])
     def test_splits_induce_together_up_to_the_bound(self, n_splits):
         corpus, splits = disjoint_splits(n_splits)
-        backend = ContentKeyedBackend(barrier=threading.Barrier(4, timeout=10))
+        backend = ContentKeyedBackend()
+        # only the first round waits for 4 calls: a split that starts late can
+        # be the last one left, with no 3 other calls to wait with
+        backend.barrier = threading.Barrier(
+            4, action=lambda: setattr(backend, "barrier", None), timeout=10
+        )
         kewltm_point(backend, splits, corpus, width=4)
-        assert backend.peak == 4  # the barrier lets 4 through together, the pools no more
+        assert backend.peak == 4  # the barrier lets 4 through together, the client no more
         # the first round is the elicit call of each of the first four splits
         first_round = sorted(sequential_calls(splits[:4])[::N_TRAIN + N_TEST])
         assert sorted(backend.calls[:4]) == first_round
@@ -858,7 +887,7 @@ class TestCrossPointPool:
         backend = ContentKeyedBackend(barrier=threading.Barrier(4, timeout=10))
         points = [cli.RunConfig(n_train=N_TRAIN, threshold=t) for t in (0, 80)]
         results = kewltm_points(backend, splits, corpus, 4, points)
-        assert backend.peak == 4  # the barrier lets 4 through together, the pools no more
+        assert backend.peak == 4  # the barrier lets 4 through together, the client no more
         # the first round is the elicit call of every (point, split)
         assert sorted(backend.calls[:4]) == sorted(2 * sequential_calls(splits)[::N_TRAIN + N_TEST])
         assert len(results) == 2

@@ -22,6 +22,7 @@ from stagepipe.llm import (
     ScriptError,
     ScriptExhaustedError,
     TransportError,
+    _extract_json_object,
     parse_structured,
     scripted_backend,
 )
@@ -109,6 +110,20 @@ class TestParseStructured:
     def test_not_json(self):
         with pytest.raises(SchemaViolationError):
             parse_structured("no json here", STAGING_T)
+
+
+_brace_free_prose = st.text(alphabet=st.characters(blacklist_characters="{}"), max_size=20)
+_braced_text = st.text(alphabet=st.sampled_from('ab {}"\\:,'), max_size=8)
+
+
+@given(
+    prefix=_brace_free_prose,
+    obj=st.dictionaries(_braced_text, _braced_text | st.lists(_braced_text, max_size=3), max_size=4),
+    suffix=_brace_free_prose,
+)
+@settings(max_examples=300, deadline=None)
+def test_json_object_round_trips_through_prose(prefix, obj, suffix):
+    assert _extract_json_object(prefix + json.dumps(obj) + suffix) == obj
 
 
 class TestChatRequest:
@@ -389,6 +404,15 @@ class TestRateLimit:
             client.chat(ChatRequest(user="q", schema=STAGING_T))
         assert not info.value.retryable
         assert len(posts) == 1
+
+
+class TestClientSettings:
+    @pytest.mark.parametrize("setting, value", [
+        ("max_in_flight", 0), ("transport_attempts", 0), ("max_schema_retries", -1),
+    ])
+    def test_out_of_range_setting_rejected_at_construction(self, setting, value):
+        with pytest.raises(LlmError, match=setting):
+            LlmClient(chat_backend=_RecordingBackend([]), **{setting: value})
 
 
 class TestClientRetries:

@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 import sys
 import threading
+import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -379,7 +381,7 @@ class TestConcurrentInference:
             )
         finally:
             sys.setswitchinterval(interval)
-        assert wide.peak == 4  # the barrier lets 4 through together, the pool no more
+        assert wide.peak == 4  # the barrier lets 4 through together, the client no more
         narrow = ContentKeyedBackend()
         sequential = run_zscot(
             reports(12), T, LlmClient(chat_backend=narrow, max_in_flight=1), REGISTRY
@@ -388,6 +390,29 @@ class TestConcurrentInference:
         assert narrow.started == [f"r{i:02d}" for i in range(12)]
         assert records == sequential
         assert len({r.predicted for r in records}) > 1
+
+    def test_callers_sharing_a_client_share_its_bound(self):
+        # every call lingers a little, so the calls of the two runs overlap
+        backend = ContentKeyedBackend(barrier=SimpleNamespace(wait=lambda: time.sleep(0.005)))
+        client = LlmClient(chat_backend=backend, max_in_flight=2)
+        results = []
+        runs = [
+            threading.Thread(target=lambda: results.append(run_zscot(reports(8), T, client, REGISTRY)))
+            for _ in range(2)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, so interleavings vary
+        try:
+            for run in runs:
+                run.start()
+            for run in runs:
+                run.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(run.is_alive() for run in runs)
+        assert backend.peak <= 2  # each run's pool is 2 wide; the client admits 2 calls in all
+        assert len(backend.calls) == 16
+        assert results[0] == results[1]
 
     def test_terminal_failure_starts_no_further_report(self):
         backend = ContentKeyedBackend(barrier=threading.Barrier(4, timeout=10), fail_id="r02")
