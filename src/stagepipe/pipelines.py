@@ -7,10 +7,11 @@ one-shot synthesis of rules from retrieved guideline chunks applied at every
 inference. Each induction is a strictly sequential chain, since every step
 reads the memory the previous one left; the caller may run the chains of
 independent (point, split) cycles concurrently. Test-set inference runs up to
-`max_in_flight` reports at once; the client bounds its calls, so pools only
-offer concurrency. Records are sorted by report id so output bytes never
-depend on scheduling. Tasks that run together share one `StopSignal`: after
-the first terminal failure none of them starts another step.
+`max_in_flight` reports at once; the client bounds its calls, so a pool's
+width only chooses how much of that bound it asks for. Records are sorted by
+report id so output bytes never depend on scheduling. Tasks that run together
+share one `StopSignal`: after the first terminal failure none of them starts
+another step.
 """
 
 from __future__ import annotations
@@ -199,15 +200,16 @@ def _infer_all(
     prepare: Callable[[Report], tuple[ChatRequest, tuple[int, ...] | None]],
     memory_version: int | None = None,
     *,
+    width: int | None = None,
     stop: StopSignal | None = None,
 ) -> list[PredictionRecord]:
     """The inference step every method shares: one chat call per report.
 
     `prepare(report)` returns the rendered request and the retrieved chunk
     ids the record carries. A report whose output stays unparseable is
-    recorded as such and the batch goes on. Up to `client.max_in_flight`
-    reports run at once, each preparing its request just before its chat
-    call. Any other failure is terminal: it is recorded in
+    recorded as such and the batch goes on. Up to `width` reports (default
+    `client.max_in_flight`) run at once, each preparing its request just
+    before its chat call. Any other failure is terminal: it is recorded in
     `stop`, no report starts after it, the reports in flight finish, and the
     first failure is raised. Records are sorted by report id.
     """
@@ -234,7 +236,9 @@ def _infer_all(
             timing_ms=elapsed(start),
         )
 
-    records = run_bounded(infer, reports, client.max_in_flight, stop or StopSignal())
+    records = run_bounded(
+        infer, reports, width or client.max_in_flight, stop or StopSignal()
+    )
     return sorted(records, key=lambda rec: rec.report_id)
 
 
@@ -358,10 +362,11 @@ def run_kewltm_inference(
     client: LlmClient,
     templates: TemplateRegistry,
     *,
+    width: int | None = None,
     stop: StopSignal | None = None,
 ) -> list[PredictionRecord]:
-    """Memory-guided inference with the frozen induced rule list; `stop` as
-    in `_infer_all`."""
+    """Memory-guided inference with the frozen induced rule list; `width`
+    and `stop` as in `_infer_all`."""
     if memory is None or not memory.rules:
         raise PipelineError("cannot run memory-guided inference without induced rules")
     template = templates.get("ltm_inference")
@@ -369,7 +374,7 @@ def run_kewltm_inference(
     return _infer_all(
         client, test_reports, category, "kewltm",
         lambda r: (render(template, {"report": r.text, "memory": rendered_memory}), None),
-        memory_version=memory.version, stop=stop,
+        memory_version=memory.version, width=width, stop=stop,
     )
 
 

@@ -804,14 +804,9 @@ class TestConcurrentSplits:
     @pytest.mark.parametrize("n_splits", [4, 8])
     def test_splits_induce_together_up_to_the_bound(self, n_splits):
         corpus, splits = disjoint_splits(n_splits)
-        backend = ContentKeyedBackend()
-        # only the first round waits for 4 calls: a split that starts late can
-        # be the last one left, with no 3 other calls to wait with
-        backend.barrier = threading.Barrier(
-            4, action=lambda: setattr(backend, "barrier", None), timeout=10
-        )
+        backend = ContentKeyedBackend(barrier=threading.Barrier(4, timeout=10))
         kewltm_point(backend, splits, corpus, width=4)
-        assert backend.peak == 4  # the barrier lets 4 through together, the client no more
+        assert backend.peak == 4  # the barrier lets 4 through together, the pools no more
         # the first round is the elicit call of each of the first four splits
         first_round = sorted(sequential_calls(splits[:4])[::N_TRAIN + N_TEST])
         assert sorted(backend.calls[:4]) == first_round
@@ -887,7 +882,7 @@ class TestCrossPointPool:
         backend = ContentKeyedBackend(barrier=threading.Barrier(4, timeout=10))
         points = [cli.RunConfig(n_train=N_TRAIN, threshold=t) for t in (0, 80)]
         results = kewltm_points(backend, splits, corpus, 4, points)
-        assert backend.peak == 4  # the barrier lets 4 through together, the client no more
+        assert backend.peak == 4  # the barrier lets 4 through together, the pools no more
         # the first round is the elicit call of every (point, split)
         assert sorted(backend.calls[:4]) == sorted(2 * sequential_calls(splits)[::N_TRAIN + N_TEST])
         assert len(results) == 2

@@ -381,7 +381,7 @@ class TestConcurrentInference:
             )
         finally:
             sys.setswitchinterval(interval)
-        assert wide.peak == 4  # the barrier lets 4 through together, the client no more
+        assert wide.peak == 4  # the barrier lets 4 through together, the pool no more
         narrow = ContentKeyedBackend()
         sequential = run_zscot(
             reports(12), T, LlmClient(chat_backend=narrow, max_in_flight=1), REGISTRY
