@@ -3,8 +3,10 @@ Scoring, error tables, and multi-run aggregation
 ================================================
 
 Walks through the evaluation machinery on a toy prediction set: per-class
-and macro metrics, error counts with the reference rounding, unique-error
-comparison between two methods, cause tallies, and mean±std aggregation.
+and macro metrics, error rows built from score blocks the way `run` and
+`evaluate` build them (one block per run or split, the count averaged over
+runs), the reference rounding, unique-error comparison between two methods,
+cause tallies, and mean±std aggregation.
 """
 
 from stagepipe import (
@@ -16,7 +18,7 @@ from stagepipe import (
 from stagepipe.corpus import Corpus, Report, StageLabel
 from stagepipe.evaluation import (
     ErrorAnnotation,
-    error_table,
+    aggregate_splits,
     format_error_pct,
     render_metrics_table,
     score_block,
@@ -60,11 +62,15 @@ records_b = [
 print("method A:")
 print(render_metrics_table(score_block(records_a, corpus, T)))
 
-# unparseable predictions (None above) count as errors for their gold class
-rows = error_table({"A": records_a, "B": records_b}, corpus, T)
+# unparseable predictions (None above) count as errors for their gold class;
+# a row aggregates one score block per run, its count the mean over the runs
 print("\nerror table:")
-for row in rows:
-    print(f"  {row.method}: {row.num_errors} errors of {row.total} -> {row.error_pct}")
+for method, runs in (("A", [records_a]), ("B", [records_b]),
+                     ("A and B as two runs", [records_a, records_b])):
+    blocks = [score_block(run, corpus, T) for run in runs]
+    row = aggregate_splits(blocks)
+    print(f"  {method}: {row['num_errors_mean']} errors of {blocks[0]['n_evaluated']}"
+          f" -> {row['error_pct']}")
 
 # the rounding is half-away-from-zero: 110 of 800 renders 13.8%
 print("\nreference roundings:", format_error_pct(110, 800), format_error_pct(115.50, 700))

@@ -20,10 +20,8 @@ from .evaluation import (
     ConfusionMatrix,
     ErrorAnnotation,
     MacroMetrics,
-    aggregate_macro_runs,
     aggregate_runs,
     compare_unique_errors,
-    error_table,
     format_error_pct,
     memory_curve,
     score,

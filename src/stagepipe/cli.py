@@ -29,6 +29,7 @@ from .corpus import (
     label_distribution,
     load_corpus,
     make_splits,
+    read_utf8,
     truncate_train,
 )
 from .llm import LlmClient, LlmError, client_from_env, scripted_backend
@@ -131,7 +132,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if config_path:
         try:
             file_cfg = json.loads(Path(config_path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read config file {config_path}: {exc}")
         if not isinstance(file_cfg, dict):
             raise UsageError(f"config file {config_path} must hold a JSON object")
@@ -261,7 +262,7 @@ def _load_or_build_index(
 ) -> tuple[retrieval.ChunkIndex, str]:
     """Returns (index, doc_hash). Prefers --index, which must have been built
     from --guideline when both are given; else chunks --guideline."""
-    doc = Path(cfg.guideline).read_text(encoding="utf-8") if cfg.guideline else None
+    doc = read_utf8(cfg.guideline, RetrievalError) if cfg.guideline else None
     doc_hash = retrieval.hash_document(doc) if doc is not None else None
     if cfg.index:
         idx = retrieval.load_index(cfg.index)
@@ -606,26 +607,25 @@ def _load_predictions(
     `run --method kewltm` writes, in split order; one group keyed None for a
     file without that field."""
     groups: dict[int | None, list[PredictionRecord]] = {}
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                rec = record_from_json(obj)
-            except (json.JSONDecodeError, KeyError, ValueError, PipelineError) as exc:
-                raise UsageError(f"{path} line {lineno}: {exc}")
-            split = obj.get("split")
-            if split is not None and type(split) is not int:
-                raise UsageError(f"{path} line {lineno}: split must be an integer")
-            if rec.category is not category:
-                raise UsageError(
-                    f"{path} line {lineno}: record category {rec.category.value} "
-                    f"does not match --category {category.value}"
-                )
-            if rec.report_id not in corpus.by_id:
-                raise UsageError(f"{path}: record references unknown report id {rec.report_id!r}")
-            groups.setdefault(split, []).append(rec)
+    for lineno, line in enumerate(read_utf8(path, PipelineError).split("\n"), 1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+            rec = record_from_json(obj)
+        except (json.JSONDecodeError, KeyError, ValueError, PipelineError) as exc:
+            raise UsageError(f"{path} line {lineno}: {exc}")
+        split = obj.get("split")
+        if split is not None and type(split) is not int:
+            raise UsageError(f"{path} line {lineno}: split must be an integer")
+        if rec.category is not category:
+            raise UsageError(
+                f"{path} line {lineno}: record category {rec.category.value} "
+                f"does not match --category {category.value}"
+            )
+        if rec.report_id not in corpus.by_id:
+            raise UsageError(f"{path}: record references unknown report id {rec.report_id!r}")
+        groups.setdefault(split, []).append(rec)
     if not groups:
         raise UsageError(f"{path}: no prediction records found")
     if None in groups and len(groups) > 1:

@@ -108,7 +108,6 @@ class Corpus:
     """An ordered, id-unique collection of reports."""
 
     reports: tuple[Report, ...]
-    source: str = ""
 
     def __post_init__(self) -> None:
         if not self.reports:
@@ -149,6 +148,15 @@ class Split:
             raise CorpusError(f"train/test ids overlap: {sorted(overlap)[:3]}")
 
 
+def read_utf8(path: str | Path, error: type[Exception]) -> str:
+    """The text of a UTF-8 file; `error`, naming the file, when it is not
+    UTF-8 (an unreadable file raises OSError as usual)."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc})")
+
+
 def load_corpus(path: str | Path) -> Corpus:
     """Load and validate a UTF-8 JSONL corpus file.
 
@@ -159,44 +167,45 @@ def load_corpus(path: str | Path) -> Corpus:
     path = Path(path)
     reports: list[Report] = []
     seen: set[str] = set()
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
+    # reading has turned \r\n and \r into \n; splitlines would also split
+    # a text at U+2028, which JSON strings may hold
+    for lineno, line in enumerate(read_utf8(path, CorpusError).split("\n"), 1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise CorpusError(f"{path.name} line {lineno}: invalid JSON ({exc.msg})")
+        if not isinstance(obj, dict):
+            raise CorpusError(f"{path.name} line {lineno}: expected an object")
+        try:
+            rid = obj["id"]
+            text = obj["text"]
+        except KeyError as exc:
+            raise CorpusError(f"{path.name} line {lineno}: missing field {exc.args[0]!r}")
+        if not isinstance(rid, str) or not isinstance(text, str):
+            raise CorpusError(f"{path.name} line {lineno}: id and text must be strings")
+        if rid in seen:
+            raise CorpusError(f"{path.name} line {lineno}: duplicate report id {rid!r}")
+        gold: dict[StageCategory, StageLabel] = {}
+        for key, cat in (("t_label", StageCategory.T), ("n_label", StageCategory.N)):
+            raw = obj.get(key)
+            if raw is None:
                 continue
+            if not isinstance(raw, str):
+                raise CorpusError(f"{path.name} line {lineno}: {key} must be a string or null")
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{path.name} line {lineno}: invalid JSON ({exc.msg})")
-            if not isinstance(obj, dict):
-                raise CorpusError(f"{path.name} line {lineno}: expected an object")
-            try:
-                rid = obj["id"]
-                text = obj["text"]
-            except KeyError as exc:
-                raise CorpusError(f"{path.name} line {lineno}: missing field {exc.args[0]!r}")
-            if not isinstance(rid, str) or not isinstance(text, str):
-                raise CorpusError(f"{path.name} line {lineno}: id and text must be strings")
-            if rid in seen:
-                raise CorpusError(f"{path.name} line {lineno}: duplicate report id {rid!r}")
-            gold: dict[StageCategory, StageLabel] = {}
-            for key, cat in (("t_label", StageCategory.T), ("n_label", StageCategory.N)):
-                raw = obj.get(key)
-                if raw is None:
-                    continue
-                if not isinstance(raw, str):
-                    raise CorpusError(f"{path.name} line {lineno}: {key} must be a string or null")
-                try:
-                    gold[cat] = StageLabel.parse(raw, cat)
-                except CorpusError as exc:
-                    raise CorpusError(f"{path.name} line {lineno}: {exc}")
-            try:
-                reports.append(Report(rid, text, gold))
+                gold[cat] = StageLabel.parse(raw, cat)
             except CorpusError as exc:
                 raise CorpusError(f"{path.name} line {lineno}: {exc}")
-            seen.add(rid)
+        try:
+            reports.append(Report(rid, text, gold))
+        except CorpusError as exc:
+            raise CorpusError(f"{path.name} line {lineno}: {exc}")
+        seen.add(rid)
     if not reports:
         raise CorpusError(f"{path.name}: no reports found")
-    return Corpus(tuple(reports), source=str(path))
+    return Corpus(tuple(reports))
 
 
 def label_distribution(corpus: Corpus, category: StageCategory) -> dict[str, int]:

@@ -1,4 +1,4 @@
-"""Metrics, error tables, multi-run aggregation, and trace analysis.
+"""Metrics, error counts, multi-run aggregation, and trace analysis.
 
 Each category is scored as a 4-class problem: per-class precision, recall,
 and F1 from the confusion matrix, macro-averaged with equal class weights.
@@ -15,7 +15,7 @@ import statistics
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 from .corpus import Corpus, StageCategory, StageLabel
 from .memory import UpdateTrace
@@ -134,13 +134,6 @@ def score(
     return matrix, macro
 
 
-def count_errors(
-    records: Sequence[PredictionRecord], corpus: Corpus, category: StageCategory
-) -> int:
-    """Records whose prediction differs from gold, unparseable included."""
-    return sum(rec.predicted != gold for rec, gold in _with_gold(records, corpus, category))
-
-
 def format_error_pct(count: float, total: int) -> str:
     """Percentage of errors, one decimal, round half away from zero."""
     if total <= 0:
@@ -156,22 +149,27 @@ def evaluable(
 ) -> list[PredictionRecord]:
     """The records whose report carries a gold label for `category`."""
     by_id = corpus.by_id
+    scored = []
     for rec in records:
         if rec.report_id not in by_id:
             raise EvaluationError(f"record references unknown report id {rec.report_id!r}")
-    return [r for r in records if by_id[r.report_id].gold_label(category) is not None]
+        if by_id[rec.report_id].gold_label(category) is not None:
+            scored.append(rec)
+    return scored
 
 
 def score_block(
     records: Sequence[PredictionRecord], corpus: Corpus, category: StageCategory
 ) -> dict:
     """The score block of one run or split, over its records with a gold label:
-    macro and per-class metrics, the error count and its percentage."""
+    macro and per-class metrics, the error count and its percentage, all
+    from one confusion matrix (the errors are its off-diagonal and
+    unparseable cells)."""
     scored = evaluable(records, corpus, category)
     if not scored:
         raise EvaluationError(f"no records carry a gold {category.value} label")
-    _, macro = score(scored, corpus, category)
-    n_errors = count_errors(scored, corpus, category)
+    matrix, macro = score(scored, corpus, category)
+    n_errors = matrix.total - sum(matrix.counts[i][i] for i in range(4))
     return {
         "n_evaluated": len(scored),
         "macro": {
@@ -198,7 +196,8 @@ def aggregate_splits(blocks: Sequence[dict]) -> dict:
     runs): mean±std of the macro metrics, the mean error count (two decimals
     for several runs), and its percentage of the per-run evaluated total,
     None when the runs evaluated different numbers of records."""
-    aggregate = aggregate_macro_runs([MacroMetrics(**b["macro"]) for b in blocks])
+    aggregate = {key: aggregate_runs([b["macro"][key] for b in blocks])
+                 for key in ("precision", "recall", "f1")}
     errors = [b["num_errors"] for b in blocks]
     totals = {b["n_evaluated"] for b in blocks}
     mean = sum(errors) / len(errors)
@@ -207,44 +206,6 @@ def aggregate_splits(blocks: Sequence[dict]) -> dict:
         "num_errors_mean": f"{mean:.2f}" if len(errors) > 1 else str(errors[0]),
         "error_pct": format_error_pct(mean, totals.pop()) if len(totals) == 1 else None,
     }
-
-
-@dataclass(frozen=True)
-class ErrorTableRow:
-    method: str
-    num_errors: str
-    error_pct: str
-    total: int
-
-
-def error_table(
-    record_sets: Mapping[str, Sequence[PredictionRecord] | Sequence[Sequence[PredictionRecord]]],
-    corpus: Corpus,
-    category: StageCategory,
-) -> list[ErrorTableRow]:
-    """Error counts and percentages per method, over the records whose
-    report carries a gold label, as `aggregate_splits` renders them.
-
-    A value may be one record list (single run) or a list of runs; for
-    multi-run methods the count is the mean across runs, and the percentage
-    uses the per-run total.
-    """
-    rows = []
-    for method, value in record_sets.items():
-        runs: list[Sequence[PredictionRecord]]
-        if value and isinstance(value[0], PredictionRecord):
-            runs = [value]  # type: ignore[list-item]
-        else:
-            runs = list(value)  # type: ignore[arg-type]
-        # an empty run or method raises in score_block or aggregate_splits
-        blocks = [score_block(run, corpus, category) for run in runs]
-        summary = aggregate_splits(blocks)
-        if summary["error_pct"] is None:
-            raise EvaluationError(f"method {method!r} runs have unequal sizes")
-        rows.append(ErrorTableRow(
-            method, summary["num_errors_mean"], summary["error_pct"], blocks[0]["n_evaluated"]
-        ))
-    return rows
 
 
 def aggregate_runs(values: Sequence[float]) -> str:
@@ -258,17 +219,6 @@ def aggregate_runs(values: Sequence[float]) -> str:
     if len(values) == 1:
         return f"{mean:.3f}"
     return f"{mean:.3f}±{statistics.stdev(values):.3f}"
-
-
-def aggregate_macro_runs(runs: Sequence[MacroMetrics]) -> dict[str, str]:
-    """Per-metric mean±std across runs, keyed precision/recall/f1."""
-    if not runs:
-        raise EvaluationError("cannot aggregate zero runs")
-    return {
-        "precision": aggregate_runs([m.precision for m in runs]),
-        "recall": aggregate_runs([m.recall for m in runs]),
-        "f1": aggregate_runs([m.f1 for m in runs]),
-    }
 
 
 def compare_unique_errors(

@@ -326,7 +326,7 @@ class ScriptedBackend:
     def from_file(cls, path: str | Path) -> ScriptedBackend:
         try:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ScriptError(f"cannot parse script {path}: {exc}")
         return cls(cls._parse_entries(data, origin=str(path)))
 

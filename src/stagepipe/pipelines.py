@@ -166,13 +166,31 @@ def record_to_json(record: PredictionRecord, **extra) -> dict:
     return obj
 
 
-def record_from_json(obj: dict) -> PredictionRecord:
+# the JSON types of each field a record line may hold (bool is not an int here)
+_RECORD_TYPES = {
+    "report_id": (str,), "category": (str,), "predicted": (str,), "reasoning": (str,),
+    "method": (str,), "memory_version": (int, type(None)), "timing_ms": (int,),
+    "retrieved_chunk_ids": (list, type(None)),
+}
+
+
+def record_from_json(obj) -> PredictionRecord:
+    """The record of one `record_to_json` object. PipelineError when `obj` is
+    not an object or a field holds the wrong JSON type; a missing field is a
+    KeyError and an unknown category or label a ValueError."""
+    if not isinstance(obj, dict):
+        raise PipelineError(f"a record must be a JSON object, got {obj!r}")
+    for key, kinds in _RECORD_TYPES.items():
+        if key in obj and type(obj[key]) not in kinds:
+            raise PipelineError(f"record field {key} has the wrong type: {obj[key]!r}")
+    chunk_ids = obj.get("retrieved_chunk_ids")
+    if chunk_ids is not None and any(type(c) is not int for c in chunk_ids):
+        raise PipelineError(f"retrieved_chunk_ids must hold integers, got {chunk_ids!r}")
     category = StageCategory(obj["category"])
     predicted_raw = obj["predicted"]
     predicted = (
         None if predicted_raw == "unparseable" else StageLabel.parse(predicted_raw, category)
     )
-    chunk_ids = obj.get("retrieved_chunk_ids")
     return PredictionRecord(
         report_id=obj["report_id"],
         category=category,
@@ -181,7 +199,7 @@ def record_from_json(obj: dict) -> PredictionRecord:
         method=obj["method"],
         memory_version=obj.get("memory_version"),
         retrieved_chunk_ids=tuple(chunk_ids) if chunk_ids is not None else None,
-        timing_ms=int(obj.get("timing_ms", 0)),
+        timing_ms=obj.get("timing_ms", 0),
     )
 
 

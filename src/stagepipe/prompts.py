@@ -17,7 +17,7 @@ import string
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import StageCategory
+from .corpus import StageCategory, read_utf8
 from .llm import ChatRequest, OutputSchema
 
 TEMPLATE_IDS = (
@@ -284,7 +284,7 @@ def load_templates(
         raise TemplateError(f"override directory {directory} lacks manifest.json")
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise TemplateError(f"malformed manifest.json: {exc}")
     if not isinstance(manifest, dict):
         raise TemplateError("manifest.json must map template ids to placeholder lists")
@@ -304,7 +304,7 @@ def load_templates(
             )
         templates[tid] = PromptTemplate(
             template_id=tid,
-            body=body_path.read_text(encoding="utf-8"),
+            body=read_utf8(body_path, TemplateError),
             required_placeholders=_REQUIRED[tid],
             schema=_schema_for(tid, category),
             temperature=temperature,

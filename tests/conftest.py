@@ -31,7 +31,7 @@ def tiny_corpus() -> Corpus:
         make_report("r05", t="T2", n="N1"),
         make_report("r06", t="T4", n="N3"),
     )
-    return Corpus(reports, source="fixture")
+    return Corpus(reports)
 
 
 def write_corpus_jsonl(path, rows) -> None:

@@ -8,7 +8,8 @@ up when the benchmark runs; this test runs one traced repetition of each
 workload so it shows up in the test suite too. The `rag-latency` one also fails when test-set
 inference no longer overlaps its model calls, and the `sweep-latency` one when
 the inductions of more than one sweep point no longer run concurrently or
-their calls in flight exceed the client's bound.
+their calls in flight exceed the client's bound. Each also checks the digest
+of the run's output tree at seed 7, so a change to any output byte fails here.
 """
 
 from __future__ import annotations
@@ -23,6 +24,13 @@ import pytest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
+# the output-tree digest of each workload's run at seed 7
+DIGESTS = {
+    "ltm-cpu": "9bdeec3234246d2716d5b229a6367597070e583560fe367373b1cef2b2df4e74",
+    "rag-latency": "33c0eaabea4180849d9f85a0147acb053e4ff76202ce21d7f43a00c3093f0439",
+    "sweep-latency": "11af835c87583022124def1f460cddef9e101b53306abefb08d6195733d7b905",
+}
+
 
 def _bench_runner():
     spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
@@ -31,7 +39,7 @@ def _bench_runner():
     return module
 
 
-@pytest.mark.parametrize("workload", ["ltm-cpu", "rag-latency", "sweep-latency"])
+@pytest.mark.parametrize("workload", list(DIGESTS))
 def test_traced_repetition_matches_derived_counts(tmp_path, workload):
     proc = subprocess.run(
         [sys.executable, str(PERFBENCH / "worker.py"), workload, "7", str(tmp_path), "1"],
@@ -42,6 +50,7 @@ def test_traced_repetition_matches_derived_counts(tmp_path, workload):
     assert rep["exit_code"] == 0, proc.stderr[-2000:]
     bench = _bench_runner()
     assert bench.check_trace(bench.WORKLOADS[workload], rep) == []
+    assert rep["digest"] == DIGESTS[workload]
     if workload == "rag-latency":
         # test-set inference overlaps its model calls
         assert rep["layers"]["llm.in_flight_max"] > 1

@@ -750,7 +750,7 @@ def disjoint_splits(n_splits: int) -> tuple[Corpus, list[Split]]:
         test = tuple(f"s{i}e{j}" for j in range(N_TEST))
         splits.append(Split(seed=i, train_ids=train, test_ids=test))
         reports += [make_report(rid, t=LABELS[j % 4]) for j, rid in enumerate(train + test)]
-    return Corpus(tuple(reports), source="fixture"), splits
+    return Corpus(tuple(reports)), splits
 
 
 def sequential_calls(splits: list[Split]) -> list[tuple[str, str]]:
@@ -1124,6 +1124,97 @@ class TestEvaluate:
         )
         assert code == 2
         assert "ghost" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            ["r001"],
+            {"predicted": 5},
+            {"method": "rag", "retrieved_chunk_ids": 5},
+            {"report_id": ["r001"]},
+            {"timing_ms": "0"},
+        ],
+        ids=["not-an-object", "predicted-number", "chunk-ids-number", "report-id-list",
+             "timing-string"],
+    )
+    def test_malformed_line_is_usage_error_naming_it(self, tmp_path, capsys, fields):
+        corpus = tmp_path / "c.jsonl"
+        write_corpus(corpus, 2)
+        preds = tmp_path / "p.jsonl"
+        self._write_predictions(preds, {"r000": "T1", "r001": "T2"})
+        lines = preds.read_text().splitlines()
+        second = fields if isinstance(fields, list) else dict(json.loads(lines[1]), **fields)
+        preds.write_text(f"{lines[0]}\n{json.dumps(second)}\n")
+        code = main(
+            ["evaluate", "--predictions", str(preds),
+             "--corpus", str(corpus), "--category", "T"]
+        )
+        assert code == 2
+        assert f"{preds} line 2: " in capsys.readouterr().err
+
+
+class TestNonUtf8Input:
+    """An input file that is not UTF-8 ends as a typed error naming it: a
+    usage error for a config file, exit code 1 for any other file, and a
+    FAILED manifest once `run` has created its output directory."""
+
+    @pytest.mark.parametrize(
+        "argv, bad, code, manifest",
+        [
+            (["ingest", "--corpus", "{corpus}", "--config", "{config}"], "config", 2, False),
+            (["ingest", "--corpus", "{corpus}"], "corpus", 1, False),
+            (["run", "--method", "zscot", "--category", "T", "--corpus", "{corpus}",
+              "--script", "{script}", "--out", "{out}"], "corpus", 1, False),
+            (["sweep", "--train-counts", "2", "--splits", "1", "--train-size", "3",
+              "--category", "T", "--corpus", "{corpus}", "--script", "{script}",
+              "--out", "{out}"], "corpus", 1, False),
+            (["evaluate", "--predictions", "{predictions}", "--category", "T",
+              "--corpus", "{corpus}"], "corpus", 1, False),
+            (["run", "--method", "zscot", "--category", "T", "--corpus", "{corpus}",
+              "--script", "{script}", "--out", "{out}"], "script", 1, False),
+            (["evaluate", "--predictions", "{predictions}", "--category", "T",
+              "--corpus", "{corpus}"], "predictions", 1, False),
+            (["run", "--method", "zscot", "--category", "T", "--corpus", "{corpus}",
+              "--script", "{script}", "--templates", "{templates}", "--out", "{out}"],
+             "templates", 1, False),
+            (["index", "--guideline", "{guideline}", "--script", "{script}",
+              "--out", "{out}/index.json"], "guideline", 1, False),
+            (["run", "--method", "rag", "--category", "T", "--corpus", "{corpus}",
+              "--guideline", "{guideline}", "--script", "{script}", "--out", "{out}"],
+             "guideline", 1, True),
+        ],
+        ids=["config", "corpus-ingest", "corpus-run", "corpus-sweep", "corpus-evaluate",
+             "script", "predictions", "templates", "guideline-index", "guideline-run"],
+    )
+    def test_names_the_file(self, tmp_path, capsys, argv, bad, code, manifest):
+        paths = {name: tmp_path / file for name, file in [
+            ("corpus", "c.jsonl"), ("script", "script.json"), ("guideline", "guide.md"),
+            ("predictions", "p.jsonl"), ("config", "cfg.json"), ("templates", "tpl"),
+            ("out", "out"),
+        ]}
+        write_corpus(paths["corpus"], 5)
+        write_script(paths["script"], 12, hash_dim=8)
+        write_guideline(paths["guideline"])
+        paths["predictions"].write_text(json.dumps(
+            {"report_id": "r000", "category": "T", "predicted": "T1", "method": "zscot"}
+        ) + "\n")
+        paths["config"].write_text("{}")
+        paths["templates"].mkdir()
+        (paths["templates"] / "manifest.json").write_text(
+            json.dumps({"zscot_inference": ["report"]})
+        )
+        body = paths["templates"] / "zscot_inference.txt"
+        body.write_text("Stage this: {report}")
+        bad_file = body if bad == "templates" else paths[bad]
+        bad_file.write_bytes("caf\u00e9 {report}\n".encode("latin-1"))
+        assert main([arg.format(**paths) for arg in argv]) == code
+        assert str(bad_file) in capsys.readouterr().err
+        out = paths["out"] / "manifest.json"
+        assert out.exists() == manifest
+        if manifest:
+            written = json.loads(out.read_text())
+            assert written["status"] == "FAILED"
+            assert str(bad_file) in written["error"]
 
 
 class TestConfigPrecedence:

@@ -9,12 +9,9 @@ from stagepipe.evaluation import (
     ERROR_CAUSES,
     ErrorAnnotation,
     EvaluationError,
-    aggregate_macro_runs,
     aggregate_runs,
     aggregate_splits,
     compare_unique_errors,
-    count_errors,
-    error_table,
     format_error_pct,
     load_annotations,
     memory_curve,
@@ -65,12 +62,11 @@ def brute_force_metrics(pairs: list[tuple[str, str | None]]):
 @pytest.fixture(
     params=[
         score,
-        count_errors,
         lambda records, corpus, category: compare_unique_errors(
             records, records, corpus, category
         ),
     ],
-    ids=["score", "count_errors", "compare_unique_errors"],
+    ids=["score", "compare_unique_errors"],
 )
 def scorer(request):
     """Each entry point that checks records against the gold labels."""
@@ -146,6 +142,9 @@ class TestScore:
             assert macro.precision == pytest.approx(exp_p, abs=1e-12)
             assert macro.recall == pytest.approx(exp_r, abs=1e-12)
             assert macro.f1 == pytest.approx(exp_f1, abs=1e-12)
+            # the block's error count comes from the matrix; unparseable ones are errors
+            block = score_block(records, corpus, T)
+            assert block["num_errors"] == sum(g != p for g, p in pairs)
 
     def test_order_invariance(self):
         gold = {"a": "T1", "b": "T2", "c": "T3"}
@@ -187,29 +186,11 @@ class TestErrorFormatting:
     def test_perfect_run(self):
         assert format_error_pct(0, 700) == "0.0%"
 
-    def test_error_table_single_run(self):
-        gold = {f"r{i}": "T1" for i in range(8)}
-        corpus = corpus_with_gold(gold)
-        records = [
-            prediction(rid, "T1" if i < 6 else "T2") for i, rid in enumerate(gold)
-        ]
-        (row,) = error_table({"zscot": records}, corpus, T)
-        assert row.num_errors == "2"
-        assert row.error_pct == "25.0%"
-
-    def test_error_table_multi_run_mean(self):
-        gold = {f"r{i}": "T1" for i in range(4)}
-        corpus = corpus_with_gold(gold)
-        run1 = [prediction(rid, "T2") for rid in gold]  # 4 errors
-        run2 = [prediction(rid, "T1") for rid in gold]  # 0 errors
-        rows = error_table({"kewltm": [run1, run2]}, corpus, T)
-        assert rows[0].num_errors == "2.00"
-        assert rows[0].error_pct == "50.0%"
-
     def test_unparseable_counts_as_error(self):
         gold = {"a": "T1"}
         corpus = corpus_with_gold(gold)
-        assert count_errors([prediction("a", None)], corpus, T) == 1
+        block = score_block([prediction("a", None)], corpus, T)
+        assert (block["num_errors"], block["error_pct"]) == (1, "100.0%")
 
 
 class TestAggregateRuns:
@@ -227,13 +208,13 @@ class TestAggregateRuns:
             aggregate_runs([])
 
     def test_macro_aggregation(self):
-        from stagepipe.evaluation import MacroMetrics
-
-        runs = [
-            MacroMetrics(precision=0.1, recall=0.2, f1=0.3),
-            MacroMetrics(precision=0.2, recall=0.2, f1=0.4),
+        blocks = [
+            {"macro": {"precision": 0.1, "recall": 0.2, "f1": 0.3},
+             "num_errors": 1, "n_evaluated": 2},
+            {"macro": {"precision": 0.2, "recall": 0.2, "f1": 0.4},
+             "num_errors": 1, "n_evaluated": 2},
         ]
-        agg = aggregate_macro_runs(runs)
+        agg = aggregate_splits(blocks)["aggregate"]
         assert agg["recall"] == "0.200±0.000"
         assert agg["f1"].startswith("0.350±")
 
@@ -257,6 +238,10 @@ class TestAggregateSplits:
         assert uneven["aggregate"]["recall"] == aggregate_runs(
             [wrong["macro"]["recall"], one["macro"]["recall"]]
         )
+
+    def test_zero_blocks_rejected(self):
+        with pytest.raises(EvaluationError):
+            aggregate_splits([])
 
     def test_score_block_skips_unlabeled_reports(self):
         corpus = Corpus((make_report("a", t="T1"), make_report("b", n="N1")))
