@@ -15,7 +15,6 @@ import json
 import logging
 import os
 import sys
-import threading
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
@@ -305,7 +304,6 @@ def _evaluate_split(
     *,
     prefix: str = "",
     out: Path | None = None,
-    width: Callable[[], int],
     stop: pipelines.StopSignal,
 ) -> tuple[list[PredictionRecord], dict, list[memory.UpdateTrace]]:
     """One kewltm cycle on split `i`: truncate -> induce -> infer -> score.
@@ -314,8 +312,7 @@ def _evaluate_split(
     and memory version, and the induction trace. Errors
     name the split after `prefix`. With `out`, the frozen memory and the
     induction trace are written there before inference starts, so a run
-    whose inference fails still keeps the split's induction. Inference runs
-    `width()` reports at once, asked when inference starts; induction and
+    whose inference fails still keeps the split's induction. Induction and
     inference both stop at `stop`.
     """
     split = truncate_train(split, n_train)
@@ -331,7 +328,7 @@ def _evaluate_split(
         memory.write_traces(induction.traces, out / f"trace_split{i}.csv")
     records = pipelines.run_kewltm_inference(
         [by_id[rid] for rid in split.test_ids], category, induction.final_memory,
-        client, registry, width=width(), stop=stop,
+        client, registry, stop=stop,
     )
     block = evaluation.score_block(records, corpus, category)
     block.update({"split": i, "seed": split.seed,
@@ -359,12 +356,10 @@ def _kewltm_points(
     name the point by its `param` value. With `out` (one point only), each
     split's memory and induction trace are written there.
 
-    Every (point, split) cycle is independent, so up to `s = min(points x
-    splits, max_in_flight)` of them run at once; the client bounds their
-    calls. A cycle's inference runs `max_in_flight // min(s, u)` reports at a
-    time, `u` being the cycles not yet finished when it starts, so cycles of
-    equal length stay in step and the last cycles use the calls that
-    finished ones left free. Cycles start in (point, split) order, so at
+    Every (point, split) cycle is independent, so up to `min(points x
+    splits, max_in_flight)` of them run at once. Each cycle's inference asks
+    for up to `max_in_flight` reports at once; the client bounds the calls
+    and decides which runs next. Cycles start in (point, split) order, so at
     width 1 (scripted replays) the calls keep their sequential order: split
     0 of point 0 induces and infers, then split 1, and so on, point after
     point. The first terminal failure stops every cycle: none starts after
@@ -374,26 +369,15 @@ def _kewltm_points(
     width = min(len(tasks), client.max_in_flight)
     stop = pipelines.StopSignal()
     finished = {}
-    lock = threading.Lock()
-    unfinished = len(tasks)
-
-    def inference_width() -> int:
-        with lock:
-            return client.max_in_flight // min(width, unfinished)
 
     def cycle(task: tuple[int, int]) -> None:
-        nonlocal unfinished
         p, i = task
         point = points[p]
-        try:
-            finished[task] = _evaluate_split(
-                splits[i], i, point.n_train, point.threshold, corpus, category, client,
-                registry, prefix=f"{param}={getattr(point, param)} " if param else "",
-                out=out, width=inference_width, stop=stop,
-            )
-        finally:  # every call of the cycle has returned, failed or not
-            with lock:
-                unfinished -= 1
+        finished[task] = _evaluate_split(
+            splits[i], i, point.n_train, point.threshold, corpus, category, client,
+            registry, prefix=f"{param}={getattr(point, param)} " if param else "",
+            out=out, stop=stop,
+        )
 
     error = None
     try:

@@ -17,7 +17,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from .corpus import Corpus, StageCategory, StageLabel
+from .corpus import Corpus, StageCategory, StageLabel, read_utf8
 from .memory import UpdateTrace
 from .pipelines import PredictionRecord
 
@@ -305,24 +305,26 @@ def save_annotations(annotations: Sequence[ErrorAnnotation], path: str | Path) -
 
 
 def load_annotations(path: str | Path) -> list[ErrorAnnotation]:
+    """Reads a `save_annotations` file: one JSON object per line whose
+    report_id, method, cause and optional note are strings. Errors name the
+    file and the 1-based line."""
     out = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                out.append(
-                    ErrorAnnotation(
-                        report_id=str(obj["report_id"]),
-                        method=str(obj["method"]),
-                        category=StageCategory(obj["category"]),
-                        cause=str(obj["cause"]),
-                        note=str(obj.get("note", "")),
-                    )
-                )
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
-                raise EvaluationError(f"{path} line {lineno}: {exc}")
+    # reading has turned \r\n and \r into \n; JSON strings may hold U+2028
+    for lineno, line in enumerate(read_utf8(path, EvaluationError).split("\n"), 1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+            if not isinstance(obj, dict):
+                raise TypeError(f"expected an object, got {obj!r}")
+            fields = {key: obj[key] for key in ("report_id", "method", "cause")}
+            fields["note"] = obj.get("note", "")
+            for key, value in fields.items():
+                if type(value) is not str:
+                    raise TypeError(f"{key} must be a string, got {value!r}")
+            out.append(ErrorAnnotation(category=StageCategory(obj["category"]), **fields))
+        except (KeyError, TypeError, ValueError) as exc:  # ValueError covers bad JSON
+            raise EvaluationError(f"{path} line {lineno}: {exc}")
     return out
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import threading
 import time
 from collections import deque
@@ -165,6 +166,8 @@ class EmbeddingVector:
     def __post_init__(self) -> None:
         if not self.values:
             raise LlmError("embedding vector must be non-empty")
+        if not all(map(math.isfinite, self.values)):
+            raise LlmError("embedding vector holds a non-finite value")
         if all(v == 0.0 for v in self.values):
             raise LlmError("embedding vector is all-zero")
 

@@ -256,28 +256,42 @@ def save_index(index: ChunkIndex, path: str | Path) -> None:
     )
 
 
+def _typed(value, kind: type, name: str):
+    """`value` when its JSON type is `kind` (a bool is not an int here)."""
+    if type(value) is not kind:
+        raise TypeError(f"{name} must be a JSON {kind.__name__}, got {value!r}")
+    return value
+
+
 def load_index(path: str | Path) -> ChunkIndex:
-    """Reads a `save_index` file; its vectors must be a finite 2-D matrix of
+    """Reads a `save_index` file; each field must hold the JSON type that
+    `save_index` writes, and its vectors must be a finite 2-D matrix of
     unit-norm rows."""
     import numpy as np
 
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
-        chunks = tuple(
-            Chunk(
-                chunk_id=int(c["chunk_id"]),
-                text=str(c["text"]),
-                source_span=(int(c["source_span"][0]), int(c["source_span"][1])),
-            )
-            for c in obj["chunks"]
-        )
-        vectors = np.array(obj["vectors"], dtype=np.float64)
-        model_id, doc_hash = str(obj["model_id"]), str(obj["doc_hash"])
+        chunks = []
+        for c in _typed(obj["chunks"], list, "chunks"):
+            start, end = _typed(c["source_span"], list, "source_span")
+            chunks.append(Chunk(
+                chunk_id=_typed(c["chunk_id"], int, "chunk_id"),
+                text=_typed(c["text"], str, "text"),
+                source_span=(_typed(start, int, "source_span"), _typed(end, int, "source_span")),
+            ))
+        vectors = np.array(_typed(obj["vectors"], list, "vectors"))
+        if vectors.dtype.kind not in "if":
+            raise TypeError("vectors must hold JSON numbers")
+        model_id = _typed(obj["model_id"], str, "model_id")
+        doc_hash = _typed(obj["doc_hash"], str, "doc_hash")
     except (KeyError, TypeError, IndexError, ValueError) as exc:
-        # ValueError covers bad JSON and ragged vector lists
+        # ValueError covers bad JSON, ragged vector lists and spans of another length
         raise RetrievalError(f"malformed index file {path}: {exc}")
     if vectors.ndim != 2 or not np.isfinite(vectors).all():
         raise RetrievalError(f"index file {path}: vectors are not a finite 2-D matrix")
     if not np.allclose(np.linalg.norm(vectors, axis=1), 1.0, rtol=0, atol=1e-6):
         raise RetrievalError(f"index file {path}: vectors are not unit-norm")
-    return ChunkIndex(chunks=chunks, vectors=vectors, model_id=model_id, doc_hash=doc_hash)
+    return ChunkIndex(
+        chunks=tuple(chunks), vectors=vectors.astype(np.float64), model_id=model_id,
+        doc_hash=doc_hash,
+    )

@@ -174,6 +174,18 @@ class TestIndex:
         assert complaint in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_vector_fails_and_writes_no_index(self, tmp_path, capsys, value):
+        guideline = tmp_path / "guide.md"
+        guideline.write_text("One short staging paragraph.")  # one chunk, so one vector
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps([{"key": None, "kind": "embed", "body": {"vectors": [[value, 1.0]]}}]))
+        out = tmp_path / "idx.json"
+        code = main(["index", "--guideline", str(guideline), "--script", str(script), "--out", str(out)])
+        assert code == 1
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRunZscot:
     def test_predictions_and_metrics(self, tmp_path):
@@ -497,6 +509,31 @@ class TestIndexInputs:
         index.write_text(json.dumps(obj))
         assert message in self._failed_run(tmp_path, built_backends, ["--index", str(index)])
 
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda obj: obj["chunks"][0].update(text=None), "text must be a JSON str"),
+            (lambda obj: obj["chunks"][0].update(chunk_id=True), "chunk_id must be a JSON int"),
+            (lambda obj: obj["chunks"][0].update(chunk_id="0"), "chunk_id must be a JSON int"),
+            (lambda obj: obj["chunks"][0].update(source_span=[0, 1.5]), "source_span must"),
+            (lambda obj: obj["chunks"][0].update(source_span="0,9"), "source_span must"),
+            (lambda obj: obj.update(model_id=7), "model_id must be a JSON str"),
+            (lambda obj: obj.update(doc_hash=None), "doc_hash must be a JSON str"),
+            (lambda obj: obj.update(chunks={}), "chunks must be a JSON list"),
+            (lambda obj: obj.update(vectors=[[str(x) for x in row] for row in obj["vectors"]]),
+             "vectors must hold JSON numbers"),
+        ],
+        ids=["text-null", "chunk-id-bool", "chunk-id-string", "span-float", "span-string",
+             "model-id-number", "doc-hash-null", "chunks-object", "vectors-strings"],
+    )
+    def test_field_of_the_wrong_json_type(self, tmp_path, built_backends, corrupt, message):
+        _, index = self._index(tmp_path)
+        obj = json.loads(index.read_text())
+        corrupt(obj)
+        index.write_text(json.dumps(obj))
+        error = self._failed_run(tmp_path, built_backends, ["--index", str(index)])
+        assert "malformed index file" in error and message in error
+
     def test_query_embedded_with_another_dimension(self, tmp_path, built_backends):
         _, index = self._index(tmp_path, hash_dim=8)
         error = self._failed_run(tmp_path, built_backends, ["--index", str(index)], hash_dim=16)
@@ -804,7 +841,12 @@ class TestConcurrentSplits:
     @pytest.mark.parametrize("n_splits", [4, 8])
     def test_splits_induce_together_up_to_the_bound(self, n_splits):
         corpus, splits = disjoint_splits(n_splits)
-        backend = ContentKeyedBackend(barrier=threading.Barrier(4, timeout=10))
+        backend = ContentKeyedBackend()
+        # only the first round is held together; after it the client hands
+        # each free slot to whichever call asks, so cycles need not stay in step
+        backend.barrier = threading.Barrier(
+            4, action=lambda: setattr(backend, "barrier", None), timeout=10
+        )
         kewltm_point(backend, splits, corpus, width=4)
         assert backend.peak == 4  # the barrier lets 4 through together, the pools no more
         # the first round is the elicit call of each of the first four splits
@@ -815,7 +857,7 @@ class TestConcurrentSplits:
         corpus, splits = disjoint_splits(2)
         backend = ContentKeyedBackend(
             barrier=threading.Barrier(2, timeout=10),  # the two inductions in step
-            infer_barrier=threading.Barrier(4, timeout=10),  # two reports per split
+            infer_barrier=threading.Barrier(4, timeout=10),  # any four reports
         )
         kewltm_point(backend, splits, corpus, width=4)
         assert backend.peak == 4
@@ -887,28 +929,38 @@ class TestCrossPointPool:
         assert sorted(backend.calls[:4]) == sorted(2 * sequential_calls(splits)[::N_TRAIN + N_TEST])
         assert len(results) == 2
 
-    def test_last_cycle_infers_with_the_calls_finished_cycles_left(self, monkeypatch):
-        corpus, splits = disjoint_splits(1)
-        backend = ContentKeyedBackend()
-        short_done = threading.Event()
+    @pytest.mark.parametrize(
+        "n_splits, train_counts", [(1, (1, N_TRAIN)), (4, (N_TRAIN,))],
+        ids=["finished-cycles", "unstarted-cycles"],
+    )
+    def test_a_cycle_running_alone_infers_with_every_slot(
+        self, monkeypatch, n_splits, train_counts
+    ):
+        """The first cycle runs alone while the others wait, before any call,
+        until it has finished: neither it nor a cycle that runs after it keeps
+        a slot idle for cycles that are not running."""
+        corpus, splits = disjoint_splits(n_splits)
+        # every N_TEST inference calls meet: a cycle alone infers all its reports together
+        backend = ContentKeyedBackend(infer_barrier=threading.Barrier(N_TEST, timeout=10))
+        first_done = threading.Event()
         evaluate = cli._evaluate_split
 
-        def long_cycle_after_short(split, i, n_train, *args, **kwargs):
-            if n_train == N_TRAIN:
-                assert short_done.wait(timeout=10)
-                # only the long cycle's calls are left: all 4 of its reports
-                # must infer together, not max_in_flight // s = 2
-                backend.infer_barrier = threading.Barrier(N_TEST, timeout=10)
-            result = evaluate(split, i, n_train, *args, **kwargs)
-            if n_train == 1:
-                short_done.set()
-            return result
+        def others_after_the_first(split, i, n_train, *args, **kwargs):
+            if (i, n_train) != (0, train_counts[0]):
+                assert first_done.wait(timeout=30)  # longer than the barrier's
+                return evaluate(split, i, n_train, *args, **kwargs)
+            try:
+                return evaluate(split, i, n_train, *args, **kwargs)
+            finally:
+                first_done.set()
 
-        monkeypatch.setattr(cli, "_evaluate_split", long_cycle_after_short)
-        points = [cli.RunConfig(n_train=n) for n in (1, N_TRAIN)]
+        monkeypatch.setattr(cli, "_evaluate_split", others_after_the_first)
+        points = [cli.RunConfig(n_train=n) for n in train_counts]
         results = kewltm_points(backend, splits, corpus, 4, points)
         assert backend.peak == 4
-        assert [len(records) for cycles, _ in results for records, _ in cycles] == [N_TEST] * 2
+        assert [len(records) for cycles, _ in results for records, _ in cycles] == (
+            [N_TEST] * len(points) * n_splits
+        )
 
     def test_unequal_points_stay_within_the_bound(self):
         corpus, splits = disjoint_splits(3)

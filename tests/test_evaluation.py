@@ -327,6 +327,30 @@ class TestTally:
         save_annotations(anns, path)
         assert load_annotations(path) == anns
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            ('{"report_id": "r", "method": "rag", "category": "T", "cause": "NI", '
+             '"note": "caf\u00e9"}\n'.encode("latin-1"), "not UTF-8"),
+            (b'{"report_id": ["x"], "method": "rag", "category": "T", "cause": "NI"}\n',
+             "report_id must be a string"),
+            (b'{"report_id": "r", "method": 7, "category": "T", "cause": "NI"}\n',
+             "method must be a string"),
+            (b'{"report_id": "r", "method": "rag", "category": "T", "cause": null}\n',
+             "cause must be a string"),
+            (b'{"report_id": "r", "method": "rag", "category": "T", "cause": "NI", "note": 1}\n',
+             "note must be a string"),
+            (b'["r", "rag", "T", "NI"]\n', "expected an object"),
+        ],
+        ids=["latin-1", "report-id-list", "method-number", "cause-null", "note-number",
+             "not-an-object"],
+    )
+    def test_malformed_annotation_file_is_evaluation_error(self, tmp_path, content, message):
+        path = tmp_path / "anns.jsonl"
+        path.write_bytes(content)
+        with pytest.raises(EvaluationError, match=message):
+            load_annotations(path)
+
 
 class TestMemoryCurve:
     def _traces(self, lengths: list[int]) -> list[UpdateTrace]:

@@ -142,6 +142,11 @@ class TestEmbeddingVector:
         with pytest.raises(LlmError):
             EmbeddingVector((0.0, 0.0), "m")
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rejected(self, value):
+        with pytest.raises(LlmError, match="non-finite"):
+            EmbeddingVector((value, 1.0), "m")
+
 
 class TestScriptedBackend:
     def test_sequential_replay_then_exhausted(self):
