@@ -115,11 +115,16 @@ class RunConfig:
             choices = _CHOICES.get(field.name)
             if choices and value is not None and value not in choices:
                 raise UsageError(f"{field.name} must be one of {choices}, got {value!r}")
-        for key in ("k", "n_train", "n_splits", "train_size"):
-            if getattr(self, key) < 1:
-                raise UsageError(f"{key} must be at least 1, got {getattr(self, key)}")
+        for key, least in (("k", 1), ("n_train", 1), ("n_splits", 1), ("train_size", 1),
+                           ("max_tokens", 1), ("temperature", 0), ("chunk_max_chars", 200)):
+            if getattr(self, key) < least:
+                raise UsageError(f"{key} must be at least {least}, got {getattr(self, key)}")
         if not 0 <= self.threshold <= 100:
             raise UsageError(f"threshold must be within [0, 100], got {self.threshold}")
+        if not 0 <= self.chunk_overlap < self.chunk_max_chars:
+            raise UsageError(
+                f"chunk_overlap must be within [0, chunk_max_chars), got {self.chunk_overlap}"
+            )
         if not self.out:  # Path("") is the working directory
             raise UsageError("out must be a non-empty path")
 

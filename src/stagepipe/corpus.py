@@ -157,6 +157,16 @@ def read_utf8(path: str | Path, error: type[Exception]) -> str:
         raise error(f"{path}: not UTF-8 text ({exc})")
 
 
+def typed(value, kind: type | tuple[type, ...], name: str):
+    """`value` when its JSON type is `kind` or one of its kinds (a bool is
+    not an int here); TypeError naming `name` otherwise."""
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    if type(value) not in kinds:
+        noun = " or ".join(k.__name__ for k in kinds)
+        raise TypeError(f"{name} must be a JSON {noun}, got {value!r}")
+    return value
+
+
 def load_corpus(path: str | Path) -> Corpus:
     """Load and validate a UTF-8 JSONL corpus file.
 

@@ -20,7 +20,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Protocol, Sequence
 
-from .corpus import CorpusError, StageCategory, StageLabel
+from .corpus import CorpusError, StageCategory, StageLabel, typed
 
 
 class LlmError(Exception):
@@ -545,9 +545,16 @@ class HttpEmbedBackend(_HttpBackend):
     def embed(self, texts: Sequence[str]) -> tuple[list[list[float]], str]:
         data = self._post("/v1/embeddings", {"model": self.model_id, "input": list(texts)})
         try:
-            rows = sorted(data["data"], key=lambda d: d["index"])
-            vectors = [list(map(float, row["embedding"])) for row in rows]
-            model = data.get("model", self.model_id)
+            rows = typed(data["data"], list, "data")
+            rows = sorted(rows, key=lambda row: typed(row["index"], int, "index"))
+            if [row["index"] for row in rows] != list(range(len(texts))):
+                raise ValueError(f"indices must be 0..{len(texts) - 1}, one per text")
+            vectors = [
+                [float(typed(x, (int, float), "embedding value"))
+                 for x in typed(row["embedding"], list, "embedding")]
+                for row in rows
+            ]
+            model = typed(data.get("model", self.model_id), str, "model")
         except (KeyError, TypeError, ValueError) as exc:
             raise TransportError(f"malformed embedding response: {exc}", retryable=False)
         return vectors, model

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .corpus import StageCategory
+from .corpus import StageCategory, typed
 
 
 class RuleMemoryError(ValueError):
@@ -194,8 +194,8 @@ def load(path: str | Path, expect_category: StageCategory | None = None) -> Rule
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
         category = StageCategory(obj["category"])
-        rules = tuple(str(r) for r in obj["rules"])
-        version = int(obj["version"])
+        rules = tuple(typed(r, str, "rule") for r in typed(obj["rules"], list, "rules"))
+        version = typed(obj["version"], int, "version")
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise RuleMemoryError(f"malformed memory file {path}: {exc}")
     if expect_category is not None and category is not expect_category:

@@ -12,77 +12,74 @@ body hash so results stay attributable to exact prompt text.
 from __future__ import annotations
 
 import hashlib
-import json
 import string
 from dataclasses import dataclass
 from pathlib import Path
 
 from .corpus import StageCategory, read_utf8
-from .llm import ChatRequest, OutputSchema
+from .llm import ChatRequest, OutputSchema, SchemaKind
 
-TEMPLATE_IDS = (
-    "ltm_elicit",
-    "ltm_update",
-    "ltm_inference",
-    "rag_elicit",
-    "rag_inference",
-    "zscot_inference",
-    "rawrag_inference",
-)
-
-_REQUIRED: dict[str, frozenset[str]] = {
-    "ltm_elicit": frozenset({"report"}),
-    "ltm_update": frozenset({"report", "memory"}),
-    "ltm_inference": frozenset({"report", "memory"}),
-    "rag_elicit": frozenset({"chunks"}),
-    "rag_inference": frozenset({"report", "rules"}),
-    "zscot_inference": frozenset({"report"}),
-    "rawrag_inference": frozenset({"report", "chunks"}),
+# each template's contract: the placeholders its body holds, exactly, and
+# the kind of reply it asks for
+_CONTRACTS: dict[str, tuple[frozenset[str], SchemaKind]] = {
+    "ltm_elicit": (frozenset({"report"}), SchemaKind.STAGING_WITH_RULES),
+    "ltm_update": (frozenset({"report", "memory"}), SchemaKind.STAGING_WITH_RULES),
+    "ltm_inference": (frozenset({"report", "memory"}), SchemaKind.STAGING),
+    "rag_elicit": (frozenset({"chunks"}), SchemaKind.RULES_ONLY),
+    "rag_inference": (frozenset({"report", "rules"}), SchemaKind.STAGING),
+    "zscot_inference": (frozenset({"report"}), SchemaKind.STAGING),
+    "rawrag_inference": (frozenset({"report", "chunks"}), SchemaKind.STAGING),
 }
+TEMPLATE_IDS = tuple(_CONTRACTS)
 
 
 class TemplateError(ValueError):
     """A template body, registry, or render request is invalid."""
 
 
-def _placeholders(body: str) -> set[str]:
-    """Names of all replacement fields in `body` ({{ }} are literals)."""
-    names = set()
+def _check_body(template_id: str, body: str) -> None:
+    """Raises TemplateError unless `body`'s placeholders ({{ }} are
+    literals) are exactly those `template_id`'s contract names."""
+    if template_id not in _CONTRACTS:
+        raise TemplateError(f"unknown template id {template_id!r}")
+    found = set()
     try:
         for _, field_name, _, _ in string.Formatter().parse(body):
             if field_name is not None:
                 if not field_name or not field_name.isidentifier():
                     raise TemplateError(f"bad placeholder {{{field_name}}}")
-                names.add(field_name)
+                found.add(field_name)
     except ValueError as exc:
         raise TemplateError(f"malformed placeholder syntax: {exc}")
-    return names
+    required = _CONTRACTS[template_id][0]
+    if missing := required - found:
+        raise TemplateError(f"{template_id}: body lacks required placeholder(s) {sorted(missing)}")
+    if extra := found - required:
+        raise TemplateError(f"{template_id}: body has undeclared placeholder(s) {sorted(extra)}")
 
 
 @dataclass(frozen=True)
 class PromptTemplate:
+    """A template body for one category; its placeholders and reply schema
+    come from the template id's contract."""
+
     template_id: str
     body: str
-    required_placeholders: frozenset[str]
-    schema: OutputSchema
+    category: StageCategory
     temperature: float = 0.0
     max_tokens: int = 1024
 
     def __post_init__(self) -> None:
-        if self.template_id not in TEMPLATE_IDS:
-            raise TemplateError(f"unknown template id {self.template_id!r}")
-        found = _placeholders(self.body)
-        missing = self.required_placeholders - found
-        if missing:
-            raise TemplateError(
-                f"{self.template_id}: body lacks required placeholder(s) "
-                f"{sorted(missing)}"
-            )
-        extra = found - self.required_placeholders
-        if extra:
-            raise TemplateError(
-                f"{self.template_id}: body has undeclared placeholder(s) {sorted(extra)}"
-            )
+        _check_body(self.template_id, self.body)
+
+    @property
+    def placeholders(self) -> frozenset[str]:
+        return _CONTRACTS[self.template_id][0]
+
+    @property
+    def schema(self) -> OutputSchema:
+        kind = _CONTRACTS[self.template_id][1]
+        return OutputSchema(kind, None if kind is SchemaKind.RULES_ONLY else self.category)
 
     def body_hash(self) -> str:
         return hashlib.sha256(self.body.encode("utf-8")).hexdigest()
@@ -90,12 +87,12 @@ class PromptTemplate:
 
 def render(template: PromptTemplate, bindings: dict[str, str]) -> ChatRequest:
     """Substitute placeholders verbatim and produce a schema-bound request."""
-    missing = template.required_placeholders - set(bindings)
+    missing = template.placeholders - set(bindings)
     if missing:
         raise TemplateError(
             f"{template.template_id}: missing binding(s) {sorted(missing)}"
         )
-    extra = set(bindings) - template.required_placeholders
+    extra = set(bindings) - template.placeholders
     if extra:
         raise TemplateError(
             f"{template.template_id}: extraneous binding(s) {sorted(extra)}"
@@ -135,14 +132,6 @@ class TemplateRegistry:
 def _esc(text: str) -> str:
     """Escape literal braces so format() leaves them alone."""
     return text.replace("{", "{{").replace("}", "}}")
-
-
-def _schema_for(template_id: str, category: StageCategory) -> OutputSchema:
-    if template_id in ("ltm_elicit", "ltm_update"):
-        return OutputSchema.staging_with_rules(category)
-    if template_id == "rag_elicit":
-        return OutputSchema.rules_only()
-    return OutputSchema.staging(category)
 
 
 def _default_bodies(category: StageCategory) -> dict[str, str]:
@@ -246,23 +235,20 @@ def _default_bodies(category: StageCategory) -> dict[str, str]:
     }
 
 
+def _registry(
+    category: StageCategory, bodies: dict[str, str], temperature: float, max_tokens: int
+) -> TemplateRegistry:
+    return TemplateRegistry(category, {
+        tid: PromptTemplate(tid, body, category, temperature, max_tokens)
+        for tid, body in bodies.items()
+    })
+
+
 def default_templates(
     category: StageCategory, *, temperature: float = 0.0, max_tokens: int = 1024
 ) -> TemplateRegistry:
     """The seven shipped templates specialized to `category`'s label set."""
-    bodies = _default_bodies(category)
-    templates = {
-        tid: PromptTemplate(
-            template_id=tid,
-            body=bodies[tid],
-            required_placeholders=_REQUIRED[tid],
-            schema=_schema_for(tid, category),
-            temperature=temperature,
-            max_tokens=max_tokens,
-        )
-        for tid in TEMPLATE_IDS
-    }
-    return TemplateRegistry(category, templates)
+    return _registry(category, _default_bodies(category), temperature, max_tokens)
 
 
 def load_templates(
@@ -272,42 +258,21 @@ def load_templates(
     temperature: float = 0.0,
     max_tokens: int = 1024,
 ) -> TemplateRegistry:
-    """Load template overrides: one ``<template_id>.txt`` per template plus a
-    ``manifest.json`` mapping template ids to their required placeholders.
-
-    Templates absent from the directory fall back to the shipped defaults.
-    Validation happens at load time, not first render.
-    """
+    """The shipped templates, each replaced by ``<template_id>.txt`` when
+    `directory` holds one. Every ``.txt`` there must be named for a template
+    and hold exactly its placeholders; errors name the file."""
     directory = Path(directory)
-    manifest_path = directory / "manifest.json"
-    if not manifest_path.exists():
-        raise TemplateError(f"override directory {directory} lacks manifest.json")
-    try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise TemplateError(f"malformed manifest.json: {exc}")
-    if not isinstance(manifest, dict):
-        raise TemplateError("manifest.json must map template ids to placeholder lists")
-    defaults = default_templates(category, temperature=temperature, max_tokens=max_tokens)
-    templates = {tid: defaults.get(tid) for tid in TEMPLATE_IDS}
-    for tid, placeholders in manifest.items():
-        if tid not in TEMPLATE_IDS:
-            raise TemplateError(f"manifest names unknown template {tid!r}")
-        body_path = directory / f"{tid}.txt"
-        if not body_path.exists():
-            raise TemplateError(f"manifest lists {tid} but {body_path.name} is missing")
-        declared = frozenset(str(p) for p in placeholders)
-        if declared != _REQUIRED[tid]:
+    if not directory.is_dir():
+        raise TemplateError(f"template directory {directory} does not exist")
+    bodies = _default_bodies(category)
+    for path in sorted(directory.glob("*.txt")):
+        if path.stem not in _CONTRACTS:
             raise TemplateError(
-                f"{tid}: manifest placeholders {sorted(declared)} must be "
-                f"{sorted(_REQUIRED[tid])}"
+                f"{path}: {path.stem!r} is not a template id (one of {', '.join(TEMPLATE_IDS)})"
             )
-        templates[tid] = PromptTemplate(
-            template_id=tid,
-            body=read_utf8(body_path, TemplateError),
-            required_placeholders=_REQUIRED[tid],
-            schema=_schema_for(tid, category),
-            temperature=temperature,
-            max_tokens=max_tokens,
-        )
-    return TemplateRegistry(category, templates)
+        bodies[path.stem] = read_utf8(path, TemplateError)
+        try:
+            _check_body(path.stem, bodies[path.stem])
+        except TemplateError as exc:
+            raise TemplateError(f"{path}: {exc}")
+    return _registry(category, bodies, temperature, max_tokens)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .corpus import StageCategory
+from .corpus import StageCategory, typed
 from .llm import EmbeddingVector
 
 if TYPE_CHECKING:
@@ -256,13 +256,6 @@ def save_index(index: ChunkIndex, path: str | Path) -> None:
     )
 
 
-def _typed(value, kind: type, name: str):
-    """`value` when its JSON type is `kind` (a bool is not an int here)."""
-    if type(value) is not kind:
-        raise TypeError(f"{name} must be a JSON {kind.__name__}, got {value!r}")
-    return value
-
-
 def load_index(path: str | Path) -> ChunkIndex:
     """Reads a `save_index` file; each field must hold the JSON type that
     `save_index` writes, and its vectors must be a finite 2-D matrix of
@@ -272,18 +265,18 @@ def load_index(path: str | Path) -> ChunkIndex:
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
         chunks = []
-        for c in _typed(obj["chunks"], list, "chunks"):
-            start, end = _typed(c["source_span"], list, "source_span")
+        for c in typed(obj["chunks"], list, "chunks"):
+            start, end = typed(c["source_span"], list, "source_span")
             chunks.append(Chunk(
-                chunk_id=_typed(c["chunk_id"], int, "chunk_id"),
-                text=_typed(c["text"], str, "text"),
-                source_span=(_typed(start, int, "source_span"), _typed(end, int, "source_span")),
+                chunk_id=typed(c["chunk_id"], int, "chunk_id"),
+                text=typed(c["text"], str, "text"),
+                source_span=(typed(start, int, "source_span"), typed(end, int, "source_span")),
             ))
-        vectors = np.array(_typed(obj["vectors"], list, "vectors"))
+        vectors = np.array(typed(obj["vectors"], list, "vectors"))
         if vectors.dtype.kind not in "if":
             raise TypeError("vectors must hold JSON numbers")
-        model_id = _typed(obj["model_id"], str, "model_id")
-        doc_hash = _typed(obj["doc_hash"], str, "doc_hash")
+        model_id = typed(obj["model_id"], str, "model_id")
+        doc_hash = typed(obj["doc_hash"], str, "doc_hash")
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         # ValueError covers bad JSON, ragged vector lists and spans of another length
         raise RetrievalError(f"malformed index file {path}: {exc}")

@@ -718,10 +718,21 @@ def test_threshold_out_of_range_is_usage_error_before_any_call(
          "--n-train must not exceed train_size 20, got 25"),
         (["sweep", "--thresholds", "0,80", "--n-train", "4"], None,
          "--n-train must not exceed train_size 3, got 4"),
+        (["run", "--method", "zscot", "--temperature", "-1"], None,
+         "temperature must be at least 0, got -1.0"),
+        (["run", "--method", "zscot", "--max-tokens", "0"], None,
+         "max_tokens must be at least 1, got 0"),
+        (["run", "--method", "rag"], {"chunk_max_chars": 199},
+         "chunk_max_chars must be at least 200, got 199"),
+        (["run", "--method", "rag"], {"chunk_overlap": -1},
+         "chunk_overlap must be within [0, chunk_max_chars), got -1"),
+        (["run", "--method", "rag"], {"chunk_max_chars": 300, "chunk_overlap": 300},
+         "chunk_overlap must be within [0, chunk_max_chars), got 300"),
     ],
     ids=["k", "config-k", "splits", "train-size", "n-train", "sweep-train-counts",
          "sweep-train-counts-above-train-size", "n-train-above-train-size",
-         "sweep-thresholds-n-train-above-train-size"],
+         "sweep-thresholds-n-train-above-train-size", "temperature", "max-tokens",
+         "chunk-max-chars", "negative-chunk-overlap", "chunk-overlap-not-below-max"],
 )
 def test_out_of_range_setting_is_usage_error_before_any_call(
     tmp_path, capsys, built_backends, argv, config, message
@@ -1252,9 +1263,6 @@ class TestNonUtf8Input:
         ) + "\n")
         paths["config"].write_text("{}")
         paths["templates"].mkdir()
-        (paths["templates"] / "manifest.json").write_text(
-            json.dumps({"zscot_inference": ["report"]})
-        )
         body = paths["templates"] / "zscot_inference.txt"
         body.write_text("Stage this: {report}")
         bad_file = body if bad == "templates" else paths[bad]

@@ -386,6 +386,41 @@ class TestRateLimit:
         assert sleeps == [3.0]
 
     @pytest.mark.parametrize(
+        "reply",
+        [
+            {"data": [{"index": 0, "embedding": ["0.6", True]},
+                      {"index": 0, "embedding": [0.8, 0.6]}], "model": None},
+            {"data": [{"index": 0, "embedding": [0.6, True]},
+                      {"index": 1, "embedding": [0.8, 0.6]}], "model": "m"},
+            {"data": [{"index": 0, "embedding": [0.6, 0.8]},
+                      {"index": 0, "embedding": [0.8, 0.6]}], "model": "m"},
+            {"data": [{"index": 1, "embedding": [0.6, 0.8]},
+                      {"index": 2, "embedding": [0.8, 0.6]}], "model": "m"},
+            {"data": [{"index": 0, "embedding": [0.6, 0.8]},
+                      {"index": 1.0, "embedding": [0.8, 0.6]}], "model": "m"},
+            {"data": [{"index": 0, "embedding": [0.6, 0.8]},
+                      {"index": 1, "embedding": [0.8, 0.6]}], "model": None},
+        ],
+        ids=["coercible", "bool-value", "repeated-index", "shifted-index", "float-index",
+             "null-model"],
+    )
+    def test_embed_reply_of_wrong_types_or_indices_is_malformed(self, monkeypatch, reply):
+        posts = patch_posts(monkeypatch, [JsonResponse(reply)])
+        client = LlmClient(embed_backend=HttpEmbedBackend("http://localhost:1"), sleep=lambda _: None)
+        with pytest.raises(TransportError, match="malformed embedding response") as info:
+            client.embed(["a", "b"])
+        assert not info.value.retryable
+        assert len(posts) == 1
+
+    def test_embed_reply_in_any_order_without_model_is_accepted(self, monkeypatch):
+        reply = {"data": [{"index": 1, "embedding": [1, 0]}, {"index": 0, "embedding": [0.6, 0.8]}]}
+        patch_posts(monkeypatch, [JsonResponse(reply)])
+        client = LlmClient(embed_backend=HttpEmbedBackend("http://localhost:1", model="e"))
+        vectors = client.embed(["a", "b"])
+        assert [v.values for v in vectors] == [(0.6, 0.8), (1.0, 0.0)]
+        assert {v.model_id for v in vectors} == {"e"}
+
+    @pytest.mark.parametrize(
         "retry_after, expected",
         [("0.5", 1.0), (None, 1.0), ("Wed, 21 Oct 2015 07:28:00 GMT", 1.0),
          ("86400", MAX_RETRY_AFTER_S)],

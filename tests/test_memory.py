@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import json
 import random
 
 import pytest
@@ -315,6 +316,22 @@ class TestPersistence:
         path = tmp_path / "mem.json"
         path.write_text("{nope")
         with pytest.raises(RuleMemoryError):
+            load(path)
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"category": "T", "version": True, "rules": [1, None, "ok"]}, "rule must be"),
+            ({"category": "T", "version": "2", "rules": "ab"}, "rules must be"),
+            ({"category": "T", "version": True, "rules": ["ok"]}, "version must be"),
+            ({"category": "T", "version": 1.0, "rules": ["ok"]}, "version must be"),
+        ],
+        ids=["bool-version-non-string-rules", "string-rules", "bool-version", "float-version"],
+    )
+    def test_fields_of_another_json_type_rejected(self, tmp_path, payload, message):
+        path = tmp_path / "mem.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(RuleMemoryError, match=message):
             load(path)
 
 

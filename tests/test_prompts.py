@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import json
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -44,6 +42,7 @@ class TestDefaultTemplates:
         assert registry.get("ltm_elicit").schema.kind is SchemaKind.STAGING_WITH_RULES
         assert registry.get("ltm_update").schema.kind is SchemaKind.STAGING_WITH_RULES
         assert registry.get("rag_elicit").schema.kind is SchemaKind.RULES_ONLY
+        assert registry.get("rag_elicit").schema.category is None
         for tid in ("ltm_inference", "rag_inference", "zscot_inference", "rawrag_inference"):
             assert registry.get(tid).schema.kind is SchemaKind.STAGING
 
@@ -126,63 +125,61 @@ class TestRender:
 class TestTemplateValidation:
     def test_body_missing_required_placeholder(self):
         with pytest.raises(TemplateError, match="memory"):
-            PromptTemplate(
-                template_id="ltm_update",
-                body="only {report} here",
-                required_placeholders=frozenset({"report", "memory"}),
-                schema=default_templates(T).get("ltm_update").schema,
-            )
+            PromptTemplate(template_id="ltm_update", body="only {report} here", category=T)
 
     def test_body_with_undeclared_placeholder(self):
         with pytest.raises(TemplateError, match="undeclared"):
             PromptTemplate(
-                template_id="zscot_inference",
-                body="{report} and {surprise}",
-                required_placeholders=frozenset({"report"}),
-                schema=default_templates(T).get("zscot_inference").schema,
+                template_id="zscot_inference", body="{report} and {surprise}", category=T
             )
 
     def test_unknown_template_id(self):
         with pytest.raises(TemplateError):
-            PromptTemplate(
-                template_id="mystery",
-                body="{report}",
-                required_placeholders=frozenset({"report"}),
-                schema=default_templates(T).get("zscot_inference").schema,
-            )
+            PromptTemplate(template_id="mystery", body="{report}", category=T)
 
 
 class TestOverrides:
-    def _write_override(self, tmp_path, tid, body, placeholders):
-        (tmp_path / "manifest.json").write_text(json.dumps({tid: placeholders}))
-        (tmp_path / f"{tid}.txt").write_text(body)
+    def _write_override(self, tmp_path, tid, body):
+        path = tmp_path / f"{tid}.txt"
+        path.write_text(body)
+        return path
 
     def test_valid_override_loads(self, tmp_path):
         body = "Custom wording. Report: {report}\nRules so far:\n{memory}\nStages: T1 T2 T3 T4"
-        self._write_override(tmp_path, "ltm_update", body, ["report", "memory"])
+        self._write_override(tmp_path, "ltm_update", body)
         registry = load_templates(tmp_path, T)
         assert registry.get("ltm_update").body == body
         # untouched templates fall back to defaults
         assert registry.get("zscot_inference").body == default_templates(T).get("zscot_inference").body
 
+    def test_override_keeps_the_reply_schema(self, tmp_path):
+        self._write_override(tmp_path, "rag_elicit", "Rules from {chunks}")
+        template = load_templates(tmp_path, N).get("rag_elicit")
+        assert template.schema == default_templates(N).get("rag_elicit").schema
+
+    def test_empty_directory_loads_the_shipped_templates(self, tmp_path):
+        (tmp_path / "notes.md").write_text("not a template")
+        assert load_templates(tmp_path, T).hashes() == default_templates(T).hashes()
+
     def test_override_missing_placeholder_fails_at_load(self, tmp_path):
-        self._write_override(tmp_path, "ltm_update", "no placeholders", ["report", "memory"])
-        with pytest.raises(TemplateError, match="ltm_update"):
+        path = self._write_override(tmp_path, "ltm_update", "no placeholders")
+        with pytest.raises(TemplateError, match="ltm_update") as info:
             load_templates(tmp_path, T)
+        assert str(path) in str(info.value)
 
-    def test_manifest_placeholder_mismatch(self, tmp_path):
-        self._write_override(tmp_path, "ltm_update", "{report} {memory}", ["report"])
-        with pytest.raises(TemplateError):
+    def test_override_extra_placeholder_fails_at_load(self, tmp_path):
+        path = self._write_override(tmp_path, "ltm_update", "{report} {memory} {chunks}")
+        with pytest.raises(TemplateError, match="undeclared") as info:
             load_templates(tmp_path, T)
+        assert str(path) in str(info.value)
 
-    def test_missing_manifest(self, tmp_path):
-        with pytest.raises(TemplateError, match="manifest"):
+    def test_file_named_for_no_template_fails_at_load(self, tmp_path):
+        self._write_override(tmp_path, "zscot_inference", "{report}")
+        path = self._write_override(tmp_path, "bogus", "{report}")
+        with pytest.raises(TemplateError, match="bogus") as info:
             load_templates(tmp_path, T)
+        assert str(path) in str(info.value)
 
-    def test_manifest_names_unknown_template(self, tmp_path):
-        self._write_override(tmp_path, "zscot_inference", "{report}", ["report"])
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        manifest["bogus"] = ["report"]
-        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(TemplateError, match="bogus"):
-            load_templates(tmp_path, T)
+    def test_missing_directory_fails_at_load(self, tmp_path):
+        with pytest.raises(TemplateError, match="does not exist"):
+            load_templates(tmp_path / "absent", T)
