@@ -3,9 +3,10 @@
 The memory is an ordered list of natural-language staging rules. Candidate
 updates proposed during induction are accepted only when the candidate's
 serialization is similar enough to the current one, measured by the exact
-character-level Levenshtein distance (bit-parallel, Myers/Hyyrö) rescaled
-to a 0-100 similarity score. The first candidate (empty memory) is always
-accepted.
+character-level Levenshtein distance rescaled to a 0-100 similarity score:
+bit-parallel (Myers/Hyyrö), with bit vectors over the longer string, a loop
+over the shorter one, and the distance read off the last DP column. The
+first candidate (empty memory) is always accepted.
 """
 
 from __future__ import annotations
@@ -75,10 +76,11 @@ def edit_distance(a: str, b: str) -> int:
 
     Unit-cost insertions, deletions, and substitutions; no case folding.
     Exact, computed with the bit-parallel algorithm of Myers (J. ACM 46(3),
-    1999) in Hyyrö's global-distance form (2001): one column of the DP
-    matrix is held as vertical +1/-1 delta bit vectors over the shorter
-    string, one Python int each, and advanced by a fixed sequence of
-    big-int operations per character of the longer string.
+    1999) in Hyyrö's global-distance form (2001). After trimming the shared
+    prefix and suffix, one DP column is held as vertical +1/-1 delta bit
+    vectors over the longer string (one Python int each) and advanced by a
+    fixed run of big-int operations per character of the shorter string. The
+    distance is the shorter length plus the last column's +1s minus its -1s.
     """
     if a == b:
         return 0
@@ -94,31 +96,29 @@ def edit_distance(a: str, b: str) -> int:
         a, b = b, a
     if not a:
         return len(b)
-    match: dict[str, int] = {}  # bit i set where a[i] is the character
-    for i, c in enumerate(a):
-        match[c] = match.get(c, 0) | (1 << i)
+    match = dict.fromkeys(a, 0)  # bit i set where b[i] is the character
+    bit = 1
+    for c in b:
+        if c in match:
+            match[c] |= bit
+        bit <<= 1
     # Complements are taken by xor with `mask`, not `~`, so every int stays
     # non-negative: CPython's bitwise ops on negative big ints are markedly
-    # slower. Stray bits above len(a) never reach the bits below it, since
-    # carries and shifts only move upward; masking `pv` keeps them bounded.
-    mask = (1 << len(a)) - 1
-    last = 1 << (len(a) - 1)
-    pv, mv, dist = mask, 0, len(a)
-    for c in b:
-        eq = match.get(c, 0)
-        xv = eq | mv
-        xh = (((eq & pv) + pv) ^ pv) | eq
-        ph = mv | ((xh | pv) ^ mask)
-        mh = pv & xh
-        if ph & last:
-            dist += 1
-        elif mh & last:
-            dist -= 1
-        # the top DP row is 0..len(b), so every horizontal delta entering it is +1
-        ph = (ph << 1) | 1
-        pv = ((mh << 1) | ((xv | ph) ^ mask)) & mask
-        mv = ph & xv
-    return dist
+    # slower. Stray bits above len(b) never reach the bits below it, since
+    # carries and shifts only move upward; masking `vp` keeps both vectors
+    # free of them (a carry out of the top needs vp's top bit, which clears hp's).
+    mask = bit - 1
+    vp, vn = mask, 0
+    for pm in map(match.__getitem__, a):
+        x = pm | vn
+        d0 = (((x & vp) + vp) ^ vp) | x
+        hn = vp & d0
+        hp = vn | ((vp | d0) ^ mask)
+        # the top DP row is 0..len(a), so every horizontal delta entering it is +1
+        x = (hp << 1) | 1
+        vn = x & d0
+        vp = ((hn << 1) | ((x | d0) ^ mask)) & mask
+    return len(a) + vp.bit_count() - vn.bit_count()
 
 
 def similarity(a: str, b: str) -> float:
@@ -170,7 +170,7 @@ def gated_update(
     trace = UpdateTrace(
         step=step,
         proposed_len=len(candidate_ser),
-        current_len=len(serialize(new)),
+        current_len=len(candidate_ser if accepted else current_ser),
         similarity=sim,
         accepted=accepted,
     )

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stagepipe import memory
 from stagepipe.corpus import StageCategory
 from stagepipe.memory import (
     RuleMemory,
@@ -143,6 +144,56 @@ class TestEditDistance:
             # only a middle section differs once the shared ends are trimmed
             (prefix + text(120) + suffix, prefix + text(90) + suffix),
         ]
+        # strongly unequal lengths: one loop step against a 2,000-bit vector,
+        # then 600 against 2,300 characters
+        longest = text(2300)
+        pairs.append(("é", "<" + text(1998) + ">"))
+        pairs.append((mutate(rng, longest[700:1400], 0.2, alphabet)[:600], longest))
+        # a 1,500-character rule list that grew by 800 inserted characters
+        kept = text(1500)
+        grown = "".join(
+            [kept[:200], text(300), kept[200:900], text(100), kept[900:], text(400)]
+        )
+        pairs.append((kept, grown))
+        for a, b in pairs:
+            expected = two_row_levenshtein(a, b)
+            assert edit_distance(a, b) == expected
+            assert edit_distance(b, a) == expected
+        assert expected == 800  # insertions alone, so the length difference
+
+    # The bit vectors span the longer string. CPython stores ints in 30-bit
+    # digits, so these lengths put the vectors' top bit on either side of a
+    # digit boundary. The ends lie outside the alphabet, so no shared prefix
+    # or suffix is trimmed away.
+    @pytest.mark.parametrize("n", [29, 30, 31, 59, 60, 61])
+    def test_matches_two_row_dp_across_int_digit_boundaries(self, n):
+        rng = random.Random(n)
+        alphabet = "abcd é世𝄞"
+
+        def text(k: int) -> str:
+            return "".join(rng.choice(alphabet) for _ in range(k))
+
+        for m in (2, n - 1, n, n + 1, 2 * n):
+            for _ in range(6):
+                a = "<" + text(n - 2) + ">"
+                b = "(" + (mutate(rng, a[1:-1], 0.3, alphabet) + text(m))[: m - 2] + ")"
+                expected = two_row_levenshtein(a, b)
+                assert edit_distance(a, b) == expected
+                assert edit_distance(b, a) == expected
+
+    @pytest.mark.parametrize("n", [29, 60, 250])
+    def test_pairs_that_differ_at_one_end(self, n):
+        rng = random.Random(n)
+        s = "".join(rng.choice("abcd é世") for _ in range(n))
+        pairs = [
+            ("x" + s, "y" + s),
+            (s + "x", s + "y"),
+            ("x" + s, s),
+            (s, s + "y"),
+            # both ends differ, so nothing is trimmed and the loop runs in full
+            ("x" + s + "y", "z" + s + "w"),
+            ("x" + s + "y", s),
+        ]
         for a, b in pairs:
             expected = two_row_levenshtein(a, b)
             assert edit_distance(a, b) == expected
@@ -268,6 +319,27 @@ class TestGatedUpdate:
         _, trace = gated_update(base, ["qqqqqqqqqq"], 99.0, 2)
         assert not trace.accepted
         assert trace.current_len == 5
+
+    def test_one_distance_call_per_step(self, monkeypatch):
+        # the benchmark derives its memory.edit_distance count as one per step
+        calls = []
+        real = memory.edit_distance
+
+        def counting(a: str, b: str) -> int:
+            calls.append((a, b))
+            return real(a, b)
+
+        monkeypatch.setattr(memory, "edit_distance", counting)
+        # the first step, an accepted edit, a rejected one and a verbatim repeat
+        candidates = [["a1", "b2"], ["a1", "b3"], ["zz", "yy"], ["a1", "b3"]]
+        mem, traces = None, []
+        for step, cand in enumerate(candidates, 1):
+            mem, trace = gated_update(mem, cand, 60.0, step, category=StageCategory.T)
+            traces.append(trace)
+            assert len(calls) == step
+        assert [(t.accepted, t.similarity) for t in traces] == [
+            (True, 0.0), (True, 80.0), (False, 20.0), (True, 100.0)
+        ]
 
     @pytest.mark.parametrize("bad", [-1, 100.5, 1000])
     def test_invalid_threshold(self, bad):
