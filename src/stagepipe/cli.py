@@ -594,8 +594,9 @@ def _load_predictions(
 ) -> dict[int | None, list[PredictionRecord]]:
     """The records of a predictions file, grouped by the `split` field that
     `run --method kewltm` writes, in split order; one group keyed None for a
-    file without that field."""
+    file without that field. A report id appears at most once per group."""
     groups: dict[int | None, list[PredictionRecord]] = {}
+    first_line: dict[tuple[int | None, str], int] = {}
     for lineno, line in enumerate(read_utf8(path, PipelineError).split("\n"), 1):
         if not line.strip():
             continue
@@ -614,6 +615,13 @@ def _load_predictions(
             )
         if rec.report_id not in corpus.by_id:
             raise UsageError(f"{path}: record references unknown report id {rec.report_id!r}")
+        seen = first_line.setdefault((split, rec.report_id), lineno)
+        if seen != lineno:
+            where = "" if split is None else f" in split {split}"
+            raise UsageError(
+                f"{path} lines {seen} and {lineno}: report id {rec.report_id!r} "
+                f"appears twice{where}"
+            )
         groups.setdefault(split, []).append(rec)
     if not groups:
         raise UsageError(f"{path}: no prediction records found")

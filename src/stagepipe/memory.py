@@ -71,6 +71,10 @@ def render_numbered(memory: RuleMemory | Sequence[str]) -> str:
     return "\n".join(f"{i}. {r.strip()}" for i, r in enumerate(rules, 1))
 
 
+# Characters of the shorter string per run of the column loop between maskings.
+_BLOCK = 64
+
+
 def edit_distance(a: str, b: str) -> int:
     """Character-level Levenshtein distance over Unicode scalar values.
 
@@ -78,9 +82,11 @@ def edit_distance(a: str, b: str) -> int:
     Exact, computed with the bit-parallel algorithm of Myers (J. ACM 46(3),
     1999) in Hyyrö's global-distance form (2001). After trimming the shared
     prefix and suffix, one DP column is held as vertical +1/-1 delta bit
-    vectors over the longer string (one Python int each) and advanced by a
-    fixed run of big-int operations per character of the shorter string. The
-    distance is the shorter length plus the last column's +1s minus its -1s.
+    vectors over the longer string (one Python int each) and advanced by 15
+    big-int operations per character of the shorter string, with no mask
+    inside the loop: the vectors are masked back to the longer length once
+    per block of `_BLOCK` characters. The distance is the shorter length plus
+    the last column's +1s minus its -1s.
     """
     if a == b:
         return 0
@@ -104,20 +110,25 @@ def edit_distance(a: str, b: str) -> int:
         bit <<= 1
     # Complements are taken by xor with `mask`, not `~`, so every int stays
     # non-negative: CPython's bitwise ops on negative big ints are markedly
-    # slower. Stray bits above len(b) never reach the bits below it, since
-    # carries and shifts only move upward; masking `vp` keeps both vectors
-    # free of them (a carry out of the top needs vp's top bit, which clears hp's).
+    # slower. In Hyyrö's terms hn = vp & d0 and hp = vn | ~(vp | d0). Every bit
+    # of vn is in x and so in d0, which makes that `|` an xor: hp shifted up,
+    # with the +1 that the top DP row (0..len(a)) feeds into bit 0, is
+    # (((vp | d0) ^ vn) << 1) ^ top. Stray bits above len(b) never reach the
+    # bits below it, since carries and shifts only move upward, so the loop
+    # lets them grow and cuts them off once per block (the ints stay within
+    # about 2 * _BLOCK bits of len(b)), and so before the final popcounts.
     mask = bit - 1
+    top = (mask << 1) | 1
     vp, vn = mask, 0
-    for pm in map(match.__getitem__, a):
-        x = pm | vn
-        d0 = (((x & vp) + vp) ^ vp) | x
-        hn = vp & d0
-        hp = vn | ((vp | d0) ^ mask)
-        # the top DP row is 0..len(a), so every horizontal delta entering it is +1
-        x = (hp << 1) | 1
-        vn = x & d0
-        vp = ((hn << 1) | ((x | d0) ^ mask)) & mask
+    for start in range(0, len(a), _BLOCK):
+        for pm in map(match.__getitem__, a[start:start + _BLOCK]):
+            x = pm | vn
+            d0 = (((x & vp) + vp) ^ vp) | x
+            x = (((vp | d0) ^ vn) << 1) ^ top
+            vp = ((vp & d0) << 1) | ((x | d0) ^ mask)
+            vn = x & d0
+        vp &= mask
+        vn &= mask
     return len(a) + vp.bit_count() - vn.bit_count()
 
 

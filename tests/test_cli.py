@@ -1188,6 +1188,40 @@ class TestEvaluate:
         assert code == 2
         assert "ghost" in capsys.readouterr().err
 
+    def test_duplicated_record_is_usage_error_naming_both_lines(self, tmp_path, capsys):
+        corpus = tmp_path / "c.jsonl"
+        write_corpus(corpus, 4)
+        preds = tmp_path / "p.jsonl"
+        self._write_predictions(
+            preds, {"r000": "T1", "r001": "T2", "r002": "T3", "r003": "T4"}
+        )
+        lines = preds.read_text().splitlines()
+        preds.write_text("\n".join(lines + lines[:1]) + "\n")
+        code = main(
+            ["evaluate", "--predictions", str(preds),
+             "--corpus", str(corpus), "--category", "T"]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert f"{preds} lines 1 and 5: report id 'r000' appears twice" in captured.err
+        assert "num_errors" not in captured.out
+
+    def test_kewltm_record_duplicated_within_a_split_is_usage_error(self, tmp_path, capsys):
+        corpus, out = self._kewltm_run(tmp_path, capsys)
+        lines = (out / "predictions.jsonl").read_text().splitlines()
+        row = json.loads(lines[-1])
+        dup = tmp_path / "dup.jsonl"
+        dup.write_text("\n".join(lines + lines[-1:]) + "\n")
+        code = main(
+            ["evaluate", "--predictions", str(dup),
+             "--corpus", str(corpus), "--category", "T"]
+        )
+        assert code == 2
+        assert (
+            f"{dup} lines {len(lines)} and {len(lines) + 1}: report id {row['report_id']!r} "
+            f"appears twice in split {row['split']}"
+        ) in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "fields",
         [

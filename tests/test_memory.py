@@ -181,6 +181,26 @@ class TestEditDistance:
                 assert edit_distance(a, b) == expected
                 assert edit_distance(b, a) == expected
 
+    # The loop over the shorter string masks its vectors once per 64-character
+    # block, so these lengths end the loop just before, on and after a block
+    # boundary, against a 2,300-character vector string. The ends lie outside
+    # the alphabets, so nothing is trimmed.
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 127, 128, 129])
+    def test_matches_two_row_dp_across_loop_block_boundaries(self, n):
+        rng = random.Random(n)
+        for alphabet in ("abcdefghijklmnopqrstuvwxyz ,.\n", "abcd é世𝄞"):
+
+            def text(k: int) -> str:
+                return "".join(rng.choice(alphabet) for _ in range(k))
+
+            a = "<" + text(n - 2) + ">" if n > 1 else text(1)
+            at = rng.randrange(2300 - 2 * n)
+            middle = mutate(rng, a[1:-1], 0.2, alphabet)
+            b = "(" + (text(at) + middle + text(2300))[:2298] + ")"
+            expected = two_row_levenshtein(a, b)
+            assert edit_distance(a, b) == expected
+            assert edit_distance(b, a) == expected
+
     @pytest.mark.parametrize("n", [29, 60, 250])
     def test_pairs_that_differ_at_one_end(self, n):
         rng = random.Random(n)
