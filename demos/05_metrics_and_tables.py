@@ -6,18 +6,12 @@ Walks through the evaluation machinery on a toy prediction set: per-class
 and macro metrics, error rows built from score blocks the way `run` and
 `evaluate` build them (one block per run or split, the count averaged over
 runs), the reference rounding, unique-error comparison between two methods,
-cause tallies, and mean±std aggregation.
+and mean±std aggregation.
 """
 
-from stagepipe import (
-    StageCategory,
-    aggregate_runs,
-    compare_unique_errors,
-    tally_annotations,
-)
+from stagepipe import StageCategory, aggregate_runs, compare_unique_errors
 from stagepipe.corpus import Corpus, Report, StageLabel
 from stagepipe.evaluation import (
-    ErrorAnnotation,
     aggregate_splits,
     format_error_pct,
     render_metrics_table,
@@ -78,14 +72,6 @@ print("\nreference roundings:", format_error_pct(110, 800), format_error_pct(115
 a_only, b_only = compare_unique_errors(records_a, records_b, corpus, T)
 print(f"\nA-only errors (B correct): {a_only}")
 print(f"B-only errors (A correct): {b_only}")
-
-# unique errors get manual cause annotations, then tallied
-annotations = [
-    ErrorAnnotation("b", "zscot", T, "NI", note="read 1.9 cm as over 2 cm"),
-    ErrorAnnotation("f", "zscot", T, "IIE", note="missed the stated stage"),
-]
-tally = tally_annotations(annotations)
-print(f"cause tally: {tally.counts} (total {tally.total})")
 
 # eight-run aggregation renders mean and sample standard deviation
 f1_runs = [0.822, 0.815, 0.83, 0.812, 0.825, 0.81, 0.83, 0.82]

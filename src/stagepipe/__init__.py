@@ -18,14 +18,12 @@ from .corpus import (
 from .evaluation import (
     ClassMetrics,
     ConfusionMatrix,
-    ErrorAnnotation,
     MacroMetrics,
     aggregate_runs,
     compare_unique_errors,
     format_error_pct,
     memory_curve,
     score,
-    tally_annotations,
 )
 from .llm import (
     ChatRequest,
@@ -33,7 +31,6 @@ from .llm import (
     LlmClient,
     OutputSchema,
     StructuredOutput,
-    client_from_env,
     parse_structured,
     scripted_backend,
 )

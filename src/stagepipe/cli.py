@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -31,7 +32,7 @@ from .corpus import (
     read_utf8,
     truncate_train,
 )
-from .llm import LlmClient, LlmError, client_from_env, scripted_backend
+from .llm import HttpChatBackend, HttpEmbedBackend, LlmClient, LlmError, scripted_backend
 from .pipelines import PipelineError, PredictionRecord, record_from_json, record_to_json
 from .retrieval import RetrievalError, RetrievalQuery
 
@@ -76,8 +77,9 @@ COMMAND_ERRORS = (
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
     """Every config key with its default. Building one checks each value's
-    type, choice and range, so a bad value is a usage error before any
-    call; values are stored as given (an integral threshold stays an int)."""
+    type, choice and range (a float must be finite), so a bad value is a
+    usage error before any call; values are stored as given (an integral
+    threshold stays an int)."""
 
     category: str | None = None
     method: str | None = None
@@ -112,6 +114,8 @@ class RunConfig:
             kinds, noun = _TYPES[field.type]
             if type(value) not in kinds:
                 raise UsageError(f"{field.name} must be {noun}, got {value!r}")
+            if type(value) is float and not math.isfinite(value):
+                raise UsageError(f"{field.name} must be finite, got {value!r}")
             choices = _CHOICES.get(field.name)
             if choices and value is not None and value not in choices:
                 raise UsageError(f"{field.name} must be one of {choices}, got {value!r}")
@@ -155,16 +159,17 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _build_client(cfg: RunConfig) -> LlmClient:
+    """The one client builder. A `--script` backend serves both chat and
+    embeddings; otherwise each HTTP backend is built when its base URL is
+    set. Only `resolve_config` reads the environment."""
     if cfg.script:
         backend = scripted_backend(cfg.script)
         return LlmClient(chat_backend=backend, embed_backend=backend)
-    return client_from_env(
-        llm_base=cfg.llm_base,
-        llm_key=cfg.llm_key,
-        embed_base=cfg.embed_base,
-        embed_key=cfg.embed_key,
-        llm_model=cfg.llm_model,
-        embed_model=cfg.embed_model,
+    return LlmClient(
+        chat_backend=HttpChatBackend(cfg.llm_base, cfg.llm_key, model=cfg.llm_model)
+        if cfg.llm_base else None,
+        embed_backend=HttpEmbedBackend(cfg.embed_base, cfg.embed_key, model=cfg.embed_model)
+        if cfg.embed_base else None,
     )
 
 

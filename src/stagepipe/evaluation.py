@@ -10,39 +10,19 @@ as "mean±sample-std".
 
 from __future__ import annotations
 
-import json
 import statistics
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from .corpus import Corpus, StageCategory, StageLabel, read_utf8
+from .corpus import Corpus, StageCategory, StageLabel
 from .memory import UpdateTrace
 from .pipelines import PredictionRecord
 
-ERROR_CAUSES = ("IIE", "Inf", "NI", "IK", "CGT", "IncInf")
-
 
 class EvaluationError(ValueError):
-    """Records, annotations, or aggregation inputs are inconsistent."""
-
-
-@dataclass(frozen=True)
-class ErrorAnnotation:
-    """A manually assigned cause for one wrong prediction."""
-
-    report_id: str
-    method: str
-    category: StageCategory
-    cause: str
-    note: str = ""
-
-    def __post_init__(self) -> None:
-        if self.cause not in ERROR_CAUSES:
-            raise EvaluationError(
-                f"cause must be one of {ERROR_CAUSES}, got {self.cause!r}"
-            )
+    """Records or aggregation inputs are inconsistent."""
 
 
 @dataclass(frozen=True)
@@ -246,20 +226,6 @@ def compare_unique_errors(
     return sorted(wrong_a - wrong_b), sorted(wrong_b - wrong_a)
 
 
-@dataclass(frozen=True)
-class CauseTally:
-    counts: dict[str, int]
-    total: int
-
-
-def tally_annotations(annotations: Sequence[ErrorAnnotation]) -> CauseTally:
-    """Count annotations per cause, zero-filled for absent causes."""
-    counts = {cause: 0 for cause in ERROR_CAUSES}
-    for ann in annotations:
-        counts[ann.cause] += 1
-    return CauseTally(counts=counts, total=len(annotations))
-
-
 def memory_curve(
     per_run_traces: Sequence[Sequence[UpdateTrace]],
 ) -> list[tuple[int, float]]:
@@ -284,48 +250,6 @@ def write_curve_csv(series: Sequence[tuple[int, float]], path: str | Path) -> No
     lines = ["step,mean_len"]
     lines += [f"{step},{repr(mean)}" for step, mean in series]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def save_annotations(annotations: Sequence[ErrorAnnotation], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for ann in annotations:
-            fh.write(
-                json.dumps(
-                    {
-                        "report_id": ann.report_id,
-                        "method": ann.method,
-                        "category": ann.category.value,
-                        "cause": ann.cause,
-                        "note": ann.note,
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
-
-
-def load_annotations(path: str | Path) -> list[ErrorAnnotation]:
-    """Reads a `save_annotations` file: one JSON object per line whose
-    report_id, method, cause and optional note are strings. Errors name the
-    file and the 1-based line."""
-    out = []
-    # reading has turned \r\n and \r into \n; JSON strings may hold U+2028
-    for lineno, line in enumerate(read_utf8(path, EvaluationError).split("\n"), 1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-            if not isinstance(obj, dict):
-                raise TypeError(f"expected an object, got {obj!r}")
-            fields = {key: obj[key] for key in ("report_id", "method", "cause")}
-            fields["note"] = obj.get("note", "")
-            for key, value in fields.items():
-                if type(value) is not str:
-                    raise TypeError(f"{key} must be a string, got {value!r}")
-            out.append(ErrorAnnotation(category=StageCategory(obj["category"]), **fields))
-        except (KeyError, TypeError, ValueError) as exc:  # ValueError covers bad JSON
-            raise EvaluationError(f"{path} line {lineno}: {exc}")
-    return out
 
 
 def render_metrics_table(block: dict) -> str:

@@ -142,8 +142,8 @@ class ChatRequest:
     def __post_init__(self) -> None:
         if not self.user.strip():
             raise LlmError("user text must be non-empty")
-        if self.temperature < 0:
-            raise LlmError("temperature must be >= 0")
+        if not (math.isfinite(self.temperature) and self.temperature >= 0):
+            raise LlmError(f"temperature must be finite and >= 0, got {self.temperature}")
         if self.max_tokens < 1:
             raise LlmError("max_tokens must be positive")
 
@@ -680,26 +680,3 @@ class LlmClient:
         if len(dims) > 1:
             raise LlmError(f"inconsistent embedding dimensions in one batch: {sorted(dims)}")
         return [EmbeddingVector(tuple(v), model_id) for v in vectors]
-
-
-def client_from_env(
-    *,
-    llm_base: str | None = None,
-    llm_key: str | None = None,
-    embed_base: str | None = None,
-    embed_key: str | None = None,
-    llm_model: str = "default",
-    embed_model: str = "default",
-) -> LlmClient:
-    """Build a live client from STAGEPIPE_* env vars (explicit args win)."""
-    import os
-
-    llm_base = llm_base or os.environ.get("STAGEPIPE_LLM_BASE")
-    llm_key = llm_key if llm_key is not None else os.environ.get("STAGEPIPE_LLM_KEY", "")
-    embed_base = embed_base or os.environ.get("STAGEPIPE_EMBED_BASE")
-    embed_key = (
-        embed_key if embed_key is not None else os.environ.get("STAGEPIPE_EMBED_KEY", "")
-    )
-    chat = HttpChatBackend(llm_base, llm_key, model=llm_model) if llm_base else None
-    emb = HttpEmbedBackend(embed_base, embed_key, model=embed_model) if embed_base else None
-    return LlmClient(chat_backend=chat, embed_backend=emb)

@@ -4,6 +4,9 @@ import hashlib
 import json
 import re
 import threading
+from dataclasses import dataclass
+from email.message import Message
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -134,3 +137,85 @@ class ContentKeyedBackend:
         finally:
             with self._lock:
                 self.in_flight -= 1
+
+
+@dataclass(frozen=True)
+class LoopbackRequest:
+    path: str
+    headers: Message  # case-insensitive lookups, as sent
+    body: dict
+
+
+class LoopbackEndpoint:
+    """An OpenAI-compatible endpoint on 127.0.0.1, served from a thread.
+
+    `/v1/chat/completions` replies, like `ContentKeyedBackend`, with a stage
+    and rule list that depend only on the user message, valid under every
+    schema; `/v1/embeddings` replies with one 8-dimensional vector per input
+    text, derived from the text alone. Every request's path, headers and
+    JSON body are recorded in arrival order.
+    """
+
+    def __init__(self):
+        self.requests: list[LoopbackRequest] = []
+        lock = threading.Lock()
+        endpoint = self
+
+        class Handler(BaseHTTPRequestHandler):
+            def do_POST(self):
+                body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+                with lock:
+                    endpoint.requests.append(LoopbackRequest(self.path, self.headers, body))
+                if self.path == "/v1/chat/completions":
+                    user = body["messages"][-1]["content"]
+                    digest = hashlib.sha256(user.encode()).digest()
+                    content = json.dumps(
+                        rules_body(f"T{digest[0] % 4 + 1}", [f"rule {digest[1] % 3}"])
+                    )
+                    reply = {"choices": [{"message": {"role": "assistant", "content": content}}]}
+                elif self.path == "/v1/embeddings":
+                    reply = {"model": body["model"], "data": [
+                        {"index": i,
+                         "embedding": [b - 127.5 for b in hashlib.sha256(text.encode()).digest()[:8]]}
+                        for i, text in enumerate(body["input"])
+                    ]}
+                else:
+                    self.send_error(404)
+                    return
+                payload = json.dumps(reply).encode()
+                self.send_response(200)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(payload)))
+                self.end_headers()
+                self.wfile.write(payload)
+
+            def log_message(self, format, *args):  # keep test output quiet
+                pass
+
+        self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self.url = f"http://127.0.0.1:{self.server.server_address[1]}"
+        self._thread = threading.Thread(target=self.server.serve_forever, daemon=True)
+        self._thread.start()
+
+    def close(self) -> None:
+        self.server.shutdown()
+        self.server.server_close()
+        self._thread.join()
+
+
+@pytest.fixture
+def loopback_endpoints(monkeypatch):
+    """Starts loopback endpoints on demand: `loopback_endpoints()` returns a
+    new running `LoopbackEndpoint`; each is shut down at teardown."""
+    # requests honours proxy settings; these keep loopback calls direct
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+    monkeypatch.setenv("no_proxy", "127.0.0.1")
+    started: list[LoopbackEndpoint] = []
+
+    def start() -> LoopbackEndpoint:
+        started.append(LoopbackEndpoint())
+        return started[-1]
+
+    yield start
+    for endpoint in started:
+        endpoint.close()

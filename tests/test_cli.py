@@ -454,6 +454,71 @@ class TestRunRag:
         assert str(missing) in capsys.readouterr().err
 
 
+def live_env(monkeypatch, **values: str) -> None:
+    """Sets the given STAGEPIPE_* variables (keyed by config name) and clears the rest."""
+    for env_name, key in cli._ENV_KEYS.items():
+        if key in values:
+            monkeypatch.setenv(env_name, values[key])
+        else:
+            monkeypatch.delenv(env_name, raising=False)
+
+
+class TestLoopbackEndpoint:
+    """Runs whose model calls go over a socket to a loopback endpoint."""
+
+    def _assert_sent(self, sent, path: str, key: str, model: str) -> None:
+        for request in sent:
+            assert request.path == path
+            assert request.headers["Authorization"] == f"Bearer {key}"
+            assert request.body["model"] == model
+
+    def test_zscot_run(self, tmp_path, monkeypatch, loopback_endpoints):
+        endpoint = loopback_endpoints()
+        live_env(monkeypatch, llm_base=endpoint.url, llm_key="chat-key")
+        corpus = tmp_path / "c.jsonl"
+        write_corpus(corpus, 6)
+        out = tmp_path / "out"
+        code = main(
+            ["run", "--method", "zscot", "--category", "T", "--corpus", str(corpus),
+             "--out", str(out), "--llm-model", "m"]
+        )
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "ok"
+        assert manifest["model_ids"] == {"chat": "m", "embed": None}
+        assert manifest["timestamp"] is not None  # a live run is not deterministic
+        assert len((out / "predictions.jsonl").read_text().splitlines()) == 6
+        assert len(endpoint.requests) == 6  # one valid reply per report
+        self._assert_sent(endpoint.requests, "/v1/chat/completions", "chat-key", "m")
+
+    def test_rag_report_text_run(self, tmp_path, monkeypatch, loopback_endpoints):
+        endpoint = loopback_endpoints()
+        live_env(monkeypatch, llm_base=endpoint.url, llm_key="chat-key",
+                 embed_base=endpoint.url, embed_key="embed-key")
+        corpus = tmp_path / "c.jsonl"
+        write_corpus(corpus, 5)
+        guideline = tmp_path / "guide.md"
+        write_guideline(guideline)
+        out = tmp_path / "out"
+        code = main(
+            ["run", "--method", "rag", "--rag-query-mode", "report-text", "--category", "T",
+             "--corpus", str(corpus), "--guideline", str(guideline), "--out", str(out),
+             "--llm-model", "m", "--embed-model", "e"]
+        )
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "ok"
+        assert manifest["model_ids"] == {"chat": "m", "embed": "e"}
+        chats = [r for r in endpoint.requests if r.path == "/v1/chat/completions"]
+        embeds = [r for r in endpoint.requests if r.path != "/v1/chat/completions"]
+        assert len(chats) == 5
+        assert len(embeds) == 1 + 5  # the guideline's chunks, then one query per report
+        self._assert_sent(chats, "/v1/chat/completions", "chat-key", "m")
+        self._assert_sent(embeds, "/v1/embeddings", "embed-key", "e")
+        lines = [json.loads(l) for l in (out / "predictions.jsonl").read_text().splitlines()]
+        assert len(lines) == 5 and all(l["retrieved_chunk_ids"] for l in lines)
+
+
 class TestIndexInputs:
     """An index that disagrees with the run's other inputs fails the run
     before any chat call."""
@@ -720,6 +785,14 @@ def test_threshold_out_of_range_is_usage_error_before_any_call(
          "--n-train must not exceed train_size 3, got 4"),
         (["run", "--method", "zscot", "--temperature", "-1"], None,
          "temperature must be at least 0, got -1.0"),
+        (["run", "--method", "zscot", "--temperature", "nan"], None,
+         "temperature must be finite, got nan"),
+        (["run", "--method", "zscot", "--temperature", "inf"], None,
+         "temperature must be finite, got inf"),
+        (["run", "--method", "zscot"], {"temperature": float("nan")},
+         "temperature must be finite, got nan"),
+        (["run", "--method", "kewltm"], {"threshold": float("inf")},
+         "threshold must be finite, got inf"),
         (["run", "--method", "zscot", "--max-tokens", "0"], None,
          "max_tokens must be at least 1, got 0"),
         (["run", "--method", "rag"], {"chunk_max_chars": 199},
@@ -731,7 +804,8 @@ def test_threshold_out_of_range_is_usage_error_before_any_call(
     ],
     ids=["k", "config-k", "splits", "train-size", "n-train", "sweep-train-counts",
          "sweep-train-counts-above-train-size", "n-train-above-train-size",
-         "sweep-thresholds-n-train-above-train-size", "temperature", "max-tokens",
+         "sweep-thresholds-n-train-above-train-size", "temperature", "temperature-nan",
+         "temperature-inf", "config-temperature-nan", "config-threshold-inf", "max-tokens",
          "chunk-max-chars", "negative-chunk-overlap", "chunk-overlap-not-below-max"],
 )
 def test_out_of_range_setting_is_usage_error_before_any_call(
@@ -1406,6 +1480,30 @@ class TestConfigPrecedence:
         cfg.write_text(json.dumps({"wat": 1}))
         assert main(["ingest", "--config", str(cfg), "--corpus", "x"]) == 2
         assert "wat" in capsys.readouterr().err
+
+    def test_client_is_built_from_the_config_alone(self, monkeypatch):
+        live_env(monkeypatch, llm_base="http://127.0.0.1:9", embed_base="http://127.0.0.1:9")
+        client = cli._build_client(cli.RunConfig())
+        assert client.chat_backend is None
+        assert client.embed_backend is None
+
+    def test_environment_overrides_file_and_flag_overrides_both(
+        self, tmp_path, monkeypatch, loopback_endpoints
+    ):
+        from_file, from_env = loopback_endpoints(), loopback_endpoints()
+        live_env(monkeypatch, llm_base=from_env.url)
+        corpus = tmp_path / "c.jsonl"
+        write_corpus(corpus, 4)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"llm_base": from_file.url, "llm_model": "file-model"}))
+        code = main(
+            ["run", "--method", "zscot", "--config", str(cfg), "--category", "T",
+             "--corpus", str(corpus), "--out", str(tmp_path / "out"), "--llm-model", "m"]
+        )
+        assert code == 0
+        assert from_file.requests == []
+        assert len(from_env.requests) == 4
+        assert {r.body["model"] for r in from_env.requests} == {"m"}
 
 
 class TestNumpyLoadsOnlyWithVectors:

@@ -6,19 +6,14 @@ import pytest
 
 from stagepipe.corpus import Corpus, StageCategory, StageLabel
 from stagepipe.evaluation import (
-    ERROR_CAUSES,
-    ErrorAnnotation,
     EvaluationError,
     aggregate_runs,
     aggregate_splits,
     compare_unique_errors,
     format_error_pct,
-    load_annotations,
     memory_curve,
-    save_annotations,
     score,
     score_block,
-    tally_annotations,
 )
 from stagepipe.memory import UpdateTrace
 from stagepipe.pipelines import PredictionRecord
@@ -285,71 +280,6 @@ class TestCompareUniqueErrors:
         b = [prediction("2", "T1")]
         with pytest.raises(EvaluationError, match="different report ids"):
             compare_unique_errors(a, b, corpus, T)
-
-
-class TestTally:
-    def _annotations(self, counts: dict[str, int], method: str) -> list[ErrorAnnotation]:
-        out = []
-        for cause, count in counts.items():
-            out += [
-                ErrorAnnotation(f"{method}-{cause}-{i}", method, T, cause)
-                for i in range(count)
-            ]
-        return out
-
-    def test_reference_row(self):
-        # ZSCOT-only unique errors: IIE 10, Inf 6, NI 24, IK 5, CGT 1, total 46
-        anns = self._annotations(
-            {"IIE": 10, "Inf": 6, "NI": 24, "IK": 5, "CGT": 1}, "zscot"
-        )
-        tally = tally_annotations(anns)
-        assert tally.counts == {"IIE": 10, "Inf": 6, "NI": 24, "IK": 5, "CGT": 1, "IncInf": 0}
-        assert tally.total == 46
-
-    def test_empty(self):
-        tally = tally_annotations([])
-        assert tally.total == 0
-        assert set(tally.counts) == set(ERROR_CAUSES)
-        assert all(v == 0 for v in tally.counts.values())
-
-    def test_single(self):
-        tally = tally_annotations([ErrorAnnotation("r", "rag", T, "NI")])
-        assert tally.counts["NI"] == 1
-        assert tally.total == 1
-
-    def test_invalid_cause(self):
-        with pytest.raises(EvaluationError):
-            ErrorAnnotation("r", "rag", T, "WAT")
-
-    def test_annotation_file_round_trip(self, tmp_path):
-        anns = self._annotations({"NI": 2, "IK": 1}, "kewrag")
-        path = tmp_path / "anns.jsonl"
-        save_annotations(anns, path)
-        assert load_annotations(path) == anns
-
-    @pytest.mark.parametrize(
-        "content, message",
-        [
-            ('{"report_id": "r", "method": "rag", "category": "T", "cause": "NI", '
-             '"note": "caf\u00e9"}\n'.encode("latin-1"), "not UTF-8"),
-            (b'{"report_id": ["x"], "method": "rag", "category": "T", "cause": "NI"}\n',
-             "report_id must be a string"),
-            (b'{"report_id": "r", "method": 7, "category": "T", "cause": "NI"}\n',
-             "method must be a string"),
-            (b'{"report_id": "r", "method": "rag", "category": "T", "cause": null}\n',
-             "cause must be a string"),
-            (b'{"report_id": "r", "method": "rag", "category": "T", "cause": "NI", "note": 1}\n',
-             "note must be a string"),
-            (b'["r", "rag", "T", "NI"]\n', "expected an object"),
-        ],
-        ids=["latin-1", "report-id-list", "method-number", "cause-null", "note-number",
-             "not-an-object"],
-    )
-    def test_malformed_annotation_file_is_evaluation_error(self, tmp_path, content, message):
-        path = tmp_path / "anns.jsonl"
-        path.write_bytes(content)
-        with pytest.raises(EvaluationError, match=message):
-            load_annotations(path)
 
 
 class TestMemoryCurve:

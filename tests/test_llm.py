@@ -136,6 +136,12 @@ class TestChatRequest:
         assert req.temperature == 0.0
         assert req.max_tokens == 1024
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.5])
+    def test_temperature_must_be_finite_and_non_negative(self, value):
+        # a NaN or infinite temperature cannot be sent as JSON
+        with pytest.raises(LlmError, match="temperature must be finite and >= 0"):
+            ChatRequest(user="hi", schema=STAGING_T, temperature=value)
+
 
 class TestEmbeddingVector:
     def test_all_zero_rejected(self):
