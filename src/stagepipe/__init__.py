@@ -22,6 +22,7 @@ from .evaluation import (
     aggregate_runs,
     compare_unique_errors,
     format_error_pct,
+    mcnemar_p,
     memory_curve,
     score,
 )

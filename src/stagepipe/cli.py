@@ -663,6 +663,8 @@ def cmd_evaluate(cfg: RunConfig, prediction_paths: list[str]) -> int:
             unique = evaluation.compare_unique_errors(a, b, corpus, category)
             for path, ids in zip(prediction_paths, unique):
                 print(f"{label}unique errors of {path} ({len(ids)}): {', '.join(ids)}")
+            # per split only: the splits' test sets overlap, so their pairs are not independent
+            print(f"{label}McNemar exact p={evaluation.mcnemar_p(*map(len, unique))}")
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Metrics, error counts, multi-run aggregation, and trace analysis.
+"""Metrics, error counts, multi-run aggregation, paired tests, and trace analysis.
 
 Each category is scored as a 4-class problem: per-class precision, recall,
 and F1 from the confusion matrix, macro-averaged with equal class weights.
@@ -10,6 +10,7 @@ as "mean±sample-std".
 
 from __future__ import annotations
 
+import math
 import statistics
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
@@ -224,6 +225,19 @@ def compare_unique_errors(
     wrong_a = wrong_ids(a)
     wrong_b = wrong_ids(b)
     return sorted(wrong_a - wrong_b), sorted(wrong_b - wrong_a)
+
+
+def mcnemar_p(b: int, c: int) -> float:
+    """Exact two-sided McNemar p-value of two methods on one test set.
+
+    `b` and `c` count the reports each method alone got wrong. Under the null
+    hypothesis each such report is equally likely to be either's, so the
+    p-value is twice the binomial(b + c, 1/2) tail at min(b, c), capped at 1
+    (McNemar 1947; the exact form Dietterich 1998 recommends).
+    """
+    n = b + c
+    tail = sum(math.comb(n, i) for i in range(min(b, c) + 1))
+    return min(1.0, 2 * tail / 2**n)
 
 
 def memory_curve(

@@ -568,11 +568,14 @@ class HttpEmbedBackend(_HttpBackend):
 class LlmClient:
     """Shared handle over chat/embed backends with validation and retries.
 
-    At most `max_in_flight` backend calls run at once, across every thread
-    that shares the client; it is 1 when either backend replays by call
-    order (`replays_in_call_order`). A call holds its slot through its
-    transport retries and nothing else, so a caller never holds one while it
-    waits on other tasks.
+    Chat and embeddings are separate endpoints, each bounded on its own: at
+    most `max_in_flight` chat calls and at most `max_in_flight` embed calls
+    run at once, across every thread that shares the client, so up to
+    `max_in_flight_total` calls in all. When either backend replays by call
+    order (`replays_in_call_order`) both roles share one slot, so calls run
+    one at a time in the order they arrive. A call holds its slot through
+    its transport retries and nothing else, so a caller never holds one
+    while it waits on other tasks.
     """
 
     def __init__(
@@ -603,7 +606,11 @@ class LlmClient:
             getattr(b, "replays_in_call_order", False) for b in (chat_backend, embed_backend)
         )
         self.max_in_flight = 1 if replays else max_in_flight
-        self._slots = threading.BoundedSemaphore(self.max_in_flight)
+        self.max_in_flight_total = 1 if replays else 2 * max_in_flight
+        self._chat_slots = threading.BoundedSemaphore(self.max_in_flight)
+        self._embed_slots = (
+            self._chat_slots if replays else threading.BoundedSemaphore(self.max_in_flight)
+        )
 
     @property
     def deterministic(self) -> bool:
@@ -620,7 +627,9 @@ class LlmClient:
         attempt_request = request
         last: SchemaViolationError | None = None
         for _ in range(1 + self.max_schema_retries):
-            raw = self._transport(lambda: self.chat_backend.complete(attempt_request))
+            raw = self._transport(
+                self._chat_slots, lambda: self.chat_backend.complete(attempt_request)
+            )
             try:
                 return parse_structured(raw, request.schema)
             except SchemaViolationError as violation:
@@ -644,14 +653,15 @@ class LlmClient:
         parts.append(f"Respond with a single JSON object containing {' and '.join(fields)}.")
         return request.user + "\n\n" + " ".join(parts)
 
-    def _transport(self, call: Callable):
-        """Run one backend call in a slot, retrying retryable transport errors.
+    def _transport(self, slots: threading.BoundedSemaphore, call: Callable):
+        """Run one backend call in one of `slots`, retrying retryable
+        transport errors.
 
         Waits double from `backoff_s`; a rate-limited reply's Retry-After
         (capped at MAX_RETRY_AFTER_S) lengthens the wait when it is longer.
         """
         delay = self.backoff_s
-        with self._slots:
+        with slots:
             for _ in range(1, self.transport_attempts):
                 try:
                     return call()
@@ -671,7 +681,9 @@ class LlmClient:
         for t in texts:
             if not t:
                 raise LlmError("cannot embed empty text")
-        vectors, model_id = self._transport(lambda: self.embed_backend.embed(texts))
+        vectors, model_id = self._transport(
+            self._embed_slots, lambda: self.embed_backend.embed(texts)
+        )
         if len(vectors) != len(texts):
             raise LlmError(
                 f"embedding backend returned {len(vectors)} vectors for {len(texts)} texts"

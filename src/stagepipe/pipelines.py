@@ -7,11 +7,13 @@ one-shot synthesis of rules from retrieved guideline chunks applied at every
 inference. Each induction is a strictly sequential chain, since every step
 reads the memory the previous one left; the caller may run the chains of
 independent (point, split) cycles concurrently. Test-set inference asks for up
-to `max_in_flight` reports at once; the client bounds the calls of every pool
-that shares it and decides which waiting call runs next. Records are sorted
-by report id so output bytes never depend on scheduling. Tasks that run
-together share one `StopSignal`: after the first terminal failure none of
-them starts another step.
+to `max_in_flight` reports at once, or, in report-text RAG, where each report
+embeds its query before its chat call, up to `max_in_flight_total`, so that
+one report's embed runs while others' chats hold the chat slots. The client
+bounds the calls to each endpoint of every pool that shares it and decides
+which waiting call runs next. Records are sorted by report id so output bytes
+never depend on scheduling. Tasks that run together share one `StopSignal`:
+after the first terminal failure none of them starts another step.
 """
 
 from __future__ import annotations
@@ -219,17 +221,18 @@ def _infer_all(
     memory_version: int | None = None,
     *,
     stop: StopSignal | None = None,
+    width: int | None = None,
 ) -> list[PredictionRecord]:
     """The inference step every method shares: one chat call per report.
 
     `prepare(report)` returns the rendered request and the retrieved chunk
     ids the record carries. A report whose output stays unparseable is
-    recorded as such and the batch goes on. Up to `client.max_in_flight`
-    reports run at once, each preparing its request just before its chat
-    call; the client decides which of the calls waiting on it runs next. Any
-    other failure is terminal: it is recorded in `stop`, no report starts
-    after it, the reports in flight finish, and the first failure is raised.
-    Records are sorted by report id.
+    recorded as such and the batch goes on. Up to `width` reports
+    (`client.max_in_flight` by default) run at once, each preparing its
+    request just before its chat call; the client decides which of the calls
+    waiting on it runs next. Any other failure is terminal: it is recorded in
+    `stop`, no report starts after it, the reports in flight finish, and the
+    first failure is raised. Records are sorted by report id.
     """
     if not reports:
         raise PipelineError("no reports to run")
@@ -254,7 +257,7 @@ def _infer_all(
             timing_ms=elapsed(start),
         )
 
-    records = run_bounded(infer, reports, client.max_in_flight, stop or StopSignal())
+    records = run_bounded(infer, reports, width or client.max_in_flight, stop or StopSignal())
     return sorted(records, key=lambda rec: rec.report_id)
 
 
@@ -297,7 +300,9 @@ def run_rag(
 
     In the default ``guideline`` mode the query is report-independent and
     retrieval happens once per run; ``report-text`` mode retrieves per report,
-    just before its chat call, using the report text as the query.
+    just before its chat call, using the report text as the query, and runs
+    up to `client.max_in_flight_total` reports at once, so that the embed and
+    chat endpoints are both kept busy.
     """
     if rag_query_mode not in RAG_QUERY_MODES:
         raise PipelineError(f"unknown rag_query_mode {rag_query_mode!r}")
@@ -314,7 +319,8 @@ def run_rag(
         )
         return render(template, {"report": report.text, "chunks": context}), ids
 
-    return _infer_all(client, reports, category, "rag", prepare)
+    width = client.max_in_flight if rag_query_mode == "guideline" else client.max_in_flight_total
+    return _infer_all(client, reports, category, "rag", prepare, width=width)
 
 
 def induce_ltm(

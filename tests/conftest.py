@@ -4,12 +4,14 @@ import hashlib
 import json
 import re
 import threading
+from collections import Counter
 from dataclasses import dataclass
 from email.message import Message
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from stagepipe import pipelines
 from stagepipe.corpus import Corpus, Report, StageCategory, StageLabel
 from stagepipe.llm import LlmClient, ScriptedBackend, TransportError
 
@@ -77,42 +79,83 @@ class JsonResponse:
 NULL_CONTENT_REPLY = {"choices": [{"message": {"role": "assistant", "content": None}}]}
 
 
-class ContentKeyedBackend:
-    """A chat backend whose reply depends only on the prompt.
+REPORT_ID = re.compile(r"pathology report body for (\S+)")
 
-    Every call is recorded as (template id, report id) in start order, with
-    the peak number of calls in flight. Calls wait at `barrier` when one is
-    given (`*_inference` calls at `infer_barrier` instead, when that is
-    given), so a test can hold a number of calls in flight together without
-    relying on timing. The call for report `fail_id` raises `error`; calls
-    that passed a barrier return only once `release` is set, by default once
-    it has raised (only those for the reports in `hold`, when given). After
-    it has raised no call waits at a barrier. The reply is a rule list with a stage, valid under every schema.
+
+def text_vector(text: str) -> list[float]:
+    """An 8-dimensional, never all-zero vector derived from `text` alone."""
+    return [b - 127.5 for b in hashlib.sha256(text.encode()).digest()[:8]]
+
+
+class ContentKeyedBackend:
+    """A chat and embed backend whose replies depend only on the request.
+
+    Every chat call is recorded as (template id, report id) in start order,
+    with the peak number of chat calls in flight; every embed of a report's
+    text as its report id in `embedded`, with the peak number of embed calls
+    in flight (`embed_peak`). Chat calls wait at `barrier` when one is given
+    (`*_inference` calls at `infer_barrier` instead, when that is given), and
+    embeds of report texts at `embed_barrier` (only those of the reports in
+    `embed_hold`, when given), so a test can hold a number of calls in flight
+    together without relying on timing. The chat call for report `fail_id`
+    raises `error` (its embed instead, when `fail_embed`); chat calls given
+    a barrier return only once `release` is set, by default once it has
+    raised (only those for the reports in `hold`, when given). After it has
+    raised no call waits at a barrier. The chat reply is a rule list with
+    a stage, valid under every schema; the embed reply is `text_vector` of
+    each text.
     """
 
     deterministic = True
     model_id = "content-keyed"
 
     def __init__(
-        self, barrier=None, fail_id=None, *, infer_barrier=None, release=None, hold=None
+        self, barrier=None, fail_id=None, *, infer_barrier=None, release=None, hold=None,
+        embed_barrier=None, embed_hold=None, fail_embed=False,
     ):
         self.barrier = barrier
         self.infer_barrier = infer_barrier
+        self.embed_barrier = embed_barrier
+        self.embed_hold = embed_hold
         self.fail_id = fail_id
+        self.fail_embed = fail_embed
         self.error = TransportError(f"{fail_id} rejected", retryable=False)
         self.raised = threading.Event()
         self.release = release or self.raised
         self.hold = hold
         self.calls: list[tuple[str, str]] = []
+        self.embedded: list[str] = []
         self.in_flight = self.peak = 0
+        self.embed_in_flight = self.embed_peak = 0
         self._lock = threading.Lock()
 
     @property
     def started(self) -> list[str]:
         return [report_id for _, report_id in self.calls]
 
+    def embed(self, texts):
+        report_ids = [m.group(1) for m in map(REPORT_ID.search, texts) if m]
+        with self._lock:
+            self.embedded += report_ids
+            self.embed_in_flight += 1
+            self.embed_peak = max(self.embed_peak, self.embed_in_flight)
+        try:
+            barrier = self.embed_barrier
+            if (
+                report_ids and barrier is not None and not self.raised.is_set()
+                and set(report_ids) <= (self.embed_hold or set(report_ids))
+            ):
+                barrier.wait()
+            if self.fail_embed and self.fail_id in report_ids:
+                self.raised.set()
+                raise self.error
+            return [text_vector(text) for text in texts], self.model_id
+        finally:
+            with self._lock:
+                self.embed_in_flight -= 1
+
     def complete(self, request):
-        report_id = re.search(r"pathology report body for (\S+)", request.user).group(1)
+        report_id = REPORT_ID.search(request.user).group(1)
         with self._lock:
             self.calls.append((request.template_id, report_id))
             self.in_flight += 1
@@ -121,13 +164,14 @@ class ContentKeyedBackend:
             barrier = self.barrier
             if self.infer_barrier is not None and request.template_id.endswith("_inference"):
                 barrier = self.infer_barrier
-            held = barrier is not None and not self.raised.is_set()
-            if held:
+            if barrier is not None and not self.raised.is_set():
                 barrier.wait()
-            if report_id == self.fail_id:
+            if report_id == self.fail_id and not self.fail_embed:
                 self.raised.set()
                 raise self.error
-            if held and self.fail_id is not None and report_id in (self.hold or {report_id}):
+            # also a call that comes after the raise, before `release` is set
+            if (barrier is not None and self.fail_id is not None
+                    and report_id in (self.hold or {report_id})):
                 assert self.release.wait(timeout=10)
             digest = hashlib.sha256(request.user.encode()).digest()
             return json.dumps(rules_body(
@@ -151,13 +195,17 @@ class LoopbackEndpoint:
 
     `/v1/chat/completions` replies, like `ContentKeyedBackend`, with a stage
     and rule list that depend only on the user message, valid under every
-    schema; `/v1/embeddings` replies with one 8-dimensional vector per input
-    text, derived from the text alone. Every request's path, headers and
-    JSON body are recorded in arrival order.
+    schema; `/v1/embeddings` replies with one `text_vector` per input text.
+    Every request's path, headers and JSON body are recorded in arrival
+    order, and `peak` holds the most requests to each path that were in
+    hand at once, each counted from its arrival until just before its reply
+    is sent.
     """
 
     def __init__(self):
         self.requests: list[LoopbackRequest] = []
+        self.peak: Counter[str] = Counter()
+        in_hand: Counter[str] = Counter()
         lock = threading.Lock()
         endpoint = self
 
@@ -166,20 +214,14 @@ class LoopbackEndpoint:
                 body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
                 with lock:
                     endpoint.requests.append(LoopbackRequest(self.path, self.headers, body))
-                if self.path == "/v1/chat/completions":
-                    user = body["messages"][-1]["content"]
-                    digest = hashlib.sha256(user.encode()).digest()
-                    content = json.dumps(
-                        rules_body(f"T{digest[0] % 4 + 1}", [f"rule {digest[1] % 3}"])
-                    )
-                    reply = {"choices": [{"message": {"role": "assistant", "content": content}}]}
-                elif self.path == "/v1/embeddings":
-                    reply = {"model": body["model"], "data": [
-                        {"index": i,
-                         "embedding": [b - 127.5 for b in hashlib.sha256(text.encode()).digest()[:8]]}
-                        for i, text in enumerate(body["input"])
-                    ]}
-                else:
+                    in_hand[self.path] += 1
+                    endpoint.peak[self.path] = max(endpoint.peak[self.path], in_hand[self.path])
+                try:
+                    reply = self._reply(body)
+                finally:  # before the reply goes out, so the client's next call finds it done
+                    with lock:
+                        in_hand[self.path] -= 1
+                if reply is None:
                     self.send_error(404)
                     return
                 payload = json.dumps(reply).encode()
@@ -188,6 +230,21 @@ class LoopbackEndpoint:
                 self.send_header("Content-Length", str(len(payload)))
                 self.end_headers()
                 self.wfile.write(payload)
+
+            def _reply(self, body: dict) -> dict | None:
+                if self.path == "/v1/chat/completions":
+                    user = body["messages"][-1]["content"]
+                    digest = hashlib.sha256(user.encode()).digest()
+                    content = json.dumps(
+                        rules_body(f"T{digest[0] % 4 + 1}", [f"rule {digest[1] % 3}"])
+                    )
+                    return {"choices": [{"message": {"role": "assistant", "content": content}}]}
+                if self.path == "/v1/embeddings":
+                    return {"model": body["model"], "data": [
+                        {"index": i, "embedding": text_vector(text)}
+                        for i, text in enumerate(body["input"])
+                    ]}
+                return None
 
             def log_message(self, format, *args):  # keep test output quiet
                 pass
@@ -201,6 +258,21 @@ class LoopbackEndpoint:
         self.server.shutdown()
         self.server.server_close()
         self._thread.join()
+
+
+@pytest.fixture
+def failure_recorded(monkeypatch) -> threading.Event:
+    """Set once a `StopSignal` has recorded a failure, so a call held on it
+    returns only when no task sharing the signal starts another step."""
+    recorded = threading.Event()
+    fail = pipelines.StopSignal.fail
+
+    def fail_and_signal(self, exc):
+        fail(self, exc)
+        recorded.set()
+
+    monkeypatch.setattr(pipelines.StopSignal, "fail", fail_and_signal)
+    return recorded
 
 
 @pytest.fixture

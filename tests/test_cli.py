@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from stagepipe import cli, pipelines
+from stagepipe import cli
 from stagepipe.cli import main
 from stagepipe.corpus import (
     Corpus,
@@ -517,6 +517,9 @@ class TestLoopbackEndpoint:
         self._assert_sent(embeds, "/v1/embeddings", "embed-key", "e")
         lines = [json.loads(l) for l in (out / "predictions.jsonl").read_text().splitlines()]
         assert len(lines) == 5 and all(l["retrieved_chunk_ids"] for l in lines)
+        # the client bounds each endpoint on its own, at max_in_flight (4) calls
+        assert set(endpoint.peak) == {"/v1/chat/completions", "/v1/embeddings"}
+        assert max(endpoint.peak.values()) <= 4
 
 
 class TestIndexInputs:
@@ -907,21 +910,6 @@ def kewltm_point(backend: ContentKeyedBackend, splits: list[Split], corpus: Corp
     return result
 
 
-@pytest.fixture
-def failure_recorded(monkeypatch) -> threading.Event:
-    """Set once a `StopSignal` has recorded a failure, so a call held on it
-    returns only when no task sharing the signal starts another step."""
-    recorded = threading.Event()
-    fail = pipelines.StopSignal.fail
-
-    def fail_and_signal(self, exc):
-        fail(self, exc)
-        recorded.set()
-
-    monkeypatch.setattr(pipelines.StopSignal, "fail", fail_and_signal)
-    return recorded
-
-
 class TestConcurrentSplits:
     @pytest.mark.parametrize("n_splits", [4, 8])
     def test_splits_induce_together_up_to_the_bound(self, n_splits):
@@ -1227,13 +1215,23 @@ class TestEvaluate:
             row["report_id"] for row in rows
             if row["split"] == 1 and row["predicted"] == gold[row["report_id"]].render()
         )
-        assert correct
+        assert len(correct) >= 2
         assert f"split 0: unique errors of {unparsed} (0): " in lines
         assert f"split 1: unique errors of {preds} (0): " in lines
         assert (
             f"split 1: unique errors of {unparsed} ({len(correct)}): {', '.join(correct)}"
             in lines
         )
+        # McNemar per split: (b, c) = (0, 0), then (0, len(correct))
+        p_lines = ["split 0: McNemar exact p=1.0",
+                   f"split 1: McNemar exact p={min(1.0, 2 / 2 ** len(correct))}"]
+        assert [line for line in lines if "McNemar" in line] == p_lines
+        assert main(
+            ["evaluate", "--predictions", str(unparsed), str(preds),
+             "--corpus", str(corpus), "--category", "T"]
+        ) == 0
+        swapped = capsys.readouterr().out.splitlines()
+        assert [line for line in swapped if "McNemar" in line] == p_lines
 
     def test_files_with_different_splits_are_usage_error(self, tmp_path, capsys):
         corpus, out = self._kewltm_run(tmp_path, capsys)

@@ -11,6 +11,7 @@ from stagepipe.evaluation import (
     aggregate_splits,
     compare_unique_errors,
     format_error_pct,
+    mcnemar_p,
     memory_curve,
     score,
     score_block,
@@ -280,6 +281,14 @@ class TestCompareUniqueErrors:
         b = [prediction("2", "T1")]
         with pytest.raises(EvaluationError, match="different report ids"):
             compare_unique_errors(a, b, corpus, T)
+
+
+@pytest.mark.parametrize(
+    "b, c, p", [(0, 6, 0.03125), (1, 9, 0.021484375), (3, 3, 1.0), (0, 0, 1.0), (0, 1, 1.0)]
+)
+def test_mcnemar_exact_two_sided_p(b, c, p):
+    assert mcnemar_p(b, c) == p
+    assert mcnemar_p(c, b) == p  # which method is named first does not matter
 
 
 class TestMemoryCurve:

@@ -27,6 +27,7 @@ from stagepipe.pipelines import (
 from stagepipe.prompts import default_templates
 from stagepipe.retrieval import Chunk, RetrievalQuery, build_index
 from .conftest import (
+    REPORT_ID,
     ContentKeyedBackend,
     chat_entry,
     make_report,
@@ -138,18 +139,22 @@ class TestRunRag:
         assert CHUNK_SEPARATOR in captured[0]
 
     def test_report_text_mode_retrieves_per_report(self):
-        texts = ["chunk a", "chunk b"]
-        mapping_extra = {f"pathology report body for r{i:02d}": [0.5, 0.5] for i in range(3)}
-        entries = [embed_script(texts, extra=mapping_extra)]
+        vectors = {"chunk a": [1.0, 0.0], "chunk b": [0.0, 1.0], "chunk c": [1.0, 1.0]}
+        # each report's query ranks the three chunks in its own order
+        queries = {"r00": [1.0, 0.1], "r01": [0.1, 1.0], "r02": [1.0, 1.0]}
+        vectors.update({f"pathology report body for {rid}": v for rid, v in queries.items()})
+        entries = [{"key": None, "kind": "embed", "body": {"map": vectors}}]
         entries += [chat_entry(staging_body("T1"))] * 3
         client, backend = scripted_client(entries)
-        index = guideline_index(client, texts)
+        index = guideline_index(client, ["chunk a", "chunk b", "chunk c"])
         before = backend.embed_calls
-        run_rag(
-            reports(3), T, client, index, RetrievalQuery("q", k=2), REGISTRY,
+        records = run_rag(
+            reports(3), T, client, index, RetrievalQuery("q", k=3), REGISTRY,
             rag_query_mode="report-text",
         )
         assert backend.embed_calls - before == 3
+        # ties break by chunk id: r02 scores a and b alike
+        assert [r.retrieved_chunk_ids for r in records] == [(0, 2, 1), (1, 2, 0), (2, 0, 1)]
 
     def test_empty_index_rejected_before_llm(self):
         client, backend = scripted_client([])
@@ -443,6 +448,105 @@ class TestConcurrentInference:
         records = run_zscot(reports(len(stages)), T, client, REGISTRY)
         assert [r.predicted.render() for r in records] == stages
         assert [r.reasoning for r in records] == [f"call {i}" for i in range(1, 9)]
+
+
+def report_text_rag(backend, n: int, max_in_flight: int) -> list[PredictionRecord]:
+    """Report-text RAG over `n` reports, each endpoint bounded at `max_in_flight`."""
+    client = LlmClient(chat_backend=backend, embed_backend=backend, max_in_flight=max_in_flight)
+    index = guideline_index(client, [f"guideline chunk {i}" for i in range(6)])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, so interleavings vary
+    try:
+        return run_rag(
+            reports(n), T, client, index, RetrievalQuery("q", k=3), REGISTRY,
+            rag_query_mode="report-text",
+        )
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class TestReportTextRagConcurrency:
+    """Each report embeds its query, then makes its chat call; the client
+    bounds the two endpoints apart."""
+
+    def test_each_endpoint_keeps_its_own_bound(self):
+        wide = ContentKeyedBackend(
+            barrier=threading.Barrier(2, timeout=10), embed_barrier=threading.Barrier(2, timeout=10)
+        )
+        records = report_text_rag(wide, 16, max_in_flight=2)
+        # each barrier lets 2 calls of its kind through together, the client no more
+        assert (wide.peak, wide.embed_peak) == (2, 2)
+        narrow = ContentKeyedBackend()
+        narrow.replays_in_call_order = True  # so the client runs one call at a time
+        assert records == report_text_rag(narrow, 16, max_in_flight=2)
+        assert (narrow.peak, narrow.embed_peak) == (1, 1)
+        # the reports retrieve different chunks, so the comparison above
+        # would show a mix-up between reports that ran together
+        assert len({r.retrieved_chunk_ids for r in records}) > 1
+
+    def test_embeds_run_while_the_chat_slots_are_held(self):
+        m = 2
+        backend = ContentKeyedBackend(embed_hold={f"r{2 * m - 1:02d}"})
+
+        def first_round_only():
+            backend.barrier = backend.embed_barrier = None
+
+        # m chat calls and the embed of the last report of the pool's first
+        # wave pass only together, which one slot pool for both roles would
+        # never admit
+        backend.barrier = backend.embed_barrier = threading.Barrier(
+            m + 1, action=first_round_only, timeout=10
+        )
+        records = report_text_rag(backend, 2 * m, max_in_flight=m)
+        assert len(records) == 2 * m
+        assert backend.peak == m
+        assert f"r{2 * m - 1:02d}" not in backend.started[:m]
+
+    def test_call_order_replay_runs_one_call_at_a_time_in_report_order(self):
+        n = 4
+        texts = [f"guideline chunk {i}" for i in range(3)]
+        queries = {f"pathology report body for r{i:02d}": [1.0, float(i)] for i in range(n)}
+        entries = [embed_script(texts, extra=queries)] + [chat_entry(staging_body("T1"))] * n
+        client, backend = scripted_client(entries)
+        assert client.max_in_flight_total == 1
+        index = guideline_index(client, texts)
+        events = []
+
+        def spy(role, call):
+            def traced(arg):
+                text = arg[0] if role == "embed" else arg.user
+                events.append((role, REPORT_ID.search(text).group(1)))
+                result = call(arg)
+                events.append("done")
+                return result
+            return traced
+
+        backend.embed = spy("embed", backend.embed)
+        backend.complete = spy("chat", backend.complete)
+        run_rag(
+            reports(n), T, client, index, RetrievalQuery("q", k=2), REGISTRY,
+            rag_query_mode="report-text",
+        )
+        assert events == [
+            event for i in range(n)
+            for event in (("embed", f"r{i:02d}"), "done", ("chat", f"r{i:02d}"), "done")
+        ]
+
+    def test_embed_failure_starts_no_further_report(self, failure_recorded):
+        m = 2
+        # every chat call waits until the failure is recorded, so no report
+        # finishes and frees a pool thread before it
+        backend = ContentKeyedBackend(
+            barrier=SimpleNamespace(wait=lambda: None), fail_id="r01", fail_embed=True,
+            release=failure_recorded,
+        )
+        with pytest.raises(TransportError) as info:
+            report_text_rag(backend, 12, max_in_flight=m)
+        assert info.value is backend.error
+        first_wave = {f"r{i:02d}" for i in range(2 * m)}
+        assert "r01" in backend.embedded
+        assert set(backend.embedded) <= first_wave
+        assert set(backend.started) <= first_wave - {"r01"}
 
 
 class TestPredictionRecord:
