@@ -31,7 +31,7 @@ for c in chunks:
     print(f"  chunk {c.chunk_id}: span {c.source_span}, {len(c.text)} chars")
 
 # a scripted backend with a hash embedder: deterministic vectors per text
-backend = ScriptedBackend.from_entries(
+backend = ScriptedBackend(
     [{"key": None, "kind": "embed", "body": {"hash_dim": 16}}]
 )
 client = LlmClient(embed_backend=backend)

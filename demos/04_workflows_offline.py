@@ -64,7 +64,7 @@ def scripted(n_inference: int, stages: list[str]) -> tuple[LlmClient, ScriptedBa
         }
         for i in range(n_inference)
     ]
-    backend = ScriptedBackend.from_entries(entries)
+    backend = ScriptedBackend(entries)
     return LlmClient(chat_backend=backend, embed_backend=backend), backend
 
 

@@ -120,7 +120,8 @@ class RunConfig:
             if choices and value is not None and value not in choices:
                 raise UsageError(f"{field.name} must be one of {choices}, got {value!r}")
         for key, least in (("k", 1), ("n_train", 1), ("n_splits", 1), ("train_size", 1),
-                           ("max_tokens", 1), ("temperature", 0), ("chunk_max_chars", 200)):
+                           ("seed", 0), ("max_tokens", 1), ("temperature", 0),
+                           ("chunk_max_chars", 200)):
             if getattr(self, key) < least:
                 raise UsageError(f"{key} must be at least {least}, got {getattr(self, key)}")
         if not 0 <= self.threshold <= 100:
@@ -562,6 +563,9 @@ def cmd_sweep(cfg: RunConfig, train_counts: list[int] | None, thresholds: list[f
         raise UsageError("provide exactly one of --train-counts or --thresholds")
     param = "n_train" if train_counts else "threshold"
     points: list = train_counts or thresholds  # type: ignore[assignment]
+    if len(set(points)) < len(points):  # 80 and 80.0 are one threshold
+        flag = "--train-counts" if train_counts else "--thresholds"
+        raise UsageError(f"{flag} repeats a value: {', '.join(map(str, points))}")
     point_cfgs = [dataclasses.replace(cfg, **{param: point}) for point in points]
     _check_n_train(point_cfgs, "--train-counts" if train_counts else "--n-train")
     category, client, registry, corpus, out = _setup(cfg, retrieves=False)

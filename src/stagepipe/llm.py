@@ -18,7 +18,7 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Protocol, Sequence
+from typing import Callable, NamedTuple, Protocol, Sequence
 
 from .corpus import CorpusError, StageCategory, StageLabel, typed
 
@@ -68,6 +68,16 @@ class SchemaKind(Enum):
     RULES_ONLY = "rules_only"
 
 
+class _Field(NamedTuple):
+    """One reply field, stated once for every place that spells it out."""
+
+    name: str
+    json: dict  # its JSON-schema fragment
+    ask: str  # how a re-ask describes it
+    example: str  # its value in a prompt's example object, as JSON text
+    read: Callable[[object], object]  # checks a reply's value, returns it as kept
+
+
 @dataclass(frozen=True)
 class OutputSchema:
     """What a chat response must contain; staging kinds bind a category."""
@@ -82,18 +92,6 @@ class OutputSchema:
         if not needs_category and self.category is not None:
             raise LlmError("rules_only schema takes no category")
 
-    @classmethod
-    def staging(cls, category: StageCategory) -> OutputSchema:
-        return cls(SchemaKind.STAGING, category)
-
-    @classmethod
-    def staging_with_rules(cls, category: StageCategory) -> OutputSchema:
-        return cls(SchemaKind.STAGING_WITH_RULES, category)
-
-    @classmethod
-    def rules_only(cls) -> OutputSchema:
-        return cls(SchemaKind.RULES_ONLY)
-
     @property
     def wants_stage(self) -> bool:
         return self.kind in (SchemaKind.STAGING, SchemaKind.STAGING_WITH_RULES)
@@ -105,27 +103,61 @@ class OutputSchema:
     def label_names(self) -> list[str]:
         return self.category.label_names() if self.category else []
 
+    def fields(self) -> list[_Field]:
+        """The reply's fields in order: the one table from which the JSON
+        schema, the local check, the re-ask and the prompts' example
+        objects are built."""
+        names = self.label_names()
+        labels = ", ".join(names)
+        stage = [
+            _Field("reasoning", {"type": "string"}, "string",
+                   '"<step-by-step explanation>"', lambda v: _string("reasoning", v)),
+            _Field("stage", {"type": "string", "enum": names}, f"exactly one of {labels}",
+                   f'"<one of {labels}>"', self._stage),
+        ]
+        rules = [
+            _Field("rules",
+                   {"type": "array", "items": {"type": "string", "minLength": 1}, "minItems": 1},
+                   "non-empty list of non-empty strings",
+                   '["<rule 1>", "<rule 2>", "..."]', _rule_list),
+        ]
+        return (stage if self.wants_stage else []) + (rules if self.wants_rules else [])
+
+    def _stage(self, value) -> StageLabel:
+        try:
+            return StageLabel.parse(_string("stage", value), self.category)
+        except CorpusError:
+            raise SchemaViolationError(
+                f"'stage' must be one of {', '.join(self.label_names())}; got {value!r}"
+            )
+
     def json_schema(self) -> dict:
         """JSON schema forwarded to backends that constrain decoding."""
-        props: dict[str, dict] = {}
-        required: list[str] = []
-        if self.wants_stage:
-            props["reasoning"] = {"type": "string"}
-            props["stage"] = {"type": "string", "enum": self.label_names()}
-            required += ["reasoning", "stage"]
-        if self.wants_rules:
-            props["rules"] = {
-                "type": "array",
-                "items": {"type": "string", "minLength": 1},
-                "minItems": 1,
-            }
-            required.append("rules")
+        fields = self.fields()
         return {
             "type": "object",
-            "properties": props,
-            "required": required,
+            "properties": {f.name: f.json for f in fields},
+            "required": [f.name for f in fields],
             "additionalProperties": False,
         }
+
+    def example(self) -> str:
+        """A reply of this shape with placeholder values, as prompts show it."""
+        return "{" + ", ".join(f'"{f.name}": {f.example}' for f in self.fields()) + "}"
+
+
+def _string(name: str, value) -> str:
+    if not isinstance(value, str):
+        raise SchemaViolationError(f"'{name}' must be a string")
+    return value
+
+
+def _rule_list(value) -> tuple[str, ...]:
+    if not isinstance(value, list) or not value:
+        raise SchemaViolationError("'rules' must be a non-empty list of strings")
+    if not all(isinstance(r, str) and r.strip() for r in value):
+        raise SchemaViolationError("'rules' entries must be non-empty strings")
+    return tuple(r.strip() for r in value)
 
 
 @dataclass(frozen=True)
@@ -194,40 +226,12 @@ def _extract_json_object(text: str) -> dict:
 def parse_structured(raw: str, schema: OutputSchema) -> StructuredOutput:
     """Validate raw model text against the schema, or raise SchemaViolationError."""
     obj = _extract_json_object(raw)
-    reasoning: str | None = None
-    stage: StageLabel | None = None
-    rules: tuple[str, ...] | None = None
-    if schema.wants_stage:
-        if "reasoning" not in obj:
-            raise SchemaViolationError("missing required field 'reasoning'")
-        if not isinstance(obj["reasoning"], str):
-            raise SchemaViolationError("'reasoning' must be a string")
-        reasoning = obj["reasoning"]
-        if "stage" not in obj:
-            raise SchemaViolationError("missing required field 'stage'")
-        if not isinstance(obj["stage"], str):
-            raise SchemaViolationError("'stage' must be a string")
-        assert schema.category is not None
-        try:
-            stage = StageLabel.parse(obj["stage"], schema.category)
-        except CorpusError:
-            raise SchemaViolationError(
-                f"'stage' must be one of {', '.join(schema.label_names())}; "
-                f"got {obj['stage']!r}"
-            )
-    if schema.wants_rules:
-        if "rules" not in obj:
-            raise SchemaViolationError("missing required field 'rules'")
-        val = obj["rules"]
-        if not isinstance(val, list) or not val:
-            raise SchemaViolationError("'rules' must be a non-empty list of strings")
-        cleaned = []
-        for r in val:
-            if not isinstance(r, str) or not r.strip():
-                raise SchemaViolationError("'rules' entries must be non-empty strings")
-            cleaned.append(r.strip())
-        rules = tuple(cleaned)
-    return StructuredOutput(raw=raw, reasoning=reasoning, stage=stage, rules=rules)
+    values = {}
+    for f in schema.fields():
+        if f.name not in obj:
+            raise SchemaViolationError(f"missing required field '{f.name}'")
+        values[f.name] = f.read(obj[f.name])
+    return StructuredOutput(raw=raw, **values)
 
 
 class ChatBackend(Protocol):
@@ -241,14 +245,6 @@ class EmbedBackend(Protocol):
 # --------------------------------------------------------------------------
 # scripted backend
 # --------------------------------------------------------------------------
-
-
-@dataclass
-class _ScriptEntry:
-    kind: str
-    body: dict
-    key_template: str | None = None
-    key_index: int | None = None
 
 
 def _hash_vector(text: str, dim: int) -> list[float]:
@@ -287,40 +283,66 @@ class ScriptedBackend:
     replays_in_call_order = True
     model_id = "scripted"
 
-    def __init__(self, entries: Sequence[_ScriptEntry]):
+    def __init__(self, script: list, origin: str = "<inline>"):
+        """Check and file each entry of a parsed script, in one pass in file
+        order; an error names `origin` and the first bad entry."""
+        if not isinstance(script, list):
+            raise ScriptError(f"{origin}: script must be a JSON list")
         self._lock = threading.Lock()
         self._template_counts: dict[str, int] = {}
-        self._keyed_chat: dict[tuple[str, int], _ScriptEntry] = {}
-        self._chat_queue: deque[_ScriptEntry] = deque()
-        self._vector_queue: deque[_ScriptEntry] = deque()
+        self._keyed_chat: dict[tuple[str, int], dict] = {}
+        self._chat_queue: deque[dict] = deque()
+        self._vector_queue: deque[list] = deque()
         self._maps: list[dict] = []
         self._hash_dim: int | None = None
-        for e in entries:
-            if e.kind == "chat":
-                if e.key_template is not None:
-                    self._keyed_chat[(e.key_template, e.key_index)] = e
+        for pos, item in enumerate(script):
+            where = f"{origin}: entry {pos}"
+            if not isinstance(item, dict):
+                raise ScriptError(f"{where} is not an object")
+            kind, body, key = item.get("kind"), item.get("body"), item.get("key")
+            if kind not in ("chat", "embed"):
+                raise ScriptError(f"{where} has bad kind {kind!r}")
+            if not isinstance(body, dict):
+                raise ScriptError(f"{where} body must be an object")
+            if key is not None and not (
+                isinstance(key, dict)
+                and isinstance(key.get("template"), str)
+                and isinstance(key.get("index"), int)
+            ):
+                raise ScriptError(f"{where} has malformed key {key!r}")
+            if kind == "chat":
+                if key is None:
+                    self._chat_queue.append(body)
                 else:
-                    self._chat_queue.append(e)
-            elif "map" in e.body:
-                lookup = e.body["map"]
+                    self._keyed_chat[key["template"], key["index"]] = body
+            elif "map" in body:
+                lookup = body["map"]
                 if not isinstance(lookup, dict) or not all(map(_is_vector, lookup.values())):
-                    raise ScriptError("embed 'map' must map texts to non-empty number lists")
+                    raise ScriptError(
+                        f"{where}: embed 'map' must map texts to non-empty number lists"
+                    )
                 self._maps.append(lookup)
-            elif "hash_dim" in e.body:
-                dim = e.body["hash_dim"]
+            elif "hash_dim" in body:
+                dim = body["hash_dim"]
                 if type(dim) is not int or dim < 1:
-                    raise ScriptError(f"embed 'hash_dim' must be a positive integer, got {dim!r}")
+                    raise ScriptError(
+                        f"{where}: embed 'hash_dim' must be a positive integer, got {dim!r}"
+                    )
                 if self._hash_dim not in (None, dim):
-                    raise ScriptError(f"embed 'hash_dim' {dim} contradicts {self._hash_dim}")
+                    raise ScriptError(
+                        f"{where}: embed 'hash_dim' {dim} contradicts {self._hash_dim}"
+                    )
                 self._hash_dim = dim
-            elif "vectors" in e.body:
-                vectors = e.body["vectors"]
+            elif "vectors" in body:
+                vectors = body["vectors"]
                 if not isinstance(vectors, list) or not all(map(_is_vector, vectors)):
-                    raise ScriptError("embed 'vectors' must be a list of non-empty number lists")
-                self._vector_queue.append(e)
+                    raise ScriptError(
+                        f"{where}: embed 'vectors' must be a list of non-empty number lists"
+                    )
+                self._vector_queue.append(vectors)
             else:
                 raise ScriptError(
-                    "embed entry body needs one of 'map', 'hash_dim', 'vectors'"
+                    f"{where}: embed body needs one of 'map', 'hash_dim', 'vectors'"
                 )
         self.chat_calls = 0
         self.embed_calls = 0
@@ -331,45 +353,7 @@ class ScriptedBackend:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
         except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ScriptError(f"cannot parse script {path}: {exc}")
-        return cls(cls._parse_entries(data, origin=str(path)))
-
-    @classmethod
-    def from_entries(cls, data: Sequence[dict]) -> ScriptedBackend:
-        return cls(cls._parse_entries(data, origin="<inline>"))
-
-    @staticmethod
-    def _parse_entries(data, origin: str) -> list[_ScriptEntry]:
-        if not isinstance(data, list):
-            raise ScriptError(f"{origin}: script must be a JSON list")
-        entries = []
-        for pos, item in enumerate(data):
-            if not isinstance(item, dict):
-                raise ScriptError(f"{origin}: entry {pos} is not an object")
-            kind = item.get("kind")
-            if kind not in ("chat", "embed"):
-                raise ScriptError(f"{origin}: entry {pos} has bad kind {kind!r}")
-            body = item.get("body")
-            if not isinstance(body, dict):
-                raise ScriptError(f"{origin}: entry {pos} body must be an object")
-            key = item.get("key")
-            if key is None:
-                entries.append(_ScriptEntry(kind=kind, body=body))
-            elif (
-                isinstance(key, dict)
-                and isinstance(key.get("template"), str)
-                and isinstance(key.get("index"), int)
-            ):
-                entries.append(
-                    _ScriptEntry(
-                        kind=kind,
-                        body=body,
-                        key_template=key["template"],
-                        key_index=key["index"],
-                    )
-                )
-            else:
-                raise ScriptError(f"{origin}: entry {pos} has malformed key {key!r}")
-        return entries
+        return cls(data, origin=str(path))
 
     def complete(self, request: ChatRequest) -> str:
         with self._lock:
@@ -379,9 +363,9 @@ class ScriptedBackend:
             if tid is not None:
                 self._template_counts[tid] = self._template_counts.get(tid, 0) + 1
                 index = self._template_counts[tid]
-                entry = self._keyed_chat.pop((tid, index), None)
-                if entry is not None:
-                    return self._chat_body(entry)
+                body = self._keyed_chat.pop((tid, index), None)
+                if body is not None:
+                    return self._chat_body(body)
             if self._chat_queue:
                 return self._chat_body(self._chat_queue.popleft())
             if self._keyed_chat:
@@ -391,8 +375,7 @@ class ScriptedBackend:
             raise ScriptExhaustedError("script exhausted: no chat responses left")
 
     @staticmethod
-    def _chat_body(entry: _ScriptEntry) -> str:
-        body = entry.body
+    def _chat_body(body: dict) -> str:
         if set(body) == {"raw_text"}:
             return str(body["raw_text"])
         return json.dumps(body)
@@ -404,8 +387,7 @@ class ScriptedBackend:
             if resolved is not None:
                 return resolved, self.model_id
             if self._vector_queue:
-                entry = self._vector_queue.popleft()
-                vectors = entry.body["vectors"]
+                vectors = self._vector_queue.popleft()
                 if len(vectors) != len(texts):
                     raise ScriptError(
                         f"scripted embed batch has {len(vectors)} vectors "
@@ -642,16 +624,11 @@ class LlmClient:
         )
 
     def _corrective(self, request: ChatRequest, violation: SchemaViolationError) -> str:
-        schema = request.schema
-        parts = [f"Your previous response was invalid: {violation}."]
-        fields = []
-        if schema.wants_stage:
-            fields.append('"reasoning" (string)')
-            fields.append(f'"stage" (exactly one of {", ".join(schema.label_names())})')
-        if schema.wants_rules:
-            fields.append('"rules" (non-empty list of non-empty strings)')
-        parts.append(f"Respond with a single JSON object containing {' and '.join(fields)}.")
-        return request.user + "\n\n" + " ".join(parts)
+        fields = " and ".join(f'"{f.name}" ({f.ask})' for f in request.schema.fields())
+        return (
+            f"{request.user}\n\nYour previous response was invalid: {violation}. "
+            f"Respond with a single JSON object containing {fields}."
+        )
 
     def _transport(self, slots: threading.BoundedSemaphore, call: Callable):
         """Run one backend call in one of `slots`, retrying retryable

@@ -33,6 +33,11 @@ _CONTRACTS: dict[str, tuple[frozenset[str], SchemaKind]] = {
 TEMPLATE_IDS = tuple(_CONTRACTS)
 
 
+def _schema(template_id: str, category: StageCategory) -> OutputSchema:
+    kind = _CONTRACTS[template_id][1]
+    return OutputSchema(kind, None if kind is SchemaKind.RULES_ONLY else category)
+
+
 class TemplateError(ValueError):
     """A template body, registry, or render request is invalid."""
 
@@ -78,8 +83,7 @@ class PromptTemplate:
 
     @property
     def schema(self) -> OutputSchema:
-        kind = _CONTRACTS[self.template_id][1]
-        return OutputSchema(kind, None if kind is SchemaKind.RULES_ONLY else self.category)
+        return _schema(self.template_id, self.category)
 
     def body_hash(self) -> str:
         return hashlib.sha256(self.body.encode("utf-8")).hexdigest()
@@ -136,16 +140,7 @@ def _esc(text: str) -> str:
 
 def _default_bodies(category: StageCategory) -> dict[str, str]:
     cat = category.value
-    names = category.label_names()
-    labels = ", ".join(names)
-    stage_json = _esc(
-        f'{{"reasoning": "<step-by-step explanation>", "stage": "<one of {labels}>"}}'
-    )
-    stage_rules_json = _esc(
-        f'{{"reasoning": "<step-by-step explanation>", "stage": "<one of {labels}>", '
-        f'"rules": ["<rule 1>", "<rule 2>", "..."]}}'
-    )
-    rules_json = _esc('{"rules": ["<rule 1>", "<rule 2>", "..."]}')
+    labels = ", ".join(category.label_names())
 
     intro = (
         "You are assisting with pathologic staging of breast cancer from "
@@ -156,14 +151,14 @@ def _default_bodies(category: StageCategory) -> dict[str, str]:
         f"be exactly one of: {labels}."
     )
 
-    return {
+    # each body ends with an example of its template's reply
+    bodies = {
         "zscot_inference": (
             f"{intro}\n\n"
             "Report:\n{report}\n\n"
             f"{stage_task}\n"
             "Think through the relevant findings step by step, then answer "
             "with a single JSON object of the form\n"
-            f"{stage_json}"
         ),
         "ltm_elicit": (
             f"{intro}\n\n"
@@ -177,7 +172,6 @@ def _default_bodies(category: StageCategory) -> dict[str, str]:
             "rules must stand on their own so they can be reused on other "
             "reports.\n\n"
             "Answer with a single JSON object of the form\n"
-            f"{stage_rules_json}"
         ),
         "ltm_update": (
             f"{intro}\n\n"
@@ -189,7 +183,6 @@ def _default_bodies(category: StageCategory) -> dict[str, str]:
             "modify, or delete entries only where this report shows the need. "
             "Keep changes incremental; return the complete updated list.\n\n"
             "Answer with a single JSON object of the form\n"
-            f"{stage_rules_json}"
         ),
         "ltm_inference": (
             f"{intro}\n\n"
@@ -199,7 +192,6 @@ def _default_bodies(category: StageCategory) -> dict[str, str]:
             f"{stage_task}\n"
             "Explain step by step which rules apply and how, then answer "
             "with a single JSON object of the form\n"
-            f"{stage_json}"
         ),
         "rag_elicit": (
             f"{intro}\n\n"
@@ -210,7 +202,6 @@ def _default_bodies(category: StageCategory) -> dict[str, str]:
             f"({labels}) of breast cancer. Cover every criterion the "
             "excerpts support; do not invent criteria they do not state.\n\n"
             "Answer with a single JSON object of the form\n"
-            f"{rules_json}"
         ),
         "rag_inference": (
             f"{intro}\n\n"
@@ -220,7 +211,6 @@ def _default_bodies(category: StageCategory) -> dict[str, str]:
             f"{stage_task}\n"
             "Explain step by step which rules apply and how, then answer "
             "with a single JSON object of the form\n"
-            f"{stage_json}"
         ),
         "rawrag_inference": (
             f"{intro}\n\n"
@@ -230,9 +220,9 @@ def _default_bodies(category: StageCategory) -> dict[str, str]:
             f"{stage_task}\n"
             "Use the context above where it applies. Think step by step, "
             "then answer with a single JSON object of the form\n"
-            f"{stage_json}"
         ),
     }
+    return {tid: body + _esc(_schema(tid, category).example()) for tid, body in bodies.items()}
 
 
 def _registry(

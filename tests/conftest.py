@@ -59,7 +59,7 @@ def rules_body(stage: str, rules: list[str], reasoning: str = "because") -> dict
 
 
 def scripted_client(entries: list[dict]) -> tuple[LlmClient, ScriptedBackend]:
-    backend = ScriptedBackend.from_entries(entries)
+    backend = ScriptedBackend(entries)
     return LlmClient(chat_backend=backend, embed_backend=backend), backend
 
 

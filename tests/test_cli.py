@@ -340,6 +340,7 @@ class TestRunKewltm:
         assert not (out / "predictions.jsonl").exists()
 
     def test_negative_seed_fails_before_any_call(self, tmp_path, capsys, built_backends):
+        # Random(-s) draws Random(s)'s stream, so a negative seed would repeat splits
         corpus = tmp_path / "c.jsonl"
         write_corpus(corpus, 12)
         script = tmp_path / "script.json"
@@ -350,10 +351,9 @@ class TestRunKewltm:
              "--script", str(script), "--out", str(out),
              "--splits", "3", "--train-size", "3", "--n-train", "2", "--seed", "-1"]
         )
-        assert code == 1
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["status"] == "FAILED"
-        assert "seed must be >= 0" in manifest["error"]
+        assert code == 2
+        assert "seed must be at least 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
         assert sum(b.chat_calls + b.embed_calls for b in built_backends) == 0
 
 
@@ -804,12 +804,18 @@ def test_threshold_out_of_range_is_usage_error_before_any_call(
          "chunk_overlap must be within [0, chunk_max_chars), got -1"),
         (["run", "--method", "rag"], {"chunk_max_chars": 300, "chunk_overlap": 300},
          "chunk_overlap must be within [0, chunk_max_chars), got 300"),
+        (["sweep", "--train-counts", "2"], {"seed": -3}, "seed must be at least 0, got -3"),
+        # a repeated point would run twice and write each of its rows twice
+        (["sweep", "--train-counts", "2,2"], None, "--train-counts repeats a value: 2, 2"),
+        (["sweep", "--thresholds", "80,80.0"], None,
+         "--thresholds repeats a value: 80.0, 80.0"),
     ],
     ids=["k", "config-k", "splits", "train-size", "n-train", "sweep-train-counts",
          "sweep-train-counts-above-train-size", "n-train-above-train-size",
          "sweep-thresholds-n-train-above-train-size", "temperature", "temperature-nan",
          "temperature-inf", "config-temperature-nan", "config-threshold-inf", "max-tokens",
-         "chunk-max-chars", "negative-chunk-overlap", "chunk-overlap-not-below-max"],
+         "chunk-max-chars", "negative-chunk-overlap", "chunk-overlap-not-below-max",
+         "config-seed", "sweep-repeated-train-count", "sweep-repeated-threshold"],
 )
 def test_out_of_range_setting_is_usage_error_before_any_call(
     tmp_path, capsys, built_backends, argv, config, message

@@ -17,6 +17,7 @@ from stagepipe.llm import (
     LlmClient,
     LlmError,
     OutputSchema,
+    SchemaKind,
     SchemaViolationError,
     ScriptedBackend,
     ScriptError,
@@ -36,7 +37,9 @@ from .conftest import (
 )
 
 T = StageCategory.T
-STAGING_T = OutputSchema.staging(T)
+STAGING_T = OutputSchema(SchemaKind.STAGING, T)
+WITH_RULES_T = OutputSchema(SchemaKind.STAGING_WITH_RULES, T)
+RULES_ONLY = OutputSchema(SchemaKind.RULES_ONLY)
 
 
 class TestOutputSchema:
@@ -46,9 +49,7 @@ class TestOutputSchema:
 
     def test_rules_only_takes_no_category(self):
         with pytest.raises(LlmError):
-            OutputSchema.rules_only().__class__(
-                kind=OutputSchema.rules_only().kind, category=T
-            )
+            OutputSchema(SchemaKind.RULES_ONLY, T)
 
     def test_json_schema_enum(self):
         schema = STAGING_T.json_schema()
@@ -56,8 +57,32 @@ class TestOutputSchema:
         assert "rules" not in schema["properties"]
 
     def test_json_schema_rules(self):
-        schema = OutputSchema.staging_with_rules(T).json_schema()
+        schema = WITH_RULES_T.json_schema()
         assert set(schema["required"]) == {"reasoning", "stage", "rules"}
+
+    @pytest.mark.parametrize(
+        "schema, text",
+        [
+            (STAGING_T,
+             '{"type": "object", "properties": {"reasoning": {"type": "string"}, '
+             '"stage": {"type": "string", "enum": ["T1", "T2", "T3", "T4"]}}, '
+             '"required": ["reasoning", "stage"], "additionalProperties": false}'),
+            (WITH_RULES_T,
+             '{"type": "object", "properties": {"reasoning": {"type": "string"}, '
+             '"stage": {"type": "string", "enum": ["T1", "T2", "T3", "T4"]}, '
+             '"rules": {"type": "array", "items": {"type": "string", "minLength": 1}, '
+             '"minItems": 1}}, '
+             '"required": ["reasoning", "stage", "rules"], "additionalProperties": false}'),
+            (RULES_ONLY,
+             '{"type": "object", "properties": {"rules": {"type": "array", '
+             '"items": {"type": "string", "minLength": 1}, "minItems": 1}}, '
+             '"required": ["rules"], "additionalProperties": false}'),
+        ],
+        ids=[kind.value for kind in SchemaKind],
+    )
+    def test_json_schema_literal(self, schema, text):
+        # the exact bytes a constraining endpoint is sent, key order included
+        assert json.dumps(schema.json_schema()) == text
 
 
 class TestParseStructured:
@@ -88,7 +113,7 @@ class TestParseStructured:
             parse_structured('{"stage": "T1"}', STAGING_T)
 
     def test_rules_schema(self):
-        schema = OutputSchema.staging_with_rules(T)
+        schema = WITH_RULES_T
         out = parse_structured(
             '{"reasoning": "r", "stage": "T1", "rules": ["a", "b"]}', schema
         )
@@ -96,14 +121,29 @@ class TestParseStructured:
 
     def test_missing_rules(self):
         with pytest.raises(SchemaViolationError, match="rules"):
-            parse_structured('{"reasoning": "r", "stage": "T1"}', OutputSchema.staging_with_rules(T))
+            parse_structured('{"reasoning": "r", "stage": "T1"}', WITH_RULES_T)
 
     def test_empty_rule_string_rejected(self):
         with pytest.raises(SchemaViolationError):
-            parse_structured('{"rules": ["ok", "  "]}', OutputSchema.rules_only())
+            parse_structured('{"rules": ["ok", "  "]}', RULES_ONLY)
+
+    @pytest.mark.parametrize(
+        "rules, message",
+        [
+            ("null", "'rules' must be a non-empty list of strings"),
+            ('"x"', "'rules' must be a non-empty list of strings"),
+            ("[]", "'rules' must be a non-empty list of strings"),
+            ('["a", 3]', "'rules' entries must be non-empty strings"),
+        ],
+        ids=["null", "string", "empty", "non-string-entry"],
+    )
+    def test_bad_rules_rejected(self, rules, message):
+        with pytest.raises(SchemaViolationError) as info:
+            parse_structured('{"rules": %s}' % rules, RULES_ONLY)
+        assert str(info.value) == message
 
     def test_rules_only(self):
-        out = parse_structured('{"rules": ["one", "two"]}', OutputSchema.rules_only())
+        out = parse_structured('{"rules": ["one", "two"]}', RULES_ONLY)
         assert out.rules == ("one", "two")
         assert out.stage is None and out.reasoning is None
 
@@ -173,7 +213,7 @@ class TestScriptedBackend:
         keyed = client.chat(
             ChatRequest(
                 user="q",
-                schema=OutputSchema.staging_with_rules(T),
+                schema=WITH_RULES_T,
                 template_id="ltm_elicit",
             )
         )
@@ -220,7 +260,15 @@ class TestScriptedBackend:
         assert client.chat(ChatRequest(user="q", schema=STAGING_T)).stage.render() == "T2"
 
     @pytest.mark.parametrize(
-        "data", ["{}", '[{"kind": "nope", "body": {}}]', '[{"kind": "chat", "body": 3}]']
+        "data",
+        [
+            "{}",
+            '[{"kind": "nope", "body": {}}]',
+            '[{"kind": "chat", "body": 3}]',
+            "[3]",
+            '[{"kind": "chat", "body": {}, "key": {"template": 1, "index": 1}}]',
+            '[{"kind": "embed", "body": {"dim": 4}}]',
+        ],
     )
     def test_malformed_script(self, tmp_path, data):
         path = tmp_path / "script.json"
@@ -307,6 +355,27 @@ class _RecordingBackend:
     def complete(self, request):
         self.requests.append(request)
         return self.responses.pop(0)
+
+
+class TestReask:
+    @pytest.mark.parametrize(
+        "schema, invalid, valid, reask",
+        [
+            (STAGING_T, '{"stage": "T1"}', '{"reasoning": "r", "stage": "T1"}',
+             "q\n\nYour previous response was invalid: missing required field 'reasoning'. "
+             'Respond with a single JSON object containing "reasoning" (string) and '
+             '"stage" (exactly one of T1, T2, T3, T4).'),
+            (RULES_ONLY, '{"rules": []}', '{"rules": ["a"]}',
+             "q\n\nYour previous response was invalid: 'rules' must be a non-empty list "
+             'of strings. Respond with a single JSON object containing "rules" '
+             "(non-empty list of non-empty strings)."),
+        ],
+        ids=["staging", "rules-only"],
+    )
+    def test_corrective_text(self, schema, invalid, valid, reask):
+        backend = _RecordingBackend([invalid, valid])
+        LlmClient(chat_backend=backend).chat(ChatRequest(user="q", schema=schema))
+        assert [r.user for r in backend.requests] == ["q", reask]
 
 
 class TestHttpChatBackend:

@@ -442,7 +442,7 @@ class TestConcurrentInference:
             chat_entry(staging_body(stage, reasoning=f"call {i}"), "zscot_inference", i)
             for i, stage in enumerate(stages, 1)
         ]
-        backend = ScriptedBackend.from_entries(entries)
+        backend = ScriptedBackend(entries)
         client = LlmClient(chat_backend=backend, embed_backend=backend, max_in_flight=4)
         assert client.max_in_flight == 1
         records = run_zscot(reports(len(stages)), T, client, REGISTRY)

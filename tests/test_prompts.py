@@ -64,6 +64,38 @@ class TestDefaultTemplates:
         assert default_templates(T).hashes() == default_templates(T).hashes()
         assert default_templates(T).hashes() != default_templates(N).hashes()
 
+    @pytest.mark.parametrize(
+        "category, hashes",
+        [
+            (T, {
+                "ltm_elicit": "9f85ab797a9cc3d35360819e92b901871a88094d423a40c8d8ba120259a64c95",
+                "ltm_update": "10960ec72f529b357c7fc9edf6e4b00e02cd1a3e7332aba542d1c0ac232c2955",
+                "ltm_inference": "2eba88046d35a67db4b2061c39069299e63e26814d9f5b248600f19dd75427af",
+                "rag_elicit": "bad3b641da685f85ff97606c9c94858fc6a66846a2ecf837369b873672cfe179",
+                "rag_inference": "e80a31a9f61bcc7f727db44096feb676a4dacfe09ecf8b731414cd319409fee6",
+                "zscot_inference":
+                    "c788979d5941a35ce4ba10958ba5e1ee58dbfb511d71beeedff0235b6fa71c07",
+                "rawrag_inference":
+                    "ebeceb3cbb4caa1bcb9415fdb875df33b28b9be6f95966c1050f8787dc0c4519",
+            }),
+            (N, {
+                "ltm_elicit": "7637c63013175a01988c9b6407804db65f47df729479f59f8e4b4be0a72b627a",
+                "ltm_update": "640f5170f8e9f7c1f19e0b651622b86f7ffbe71b2dd3a69b7bb56405ae93d777",
+                "ltm_inference": "b6d4cebda9caf483d7f0b34d4730b8913a1c58d222be251d707a30cb3c8f5a7f",
+                "rag_elicit": "4f9d6601c137dbd64598773baf3a7f97bcf48db3b095100939c29b361f3beabb",
+                "rag_inference": "09142d22454a61684ece8f5fb4a551651b31a4d30fc12dd513690fcd4943585c",
+                "zscot_inference":
+                    "3766c6d63220c425523077c418f8c7ab3ee77113799f993f7c587726c29133f8",
+                "rawrag_inference":
+                    "67cffaf3607c074b3764e0edb431bc21083cb8011dbf8a71d8f3779bc6794324",
+            }),
+        ],
+        ids=["T", "N"],
+    )
+    def test_shipped_body_hashes(self, category, hashes):
+        # the shipped wording, example reply objects included, is a pinned contract
+        assert default_templates(category).hashes() == hashes
+
 
 class TestRender:
     def test_update_binding(self):
