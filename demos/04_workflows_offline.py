@@ -22,10 +22,9 @@ from stagepipe.llm import LlmClient, ScriptedBackend
 from stagepipe.pipelines import (
     elicit_kewrag_rules,
     induce_ltm,
+    infer,
     run_kewltm_inference,
-    run_kewrag_inference,
     run_rag,
-    run_zscot,
 )
 
 T = StageCategory.T
@@ -70,7 +69,7 @@ def scripted(n_inference: int, stages: list[str]) -> tuple[LlmClient, ScriptedBa
 
 # --- baseline 1: plain step-by-step inference ---------------------------------
 client, backend = scripted(5, ["T1", "T2", "T3", "T1", "T2"])
-records = run_zscot(reports, T, client, registry)
+records = infer("zscot", reports, T, client, registry)
 print(f"zscot: {len(records)} records, {backend.chat_calls} chat calls")
 
 # --- baseline 2: raw retrieved chunks in every prompt --------------------------
@@ -104,9 +103,8 @@ elicited = elicit_kewrag_rules(index, query, client, registry)
 print(f"kewrag: synthesized {len(elicited.memory.rules)} rules from chunks "
       f"{elicited.chunk_ids} in a single pass")
 before = backend.embed_calls
-records = run_kewrag_inference(
-    reports, T, elicited.memory, client, registry, chunk_ids=elicited.chunk_ids
-)
+records = infer("kewrag", reports, T, client, registry,
+                rules=elicited.memory, chunk_ids=elicited.chunk_ids)
 print(
     f"kewrag: {len(records)} inference records with zero retrieval calls "
     f"(embed calls during inference: {backend.embed_calls - before})"

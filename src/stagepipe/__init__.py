@@ -50,10 +50,9 @@ from .pipelines import (
     PredictionRecord,
     elicit_kewrag_rules,
     induce_ltm,
+    infer,
     run_kewltm_inference,
-    run_kewrag_inference,
     run_rag,
-    run_zscot,
 )
 from .prompts import PromptTemplate, TemplateRegistry, default_templates, load_templates, render
 from .retrieval import (

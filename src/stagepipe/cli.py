@@ -36,8 +36,6 @@ from .llm import HttpChatBackend, HttpEmbedBackend, LlmClient, LlmError, scripte
 from .pipelines import PipelineError, PredictionRecord, record_from_json, record_to_json
 from .retrieval import RetrievalError, RetrievalQuery
 
-log = logging.getLogger(__name__)
-
 _ENV_KEYS = {
     "STAGEPIPE_LLM_BASE": "llm_base",
     "STAGEPIPE_LLM_KEY": "llm_key",
@@ -57,7 +55,7 @@ _TYPES = {
 # command that needs one says so)
 _CHOICES = {
     "category": ("T", "N"),
-    "method": pipelines.METHODS,
+    "method": tuple(pipelines.METHODS),
     "rag_query_mode": pipelines.RAG_QUERY_MODES,
 }
 
@@ -303,50 +301,6 @@ def cmd_index(cfg: RunConfig) -> int:
     return 0
 
 
-def _evaluate_split(
-    split: Split,
-    i: int,
-    n_train: int,
-    threshold: float,
-    corpus: Corpus,
-    category: StageCategory,
-    client: LlmClient,
-    registry: prompts.TemplateRegistry,
-    *,
-    prefix: str = "",
-    out: Path | None = None,
-    stop: pipelines.StopSignal,
-) -> tuple[list[PredictionRecord], dict, list[memory.UpdateTrace]]:
-    """One kewltm cycle on split `i`: truncate -> induce -> infer -> score.
-
-    Returns the records, the score block tagged with the split's index, seed
-    and memory version, and the induction trace. Errors
-    name the split after `prefix`. With `out`, the frozen memory and the
-    induction trace are written there before inference starts, so a run
-    whose inference fails still keeps the split's induction. Induction and
-    inference both stop at `stop`.
-    """
-    split = truncate_train(split, n_train)
-    by_id = corpus.by_id
-    induction = pipelines.induce_ltm(
-        [by_id[rid] for rid in split.train_ids], category, client, registry,
-        threshold=threshold, stop=stop,
-    )
-    if induction.final_memory is None:
-        raise PipelineError(f"{prefix}split {i}: induction produced no memory")
-    if out is not None:
-        memory.persist(induction.final_memory, out / f"memory_split{i}.json")
-        memory.write_traces(induction.traces, out / f"trace_split{i}.csv")
-    records = pipelines.run_kewltm_inference(
-        [by_id[rid] for rid in split.test_ids], category, induction.final_memory,
-        client, registry, stop=stop,
-    )
-    block = evaluation.score_block(records, corpus, category)
-    block.update({"split": i, "seed": split.seed,
-                  "memory_version": induction.final_memory.version})
-    return records, block, list(induction.traces)
-
-
 def _kewltm_points(
     splits: Sequence[Split],
     points: Sequence[RunConfig],
@@ -359,13 +313,17 @@ def _kewltm_points(
     out: Path | None = None,
 ) -> Iterator[tuple[RunConfig, list[tuple[list[PredictionRecord], dict]], list[tuple[int, float]]]]:
     """The kewltm protocol at each point's (n_train, threshold): every split
-    of every point through `_evaluate_split`, all on one pool.
+    of every point through one cycle of truncate -> induce -> infer -> score,
+    all on one pool.
 
     Yields, in point order, each point whose splits all finished, with each
-    split's (records, score block) and the mean memory-length curve over the
-    splits; then raises the first terminal failure, if there was one. Errors
-    name the point by its `param` value. With `out` (one point only), each
-    split's memory and induction trace are written there.
+    split's (records, score block tagged with the split's index, seed and
+    memory version) and the mean memory-length curve over the splits; then
+    raises the first terminal failure, if there was one. Errors name the
+    point by its `param` value and the split by its index. With `out` (one
+    point only), each split's frozen memory and induction trace are written
+    there before its inference starts, so a run whose inference fails still
+    keeps the split's induction.
 
     Every (point, split) cycle is independent, so up to `min(points x
     splits, max_in_flight)` of them run at once. Each cycle's inference asks
@@ -384,11 +342,27 @@ def _kewltm_points(
     def cycle(task: tuple[int, int]) -> None:
         p, i = task
         point = points[p]
-        finished[task] = _evaluate_split(
-            splits[i], i, point.n_train, point.threshold, corpus, category, client,
-            registry, prefix=f"{param}={getattr(point, param)} " if param else "",
-            out=out, stop=stop,
+        split = truncate_train(splits[i], point.n_train)
+        by_id = corpus.by_id
+        # both steps through the module, where the benchmark's tracer wraps them
+        induction = pipelines.induce_ltm(
+            [by_id[rid] for rid in split.train_ids], category, client, registry,
+            threshold=point.threshold, stop=stop,
         )
+        if induction.final_memory is None:
+            prefix = f"{param}={getattr(point, param)} " if param else ""
+            raise PipelineError(f"{prefix}split {i}: induction produced no memory")
+        if out is not None:
+            memory.persist(induction.final_memory, out / f"memory_split{i}.json")
+            memory.write_traces(induction.traces, out / f"trace_split{i}.csv")
+        records = pipelines.run_kewltm_inference(
+            [by_id[rid] for rid in split.test_ids], category, induction.final_memory,
+            client, registry, stop=stop,
+        )
+        block = evaluation.score_block(records, corpus, category)
+        block.update({"split": i, "seed": split.seed,
+                      "memory_version": induction.final_memory.version})
+        finished[task] = records, block, list(induction.traces)
 
     error = None
     try:
@@ -478,10 +452,13 @@ def _run_command(
 def cmd_run(cfg: RunConfig) -> int:
     method = cfg.method
     if method is None:
-        raise UsageError(f"--method must be one of {pipelines.METHODS}")
-    retrieves = method in ("rag", "kewrag")
+        raise UsageError(f"--method must be one of {tuple(pipelines.METHODS)}")
+    retrieves = pipelines.METHODS[method].carries_chunks
     if method == "kewltm":
         _check_n_train([cfg], "--n-train")
+    if method == "rag" and cfg.rag_query_mode == "report-text" and cfg.query:
+        raise UsageError("--query has no effect with --rag-query-mode report-text, "
+                         "where each report's text is its query")
     category, client, registry, corpus, out = _setup(cfg, retrieves)
     query_text = cfg.query or retrieval.DEFAULT_QUERIES[category]
     fields = {"template_hashes": registry.hashes()}
@@ -511,23 +488,22 @@ def cmd_run(cfg: RunConfig) -> int:
                 f"recall {agg['recall']} f1 {agg['f1']} over {len(splits)} splits"
             )
         else:
-            if method == "zscot":
-                records = pipelines.run_zscot(list(corpus), category, client, registry)
-            else:
+            rules, chunk_ids = None, ()
+            if retrieves:
                 index, fields["doc_hash"] = _load_or_build_index(cfg, client)
                 query = RetrievalQuery(query_text, cfg.k)
-                if method == "rag":
-                    records = pipelines.run_rag(
-                        list(corpus), category, client, index, query, registry,
-                        rag_query_mode=cfg.rag_query_mode,
-                    )
-                else:  # kewrag
-                    elicited = pipelines.elicit_kewrag_rules(index, query, client, registry)
-                    memory.persist(elicited.memory, out / "rules.json")
-                    records = pipelines.run_kewrag_inference(
-                        list(corpus), category, elicited.memory, client, registry,
-                        chunk_ids=elicited.chunk_ids,
-                    )
+            if method == "kewrag":
+                elicited = pipelines.elicit_kewrag_rules(index, query, client, registry)
+                memory.persist(elicited.memory, out / "rules.json")
+                rules, chunk_ids = elicited.memory, elicited.chunk_ids
+            if method == "rag":
+                records = pipelines.run_rag(
+                    list(corpus), category, client, index, query, registry,
+                    rag_query_mode=cfg.rag_query_mode,
+                )
+            else:
+                records = pipelines.infer(method, list(corpus), category, client, registry,
+                                          rules=rules, chunk_ids=chunk_ids)
             prediction_rows = [record_to_json(r) for r in records]
             metrics = evaluation.score_block(records, corpus, category)
             m = metrics["macro"]
@@ -557,7 +533,7 @@ def _parse_list(text: str | None, flag: str, kind: type) -> list | None:
 
 
 def cmd_sweep(cfg: RunConfig, train_counts: list[int] | None, thresholds: list[float] | None) -> int:
-    if cfg.method not in (None, "kewltm"):
+    if cfg.method is not None and cfg.method != "kewltm":
         raise UsageError("sweep supports only method kewltm")
     if bool(train_counts) == bool(thresholds):
         raise UsageError("provide exactly one of --train-counts or --thresholds")

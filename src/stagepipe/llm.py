@@ -270,10 +270,11 @@ class ScriptedBackend:
     """Replays scripted chat/embed responses; deterministic by construction.
 
     Chat entries are matched by (template_id, per-template 1-based call
-    index) when keyed, otherwise consumed in file order. Embed entries are
-    either persistent lookups (``{"map": {...}}`` / ``{"hash_dim": n}``) or
-    positionally consumed ``{"vectors": [...]}`` batches; their shapes are
-    checked when the script loads.
+    index) when keyed, each key at most once, otherwise consumed in file
+    order. Embed entries take no key: they are either persistent lookups
+    (``{"map": {...}}`` / ``{"hash_dim": n}``) or positionally consumed
+    ``{"vectors": [...]}`` batches; their shapes are checked when the script
+    loads.
 
     Both the call indices and the file-order queues follow the order calls
     arrive in, so a client over this backend makes one call at a time.
@@ -295,6 +296,7 @@ class ScriptedBackend:
         self._vector_queue: deque[list] = deque()
         self._maps: list[dict] = []
         self._hash_dim: int | None = None
+        keyed_at: dict[tuple[str, int], int] = {}  # the entry that holds each chat key
         for pos, item in enumerate(script):
             where = f"{origin}: entry {pos}"
             if not isinstance(item, dict):
@@ -310,11 +312,16 @@ class ScriptedBackend:
                 and isinstance(key.get("index"), int)
             ):
                 raise ScriptError(f"{where} has malformed key {key!r}")
-            if kind == "chat":
-                if key is None:
-                    self._chat_queue.append(body)
-                else:
-                    self._keyed_chat[key["template"], key["index"]] = body
+            if kind == "chat" and key is None:
+                self._chat_queue.append(body)
+            elif kind == "chat":
+                slot = key["template"], key["index"]
+                if slot in keyed_at:
+                    raise ScriptError(f"{where} repeats the key {key!r} of entry {keyed_at[slot]}")
+                keyed_at[slot] = pos
+                self._keyed_chat[slot] = body
+            elif key is not None:
+                raise ScriptError(f"{where}: an embed entry takes no key, got {key!r}")
             elif "map" in body:
                 lookup = body["map"]
                 if not isinstance(lookup, dict) or not all(map(_is_vector, lookup.values())):
@@ -346,14 +353,6 @@ class ScriptedBackend:
                 )
         self.chat_calls = 0
         self.embed_calls = 0
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> ScriptedBackend:
-        try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ScriptError(f"cannot parse script {path}: {exc}")
-        return cls(data, origin=str(path))
 
     def complete(self, request: ChatRequest) -> str:
         with self._lock:
@@ -414,7 +413,11 @@ class ScriptedBackend:
 
 def scripted_backend(script: str | Path) -> ScriptedBackend:
     """Load a replay backend from a script file (see ScriptedBackend)."""
-    return ScriptedBackend.from_file(script)
+    try:
+        data = json.loads(Path(script).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ScriptError(f"cannot parse script {script}: {exc}")
+    return ScriptedBackend(data, origin=str(script))
 
 
 # --------------------------------------------------------------------------

@@ -1,24 +1,25 @@
 """The four staging workflows, from reports and a client to prediction records.
 
-Two baselines (plain step-by-step inference; raw retrieved context per
-report) and the two rule-elicitation workflows: iterative induction of a
-gated long-term rule memory followed by memory-guided inference, and
-one-shot synthesis of rules from retrieved guideline chunks applied at every
-inference. Each induction is a strictly sequential chain, since every step
-reads the memory the previous one left; the caller may run the chains of
-independent (point, split) cycles concurrently. Test-set inference asks for up
-to `max_in_flight` reports at once, or, in report-text RAG, where each report
-embeds its query before its chat call, up to `max_in_flight_total`, so that
-one report's embed runs while others' chats hold the chat slots. The client
-bounds the calls to each endpoint of every pool that shares it and decides
-which waiting call runs next. Records are sorted by report id so output bytes
-never depend on scheduling. Tasks that run together share one `StopSignal`:
-after the first terminal failure none of them starts another step.
+The workflows differ only in what goes beside each report in its prompt:
+`METHODS` states it once per method, and `infer` is the inference step of
+all four. zscot adds nothing, rag retrieved guideline chunks (`run_rag`),
+kewltm the rule memory that `induce_ltm` builds by gated iterative
+induction, and kewrag the rules that `elicit_kewrag_rules` synthesizes once
+from retrieved chunks. Each induction is a strictly sequential chain, since
+every step reads the memory the previous one left; the caller may run the
+chains of independent (point, split) cycles concurrently. Test-set inference
+asks for up to `max_in_flight` reports at once, or, in report-text RAG, where
+each report embeds its query before its chat call, up to
+`max_in_flight_total`, so that one report's embed runs while others' chats
+hold the chat slots. The client bounds the calls to each endpoint of every
+pool that shares it and decides which waiting call runs next. Records are
+sorted by report id so output bytes never depend on scheduling. Tasks that
+run together share one `StopSignal`: after the first terminal failure none
+of them starts another step.
 """
 
 from __future__ import annotations
 
-import logging
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -26,14 +27,28 @@ from dataclasses import dataclass
 from typing import Callable, Sequence, TypeVar
 
 from .corpus import Report, StageCategory, StageLabel
-from .llm import ChatRequest, LlmClient, SchemaViolationError
+from .llm import LlmClient, SchemaViolationError
 from .memory import RuleMemory, UpdateTrace, gated_update, render_numbered, serialize
 from .prompts import TemplateRegistry, render
 from .retrieval import ChunkIndex, RetrievalQuery, top_k
 
-log = logging.getLogger(__name__)
 
-METHODS = ("zscot", "rag", "kewltm", "kewrag")
+@dataclass(frozen=True)
+class Method:
+    """What one workflow's inference needs: its template, and whether its
+    records carry retrieved chunk ids and a rule memory's version."""
+
+    template_id: str
+    carries_chunks: bool
+    carries_memory: bool
+
+
+METHODS = {
+    "zscot": Method("zscot_inference", carries_chunks=False, carries_memory=False),
+    "rag": Method("rawrag_inference", carries_chunks=True, carries_memory=False),
+    "kewltm": Method("ltm_inference", carries_chunks=False, carries_memory=True),
+    "kewrag": Method("rag_inference", carries_chunks=True, carries_memory=True),
+}
 CHUNK_SEPARATOR = "\n---\n"
 RAG_QUERY_MODES = ("guideline", "report-text")
 
@@ -112,18 +127,14 @@ class PredictionRecord:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise PipelineError(f"unknown method {self.method!r}")
-        wants_memory = self.method in ("kewltm", "kewrag")
-        if (self.memory_version is not None) != wants_memory:
-            raise PipelineError(
-                f"memory_version must be present iff method is kewltm/kewrag "
-                f"(method={self.method})"
-            )
-        wants_chunks = self.method in ("rag", "kewrag")
-        if (self.retrieved_chunk_ids is not None) != wants_chunks:
-            raise PipelineError(
-                f"retrieved_chunk_ids must be present iff method is rag/kewrag "
-                f"(method={self.method})"
-            )
+        for field, carries in (("memory_version", "carries_memory"),
+                               ("retrieved_chunk_ids", "carries_chunks")):
+            carriers = [name for name, row in METHODS.items() if getattr(row, carries)]
+            if (getattr(self, field) is not None) != (self.method in carriers):
+                raise PipelineError(
+                    f"{field} must be present iff method is {'/'.join(carriers)} "
+                    f"(method={self.method})"
+                )
         if self.predicted is not None and self.predicted.category is not self.category:
             raise PipelineError(
                 f"predicted label {self.predicted.render()} does not match "
@@ -205,41 +216,48 @@ def record_from_json(obj) -> PredictionRecord:
     )
 
 
-def _timer(client: LlmClient):
-    """Millisecond timer; scripted runs report 0 so outputs are byte-stable."""
-    if client.deterministic:
-        return lambda start: 0
-    return lambda start: int((time.perf_counter() - start) * 1000)
-
-
-def _infer_all(
-    client: LlmClient,
+def infer(
+    method: str,
     reports: Sequence[Report],
     category: StageCategory,
-    method: str,
-    prepare: Callable[[Report], tuple[ChatRequest, tuple[int, ...] | None]],
-    memory_version: int | None = None,
+    client: LlmClient,
+    templates: TemplateRegistry,
+    context: Callable[[Report], tuple[str, tuple[int, ...]]] | None = None,
     *,
+    rules: RuleMemory | None = None,
+    chunk_ids: Sequence[int] = (),
     stop: StopSignal | None = None,
     width: int | None = None,
 ) -> list[PredictionRecord]:
-    """The inference step every method shares: one chat call per report.
+    """The inference step of every method: one chat call per report.
 
-    `prepare(report)` returns the rendered request and the retrieved chunk
-    ids the record carries. A report whose output stays unparseable is
-    recorded as such and the batch goes on. Up to `width` reports
-    (`client.max_in_flight` by default) run at once, each preparing its
-    request just before its chat call; the client decides which of the calls
-    waiting on it runs next. Any other failure is terminal: it is recorded in
-    `stop`, no report starts after it, the reports in flight finish, and the
-    first failure is raised. Records are sorted by report id.
+    The placeholder of `method`'s template other than ``report``, if it has
+    one, takes `rules` rendered numbered (kewltm, kewrag) or the text that
+    `context(report)` returns, with the chunk ids the record carries (rag);
+    `context` is called just before the report's chat call. kewrag records
+    carry `chunk_ids`, the chunks its rules came from. A report whose output
+    stays unparseable is recorded as such and the batch goes on. Up to
+    `width` reports (`client.max_in_flight` by default) run at once; the
+    client decides which of the calls waiting on it runs next. Any other
+    failure is terminal: it is recorded in `stop`, no report starts after
+    it, the reports in flight finish, and the first failure is raised.
+    Records are sorted by report id.
     """
+    row = METHODS[method]
+    if row.carries_memory and (rules is None or not rules.rules):
+        raise PipelineError(f"cannot run {method} inference without rules")
     if not reports:
         raise PipelineError("no reports to run")
-    elapsed = _timer(client)
+    template = templates.get(row.template_id)
+    slots = template.placeholders - {"report"}
+    if context is None:
+        fixed = (render_numbered(rules) if row.carries_memory else "",
+                 tuple(chunk_ids) if row.carries_chunks else None)
+        context = lambda report: fixed
 
-    def infer(report: Report) -> PredictionRecord:
-        request, chunk_ids = prepare(report)
+    def one(report: Report) -> PredictionRecord:
+        text, ids = context(report)
+        request = render(template, {"report": report.text, **dict.fromkeys(slots, text)})
         start = time.perf_counter()
         try:
             out = client.chat(request)
@@ -252,12 +270,13 @@ def _infer_all(
             predicted=predicted,
             reasoning=reasoning,
             method=method,
-            memory_version=memory_version,
-            retrieved_chunk_ids=chunk_ids,
-            timing_ms=elapsed(start),
+            memory_version=rules.version if row.carries_memory else None,
+            retrieved_chunk_ids=ids,
+            # scripted runs report 0 ms, so their outputs are byte-stable
+            timing_ms=0 if client.deterministic else int((time.perf_counter() - start) * 1000),
         )
 
-    records = run_bounded(infer, reports, width or client.max_in_flight, stop or StopSignal())
+    records = run_bounded(one, reports, width or client.max_in_flight, stop or StopSignal())
     return sorted(records, key=lambda rec: rec.report_id)
 
 
@@ -269,20 +288,6 @@ def _retrieve(
     return (
         CHUNK_SEPARATOR.join(c.text for c, _ in hits),
         tuple(c.chunk_id for c, _ in hits),
-    )
-
-
-def run_zscot(
-    reports: Sequence[Report],
-    category: StageCategory,
-    client: LlmClient,
-    templates: TemplateRegistry,
-) -> list[PredictionRecord]:
-    """Plain step-by-step inference: no memory, no retrieval."""
-    template = templates.get("zscot_inference")
-    return _infer_all(
-        client, reports, category, "zscot",
-        lambda r: (render(template, {"report": r.text}), None),
     )
 
 
@@ -310,17 +315,14 @@ def run_rag(
         raise PipelineError("no reports to run")
     if len(index) == 0:
         raise PipelineError("retrieval index is empty")
-    template = templates.get("rawrag_inference")
-    shared = _retrieve(index, query, client) if rag_query_mode == "guideline" else None
-
-    def prepare(report: Report):
-        context, ids = shared or _retrieve(
-            index, RetrievalQuery(report.text, query.k), client
-        )
-        return render(template, {"report": report.text, "chunks": context}), ids
-
-    width = client.max_in_flight if rag_query_mode == "guideline" else client.max_in_flight_total
-    return _infer_all(client, reports, category, "rag", prepare, width=width)
+    if rag_query_mode == "guideline":
+        shared = _retrieve(index, query, client)
+        return infer("rag", reports, category, client, templates, lambda report: shared)
+    return infer(
+        "rag", reports, category, client, templates,
+        lambda report: _retrieve(index, RetrievalQuery(report.text, query.k), client),
+        width=client.max_in_flight_total,
+    )
 
 
 def induce_ltm(
@@ -386,17 +388,11 @@ def run_kewltm_inference(
     *,
     stop: StopSignal | None = None,
 ) -> list[PredictionRecord]:
-    """Memory-guided inference with the frozen induced rule list; `stop` as
-    in `_infer_all`."""
-    if memory is None or not memory.rules:
-        raise PipelineError("cannot run memory-guided inference without induced rules")
-    template = templates.get("ltm_inference")
-    rendered_memory = render_numbered(memory)
-    return _infer_all(
-        client, test_reports, category, "kewltm",
-        lambda r: (render(template, {"report": r.text, "memory": rendered_memory}), None),
-        memory_version=memory.version, stop=stop,
-    )
+    """Memory-guided inference with the frozen induced rule list: `infer`
+    for kewltm. It keeps a name of its own because the benchmark's tracer
+    (`perfbench/spans.py`) wraps it by that name to time each cycle's
+    inference."""
+    return infer("kewltm", test_reports, category, client, templates, rules=memory, stop=stop)
 
 
 def elicit_kewrag_rules(
@@ -421,25 +417,3 @@ def elicit_kewrag_rules(
     assert out.rules is not None
     memory = RuleMemory(category=templates.category, rules=tuple(out.rules), version=1)
     return ElicitedRules(memory=memory, chunk_ids=chunk_ids)
-
-
-def run_kewrag_inference(
-    reports: Sequence[Report],
-    category: StageCategory,
-    rules: RuleMemory,
-    client: LlmClient,
-    templates: TemplateRegistry,
-    *,
-    chunk_ids: tuple[int, ...] = (),
-) -> list[PredictionRecord]:
-    """Rule-guided inference with the frozen synthesized rules; no retrieval."""
-    if rules is None or not rules.rules:
-        raise PipelineError("cannot run rule-guided inference with an empty rule set")
-    template = templates.get("rag_inference")
-    rendered_rules = render_numbered(rules)
-    chunk_ids = tuple(chunk_ids)
-    return _infer_all(
-        client, reports, category, "kewrag",
-        lambda r: (render(template, {"report": r.text, "rules": rendered_rules}), chunk_ids),
-        memory_version=rules.version,
-    )

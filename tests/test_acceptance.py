@@ -24,9 +24,8 @@ from stagepipe.pipelines import (
     PredictionRecord,
     elicit_kewrag_rules,
     induce_ltm,
-    run_kewrag_inference,
+    infer,
     run_rag,
-    run_zscot,
 )
 from stagepipe.prompts import default_templates
 from stagepipe.retrieval import Chunk, RetrievalQuery, build_index, top_k
@@ -248,9 +247,8 @@ def test_algorithm2_call_counts():
     index = build_index(chunks, client.embed, "h")
     backend.embed_calls = backend.chat_calls = 0  # index build is setup
     elicited = elicit_kewrag_rules(index, query, client, REGISTRY)
-    run_kewrag_inference(
-        reports, T, elicited.memory, client, REGISTRY, chunk_ids=elicited.chunk_ids
-    )
+    infer("kewrag", reports, T, client, REGISTRY,
+          rules=elicited.memory, chunk_ids=elicited.chunk_ids)
     assert backend.embed_calls == 1
     assert backend.chat_calls == 1 + n
 
@@ -266,7 +264,7 @@ def test_algorithm2_call_counts():
     # zscot: exactly N chats, no retrieval
     entries = [chat_entry(staging_body("T1"))] * n
     client, backend = scripted_client(entries)
-    run_zscot(reports, T, client, REGISTRY)
+    infer("zscot", reports, T, client, REGISTRY)
     assert backend.embed_calls == 0
     assert backend.chat_calls == n
     _passed("algorithm2-call-counts", started, 1.0)
@@ -399,7 +397,7 @@ def test_live_smoke():
         )
         for i in range(3)
     ]
-    records = run_zscot(reports, T, client, REGISTRY)
+    records = infer("zscot", reports, T, client, REGISTRY)
     assert len(records) == 3
     for rec in records:
         assert rec.predicted is not None  # schema-valid label

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from stagepipe import cli
+from stagepipe import cli, llm, pipelines
 from stagepipe.cli import main
 from stagepipe.corpus import (
     Corpus,
@@ -95,7 +95,7 @@ def built_backends(monkeypatch) -> list[ScriptedBackend]:
     built: list[ScriptedBackend] = []
 
     def recording_backend(path):
-        built.append(ScriptedBackend.from_file(path))
+        built.append(llm.scripted_backend(path))
         return built[-1]
 
     monkeypatch.setattr(cli, "scripted_backend", recording_backend)
@@ -809,13 +809,21 @@ def test_threshold_out_of_range_is_usage_error_before_any_call(
         (["sweep", "--train-counts", "2,2"], None, "--train-counts repeats a value: 2, 2"),
         (["sweep", "--thresholds", "80,80.0"], None,
          "--thresholds repeats a value: 80.0, 80.0"),
+        (["run"], None, "usage error: --method must be one of "
+         "('zscot', 'rag', 'kewltm', 'kewrag')\n"),
+        (["run"], {"method": "bogus"}, "usage error: method must be one of "
+         "('zscot', 'rag', 'kewltm', 'kewrag'), got 'bogus'\n"),
+        # each report's text is its query, so a --query would be ignored
+        (["run", "--method", "rag", "--rag-query-mode", "report-text", "--query", "size"], None,
+         "--query has no effect with --rag-query-mode report-text"),
     ],
     ids=["k", "config-k", "splits", "train-size", "n-train", "sweep-train-counts",
          "sweep-train-counts-above-train-size", "n-train-above-train-size",
          "sweep-thresholds-n-train-above-train-size", "temperature", "temperature-nan",
          "temperature-inf", "config-temperature-nan", "config-threshold-inf", "max-tokens",
          "chunk-max-chars", "negative-chunk-overlap", "chunk-overlap-not-below-max",
-         "config-seed", "sweep-repeated-train-count", "sweep-repeated-threshold"],
+         "config-seed", "sweep-repeated-train-count", "sweep-repeated-threshold",
+         "run-without-method", "config-method", "query-with-report-text-rag"],
 )
 def test_out_of_range_setting_is_usage_error_before_any_call(
     tmp_path, capsys, built_backends, argv, config, message
@@ -1016,24 +1024,32 @@ class TestCrossPointPool:
         self, monkeypatch, n_splits, train_counts
     ):
         """The first cycle runs alone while the others wait, before any call,
-        until it has finished: neither it nor a cycle that runs after it keeps
-        a slot idle for cycles that are not running."""
+        until its inference has returned: neither it nor a cycle that runs
+        after it keeps a slot idle for cycles that are not running."""
         corpus, splits = disjoint_splits(n_splits)
         # every N_TEST inference calls meet: a cycle alone infers all its reports together
         backend = ContentKeyedBackend(infer_barrier=threading.Barrier(N_TEST, timeout=10))
         first_done = threading.Event()
-        evaluate = cli._evaluate_split
+        induce, infer = pipelines.induce_ltm, pipelines.run_kewltm_inference
+        cycle = threading.local()  # a cycle induces and infers on one thread
 
-        def others_after_the_first(split, i, n_train, *args, **kwargs):
-            if (i, n_train) != (0, train_counts[0]):
+        def others_after_the_first(train_reports, *args, **kwargs):
+            # the first cycle induces from split 0 cut to the first point's n_train
+            first_ids = list(splits[0].train_ids[:train_counts[0]])
+            cycle.first = [r.id for r in train_reports] == first_ids
+            if not cycle.first:
                 assert first_done.wait(timeout=30)  # longer than the barrier's
-                return evaluate(split, i, n_train, *args, **kwargs)
-            try:
-                return evaluate(split, i, n_train, *args, **kwargs)
-            finally:
-                first_done.set()
+            return induce(train_reports, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "_evaluate_split", others_after_the_first)
+        def signal_once_the_first_inferred(*args, **kwargs):
+            try:
+                return infer(*args, **kwargs)
+            finally:
+                if cycle.first:
+                    first_done.set()
+
+        monkeypatch.setattr(pipelines, "induce_ltm", others_after_the_first)
+        monkeypatch.setattr(pipelines, "run_kewltm_inference", signal_once_the_first_inferred)
         points = [cli.RunConfig(n_train=n) for n in train_counts]
         results = kewltm_points(backend, splits, corpus, 4, points)
         assert backend.peak == 4
@@ -1095,25 +1111,30 @@ class TestCrossPointPool:
         # only the n_train=3 point induces from the third train report
         backend = ContentKeyedBackend(fail_id=splits[0].train_ids[2])
         others_done = threading.Event()
-        finished = []
-        evaluate = cli._evaluate_split
+        inferred = []
+        induce, infer = pipelines.induce_ltm, pipelines.run_kewltm_inference
 
-        def hold_the_failing_point(split, i, n_train, *args, **kwargs):
-            if n_train == 3:  # start only once the other two points have finished
+        def hold_the_failing_point(train_reports, *args, **kwargs):
+            if len(train_reports) == 3:  # start only once the other two points have inferred
                 assert others_done.wait(timeout=10)
-            result = evaluate(split, i, n_train, *args, **kwargs)
-            finished.append(n_train)
-            if len(finished) == 2:
-                others_done.set()
-            return result
+            return induce(train_reports, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "_evaluate_split", hold_the_failing_point)
+        def signal_once_two_inferred(*args, **kwargs):
+            records = infer(*args, **kwargs)
+            inferred.append(records)
+            if len(inferred) == 2:
+                others_done.set()
+            return records
+
+        monkeypatch.setattr(pipelines, "induce_ltm", hold_the_failing_point)
+        monkeypatch.setattr(pipelines, "run_kewltm_inference", signal_once_two_inferred)
         code = self._sweep(tmp_path, monkeypatch, backend, "failed",
                            ["--splits", "1", "--train-counts", "1,3,2"])
         assert code == 1
         manifest = json.loads((tmp_path / "failed" / "manifest.json").read_text())
         assert (manifest["status"], manifest["error"]) == ("FAILED", str(backend.error))
-        monkeypatch.setattr(cli, "_evaluate_split", evaluate)
+        monkeypatch.setattr(pipelines, "induce_ltm", induce)
+        monkeypatch.setattr(pipelines, "run_kewltm_inference", infer)
         assert self._sweep(tmp_path, monkeypatch, ContentKeyedBackend(), "finished",
                            ["--splits", "1", "--train-counts", "1,2"]) == 0
         for name in ("sweep_metrics.csv", "sweep_curves.csv"):

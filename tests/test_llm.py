@@ -268,6 +268,9 @@ class TestScriptedBackend:
             "[3]",
             '[{"kind": "chat", "body": {}, "key": {"template": 1, "index": 1}}]',
             '[{"kind": "embed", "body": {"dim": 4}}]',
+            '[{"kind": "chat", "body": {}, "key": {"template": "zscot_inference", "index": 1}},'
+            ' {"kind": "chat", "body": {}, "key": {"template": "zscot_inference", "index": 1}}]',
+            '[{"kind": "embed", "body": {"hash_dim": 4}, "key": {"template": "nothing", "index": 9}}]',
         ],
     )
     def test_malformed_script(self, tmp_path, data):
@@ -275,6 +278,18 @@ class TestScriptedBackend:
         path.write_text(data)
         with pytest.raises(ScriptError):
             scripted_backend(path)
+
+    def test_repeated_key_names_both_entries(self):
+        entries = [
+            chat_entry(staging_body("T1"), template="zscot_inference", index=1),
+            chat_entry(staging_body("T2")),
+            chat_entry(staging_body("T3"), template="zscot_inference", index=1),
+        ]
+        with pytest.raises(ScriptError) as info:
+            ScriptedBackend(entries, origin="s.json")
+        assert str(info.value) == (
+            "s.json: entry 2 repeats the key {'template': 'zscot_inference', 'index': 1} of entry 0"
+        )
 
     def test_embed_map(self):
         entries = [

@@ -17,12 +17,11 @@ from stagepipe.pipelines import (
     PredictionRecord,
     elicit_kewrag_rules,
     induce_ltm,
+    infer,
     record_from_json,
     record_to_json,
     run_kewltm_inference,
-    run_kewrag_inference,
     run_rag,
-    run_zscot,
 )
 from stagepipe.prompts import default_templates
 from stagepipe.retrieval import Chunk, RetrievalQuery, build_index
@@ -58,7 +57,7 @@ def guideline_index(client: LlmClient, texts: list[str]):
 class TestRunZscot:
     def test_single_report(self):
         client, _ = scripted_client([chat_entry(staging_body("T1"))])
-        (record,) = run_zscot(reports(1), T, client, REGISTRY)
+        (record,) = infer("zscot", reports(1), T, client, REGISTRY)
         assert record.predicted == StageLabel.parse("T1")
         assert record.method == "zscot"
         assert record.memory_version is None
@@ -68,7 +67,7 @@ class TestRunZscot:
         bad = staging_body("T7")
         entries = [chat_entry(bad)] * 4 + [chat_entry(staging_body("T2"))]
         client, _ = scripted_client(entries)
-        records = run_zscot(reports(2), T, client, REGISTRY)
+        records = infer("zscot", reports(2), T, client, REGISTRY)
         assert records[0].is_unparseable
         assert records[0].reasoning == ""
         assert records[1].predicted == StageLabel.parse("T2")
@@ -76,7 +75,7 @@ class TestRunZscot:
     def test_one_record_per_report(self):
         n = 20
         client, backend = scripted_client([chat_entry(staging_body("T1"))] * n)
-        records = run_zscot(reports(n), T, client, REGISTRY)
+        records = infer("zscot", reports(n), T, client, REGISTRY)
         assert len(records) == n
         assert backend.chat_calls == n
         assert [r.report_id for r in records] == sorted(r.report_id for r in records)
@@ -84,7 +83,7 @@ class TestRunZscot:
     def test_empty_reports_rejected(self):
         client, _ = scripted_client([])
         with pytest.raises(PipelineError):
-            run_zscot([], T, client, REGISTRY)
+            infer("zscot", [], T, client, REGISTRY)
 
 
 class TestRunRag:
@@ -349,8 +348,8 @@ class TestKewragInference:
         n = 8
         client, backend = scripted_client([chat_entry(staging_body("T1"))] * n)
         before = backend.embed_calls
-        records = run_kewrag_inference(
-            reports(n), T, rules, client, REGISTRY, chunk_ids=(0, 1)
+        records = infer(
+            "kewrag", reports(n), T, client, REGISTRY, rules=rules, chunk_ids=(0, 1)
         )
         assert backend.embed_calls == before == 0
         assert backend.chat_calls == n
@@ -361,8 +360,8 @@ class TestKewragInference:
     def test_reuses_inference_machinery_with_any_rules(self):
         ltm_style = RuleMemory(T, ("borrowed rule",), version=4)
         client, _ = scripted_client([chat_entry(staging_body("T2"))])
-        (record,) = run_kewrag_inference(
-            reports(1), T, ltm_style, client, REGISTRY, chunk_ids=()
+        (record,) = infer(
+            "kewrag", reports(1), T, client, REGISTRY, rules=ltm_style, chunk_ids=()
         )
         assert record.method == "kewrag"
         assert record.predicted == StageLabel.parse("T2")
@@ -370,9 +369,7 @@ class TestKewragInference:
     def test_empty_rules_rejected(self):
         client, _ = scripted_client([])
         with pytest.raises(PipelineError):
-            run_kewrag_inference(
-                reports(1), T, RuleMemory(T, (), version=0), client, REGISTRY
-            )
+            infer("kewrag", reports(1), T, client, REGISTRY, rules=RuleMemory(T, (), version=0))
 
 
 class TestConcurrentInference:
@@ -381,15 +378,15 @@ class TestConcurrentInference:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # switch threads often, so interleavings vary
         try:
-            records = run_zscot(
-                reports(12), T, LlmClient(chat_backend=wide, max_in_flight=4), REGISTRY
+            records = infer(
+                "zscot", reports(12), T, LlmClient(chat_backend=wide, max_in_flight=4), REGISTRY
             )
         finally:
             sys.setswitchinterval(interval)
         assert wide.peak == 4  # the barrier lets 4 through together, the pool no more
         narrow = ContentKeyedBackend()
-        sequential = run_zscot(
-            reports(12), T, LlmClient(chat_backend=narrow, max_in_flight=1), REGISTRY
+        sequential = infer(
+            "zscot", reports(12), T, LlmClient(chat_backend=narrow, max_in_flight=1), REGISTRY
         )
         assert narrow.peak == 1
         assert narrow.started == [f"r{i:02d}" for i in range(12)]
@@ -402,7 +399,7 @@ class TestConcurrentInference:
         client = LlmClient(chat_backend=backend, max_in_flight=2)
         results = []
         runs = [
-            threading.Thread(target=lambda: results.append(run_zscot(reports(8), T, client, REGISTRY)))
+            threading.Thread(target=lambda: results.append(infer("zscot", reports(8), T, client, REGISTRY)))
             for _ in range(2)
         ]
         interval = sys.getswitchinterval()
@@ -423,7 +420,7 @@ class TestConcurrentInference:
         backend = ContentKeyedBackend(barrier=threading.Barrier(4, timeout=10), fail_id="r02")
         client = LlmClient(chat_backend=backend, max_in_flight=4)
         with pytest.raises(TransportError) as info:
-            run_zscot(reports(12), T, client, REGISTRY)
+            infer("zscot", reports(12), T, client, REGISTRY)
         assert info.value is backend.error
         # the first four were in flight together; none of the eight queued started
         assert sorted(backend.started) == ["r00", "r01", "r02", "r03"]
@@ -432,7 +429,7 @@ class TestConcurrentInference:
         backend = ContentKeyedBackend(fail_id="r05")
         client = LlmClient(chat_backend=backend, max_in_flight=1)
         with pytest.raises(TransportError) as info:
-            run_zscot(reports(12), T, client, REGISTRY)
+            infer("zscot", reports(12), T, client, REGISTRY)
         assert info.value is backend.error
         assert backend.started == [f"r{i:02d}" for i in range(6)]
 
@@ -445,7 +442,7 @@ class TestConcurrentInference:
         backend = ScriptedBackend(entries)
         client = LlmClient(chat_backend=backend, embed_backend=backend, max_in_flight=4)
         assert client.max_in_flight == 1
-        records = run_zscot(reports(len(stages)), T, client, REGISTRY)
+        records = infer("zscot", reports(len(stages)), T, client, REGISTRY)
         assert [r.predicted.render() for r in records] == stages
         assert [r.reasoning for r in records] == [f"call {i}" for i in range(1, 9)]
 
@@ -559,6 +556,43 @@ class TestPredictionRecord:
             PredictionRecord("r1", T, None, "", "rag")
         with pytest.raises(PipelineError):
             PredictionRecord("r1", T, None, "", "zscot", retrieved_chunk_ids=(1,))
+
+    # the methods whose records carry each optional field, and a value for it
+    CARRIERS = {"memory_version": ("kewltm/kewrag", 1), "retrieved_chunk_ids": ("rag/kewrag", (1,))}
+
+    @pytest.mark.parametrize("method", ["zscot", "rag", "kewltm", "kewrag"])
+    @pytest.mark.parametrize("field", list(CARRIERS))
+    @pytest.mark.parametrize("present", [True, False], ids=["present", "absent"])
+    def test_each_method_carries_exactly_its_fields(self, method, field, present):
+        # every other field as `method` wants it, `field` present or absent
+        fields = {name: value if method in carriers.split("/") else None
+                  for name, (carriers, value) in self.CARRIERS.items()}
+        carriers, value = self.CARRIERS[field]
+        fields[field] = value if present else None
+        if present == (method in carriers.split("/")):
+            record = PredictionRecord("r1", T, None, "", method, **fields)
+            assert getattr(record, field) == fields[field]
+        else:
+            with pytest.raises(PipelineError) as info:
+                PredictionRecord("r1", T, None, "", method, **fields)
+            assert str(info.value) == (
+                f"{field} must be present iff method is {carriers} (method={method})"
+            )
+
+    def test_field_messages_name_their_methods(self):
+        with pytest.raises(PipelineError) as info:
+            PredictionRecord("r1", T, None, "", "zscot", memory_version=1)
+        assert str(info.value) == (
+            "memory_version must be present iff method is kewltm/kewrag (method=zscot)"
+        )
+        with pytest.raises(PipelineError) as info:
+            PredictionRecord("r1", T, None, "", "kewrag", memory_version=1)
+        assert str(info.value) == (
+            "retrieved_chunk_ids must be present iff method is rag/kewrag (method=kewrag)"
+        )
+        with pytest.raises(PipelineError) as info:
+            PredictionRecord("r1", T, None, "", "bogus")
+        assert str(info.value) == "unknown method 'bogus'"
 
     def test_category_consistency(self):
         with pytest.raises(PipelineError):
