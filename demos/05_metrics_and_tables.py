@@ -2,21 +2,18 @@
 Scoring, error tables, and multi-run aggregation
 ================================================
 
-Walks through the evaluation machinery on a toy prediction set: per-class
-and macro metrics, error rows built from score blocks the way `run` and
-`evaluate` build them (one block per run or split, the count averaged over
-runs), the reference rounding, unique-error comparison between two methods,
-and mean±std aggregation.
+Walks through the evaluation machinery on a toy prediction set: `score`
+gives a confusion matrix and a score block (per-class and macro metrics and
+the error count) over the records whose report carries a gold label; error
+rows built from score blocks the way `run` and `evaluate` build them (one
+block per run or split, the count averaged over runs), the reference
+rounding, unique-error comparison between two methods, and mean±std
+aggregation.
 """
 
-from stagepipe import StageCategory, aggregate_runs, compare_unique_errors
+from stagepipe import StageCategory, aggregate_runs, compare_unique_errors, score
 from stagepipe.corpus import Corpus, Report, StageLabel
-from stagepipe.evaluation import (
-    aggregate_splits,
-    format_error_pct,
-    render_metrics_table,
-    score_block,
-)
+from stagepipe.evaluation import aggregate_splits, format_error_pct, render_metrics_table
 from stagepipe.pipelines import PredictionRecord
 
 T = StageCategory.T
@@ -54,14 +51,16 @@ records_b = [
 ]
 
 print("method A:")
-print(render_metrics_table(score_block(records_a, corpus, T)))
+matrix, block = score(records_a, corpus, T)
+print(render_metrics_table(block))
+print("confusion rows (gold T1..T4):", matrix.counts, "unparseable:", matrix.unparseable)
 
 # unparseable predictions (None above) count as errors for their gold class;
 # a row aggregates one score block per run, its count the mean over the runs
 print("\nerror table:")
 for method, runs in (("A", [records_a]), ("B", [records_b]),
                      ("A and B as two runs", [records_a, records_b])):
-    blocks = [score_block(run, corpus, T) for run in runs]
+    blocks = [score(run, corpus, T)[1] for run in runs]
     row = aggregate_splits(blocks)
     print(f"  {method}: {row['num_errors_mean']} errors of {blocks[0]['n_evaluated']}"
           f" -> {row['error_pct']}")

@@ -16,9 +16,7 @@ from .corpus import (
     truncate_train,
 )
 from .evaluation import (
-    ClassMetrics,
     ConfusionMatrix,
-    MacroMetrics,
     aggregate_runs,
     compare_unique_errors,
     format_error_pct,

@@ -320,10 +320,11 @@ def _kewltm_points(
     split's (records, score block tagged with the split's index, seed and
     memory version) and the mean memory-length curve over the splits; then
     raises the first terminal failure, if there was one. Errors name the
-    point by its `param` value and the split by its index. With `out` (one
-    point only), each split's frozen memory and induction trace are written
-    there before its inference starts, so a run whose inference fails still
-    keeps the split's induction.
+    point by its `param` value and the split by its index; a split whose
+    test set holds no report with a gold label fails before any call. With
+    `out` (one point only), each split's frozen memory and induction trace
+    are written there before its inference starts, so a run whose inference
+    fails still keeps the split's induction.
 
     Every (point, split) cycle is independent, so up to `min(points x
     splits, max_in_flight)` of them run at once. Each cycle's inference asks
@@ -334,6 +335,12 @@ def _kewltm_points(
     point. The first terminal failure stops every cycle: none starts after
     it, and the cycles in flight start no further induction step or report.
     """
+    by_id = corpus.by_id
+    for i, split in enumerate(splits):
+        if all(by_id[rid].gold_label(category) is None for rid in split.test_ids):
+            raise evaluation.EvaluationError(
+                f"split {i}: no test report carries a gold {category.value} label"
+            )
     tasks = [(p, i) for p in range(len(points)) for i in range(len(splits))]
     width = min(len(tasks), client.max_in_flight)
     stop = pipelines.StopSignal()
@@ -343,7 +350,6 @@ def _kewltm_points(
         p, i = task
         point = points[p]
         split = truncate_train(splits[i], point.n_train)
-        by_id = corpus.by_id
         # both steps through the module, where the benchmark's tracer wraps them
         induction = pipelines.induce_ltm(
             [by_id[rid] for rid in split.train_ids], category, client, registry,
@@ -359,7 +365,7 @@ def _kewltm_points(
             [by_id[rid] for rid in split.test_ids], category, induction.final_memory,
             client, registry, stop=stop,
         )
-        block = evaluation.score_block(records, corpus, category)
+        _, block = evaluation.score(records, corpus, category)
         block.update({"split": i, "seed": split.seed,
                       "memory_version": induction.final_memory.version})
         finished[task] = records, block, list(induction.traces)
@@ -403,7 +409,8 @@ def _setup(
     """Checks the inputs of a `run` or `sweep`, then creates its output directory.
 
     Every check runs before any model call and before the directory exists,
-    so a usage error leaves nothing behind.
+    so a usage error leaves nothing behind. A corpus with no report labeled
+    for the category is one: nothing of the run could be scored.
     """
     category = _category(cfg)
     if retrieves and not (cfg.guideline or cfg.index):
@@ -417,6 +424,8 @@ def _setup(
         )
     registry = _templates(cfg, category)
     corpus = load_corpus(cfg.corpus)
+    if all(report.gold_label(category) is None for report in corpus):
+        raise UsageError(f"no report in {cfg.corpus} carries a gold {category.value} label")
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     return category, client, registry, corpus, out
@@ -505,7 +514,7 @@ def cmd_run(cfg: RunConfig) -> int:
                 records = pipelines.infer(method, list(corpus), category, client, registry,
                                           rules=rules, chunk_ids=chunk_ids)
             prediction_rows = [record_to_json(r) for r in records]
-            metrics = evaluation.score_block(records, corpus, category)
+            _, metrics = evaluation.score(records, corpus, category)
             m = metrics["macro"]
             summary = (
                 f"{method} {category.value}: precision {m['precision']:.3f} "
@@ -624,7 +633,7 @@ def cmd_evaluate(cfg: RunConfig, prediction_paths: list[str]) -> int:
     if len(runs) == 2 and list(runs[0]) != list(runs[1]):
         raise UsageError("the two prediction files cover different splits")
     for path, groups in zip(prediction_paths, runs):
-        blocks = [evaluation.score_block(records, corpus, category) for records in groups.values()]
+        blocks = [evaluation.score(records, corpus, category)[1] for records in groups.values()]
         skipped = sum(map(len, groups.values())) - sum(b["n_evaluated"] for b in blocks)
         print(f"== {path} ==")
         if skipped:
@@ -638,9 +647,9 @@ def cmd_evaluate(cfg: RunConfig, prediction_paths: list[str]) -> int:
             print(f"num_errors_mean={agg['num_errors_mean']} error_pct={agg['error_pct']}")
     if len(runs) == 2:
         for split in runs[0]:
-            a, b = (evaluation.evaluable(run[split], corpus, category) for run in runs)
             label = "" if split is None else f"split {split}: "
-            unique = evaluation.compare_unique_errors(a, b, corpus, category)
+            unique = evaluation.compare_unique_errors(*(run[split] for run in runs),
+                                                      corpus, category)
             for path, ids in zip(prediction_paths, unique):
                 print(f"{label}unique errors of {path} ({len(ids)}): {', '.join(ids)}")
             # per split only: the splits' test sets overlap, so their pairs are not independent

@@ -1,5 +1,12 @@
 """Metrics, error counts, multi-run aggregation, paired tests, and trace analysis.
 
+One pass checks records against the corpus gold labels: a record whose
+report lacks the category's label is skipped, and a record of an unknown
+report, or a set with no labeled record, is an error. `score` turns the
+labeled records into a confusion matrix and a score block, the one result
+format that `metrics.json`, `aggregate_splits` and `render_metrics_table`
+read.
+
 Each category is scored as a 4-class problem: per-class precision, recall,
 and F1 from the confusion matrix, macro-averaged with equal class weights.
 Unparseable predictions count as errors (a false negative for the gold
@@ -15,7 +22,7 @@ import statistics
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .corpus import Corpus, StageCategory, StageLabel
 from .memory import UpdateTrace
@@ -24,22 +31,6 @@ from .pipelines import PredictionRecord
 
 class EvaluationError(ValueError):
     """Records or aggregation inputs are inconsistent."""
-
-
-@dataclass(frozen=True)
-class ClassMetrics:
-    label: StageLabel
-    precision: float
-    recall: float
-    f1: float
-
-
-@dataclass(frozen=True)
-class MacroMetrics:
-    precision: float
-    recall: float
-    f1: float
-    per_class: tuple[ClassMetrics, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -61,58 +52,65 @@ def _safe_div(num: float, den: float) -> float:
 
 def _with_gold(
     records: Sequence[PredictionRecord], corpus: Corpus, category: StageCategory
-) -> Iterator[tuple[PredictionRecord, StageLabel]]:
-    """Each record paired with its report's gold label for `category`.
+) -> list[tuple[PredictionRecord, StageLabel]]:
+    """Each record whose report carries a gold label for `category`, paired
+    with that label; records of unlabeled reports are skipped.
 
-    Every record's report must exist and carry that label; callers filter
-    out unlabeled reports beforehand.
+    The one check of records against the corpus: a record of an unknown
+    report, or a set with no labeled record, is an EvaluationError.
     """
     by_id = corpus.by_id
+    pairs = []
     for rec in records:
         report = by_id.get(rec.report_id)
         if report is None:
             raise EvaluationError(f"record references unknown report id {rec.report_id!r}")
         gold = report.gold_label(category)
-        if gold is None:
-            raise EvaluationError(
-                f"report {rec.report_id!r} lacks a gold {category.value} label"
-            )
-        yield rec, gold
+        if gold is not None:
+            pairs.append((rec, gold))
+    if not pairs:
+        raise EvaluationError(f"no records carry a gold {category.value} label")
+    return pairs
 
 
 def score(
     records: Sequence[PredictionRecord],
     corpus: Corpus,
     category: StageCategory,
-) -> tuple[ConfusionMatrix, MacroMetrics]:
-    """Score records against the corpus gold labels for one category."""
-    labels = category.labels()
+) -> tuple[ConfusionMatrix, dict]:
+    """The confusion matrix and the score block of one run or split, over its
+    records with a gold label: macro and per-class metrics, the error count
+    and its percentage (the errors are the matrix's off-diagonal and
+    unparseable cells)."""
+    pairs = _with_gold(records, corpus, category)
     offset = category.ranks.start
     counts = [[0] * 4 for _ in range(4)]
     unparseable = [0] * 4
-    for rec, gold in _with_gold(records, corpus, category):
+    for rec, gold in pairs:
         if rec.predicted is None:
             unparseable[gold.rank - offset] += 1
         else:
             counts[gold.rank - offset][rec.predicted.rank - offset] += 1
     per_class = []
-    for lab in labels:
+    for lab in category.labels():
         i = lab.rank - offset
         tp = counts[i][i]
         fp = sum(row[i] for row in counts) - tp
         fn = sum(counts[i]) - tp + unparseable[i]
         p = _safe_div(tp, tp + fp)
         r = _safe_div(tp, tp + fn)
-        f1 = _safe_div(2 * p * r, p + r)
-        per_class.append(ClassMetrics(label=lab, precision=p, recall=r, f1=f1))
-    macro = MacroMetrics(
-        precision=sum(c.precision for c in per_class) / len(per_class),
-        recall=sum(c.recall for c in per_class) / len(per_class),
-        f1=sum(c.f1 for c in per_class) / len(per_class),
-        per_class=tuple(per_class),
-    )
-    matrix = ConfusionMatrix(category, tuple(map(tuple, counts)), tuple(unparseable))
-    return matrix, macro
+        per_class.append({"label": lab.render(), "precision": p, "recall": r,
+                          "f1": _safe_div(2 * p * r, p + r)})
+    n_errors = len(pairs) - sum(counts[i][i] for i in range(4))
+    block = {
+        "n_evaluated": len(pairs),
+        "macro": {key: sum(c[key] for c in per_class) / len(per_class)
+                  for key in ("precision", "recall", "f1")},
+        "per_class": per_class,
+        "num_errors": n_errors,
+        "error_pct": format_error_pct(n_errors, len(pairs)),
+    }
+    return ConfusionMatrix(category, tuple(map(tuple, counts)), tuple(unparseable)), block
 
 
 def format_error_pct(count: float, total: int) -> str:
@@ -123,53 +121,6 @@ def format_error_pct(count: float, total: int) -> str:
         Decimal("0.1"), rounding=ROUND_HALF_UP
     )
     return f"{pct}%"
-
-
-def evaluable(
-    records: Sequence[PredictionRecord], corpus: Corpus, category: StageCategory
-) -> list[PredictionRecord]:
-    """The records whose report carries a gold label for `category`."""
-    by_id = corpus.by_id
-    scored = []
-    for rec in records:
-        if rec.report_id not in by_id:
-            raise EvaluationError(f"record references unknown report id {rec.report_id!r}")
-        if by_id[rec.report_id].gold_label(category) is not None:
-            scored.append(rec)
-    return scored
-
-
-def score_block(
-    records: Sequence[PredictionRecord], corpus: Corpus, category: StageCategory
-) -> dict:
-    """The score block of one run or split, over its records with a gold label:
-    macro and per-class metrics, the error count and its percentage, all
-    from one confusion matrix (the errors are its off-diagonal and
-    unparseable cells)."""
-    scored = evaluable(records, corpus, category)
-    if not scored:
-        raise EvaluationError(f"no records carry a gold {category.value} label")
-    matrix, macro = score(scored, corpus, category)
-    n_errors = matrix.total - sum(matrix.counts[i][i] for i in range(4))
-    return {
-        "n_evaluated": len(scored),
-        "macro": {
-            "precision": macro.precision,
-            "recall": macro.recall,
-            "f1": macro.f1,
-        },
-        "per_class": [
-            {
-                "label": cm.label.render(),
-                "precision": cm.precision,
-                "recall": cm.recall,
-                "f1": cm.f1,
-            }
-            for cm in macro.per_class
-        ],
-        "num_errors": n_errors,
-        "error_pct": format_error_pct(n_errors, len(scored)),
-    }
 
 
 def aggregate_splits(blocks: Sequence[dict]) -> dict:
@@ -208,22 +159,16 @@ def compare_unique_errors(
     corpus: Corpus,
     category: StageCategory,
 ) -> tuple[list[str], list[str]]:
-    """Ids wrong under one method while the other was correct, both ways."""
-    ids_a = {rec.report_id for rec in a}
-    ids_b = {rec.report_id for rec in b}
+    """Ids wrong under one method while the other was correct, both ways,
+    over the records with a gold label; both sets must label the same ids."""
+    labeled = [_with_gold(records, corpus, category) for records in (a, b)]
+    ids_a, ids_b = ({rec.report_id for rec, _ in pairs} for pairs in labeled)
     if ids_a != ids_b:
         sample = sorted(ids_a ^ ids_b)[:3]
         raise EvaluationError(f"record sets cover different report ids (e.g. {sample})")
-
-    def wrong_ids(records: Sequence[PredictionRecord]) -> set[str]:
-        return {
-            rec.report_id
-            for rec, gold in _with_gold(records, corpus, category)
-            if rec.predicted != gold
-        }
-
-    wrong_a = wrong_ids(a)
-    wrong_b = wrong_ids(b)
+    wrong_a, wrong_b = (
+        {rec.report_id for rec, gold in pairs if rec.predicted != gold} for pairs in labeled
+    )
     return sorted(wrong_a - wrong_b), sorted(wrong_b - wrong_a)
 
 
@@ -267,7 +212,7 @@ def write_curve_csv(series: Sequence[tuple[int, float]], path: str | Path) -> No
 
 
 def render_metrics_table(block: dict) -> str:
-    """Human-readable per-class and macro metrics and error count of a `score_block`."""
+    """Human-readable per-class and macro metrics and error count of a score block."""
     rows = [(c["label"], c) for c in block["per_class"]] + [("macro", block["macro"])]
     lines = [f"{'label':<8}{'precision':>10}{'recall':>10}{'f1':>10}"]
     lines += [

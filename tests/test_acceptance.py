@@ -63,7 +63,7 @@ def test_metrics_oracle():
             )
             for rid, p in preds.items()
         ]
-        matrix, macro = score(records, corpus, T)
+        matrix, block = score(records, corpus, T)
         counts, unparseable = np.asarray(matrix.counts), np.asarray(matrix.unparseable)
         macro_p = macro_r = macro_f = 0.0
         for idx, lab in enumerate(T_LABELS):
@@ -84,16 +84,17 @@ def test_metrics_oracle():
             p = tp / (tp + fp) if tp + fp else 0.0
             r = tp / (tp + fn) if tp + fn else 0.0
             f1 = 2 * p * r / (p + r) if p + r else 0.0
-            cm = macro.per_class[idx]
-            assert abs(cm.precision - p) < 1e-12
-            assert abs(cm.recall - r) < 1e-12
-            assert abs(cm.f1 - f1) < 1e-12
+            cm = block["per_class"][idx]
+            assert abs(cm["precision"] - p) < 1e-12
+            assert abs(cm["recall"] - r) < 1e-12
+            assert abs(cm["f1"] - f1) < 1e-12
             macro_p += p / 4
             macro_r += r / 4
             macro_f += f1 / 4
-        assert abs(macro.precision - macro_p) < 1e-12
-        assert abs(macro.recall - macro_r) < 1e-12
-        assert abs(macro.f1 - macro_f) < 1e-12
+        macro = block["macro"]
+        assert abs(macro["precision"] - macro_p) < 1e-12
+        assert abs(macro["recall"] - macro_r) < 1e-12
+        assert abs(macro["f1"] - macro_f) < 1e-12
     _passed("metrics-oracle", started, 5.0)
 
 

@@ -725,7 +725,7 @@ class TestSweep:
             finished = (tmp_path / "one" / name).read_text().splitlines()
             assert (out / name).read_text().splitlines() == finished
 
-    def test_no_gold_label_fails_like_run(self, tmp_path):
+    def test_no_gold_label_fails_like_run(self, tmp_path, capsys, built_backends):
         corpus = tmp_path / "c.jsonl"
         rows = [{"id": f"r{i:03d}", "text": f"report body {i}", "t_label": "T1",
                  "n_label": None} for i in range(6)]
@@ -737,10 +737,11 @@ class TestSweep:
             ["sweep", "--category", "N", "--corpus", str(corpus), "--script", str(script),
              "--out", str(out), "--splits", "1", "--train-size", "2", "--train-counts", "1"]
         )
-        assert code == 1
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["status"] == "FAILED"
-        assert "no records carry a gold N label" in manifest["error"]
+        # a usage error, as for run: nothing of the corpus could be scored
+        assert code == 2
+        assert f"no report in {corpus} carries a gold N label" in capsys.readouterr().err
+        assert sum(b.chat_calls + b.embed_calls for b in built_backends) == 0
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -816,6 +817,8 @@ def test_threshold_out_of_range_is_usage_error_before_any_call(
         # each report's text is its query, so a --query would be ignored
         (["run", "--method", "rag", "--rag-query-mode", "report-text", "--query", "size"], None,
          "--query has no effect with --rag-query-mode report-text"),
+        # no report of the corpus carries an N label, so nothing could be scored
+        (["run", "--method", "zscot", "--category", "N"], None, "carries a gold N label"),
     ],
     ids=["k", "config-k", "splits", "train-size", "n-train", "sweep-train-counts",
          "sweep-train-counts-above-train-size", "n-train-above-train-size",
@@ -823,13 +826,14 @@ def test_threshold_out_of_range_is_usage_error_before_any_call(
          "temperature-inf", "config-temperature-nan", "config-threshold-inf", "max-tokens",
          "chunk-max-chars", "negative-chunk-overlap", "chunk-overlap-not-below-max",
          "config-seed", "sweep-repeated-train-count", "sweep-repeated-threshold",
-         "run-without-method", "config-method", "query-with-report-text-rag"],
+         "run-without-method", "config-method", "query-with-report-text-rag",
+         "corpus-without-category-label"],
 )
 def test_out_of_range_setting_is_usage_error_before_any_call(
     tmp_path, capsys, built_backends, argv, config, message
 ):
     corpus = tmp_path / "c.jsonl"
-    write_corpus(corpus, 12)
+    write_keyed_corpus(corpus, 12)  # T labels only
     guideline = tmp_path / "guide.md"
     write_guideline(guideline)
     script = tmp_path / "script.json"
@@ -849,6 +853,38 @@ def test_out_of_range_setting_is_usage_error_before_any_call(
     assert message in capsys.readouterr().err
     assert sum(b.chat_calls + b.embed_calls for b in built_backends) == 0
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["run", "--method", "kewltm"], ["sweep", "--train-counts", "1,2"]],
+    ids=["run", "sweep"],
+)
+def test_split_without_labeled_test_report_fails_before_any_call(
+    tmp_path, capsys, built_backends, argv
+):
+    corpus = tmp_path / "c.jsonl"
+    write_corpus(corpus, 12)
+    splits = make_splits(load_corpus(corpus), 2, 10, 0)
+    # only train reports carry a T label: the corpus passes, its splits cannot be scored
+    test_ids = {rid for split in splits for rid in split.test_ids}
+    write_corpus_jsonl(corpus, [
+        {"id": f"r{i:03d}", "text": f"report body {i}", "n_label": None,
+         "t_label": None if f"r{i:03d}" in test_ids else LABELS[i % 4]}
+        for i in range(12)
+    ])
+    script = tmp_path / "script.json"
+    write_script(script, 60)
+    out = tmp_path / "out"
+    code = main(argv + ["--category", "T", "--corpus", str(corpus), "--script", str(script),
+                        "--out", str(out), "--splits", "2", "--train-size", "10",
+                        "--n-train", "2"])
+    assert code == 1
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "FAILED"
+    assert manifest["error"] == "split 0: no test report carries a gold T label"
+    assert manifest["error"] in capsys.readouterr().err
+    assert sum(b.chat_calls + b.embed_calls for b in built_backends) == 0
 
 
 @pytest.mark.parametrize(

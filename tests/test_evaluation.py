@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections.abc import Mapping
 
 import pytest
 
@@ -14,7 +15,6 @@ from stagepipe.evaluation import (
     mcnemar_p,
     memory_curve,
     score,
-    score_block,
 )
 from stagepipe.memory import UpdateTrace
 from stagepipe.pipelines import PredictionRecord
@@ -55,6 +55,24 @@ def brute_force_metrics(pairs: list[tuple[str, str | None]]):
     return per_class, macro
 
 
+class CountingMapping(Mapping):
+    """A read-only mapping that counts its lookups (`in` and `.get` are lookups too)."""
+
+    def __init__(self, inner: Mapping):
+        self.inner = inner
+        self.lookups = 0
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return self.inner[key]
+
+    def __iter__(self):
+        return iter(self.inner)
+
+    def __len__(self):
+        return len(self.inner)
+
+
 @pytest.fixture(
     params=[
         score,
@@ -74,8 +92,9 @@ class TestScore:
         gold = {"a": "T1", "b": "T2", "c": "T3", "d": "T4"}
         corpus = corpus_with_gold(gold)
         records = [prediction(rid, lab) for rid, lab in gold.items()]
-        _, macro = score(records, corpus, T)
-        assert macro.precision == macro.recall == macro.f1 == 1.0
+        _, block = score(records, corpus, T)
+        macro = block["macro"]
+        assert macro["precision"] == macro["recall"] == macro["f1"] == 1.0
 
     def test_toy_matrix_hand_computation(self):
         # gold (T1, T1, T2, T2), predicted (T1, T2, T2, T2):
@@ -87,26 +106,26 @@ class TestScore:
             prediction("c", "T2"),
             prediction("d", "T2"),
         ]
-        matrix, macro = score(records, corpus, T)
-        by_label = {cm.label.render(): cm for cm in macro.per_class}
-        assert by_label["T1"].precision == 1.0
-        assert by_label["T1"].recall == 0.5
-        assert by_label["T1"].f1 == pytest.approx(2 / 3)
-        assert by_label["T2"].precision == pytest.approx(2 / 3)
-        assert by_label["T2"].recall == 1.0
-        assert by_label["T2"].f1 == pytest.approx(0.8)
-        assert by_label["T3"].f1 == 0.0
-        assert by_label["T4"].f1 == 0.0
-        assert macro.f1 == pytest.approx((2 / 3 + 0.8) / 4)
+        matrix, block = score(records, corpus, T)
+        by_label = {cm["label"]: cm for cm in block["per_class"]}
+        assert by_label["T1"]["precision"] == 1.0
+        assert by_label["T1"]["recall"] == 0.5
+        assert by_label["T1"]["f1"] == pytest.approx(2 / 3)
+        assert by_label["T2"]["precision"] == pytest.approx(2 / 3)
+        assert by_label["T2"]["recall"] == 1.0
+        assert by_label["T2"]["f1"] == pytest.approx(0.8)
+        assert by_label["T3"]["f1"] == 0.0
+        assert by_label["T4"]["f1"] == 0.0
+        assert block["macro"]["f1"] == pytest.approx((2 / 3 + 0.8) / 4)
         assert matrix.total == 4
 
     def test_unparseable_is_fn_for_gold_not_fp(self):
         corpus = corpus_with_gold({"a": "T1", "b": "T1"})
         records = [prediction("a", "T1"), prediction("b", None)]
-        matrix, macro = score(records, corpus, T)
-        t1 = macro.per_class[0]
-        assert t1.precision == 1.0  # the unparseable added no false positive
-        assert t1.recall == 0.5  # but counts as a miss for T1
+        matrix, block = score(records, corpus, T)
+        t1 = block["per_class"][0]
+        assert t1["precision"] == 1.0  # the unparseable added no false positive
+        assert t1["recall"] == 0.5  # but counts as a miss for T1
         assert sum(matrix.unparseable) == 1
         assert matrix.total == 2
 
@@ -119,6 +138,21 @@ class TestScore:
         corpus = Corpus((make_report("a", n="N1"),))
         with pytest.raises(EvaluationError, match="gold"):
             scorer([prediction("a", "T1")], corpus, T)
+
+    def test_unlabeled_records_are_skipped(self, scorer):
+        corpus = Corpus((make_report("a", t="T1"), make_report("b", n="N1")))
+        labeled = [prediction("a", "T2")]
+        assert scorer(labeled + [prediction("b", "T1")], corpus, T) == scorer(labeled, corpus, T)
+
+    def test_each_report_is_looked_up_once(self, monkeypatch):
+        corpus = corpus_with_gold({f"r{i}": "T1" for i in range(5)})
+        by_id = CountingMapping(corpus.by_id)
+        monkeypatch.setattr(Corpus, "by_id", property(lambda self: by_id))
+        records = [prediction(f"r{i}", "T2") for i in range(5)]
+        score(records, corpus, T)
+        assert by_id.lookups == len(records)
+        compare_unique_errors(records, records, corpus, T)
+        assert by_id.lookups == 3 * len(records)
 
     def test_matches_brute_force_on_random_sets(self):
         rng = random.Random(9)
@@ -133,13 +167,12 @@ class TestScore:
             records = [
                 prediction(rid, pred) for rid, (_, pred) in zip(gold, pairs)
             ]
-            _, macro = score(records, corpus, T)
+            _, block = score(records, corpus, T)
             _, (exp_p, exp_r, exp_f1) = brute_force_metrics(pairs)
-            assert macro.precision == pytest.approx(exp_p, abs=1e-12)
-            assert macro.recall == pytest.approx(exp_r, abs=1e-12)
-            assert macro.f1 == pytest.approx(exp_f1, abs=1e-12)
+            assert block["macro"]["precision"] == pytest.approx(exp_p, abs=1e-12)
+            assert block["macro"]["recall"] == pytest.approx(exp_r, abs=1e-12)
+            assert block["macro"]["f1"] == pytest.approx(exp_f1, abs=1e-12)
             # the block's error count comes from the matrix; unparseable ones are errors
-            block = score_block(records, corpus, T)
             assert block["num_errors"] == sum(g != p for g, p in pairs)
 
     def test_order_invariance(self):
@@ -148,7 +181,7 @@ class TestScore:
         records = [prediction("a", "T2"), prediction("b", "T2"), prediction("c", "T1")]
         _, forward = score(records, corpus, T)
         _, backward = score(list(reversed(records)), corpus, T)
-        assert forward.f1 == backward.f1
+        assert forward["macro"]["f1"] == backward["macro"]["f1"]
 
     def test_totals_add_up(self):
         gold = {f"r{i}": "T1" for i in range(10)}
@@ -185,7 +218,7 @@ class TestErrorFormatting:
     def test_unparseable_counts_as_error(self):
         gold = {"a": "T1"}
         corpus = corpus_with_gold(gold)
-        block = score_block([prediction("a", None)], corpus, T)
+        _, block = score([prediction("a", None)], corpus, T)
         assert (block["num_errors"], block["error_pct"]) == (1, "100.0%")
 
 
@@ -219,9 +252,9 @@ class TestAggregateSplits:
     def test_error_pct_only_for_equal_split_totals(self):
         gold = {f"r{i}": "T1" for i in range(4)}
         corpus = corpus_with_gold(gold)
-        wrong = score_block([prediction(rid, "T2") for rid in gold], corpus, T)  # 4 errors
-        right = score_block([prediction(rid, "T1") for rid in gold], corpus, T)  # 0 errors
-        one = score_block([prediction("r0", "T2")], corpus, T)  # 1 error of 1
+        _, wrong = score([prediction(rid, "T2") for rid in gold], corpus, T)  # 4 errors
+        _, right = score([prediction(rid, "T1") for rid in gold], corpus, T)  # 0 errors
+        _, one = score([prediction("r0", "T2")], corpus, T)  # 1 error of 1
         assert aggregate_splits([wrong]) == {
             "aggregate": {"precision": "0.000", "recall": "0.000", "f1": "0.000"},
             "num_errors_mean": "4",
@@ -239,14 +272,14 @@ class TestAggregateSplits:
         with pytest.raises(EvaluationError):
             aggregate_splits([])
 
-    def test_score_block_skips_unlabeled_reports(self):
+    def test_score_skips_unlabeled_reports(self):
         corpus = Corpus((make_report("a", t="T1"), make_report("b", n="N1")))
-        block = score_block([prediction("a", "T1"), prediction("b", "T2")], corpus, T)
+        _, block = score([prediction("a", "T1"), prediction("b", "T2")], corpus, T)
         assert (block["n_evaluated"], block["num_errors"], block["error_pct"]) == (1, 0, "0.0%")
         with pytest.raises(EvaluationError, match="gold"):
-            score_block([prediction("b", "T2")], corpus, T)
+            score([prediction("b", "T2")], corpus, T)
         with pytest.raises(EvaluationError, match="ghost"):
-            score_block([prediction("ghost", "T1")], corpus, T)
+            score([prediction("ghost", "T1")], corpus, T)
 
 
 class TestCompareUniqueErrors:
@@ -274,6 +307,13 @@ class TestCompareUniqueErrors:
         a_only, b_only = compare_unique_errors(a, b, corpus, T)
         assert a_only == []
         assert b_only == ["1", "3"]
+
+    def test_sets_may_differ_in_unlabeled_reports(self):
+        corpus = Corpus((make_report("1", t="T1"), make_report("2", n="N1")))
+        a = [prediction("1", "T2"), prediction("2", "T1")]
+        b = [prediction("1", "T1")]
+        assert compare_unique_errors(a, b, corpus, T) == (["1"], [])
+        assert compare_unique_errors(b, a, corpus, T) == ([], ["1"])
 
     def test_id_set_mismatch(self):
         corpus = self._corpus()
