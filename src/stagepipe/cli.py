@@ -16,6 +16,7 @@ import logging
 import math
 import os
 import sys
+import threading
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
@@ -31,6 +32,7 @@ from .corpus import (
     make_splits,
     read_utf8,
     truncate_train,
+    write_utf8,
 )
 from .llm import HttpChatBackend, HttpEmbedBackend, LlmClient, LlmError, scripted_backend
 from .pipelines import PipelineError, PredictionRecord, record_from_json, record_to_json
@@ -173,31 +175,19 @@ def _build_client(cfg: RunConfig) -> LlmClient:
 
 
 def _templates(cfg: RunConfig, category: StageCategory) -> prompts.TemplateRegistry:
+    request = {"temperature": cfg.temperature, "max_tokens": cfg.max_tokens}
     if cfg.templates:
-        return prompts.load_templates(
-            cfg.templates,
-            category,
-            temperature=cfg.temperature,
-            max_tokens=cfg.max_tokens,
-        )
-    return prompts.default_templates(
-        category, temperature=cfg.temperature, max_tokens=cfg.max_tokens
-    )
+        return prompts.load_templates(cfg.templates, category, **request)
+    return prompts.default_templates(category, **request)
 
 
 def _write_json(path: Path, obj) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
-        encoding="utf-8",
-    )
+    write_utf8(path, json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) + "\n")
 
 
 def _write_jsonl(path: Path, rows: Sequence[dict]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, sort_keys=True, ensure_ascii=False) + "\n")
+    write_utf8(path, "".join(json.dumps(row, sort_keys=True, ensure_ascii=False) + "\n"
+                             for row in rows))
 
 
 def _redact(cfg: RunConfig) -> dict:
@@ -207,35 +197,25 @@ def _redact(cfg: RunConfig) -> dict:
     return out
 
 
+# what a command learns as it goes; each is null in its manifest until set
+_MANIFEST_FIELDS = ("seeds", "template_hashes", "doc_hash", "query", "query_provenance", "sweep")
+
+
 def _manifest(
-    cfg: RunConfig,
-    command: str,
-    client: LlmClient,
-    *,
-    seeds: list[int] | None = None,
-    template_hashes: dict | None = None,
-    doc_hash: str | None = None,
-    query: str | None = None,
-    query_provenance: str | None = None,
-    error: str | None = None,
-    sweep: dict | None = None,
+    cfg: RunConfig, command: str, client: LlmClient, fields: dict, error: str | None
 ) -> dict:
     """The manifest of a `run` or `sweep`: status ok, or FAILED with `error`."""
     return {
+        **dict.fromkeys(_MANIFEST_FIELDS),
+        **fields,
         "command": command,
         "method": cfg.method,
         "category": cfg.category,
         "config": _redact(cfg),
-        "seeds": seeds,
-        "template_hashes": template_hashes,
         "model_ids": {
             "chat": getattr(client.chat_backend, "model_id", None),
             "embed": getattr(client.embed_backend, "model_id", None),
         },
-        "doc_hash": doc_hash,
-        "query": query,
-        "query_provenance": query_provenance,
-        "sweep": sweep,
         "timestamp": None if client.deterministic else datetime.now(timezone.utc).isoformat(),
         "status": "ok" if error is None else "FAILED",
         "error": error,
@@ -288,14 +268,15 @@ def _load_or_build_index(
 def cmd_index(cfg: RunConfig) -> int:
     if not cfg.guideline:
         raise UsageError("--guideline is required for index")
+    out = Path(cfg.out)
+    if out.is_dir():  # the default --out is the directory a run writes
+        raise UsageError(f"--out {out} is a directory; index writes one file")
     client = _build_client(cfg)
     if client.embed_backend is None:
         raise UsageError(
             "no embedding backend configured (set STAGEPIPE_EMBED_BASE or --script)"
         )
     index, _ = _load_or_build_index(cfg, client)
-    out = Path(cfg.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     retrieval.save_index(index, out)
     print(f"Indexed {len(index)} chunks (dim {index.dim}) -> {out}")
     return 0
@@ -304,27 +285,30 @@ def cmd_index(cfg: RunConfig) -> int:
 def _kewltm_points(
     splits: Sequence[Split],
     points: Sequence[RunConfig],
+    outs: Sequence[Path],
     corpus: Corpus,
     category: StageCategory,
     client: LlmClient,
     registry: prompts.TemplateRegistry,
     *,
     param: str | None = None,
-    out: Path | None = None,
-) -> Iterator[tuple[RunConfig, list[tuple[list[PredictionRecord], dict]], list[tuple[int, float]]]]:
-    """The kewltm protocol at each point's (n_train, threshold): every split
-    of every point through one cycle of truncate -> induce -> infer -> score,
-    all on one pool.
+) -> Iterator[tuple[RunConfig, dict, list[tuple[int, float]]]]:
+    """The kewltm protocol at each point's (n_train, threshold), written into
+    that point's directory of `outs`: every split of every point through one
+    cycle of truncate -> induce -> infer -> score, all on one pool.
 
-    Yields, in point order, each point whose splits all finished, with each
-    split's (records, score block tagged with the split's index, seed and
-    memory version) and the mean memory-length curve over the splits; then
-    raises the first terminal failure, if there was one. Errors name the
-    point by its `param` value and the split by its index; a split whose
-    test set holds no report with a gold label fails before any call. With
-    `out` (one point only), each split's frozen memory and induction trace
-    are written there before its inference starts, so a run whose inference
-    fails still keeps the split's induction.
+    Each cycle writes its split's frozen memory (`memory_split{i}.json`) and
+    induction trace (`trace_split{i}.csv`) before its inference starts. The
+    cycle that finishes a point's last split writes the point's
+    `predictions.jsonl` (records tagged with their split), `metrics.json`
+    (each split's score block, tagged with its index, seed and memory
+    version, and their aggregate) and `curves.csv` (the mean memory-length
+    curve). So a failed run or sweep keeps every induction and every point
+    that finished. Yields, in point order, each finished point with its
+    metrics and curve; then raises the first terminal failure, if there was
+    one. Errors name the point by its `param` value and the split by its
+    index; a split whose test set holds no report with a gold label fails
+    before any call.
 
     Every (point, split) cycle is independent, so up to `min(points x
     splits, max_in_flight)` of them run at once. Each cycle's inference asks
@@ -344,11 +328,13 @@ def _kewltm_points(
     tasks = [(p, i) for p in range(len(points)) for i in range(len(splits))]
     width = min(len(tasks), client.max_in_flight)
     stop = pipelines.StopSignal()
+    results: dict[tuple[int, int], tuple] = {}
+    lock = threading.Lock()  # guards `results`: one cycle alone sees its point finish
     finished = {}
 
     def cycle(task: tuple[int, int]) -> None:
         p, i = task
-        point = points[p]
+        point, out = points[p], outs[p]
         split = truncate_train(splits[i], point.n_train)
         # both steps through the module, where the benchmark's tracer wraps them
         induction = pipelines.induce_ltm(
@@ -358,9 +344,8 @@ def _kewltm_points(
         if induction.final_memory is None:
             prefix = f"{param}={getattr(point, param)} " if param else ""
             raise PipelineError(f"{prefix}split {i}: induction produced no memory")
-        if out is not None:
-            memory.persist(induction.final_memory, out / f"memory_split{i}.json")
-            memory.write_traces(induction.traces, out / f"trace_split{i}.csv")
+        memory.persist(induction.final_memory, out / f"memory_split{i}.json")
+        memory.write_traces(induction.traces, out / f"trace_split{i}.csv")
         records = pipelines.run_kewltm_inference(
             [by_id[rid] for rid in split.test_ids], category, induction.final_memory,
             client, registry, stop=stop,
@@ -368,18 +353,27 @@ def _kewltm_points(
         _, block = evaluation.score(records, corpus, category)
         block.update({"split": i, "seed": split.seed,
                       "memory_version": induction.final_memory.version})
-        finished[task] = records, block, list(induction.traces)
+        with lock:
+            results[task] = records, block, induction.traces
+            done = [results.get((p, j)) for j in range(len(splits))]
+        if None not in done:  # this cycle finished the point
+            per_split, blocks, traces = zip(*done)
+            metrics = {"per_split": list(blocks), **evaluation.aggregate_splits(blocks)}
+            curve = evaluation.memory_curve(traces)
+            _write_jsonl(out / "predictions.jsonl", [
+                record_to_json(r, split=j) for j, rs in enumerate(per_split) for r in rs
+            ])
+            _write_json(out / "metrics.json", metrics)
+            evaluation.write_curve_csv(curve, out / "curves.csv")
+            finished[p] = metrics, curve
 
     error = None
     try:
         pipelines.run_bounded(cycle, tasks, width, stop)
     except Exception as exc:  # raised once the finished points are out
         error = exc
-    for p, point in enumerate(points):
-        if all((p, i) in finished for i in range(len(splits))):
-            cycles = [finished[p, i] for i in range(len(splits))]
-            yield (point, [(records, block) for records, block, _ in cycles],
-                   evaluation.memory_curve([traces for *_, traces in cycles]))
+    for p in sorted(finished):
+        yield (points[p], *finished[p])
     if error is not None:
         raise error
 
@@ -431,14 +425,8 @@ def _setup(
     return category, client, registry, corpus, out
 
 
-def _run_command(
-    cfg: RunConfig,
-    command: str,
-    client: LlmClient,
-    out: Path,
-    fields: dict,
-    body: Callable[[dict], None],
-) -> int:
+def _run_command(cfg: RunConfig, command: str, client: LlmClient, out: Path, fields: dict,
+                 body: Callable[[dict], None]) -> int:
     """Runs `body(fields)`, then writes `out/manifest.json` from `fields`.
 
     `body` adds to the manifest `fields` what it learns as it goes (split
@@ -451,7 +439,7 @@ def _run_command(
         body(fields)
     except COMMAND_ERRORS as exc:
         error = str(exc)
-    _write_json(out / "manifest.json", _manifest(cfg, command, client, error=error, **fields))
+    _write_json(out / "manifest.json", _manifest(cfg, command, client, fields, error))
     if error is not None:
         print(f"error: {error}", file=sys.stderr)
         return 1
@@ -465,65 +453,52 @@ def cmd_run(cfg: RunConfig) -> int:
     retrieves = pipelines.METHODS[method].carries_chunks
     if method == "kewltm":
         _check_n_train([cfg], "--n-train")
-    if method == "rag" and cfg.rag_query_mode == "report-text" and cfg.query:
+    # each report's text is its query, so the run has no query of its own
+    report_text = method == "rag" and cfg.rag_query_mode == "report-text"
+    if report_text and cfg.query:
         raise UsageError("--query has no effect with --rag-query-mode report-text, "
                          "where each report's text is its query")
     category, client, registry, corpus, out = _setup(cfg, retrieves)
     query_text = cfg.query or retrieval.DEFAULT_QUERIES[category]
     fields = {"template_hashes": registry.hashes()}
-    if retrieves:
+    if retrieves and not report_text:
         fields["query"] = query_text
-        fields["query_provenance"] = (
-            "user" if cfg.query else retrieval.QUERY_PROVENANCE[category]
-        )
+        fields["query_provenance"] = "user" if cfg.query else retrieval.QUERY_PROVENANCE[category]
 
     def body(fields: dict) -> None:
-        if method == "kewltm":
+        if method == "kewltm":  # a sweep of one point, written into --out itself
             splits = make_splits(corpus, cfg.n_splits, cfg.train_size, cfg.seed)
             fields["seeds"] = [s.seed for s in splits]
-            ((_, results, curve),) = _kewltm_points(
-                splits, [cfg], corpus, category, client, registry, out=out
+            ((_, metrics, _),) = _kewltm_points(
+                splits, [cfg], [out], corpus, category, client, registry
             )
-            evaluation.write_curve_csv(curve, out / "curves.csv")
-            prediction_rows = [
-                record_to_json(r, split=block["split"]) for records, block in results
-                for r in records
-            ]
-            per_split = [block for _, block in results]
-            metrics = {"per_split": per_split, **evaluation.aggregate_splits(per_split)}
             agg = metrics["aggregate"]
-            summary = (
-                f"kewltm {category.value}: precision {agg['precision']} "
-                f"recall {agg['recall']} f1 {agg['f1']} over {len(splits)} splits"
+            print(f"kewltm {category.value}: precision {agg['precision']} "
+                  f"recall {agg['recall']} f1 {agg['f1']} over {len(splits)} splits")
+            return
+        rules, chunk_ids = None, ()
+        if retrieves:
+            index, fields["doc_hash"] = _load_or_build_index(cfg, client)
+            query = RetrievalQuery(query_text, cfg.k)
+        if method == "kewrag":
+            elicited = pipelines.elicit_kewrag_rules(index, query, client, registry)
+            memory.persist(elicited.memory, out / "rules.json")
+            rules, chunk_ids = elicited.memory, elicited.chunk_ids
+        if method == "rag":
+            records = pipelines.run_rag(
+                list(corpus), category, client, index, query, registry,
+                rag_query_mode=cfg.rag_query_mode,
             )
         else:
-            rules, chunk_ids = None, ()
-            if retrieves:
-                index, fields["doc_hash"] = _load_or_build_index(cfg, client)
-                query = RetrievalQuery(query_text, cfg.k)
-            if method == "kewrag":
-                elicited = pipelines.elicit_kewrag_rules(index, query, client, registry)
-                memory.persist(elicited.memory, out / "rules.json")
-                rules, chunk_ids = elicited.memory, elicited.chunk_ids
-            if method == "rag":
-                records = pipelines.run_rag(
-                    list(corpus), category, client, index, query, registry,
-                    rag_query_mode=cfg.rag_query_mode,
-                )
-            else:
-                records = pipelines.infer(method, list(corpus), category, client, registry,
-                                          rules=rules, chunk_ids=chunk_ids)
-            prediction_rows = [record_to_json(r) for r in records]
-            _, metrics = evaluation.score(records, corpus, category)
-            m = metrics["macro"]
-            summary = (
-                f"{method} {category.value}: precision {m['precision']:.3f} "
-                f"recall {m['recall']:.3f} f1 {m['f1']:.3f} "
-                f"errors {metrics['num_errors']} ({metrics['error_pct']})"
-            )
-        _write_jsonl(out / "predictions.jsonl", prediction_rows)
+            records = pipelines.infer(method, list(corpus), category, client, registry,
+                                      rules=rules, chunk_ids=chunk_ids)
+        _, metrics = evaluation.score(records, corpus, category)
+        _write_jsonl(out / "predictions.jsonl", [record_to_json(r) for r in records])
         _write_json(out / "metrics.json", metrics)
-        print(summary)
+        m = metrics["macro"]
+        print(f"{method} {category.value}: precision {m['precision']:.3f} "
+              f"recall {m['recall']:.3f} f1 {m['f1']:.3f} "
+              f"errors {metrics['num_errors']} ({metrics['error_pct']})")
 
     return _run_command(cfg, "run", client, out, fields, body)
 
@@ -542,6 +517,13 @@ def _parse_list(text: str | None, flag: str, kind: type) -> list | None:
 
 
 def cmd_sweep(cfg: RunConfig, train_counts: list[int] | None, thresholds: list[float] | None) -> int:
+    """`run --method kewltm` at each value of one setting, all on one pool.
+
+    Each point writes what that run writes, but the manifest, into
+    `<out>/<param>=<value>/` (`n_train=10`, `threshold=80.0`, as in the CSV
+    rows). `sweep_metrics.csv` holds each point's split macro metrics and
+    their mean, `sweep_curves.csv` its mean memory-length curve. A failed
+    sweep keeps the rows and the directory of every point that finished."""
     if cfg.method is not None and cfg.method != "kewltm":
         raise UsageError("sweep supports only method kewltm")
     if bool(train_counts) == bool(thresholds):
@@ -561,11 +543,12 @@ def cmd_sweep(cfg: RunConfig, train_counts: list[int] | None, thresholds: list[f
         metric_lines = [f"{param},split,seed,precision,recall,f1"]
         curve_lines = [f"{param},step,mean_len"]
         try:
-            for point_cfg, results, curve in _kewltm_points(
-                splits, point_cfgs, corpus, category, client, registry, param=param
+            for point_cfg, metrics, curve in _kewltm_points(
+                splits, point_cfgs, [out / f"{param}={point}" for point in points],
+                corpus, category, client, registry, param=param,
             ):
                 point = getattr(point_cfg, param)
-                blocks = [block for _, block in results]
+                blocks = metrics["per_split"]
                 mean = {key: sum(b["macro"][key] for b in blocks) / len(blocks)
                         for key in blocks[0]["macro"]}
                 rows = [(b["split"], b["seed"], b["macro"]) for b in blocks] + [("mean", "", mean)]
@@ -576,20 +559,22 @@ def cmd_sweep(cfg: RunConfig, train_counts: list[int] | None, thresholds: list[f
         finally:  # a failed sweep keeps the rows of every point that finished
             for name, lines in (("sweep_metrics.csv", metric_lines),
                                 ("sweep_curves.csv", curve_lines)):
-                (out / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+                write_utf8(out / name, "\n".join(lines) + "\n")
         print(f"swept {param} over {points} -> {out}")
 
     fields = {"template_hashes": registry.hashes(), "sweep": {param: points}}
     return _run_command(cfg, "sweep", client, out, fields, body)
 
 
-def _load_predictions(
-    path: str | Path, category: StageCategory, corpus: Corpus
-) -> dict[int | None, list[PredictionRecord]]:
+# the records of a predictions file by split, None for a file without splits
+Groups = dict[int | None, list[PredictionRecord]]
+
+
+def _load_predictions(path: str | Path, category: StageCategory, corpus: Corpus) -> Groups:
     """The records of a predictions file, grouped by the `split` field that
     `run --method kewltm` writes, in split order; one group keyed None for a
     file without that field. A report id appears at most once per group."""
-    groups: dict[int | None, list[PredictionRecord]] = {}
+    groups: Groups = {}
     first_line: dict[tuple[int | None, str], int] = {}
     for lineno, line in enumerate(read_utf8(path, PipelineError).split("\n"), 1):
         if not line.strip():
@@ -624,14 +609,30 @@ def _load_predictions(
     return dict(sorted(groups.items()))
 
 
+def _pair_splits(a: Groups, b: Groups) -> dict[int | None, tuple[list, list]]:
+    """The records of two prediction files, paired split by split. A file
+    without splits (zscot, rag, kewrag) pairs with each split of a file with
+    splits (kewltm), cut to the report ids of that split's records."""
+    def cut(flat: list[PredictionRecord], grouped: Groups) -> Groups:
+        ids = {split: {r.report_id for r in records} for split, records in grouped.items()}
+        return {split: [r for r in flat if r.report_id in ids[split]] for split in grouped}
+
+    if None in a and None not in b:
+        a = cut(a[None], b)
+    elif None in b and None not in a:
+        b = cut(b[None], a)
+    if list(a) != list(b):
+        raise UsageError("the two prediction files cover different splits")
+    return {split: (a[split], b[split]) for split in a}
+
+
 def cmd_evaluate(cfg: RunConfig, prediction_paths: list[str]) -> int:
     category = _category(cfg)
     if not 1 <= len(prediction_paths) <= 2:
         raise UsageError("evaluate takes one or two prediction files")
     corpus = load_corpus(cfg.corpus)
     runs = [_load_predictions(path, category, corpus) for path in prediction_paths]
-    if len(runs) == 2 and list(runs[0]) != list(runs[1]):
-        raise UsageError("the two prediction files cover different splits")
+    pairs = _pair_splits(*runs) if len(runs) == 2 else {}
     for path, groups in zip(prediction_paths, runs):
         blocks = [evaluation.score(records, corpus, category)[1] for records in groups.values()]
         skipped = sum(map(len, groups.values())) - sum(b["n_evaluated"] for b in blocks)
@@ -645,15 +646,13 @@ def cmd_evaluate(cfg: RunConfig, prediction_paths: list[str]) -> int:
             print(" ".join(f"{key}={value}" for key, value in agg["aggregate"].items())
                   + f" over {len(blocks)} splits")
             print(f"num_errors_mean={agg['num_errors_mean']} error_pct={agg['error_pct']}")
-    if len(runs) == 2:
-        for split in runs[0]:
-            label = "" if split is None else f"split {split}: "
-            unique = evaluation.compare_unique_errors(*(run[split] for run in runs),
-                                                      corpus, category)
-            for path, ids in zip(prediction_paths, unique):
-                print(f"{label}unique errors of {path} ({len(ids)}): {', '.join(ids)}")
-            # per split only: the splits' test sets overlap, so their pairs are not independent
-            print(f"{label}McNemar exact p={evaluation.mcnemar_p(*map(len, unique))}")
+    for split, pair in pairs.items():
+        label = "" if split is None else f"split {split}: "
+        unique = evaluation.compare_unique_errors(*pair, corpus, category)
+        for path, ids in zip(prediction_paths, unique):
+            print(f"{label}unique errors of {path} ({len(ids)}): {', '.join(ids)}")
+        # per split only: the splits' test sets overlap, so their pairs are not independent
+        print(f"{label}McNemar exact p={evaluation.mcnemar_p(*map(len, unique))}")
     return 0
 
 

@@ -9,7 +9,9 @@ Fisher-Yates shuffle over lexicographically sorted report ids, so the same
 from __future__ import annotations
 
 import json
+import os
 import random
+import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -155,6 +157,26 @@ def read_utf8(path: str | Path, error: type[Exception]) -> str:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text ({exc})")
+
+
+def write_utf8(path: str | Path, text: str) -> None:
+    """Write `text` to `path` as UTF-8, whole: into a temp file beside it,
+    then `os.replace` into place, so a killed process leaves the old file or
+    the new one, never part of either. Creates missing parent directories
+    and writes line endings as given. The temp file is named for the process
+    and thread, so concurrent writers never share one, and is removed on any
+    error."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
+    fh = tmp.open("x", encoding="utf-8", newline="")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def typed(value, kind: type | tuple[type, ...], name: str):

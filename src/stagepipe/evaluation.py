@@ -24,7 +24,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import Corpus, StageCategory, StageLabel
+from .corpus import Corpus, StageCategory, StageLabel, write_utf8
 from .memory import UpdateTrace
 from .pipelines import PredictionRecord
 
@@ -208,7 +208,7 @@ def memory_curve(
 def write_curve_csv(series: Sequence[tuple[int, float]], path: str | Path) -> None:
     lines = ["step,mean_len"]
     lines += [f"{step},{repr(mean)}" for step, mean in series]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_utf8(path, "\n".join(lines) + "\n")
 
 
 def render_metrics_table(block: dict) -> str:

@@ -12,12 +12,13 @@ first candidate (empty memory) is always accepted.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .corpus import StageCategory, typed
+from .corpus import StageCategory, typed, write_utf8
 
 
 class RuleMemoryError(ValueError):
@@ -195,9 +196,7 @@ def persist(memory: RuleMemory, path: str | Path) -> None:
         "version": memory.version,
         "rules": list(memory.rules),
     }
-    Path(path).write_text(
-        json.dumps(payload, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
-    )
+    write_utf8(path, json.dumps(payload, indent=2, ensure_ascii=False) + "\n")
 
 
 def load(path: str | Path, expect_category: StageCategory | None = None) -> RuleMemory:
@@ -219,12 +218,13 @@ def load(path: str | Path, expect_category: StageCategory | None = None) -> Rule
 
 def write_traces(traces: Sequence[UpdateTrace], path: str | Path) -> None:
     """Write traces as CSV with header step,proposed_len,current_len,similarity,accepted."""
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "proposed_len", "current_len", "similarity", "accepted"])
-        for t in traces:
-            writer.writerow(
-                [t.step, t.proposed_len, t.current_len, repr(t.similarity),
-                 "true" if t.accepted else "false"]
-            )
+    buf = io.StringIO()
+    writer = csv.writer(buf)  # rows end in \r\n, csv's default
+    writer.writerow(["step", "proposed_len", "current_len", "similarity", "accepted"])
+    for t in traces:
+        writer.writerow(
+            [t.step, t.proposed_len, t.current_len, repr(t.similarity),
+             "true" if t.accepted else "false"]
+        )
+    write_utf8(path, buf.getvalue())
 

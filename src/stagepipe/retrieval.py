@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .corpus import StageCategory, typed
+from .corpus import StageCategory, typed, write_utf8
 from .llm import EmbeddingVector
 
 if TYPE_CHECKING:
@@ -251,9 +251,7 @@ def save_index(index: ChunkIndex, path: str | Path) -> None:
         ],
         "vectors": index.vectors.tolist(),
     }
-    Path(path).write_text(
-        json.dumps(payload, ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
-    )
+    write_utf8(path, json.dumps(payload, ensure_ascii=False, indent=2) + "\n")
 
 
 def load_index(path: str | Path) -> ChunkIndex:

@@ -29,8 +29,8 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 # the output-tree digest of each workload's run at seed 7
 DIGESTS = {
     "ltm-cpu": "9bdeec3234246d2716d5b229a6367597070e583560fe367373b1cef2b2df4e74",
-    "rag-latency": "33c0eaabea4180849d9f85a0147acb053e4ff76202ce21d7f43a00c3093f0439",
-    "sweep-latency": "11af835c87583022124def1f460cddef9e101b53306abefb08d6195733d7b905",
+    "rag-latency": "f3f6511dad03d2bf6ef6eab682f800c13e13be357d2963b53d2916b40dd4b884",
+    "sweep-latency": "85175e140009d405c40dc4bb717d04b832b91243b327f2eccbc033b442301db2",
 }
 
 

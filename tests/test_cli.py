@@ -21,6 +21,7 @@ from stagepipe.corpus import (
     make_splits,
     truncate_train,
 )
+from stagepipe.evaluation import mcnemar_p
 from stagepipe.llm import LlmClient, ScriptedBackend, TransportError
 from stagepipe.prompts import default_templates
 from .conftest import (
@@ -149,6 +150,25 @@ class TestIndex:
     def test_missing_guideline_usage_error(self, tmp_path, capsys):
         assert main(["index", "--out", str(tmp_path / "x.json")]) == 2
         assert "guideline" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--out", "runs/out"], []], ids=["given", "default"])
+    def test_out_that_is_a_directory_is_usage_error_before_any_call(
+        self, tmp_path, capsys, monkeypatch, built_backends, flags
+    ):
+        # the default --out is the directory every run writes
+        guideline = tmp_path / "guide.md"
+        write_guideline(guideline)
+        script = tmp_path / "script.json"
+        write_script(script, 0, hash_dim=8)
+        run_out = tmp_path / "runs" / "out"
+        run_out.mkdir(parents=True)
+        (run_out / "manifest.json").write_text("{}")
+        monkeypatch.chdir(tmp_path)
+        code = main(["index", "--guideline", str(guideline), "--script", str(script)] + flags)
+        assert code == 2
+        assert "usage error: --out runs/out is a directory" in capsys.readouterr().err
+        assert sum(b.chat_calls + b.embed_calls for b in built_backends) == 0
+        assert [p.name for p in run_out.iterdir()] == ["manifest.json"]
 
     @pytest.mark.parametrize("bodies, complaint", [
         ([{"hash_dim": "x"}], "'hash_dim' must be a positive integer"),
@@ -412,6 +432,26 @@ class TestRunRag:
         assert len(id_sets) == 1  # one retrieval pass shared by every record
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["query_provenance"] == "extrapolated"
+
+    def test_report_text_run_records_no_query(self, tmp_path):
+        corpus = tmp_path / "c.jsonl"
+        write_corpus(corpus, 5)
+        guideline = tmp_path / "guide.md"
+        write_guideline(guideline)
+        script = tmp_path / "script.json"
+        write_script(script, 5, hash_dim=8)
+        out = tmp_path / "out"
+        code = main(
+            ["run", "--method", "rag", "--rag-query-mode", "report-text", "--category", "T",
+             "--corpus", str(corpus), "--guideline", str(guideline), "--script", str(script),
+             "--out", str(out)]
+        )
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        # each report's text was its own query; the category's default was never used
+        assert (manifest["query"], manifest["query_provenance"]) == (None, None)
+        assert manifest["config"]["rag_query_mode"] == "report-text"
+        assert manifest["doc_hash"]
 
     def test_failed_run_writes_failed_manifest(self, tmp_path):
         corpus = tmp_path / "c.jsonl"
@@ -705,6 +745,43 @@ class TestSweep:
                 block["macro"]["precision"], block["macro"]["recall"], block["macro"]["f1"]
             ]
 
+    @pytest.mark.parametrize(
+        "axis, points",
+        [
+            (["--train-counts", "1,2"],
+             [("n_train=1", ["--n-train", "1"], 20), ("n_train=2", ["--n-train", "2"], 22)]),
+            (["--n-train", "2", "--thresholds", "0,80"],
+             [("threshold=0.0", ["--n-train", "2", "--threshold", "0"], 22),
+              ("threshold=80.0", ["--n-train", "2", "--threshold", "80"], 22)]),
+        ],
+        ids=["train-counts", "thresholds"],
+    )
+    def test_each_point_directory_is_the_run_at_its_settings(self, tmp_path, axis, points):
+        corpus = tmp_path / "c.jsonl"
+        write_corpus(corpus, 12)
+        script = tmp_path / "script.json"
+        # per point, 2 splits x (n_train induction + 9 inference) calls
+        write_script(script, sum(n_calls for *_, n_calls in points))
+        entries = json.loads(script.read_text())
+        shared = ["--category", "T", "--corpus", str(corpus), "--splits", "2", "--train-size", "3"]
+        sweep_out = tmp_path / "sweep"
+        assert main(["sweep", "--script", str(script), "--out", str(sweep_out)] + axis + shared) == 0
+        assert sorted(p.name for p in sweep_out.iterdir()) == sorted(
+            [name for name, *_ in points] + ["manifest.json", "sweep_curves.csv", "sweep_metrics.csv"]
+        )
+        start = 0
+        for name, flags, n_calls in points:
+            # the sweep replays its script point after point, so each run replays its point's part
+            part = tmp_path / f"{name}.json"
+            part.write_text(json.dumps(entries[start:start + n_calls]))
+            start += n_calls
+            run_out = tmp_path / "run" / name
+            assert main(["run", "--method", "kewltm", "--script", str(part),
+                         "--out", str(run_out)] + flags + shared) == 0
+            run_files = tree_bytes(run_out)
+            del run_files["manifest.json"]
+            assert tree_bytes(sweep_out / name) == run_files
+
     def test_failed_point_keeps_finished_points(self, tmp_path):
         corpus = tmp_path / "c.jsonl"
         write_corpus(corpus, 10)
@@ -941,28 +1018,38 @@ def sequential_calls(splits: list[Split]) -> list[tuple[str, str]]:
 
 def kewltm_points(
     backend: ContentKeyedBackend, splits: list[Split], corpus: Corpus, width: int,
-    points: list[cli.RunConfig],
-):
-    """(results, curve) of each point, through one `cli._kewltm_points` pool."""
+    points: list[cli.RunConfig], root: Path,
+) -> list[dict[str, bytes]]:
+    """The directory bytes of each point, run through one `cli._kewltm_points`
+    pool into `root/point{p}`, which does not exist beforehand."""
     client = LlmClient(chat_backend=backend, max_in_flight=width)
+    outs = [root / f"point{p}" for p in range(len(points))]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # switch threads often, so interleavings vary
     try:
-        return [(results, curve) for _, results, curve in cli._kewltm_points(
-            splits, points, corpus, T, client, REGISTRY
-        )]
+        finished = list(cli._kewltm_points(splits, points, outs, corpus, T, client, REGISTRY))
     finally:
         sys.setswitchinterval(interval)
+    assert [point for point, *_ in finished] == points
+    return [tree_bytes(out) for out in outs]
 
 
-def kewltm_point(backend: ContentKeyedBackend, splits: list[Split], corpus: Corpus, width: int):
-    [result] = kewltm_points(backend, splits, corpus, width, [cli.RunConfig(n_train=N_TRAIN)])
-    return result
+def kewltm_point(
+    backend: ContentKeyedBackend, splits: list[Split], corpus: Corpus, width: int, root: Path
+) -> dict[str, bytes]:
+    [tree] = kewltm_points(backend, splits, corpus, width, [cli.RunConfig(n_train=N_TRAIN)], root)
+    return tree
+
+
+def records_per_split(tree: dict[str, bytes]) -> list[int]:
+    """The number of prediction records of each split of a point directory."""
+    splits = Counter(json.loads(line)["split"] for line in tree["predictions.jsonl"].splitlines())
+    return [splits[i] for i in range(len(splits))]
 
 
 class TestConcurrentSplits:
     @pytest.mark.parametrize("n_splits", [4, 8])
-    def test_splits_induce_together_up_to_the_bound(self, n_splits):
+    def test_splits_induce_together_up_to_the_bound(self, tmp_path, n_splits):
         corpus, splits = disjoint_splits(n_splits)
         backend = ContentKeyedBackend()
         # only the first round is held together; after it the client hands
@@ -970,48 +1057,52 @@ class TestConcurrentSplits:
         backend.barrier = threading.Barrier(
             4, action=lambda: setattr(backend, "barrier", None), timeout=10
         )
-        kewltm_point(backend, splits, corpus, width=4)
+        kewltm_point(backend, splits, corpus, 4, tmp_path)
         assert backend.peak == 4  # the barrier lets 4 through together, the pools no more
         # the first round is the elicit call of each of the first four splits
         first_round = sorted(sequential_calls(splits[:4])[::N_TRAIN + N_TEST])
         assert sorted(backend.calls[:4]) == first_round
 
-    def test_inference_of_two_splits_stays_within_the_bound(self):
+    def test_inference_of_two_splits_stays_within_the_bound(self, tmp_path):
         corpus, splits = disjoint_splits(2)
         backend = ContentKeyedBackend(
             barrier=threading.Barrier(2, timeout=10),  # the two inductions in step
             infer_barrier=threading.Barrier(4, timeout=10),  # any four reports
         )
-        kewltm_point(backend, splits, corpus, width=4)
+        kewltm_point(backend, splits, corpus, 4, tmp_path)
         assert backend.peak == 4
         assert sorted(backend.calls) == sorted(sequential_calls(splits))
 
-    def test_width_one_keeps_the_sequential_call_order(self):
+    def test_width_one_keeps_the_sequential_call_order(self, tmp_path):
         corpus, splits = disjoint_splits(3)
         backend = ContentKeyedBackend()
-        kewltm_point(backend, splits, corpus, width=1)
+        kewltm_point(backend, splits, corpus, 1, tmp_path)
         assert backend.peak == 1
         assert backend.calls == sequential_calls(splits)
 
-    def test_results_match_the_width_one_run(self):
+    def test_results_match_the_width_one_run(self, tmp_path):
         corpus, splits = disjoint_splits(4)
         backend = ContentKeyedBackend(barrier=threading.Barrier(4, timeout=10))
-        wide = kewltm_point(backend, splits, corpus, width=4)
-        narrow = kewltm_point(ContentKeyedBackend(), splits, corpus, width=1)
+        wide = kewltm_point(backend, splits, corpus, 4, tmp_path / "wide")
+        narrow = kewltm_point(ContentKeyedBackend(), splits, corpus, 1, tmp_path / "narrow")
         assert wide == narrow
-        results, curve = wide
-        assert [block["split"] for _, block in results] == [0, 1, 2, 3]
-        assert [len(records) for records, _ in results] == [N_TEST] * 4
-        assert len(curve) == N_TRAIN
+        per_split = json.loads(wide["metrics.json"])["per_split"]
+        assert [block["split"] for block in per_split] == [0, 1, 2, 3]
+        assert records_per_split(wide) == [N_TEST] * 4
+        assert len(wide["curves.csv"].splitlines()) == 1 + N_TRAIN  # a header, then each step
+        assert {name for name in wide if name.startswith(("memory_", "trace_"))} == {
+            f"{kind}_split{i}.{ext}" for i in range(4)
+            for kind, ext in (("memory", "json"), ("trace", "csv"))
+        }
 
-    def test_terminal_failure_stops_every_split(self, failure_recorded):
+    def test_terminal_failure_stops_every_split(self, tmp_path, failure_recorded):
         corpus, splits = disjoint_splits(4)
         backend = ContentKeyedBackend(
             barrier=threading.Barrier(2, timeout=10), fail_id="s1t1",
             release=failure_recorded, hold={"s0t1"},
         )
         with pytest.raises(TransportError) as info:
-            kewltm_point(backend, splits, corpus, width=2)
+            kewltm_point(backend, splits, corpus, 2, tmp_path)
         assert info.value is backend.error
         # splits 0 and 1 induced in step; split 0's second step, in flight with
         # the failing one, was its last; splits 2 and 3 never started
@@ -1020,11 +1111,11 @@ class TestConcurrentSplits:
             ("ltm_update", "s0t1"), ("ltm_update", "s1t1"),
         ]
 
-    def test_terminal_failure_one_at_a_time_stops_at_the_failing_call(self):
+    def test_terminal_failure_one_at_a_time_stops_at_the_failing_call(self, tmp_path):
         corpus, splits = disjoint_splits(3)
         backend = ContentKeyedBackend(fail_id="s1e1")
         with pytest.raises(TransportError) as info:
-            kewltm_point(backend, splits, corpus, width=1)
+            kewltm_point(backend, splits, corpus, 1, tmp_path)
         assert info.value is backend.error
         calls = sequential_calls(splits)
         assert backend.calls == calls[:calls.index(("ltm_inference", "s1e1")) + 1]
@@ -1042,11 +1133,11 @@ class TestCrossPointPool:
              "--out", str(tmp_path / out_name), "--train-size", "3"] + argv
         )
 
-    def test_two_points_of_two_splits_induce_together(self):
+    def test_two_points_of_two_splits_induce_together(self, tmp_path):
         corpus, splits = disjoint_splits(2)
         backend = ContentKeyedBackend(barrier=threading.Barrier(4, timeout=10))
         points = [cli.RunConfig(n_train=N_TRAIN, threshold=t) for t in (0, 80)]
-        results = kewltm_points(backend, splits, corpus, 4, points)
+        results = kewltm_points(backend, splits, corpus, 4, points, tmp_path)
         assert backend.peak == 4  # the barrier lets 4 through together, the pools no more
         # the first round is the elicit call of every (point, split)
         assert sorted(backend.calls[:4]) == sorted(2 * sequential_calls(splits)[::N_TRAIN + N_TEST])
@@ -1057,7 +1148,7 @@ class TestCrossPointPool:
         ids=["finished-cycles", "unstarted-cycles"],
     )
     def test_a_cycle_running_alone_infers_with_every_slot(
-        self, monkeypatch, n_splits, train_counts
+        self, tmp_path, monkeypatch, n_splits, train_counts
     ):
         """The first cycle runs alone while the others wait, before any call,
         until its inference has returned: neither it nor a cycle that runs
@@ -1087,25 +1178,26 @@ class TestCrossPointPool:
         monkeypatch.setattr(pipelines, "induce_ltm", others_after_the_first)
         monkeypatch.setattr(pipelines, "run_kewltm_inference", signal_once_the_first_inferred)
         points = [cli.RunConfig(n_train=n) for n in train_counts]
-        results = kewltm_points(backend, splits, corpus, 4, points)
+        results = kewltm_points(backend, splits, corpus, 4, points, tmp_path)
         assert backend.peak == 4
-        assert [len(records) for cycles, _ in results for records, _ in cycles] == (
+        assert [n for tree in results for n in records_per_split(tree)] == (
             [N_TEST] * len(points) * n_splits
         )
 
-    def test_unequal_points_stay_within_the_bound(self):
+    def test_unequal_points_stay_within_the_bound(self, tmp_path):
         corpus, splits = disjoint_splits(3)
         points = [cli.RunConfig(n_train=n) for n in (1, 2, N_TRAIN)]
         backend = ContentKeyedBackend()
-        wide = kewltm_points(backend, splits, corpus, 4, points)
+        wide = kewltm_points(backend, splits, corpus, 4, points, tmp_path / "wide")
         assert backend.peak <= 4
-        assert wide == kewltm_points(ContentKeyedBackend(), splits, corpus, 1, points)
+        assert wide == kewltm_points(ContentKeyedBackend(), splits, corpus, 1, points,
+                                     tmp_path / "narrow")
 
-    def test_width_one_keeps_the_point_then_split_order(self):
+    def test_width_one_keeps_the_point_then_split_order(self, tmp_path):
         corpus, splits = disjoint_splits(2)
         backend = ContentKeyedBackend()
         points = [cli.RunConfig(n_train=n) for n in (2, N_TRAIN)]
-        kewltm_points(backend, splits, corpus, 1, points)
+        kewltm_points(backend, splits, corpus, 1, points, tmp_path)
         assert backend.peak == 1
         assert backend.calls == (
             sequential_calls([truncate_train(split, 2) for split in splits])
@@ -1124,7 +1216,7 @@ class TestCrossPointPool:
             wide_csv, narrow_csv = ((tmp_path / side / name).read_bytes() for side in ("wide", "narrow"))
             assert wide_csv == narrow_csv
 
-    def test_terminal_failure_stops_every_point(self, failure_recorded):
+    def test_terminal_failure_stops_every_point(self, tmp_path, failure_recorded):
         corpus, splits = disjoint_splits(2)
         backend = ContentKeyedBackend(
             barrier=threading.Barrier(4, timeout=10), fail_id="s1t1",
@@ -1132,7 +1224,7 @@ class TestCrossPointPool:
         )
         points = [cli.RunConfig(n_train=N_TRAIN, threshold=t) for t in (0, 50, 80)]
         with pytest.raises(TransportError) as info:
-            kewltm_points(backend, splits, corpus, 4, points)
+            kewltm_points(backend, splits, corpus, 4, points, tmp_path)
         assert info.value is backend.error
         # the splits of points 0 and 1 induced in step and stopped at the failing
         # round; the cycles of point 2 never started
@@ -1176,6 +1268,13 @@ class TestCrossPointPool:
         for name in ("sweep_metrics.csv", "sweep_curves.csv"):
             kept = (tmp_path / "failed" / name).read_text()
             assert kept == (tmp_path / "finished" / name).read_text()
+        for point in ("n_train=1", "n_train=2"):
+            kept = tree_bytes(tmp_path / "failed" / point)
+            assert {"predictions.jsonl", "metrics.json"} <= set(kept)
+            assert kept == tree_bytes(tmp_path / "finished" / point)
+        unfinished = tmp_path / "failed" / "n_train=3"
+        assert not (unfinished / "predictions.jsonl").exists()
+        assert not (unfinished / "metrics.json").exists()
 
 
 class TestEvaluate:
@@ -1295,6 +1394,61 @@ class TestEvaluate:
         ) == 0
         swapped = capsys.readouterr().out.splitlines()
         assert [line for line in swapped if "McNemar" in line] == p_lines
+
+    def _paired_lines(self, corpus: Path, paths: list[Path], capsys) -> list[str]:
+        assert main(["evaluate", "--predictions", *map(str, paths),
+                     "--corpus", str(corpus), "--category", "T"]) == 0
+        return [line for line in capsys.readouterr().out.splitlines()
+                if "unique errors" in line or "McNemar" in line]
+
+    def test_kewltm_file_pairs_with_a_file_without_splits(self, tmp_path, capsys):
+        corpus, out = self._kewltm_run(tmp_path, capsys)
+        kewltm = out / "predictions.jsonl"
+        rows = [json.loads(line) for line in kewltm.read_text().splitlines()]
+        kewltm_preds = {(row["split"], row["report_id"]): row["predicted"] for row in rows}
+        gold = {r.id: r.gold_label(T).render() for r in load_corpus(corpus)}
+        # a zscot file over all 12 reports, wrong on every odd-numbered one
+        zscot_preds = {rid: label if int(rid[1:]) % 2 == 0 else ("T2" if label == "T1" else "T1")
+                       for rid, label in gold.items()}
+        zscot = tmp_path / "zscot.jsonl"
+        self._write_predictions(zscot, zscot_preds)
+        expected = []
+        for split in (0, 1):
+            # each split's pair holds the zscot records of that split's test reports only
+            ids = [row["report_id"] for row in rows if row["split"] == split]
+            assert len(ids) == 9
+            right = {"kewltm": {rid for rid in ids if kewltm_preds[split, rid] == gold[rid]},
+                     "zscot": {rid for rid in ids if zscot_preds[rid] == gold[rid]}}
+            only_kewltm_wrong = sorted(right["zscot"] - right["kewltm"])
+            only_zscot_wrong = sorted(right["kewltm"] - right["zscot"])
+            expected.append((split, only_kewltm_wrong, only_zscot_wrong))
+        lines = self._paired_lines(corpus, [kewltm, zscot], capsys)
+        assert lines == [
+            line for split, a, b in expected for line in (
+                f"split {split}: unique errors of {kewltm} ({len(a)}): {', '.join(a)}",
+                f"split {split}: unique errors of {zscot} ({len(b)}): {', '.join(b)}",
+                f"split {split}: McNemar exact p={mcnemar_p(len(a), len(b))}",
+            )
+        ]
+        assert any(a or b for _, a, b in expected)
+        # swapped, every value stays: the same unique errors per file, the same p-values
+        swapped = self._paired_lines(corpus, [zscot, kewltm], capsys)
+        assert sorted(swapped) == sorted(lines)
+
+    def test_sweep_point_file_is_accepted(self, tmp_path, capsys):
+        corpus, out = self._kewltm_run(tmp_path, capsys)
+        script = tmp_path / "script.json"  # the run's script, replayed once more
+        sweep = tmp_path / "sweep"
+        assert main(["sweep", "--category", "T", "--corpus", str(corpus), "--script", str(script),
+                     "--out", str(sweep), "--splits", "2", "--train-size", "3",
+                     "--train-counts", "3"]) == 0
+        capsys.readouterr()
+        point = sweep / "n_train=3" / "predictions.jsonl"
+        assert point.read_bytes() == (out / "predictions.jsonl").read_bytes()
+        zscot = tmp_path / "zscot.jsonl"
+        self._write_predictions(zscot, {f"r{i:03d}": "T1" for i in range(12)})
+        lines = self._paired_lines(corpus, [point, zscot], capsys)
+        assert [line.split(": ")[0] for line in lines if "McNemar" in line] == ["split 0", "split 1"]
 
     def test_files_with_different_splits_are_usage_error(self, tmp_path, capsys):
         corpus, out = self._kewltm_run(tmp_path, capsys)

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import os
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +17,7 @@ from stagepipe.corpus import (
     load_corpus,
     make_splits,
     truncate_train,
+    write_utf8,
 )
 from .conftest import make_report, write_corpus_jsonl
 
@@ -226,3 +230,56 @@ def test_by_id_is_built_once_and_read_only():
 def test_report_rejects_mismatched_gold():
     with pytest.raises(CorpusError):
         Report(id="x", text="body", gold={StageCategory.T: StageLabel.parse("N1")})
+
+
+class TestWriteUtf8:
+    def test_writes_the_exact_text_and_its_missing_parents(self, tmp_path):
+        path = tmp_path / "a" / "b" / "out.csv"
+        write_utf8(path, "x,ü\r\ny\n")  # line endings as given, UTF-8
+        assert path.read_bytes() == "x,ü\r\ny\n".encode("utf-8")
+        write_utf8(path, "shorter\n")
+        assert path.read_bytes() == b"shorter\n"
+        assert os.listdir(path.parent) == ["out.csv"]
+
+    def test_failed_replace_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "metrics.json"
+        write_utf8(path, "old\n")
+
+        def refuse(src, dst):
+            raise OSError("disk gone")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="disk gone"):
+            write_utf8(path, "new\n")
+        assert path.read_bytes() == b"old\n"
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_a_directory_in_the_way_leaves_no_temp_file(self, tmp_path):
+        (tmp_path / "out").mkdir()
+        with pytest.raises(IsADirectoryError):
+            write_utf8(tmp_path / "out", "text")
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    def test_concurrent_writers_share_one_new_directory(self, tmp_path):
+        """Writers that all create the same missing directory at once, as the
+        cycles of a kewltm point do, each write their own file."""
+        out = tmp_path / "point" / "n_train=5"
+        start = threading.Barrier(8, timeout=10)
+        errors = []
+
+        def write(i: int) -> None:
+            try:
+                start.wait()
+                write_utf8(out / f"memory_split{i}.json", f"{i}\n" * 1000)
+            except Exception as exc:  # raised below, on the test's thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=write, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert errors == []
+        assert sorted(p.name for p in out.iterdir()) == [f"memory_split{i}.json" for i in range(8)]
+        assert all((out / f"memory_split{i}.json").read_text() == f"{i}\n" * 1000
+                   for i in range(8))
