@@ -45,21 +45,25 @@ _ENV_KEYS = {
     "STAGEPIPE_EMBED_KEY": "embed_key",
 }
 
-# the value types of each field annotation (bool is an int, so compare exactly)
+# the value types of each field annotation (bool is an int, so compare
+# exactly), and how its flag reads a value
 _TYPES = {
-    "int": ((int,), "an integer"),
-    "float": ((int, float), "a number"),
-    "str": ((str,), "a string"),
-    "str | None": ((str, type(None)), "a string or null"),
+    "int": ((int,), "an integer", int),
+    "float": ((int, float), "a number", float),
+    "str": ((str,), "a string", str),
+    "str | None": ((str, type(None)), "a string or null", str),
 }
 
-# the keys that hold one of a fixed set of values (or null, where the
-# command that needs one says so)
-_CHOICES = {
-    "category": ("T", "N"),
-    "method": tuple(pipelines.METHODS),
-    "rag_query_mode": pipelines.RAG_QUERY_MODES,
-}
+
+def _key(default, help: str | None = None, *, flag: str | None = None, least=None,
+         most=None, choices: tuple = ()):
+    """A config key with its default, and the flag that sets it when it has
+    `help`: `--key-name` unless `flag` names another. Its values must be at
+    least `least` (and at most `most`) when given, or one of `choices` (or
+    null, where the command that needs one says so)."""
+    return dataclasses.field(default=default, metadata={
+        "help": help, "flag": flag, "least": least, "most": most, "choices": choices,
+    })
 
 
 class UsageError(ValueError):
@@ -76,56 +80,55 @@ COMMAND_ERRORS = (
 
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
-    """Every config key with its default. Building one checks each value's
-    type, choice and range (a float must be finite), so a bad value is a
-    usage error before any call; values are stored as given (an integral
-    threshold stays an int)."""
+    """Every config key, each field declaring its default, range or choices
+    and flag (see `_key`). Building one checks each value's type, choice and
+    range (a float must be finite), key by key in field order, so a bad value
+    is a usage error before any call; values are stored as given (an
+    integral threshold stays an int)."""
 
-    category: str | None = None
-    method: str | None = None
-    corpus: str | None = None
-    guideline: str | None = None
-    index: str | None = None
-    k: int = 5
-    threshold: float = 80.0
-    n_train: int = 40
-    n_splits: int = 8
-    seed: int = 0
-    train_size: int = 100
-    out: str = "runs/out"
-    script: str | None = None
-    rag_query_mode: str = "guideline"
-    templates: str | None = None
+    category: str | None = _key(None, "stage category", choices=("T", "N"))
+    method: str | None = _key(None, "workflow", choices=tuple(pipelines.METHODS))
+    corpus: str | None = _key(None, "corpus JSONL file")
+    guideline: str | None = _key(None, "guideline text/markdown file")
+    index: str | None = _key(None, "pre-built index JSON file")
+    k: int = _key(5, "retrieved chunks per query", least=1)
+    threshold: float = _key(80.0, "similarity gate threshold", least=0, most=100)
+    n_train: int = _key(40, "induction reports", least=1)
+    n_splits: int = _key(8, "number of splits", flag="--splits", least=1)
+    seed: int = _key(0, "base seed", least=0)
+    train_size: int = _key(100, "train ids per split", least=1)
+    out: str = _key("runs/out", "output directory, or file for index")
+    script: str | None = _key(None, "scripted backend file (offline deterministic runs)")
+    rag_query_mode: str = _key("guideline", "what each rag report retrieves with",
+                               choices=pipelines.RAG_QUERY_MODES)
+    templates: str | None = _key(None, "prompt template override directory")
     llm_base: str | None = None
     llm_key: str = ""
-    llm_model: str = "default"
+    llm_model: str = _key("default", "chat model id")
     embed_base: str | None = None
     embed_key: str = ""
-    embed_model: str = "default"
-    temperature: float = 0.0
-    max_tokens: int = 1024
-    chunk_max_chars: int = 1200
+    embed_model: str = _key("default", "embedding model id")
+    temperature: float = _key(0.0, "sampling temperature of every chat call", least=0)
+    max_tokens: int = _key(1024, "reply token cap of every chat call", least=1)
+    chunk_max_chars: int = _key(1200, least=200)
     chunk_overlap: int = 0
-    query: str | None = None
+    query: str | None = _key(None, "retrieval query text (defaults to the category query)")
 
     def __post_init__(self) -> None:
         for field in dataclasses.fields(self):
-            value = getattr(self, field.name)
-            kinds, noun = _TYPES[field.type]
+            value, meta = getattr(self, field.name), field.metadata
+            kinds, noun, _ = _TYPES[field.type]
             if type(value) not in kinds:
                 raise UsageError(f"{field.name} must be {noun}, got {value!r}")
             if type(value) is float and not math.isfinite(value):
                 raise UsageError(f"{field.name} must be finite, got {value!r}")
-            choices = _CHOICES.get(field.name)
-            if choices and value is not None and value not in choices:
-                raise UsageError(f"{field.name} must be one of {choices}, got {value!r}")
-        for key, least in (("k", 1), ("n_train", 1), ("n_splits", 1), ("train_size", 1),
-                           ("seed", 0), ("max_tokens", 1), ("temperature", 0),
-                           ("chunk_max_chars", 200)):
-            if getattr(self, key) < least:
-                raise UsageError(f"{key} must be at least {least}, got {getattr(self, key)}")
-        if not 0 <= self.threshold <= 100:
-            raise UsageError(f"threshold must be within [0, 100], got {self.threshold}")
+            if meta.get("choices") and value is not None and value not in meta["choices"]:
+                raise UsageError(f"{field.name} must be one of {meta['choices']}, got {value!r}")
+            least, most = meta.get("least"), meta.get("most")
+            if most is not None and not least <= value <= most:
+                raise UsageError(f"{field.name} must be within [{least}, {most}], got {value}")
+            if least is not None and value < least:
+                raise UsageError(f"{field.name} must be at least {least}, got {value}")
         if not 0 <= self.chunk_overlap < self.chunk_max_chars:
             raise UsageError(
                 f"chunk_overlap must be within [0, chunk_max_chars), got {self.chunk_overlap}"
@@ -167,18 +170,12 @@ def _build_client(cfg: RunConfig) -> LlmClient:
         backend = scripted_backend(cfg.script)
         return LlmClient(chat_backend=backend, embed_backend=backend)
     return LlmClient(
-        chat_backend=HttpChatBackend(cfg.llm_base, cfg.llm_key, model=cfg.llm_model)
+        chat_backend=HttpChatBackend(cfg.llm_base, cfg.llm_key, model=cfg.llm_model,
+                                     temperature=cfg.temperature, max_tokens=cfg.max_tokens)
         if cfg.llm_base else None,
         embed_backend=HttpEmbedBackend(cfg.embed_base, cfg.embed_key, model=cfg.embed_model)
         if cfg.embed_base else None,
     )
-
-
-def _templates(cfg: RunConfig, category: StageCategory) -> prompts.TemplateRegistry:
-    request = {"temperature": cfg.temperature, "max_tokens": cfg.max_tokens}
-    if cfg.templates:
-        return prompts.load_templates(cfg.templates, category, **request)
-    return prompts.default_templates(category, **request)
 
 
 def _write_json(path: Path, obj) -> None:
@@ -416,7 +413,8 @@ def _setup(
         raise UsageError(
             "no embedding backend configured (set STAGEPIPE_EMBED_BASE or --script)"
         )
-    registry = _templates(cfg, category)
+    registry = (prompts.load_templates(cfg.templates, category) if cfg.templates
+                else prompts.default_templates(category))
     corpus = load_corpus(cfg.corpus)
     if all(report.gold_label(category) is None for report in corpus):
         raise UsageError(f"no report in {cfg.corpus} carries a gold {category.value} label")
@@ -662,27 +660,15 @@ def cmd_evaluate(cfg: RunConfig, prediction_paths: list[str]) -> int:
 
 
 def _add_shared_flags(p: argparse.ArgumentParser) -> None:
+    """`--config`, then the flag of each `RunConfig` key that has one."""
     p.add_argument("--config", help="JSON config file")
-    p.add_argument("--category", choices=["T", "N"])
-    p.add_argument("--method", choices=list(pipelines.METHODS))
-    p.add_argument("--corpus", help="corpus JSONL file")
-    p.add_argument("--guideline", help="guideline text/markdown file")
-    p.add_argument("--index", help="pre-built index JSON file")
-    p.add_argument("--k", type=int, help="retrieved chunks per query (default 5)")
-    p.add_argument("--threshold", type=float, help="similarity gate threshold (default 80)")
-    p.add_argument("--n-train", dest="n_train", type=int, help="induction reports (default 40)")
-    p.add_argument("--splits", dest="n_splits", type=int, help="number of splits (default 8)")
-    p.add_argument("--train-size", dest="train_size", type=int, help="train ids per split (default 100)")
-    p.add_argument("--seed", type=int, help="base seed (default 0)")
-    p.add_argument("--out", help="output directory (or file for index)")
-    p.add_argument("--script", help="scripted backend file (offline deterministic runs)")
-    p.add_argument("--rag-query-mode", dest="rag_query_mode", choices=list(pipelines.RAG_QUERY_MODES))
-    p.add_argument("--templates", help="prompt template override directory")
-    p.add_argument("--query", help="retrieval query text (defaults to the category query)")
-    p.add_argument("--llm-model", dest="llm_model", help="chat model id")
-    p.add_argument("--embed-model", dest="embed_model", help="embedding model id")
-    p.add_argument("--temperature", type=float)
-    p.add_argument("--max-tokens", dest="max_tokens", type=int)
+    for field in dataclasses.fields(RunConfig):
+        meta = field.metadata
+        if meta.get("help"):
+            default = "" if field.default is None else f" (default {field.default})"
+            p.add_argument(meta["flag"] or "--" + field.name.replace("_", "-"), dest=field.name,
+                           type=_TYPES[field.type][2], choices=meta["choices"] or None,
+                           help=meta["help"] + default)
 
 
 def build_parser() -> argparse.ArgumentParser:

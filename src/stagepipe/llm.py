@@ -54,6 +54,11 @@ class SchemaViolationError(LlmError):
     it, and raises it once the retries are spent."""
 
 
+class TruncatedReplyError(SchemaViolationError):
+    """A chat reply stopped at `max_tokens`. Raised by the backend, so
+    `LlmClient.chat` does not re-ask it: a re-ask hits the same cap."""
+
+
 class ScriptError(LlmError):
     """Scripted backend problem: malformed script or key miss."""
 
@@ -167,17 +172,11 @@ class ChatRequest:
     user: str
     schema: OutputSchema
     system: str | None = None
-    temperature: float = 0.0
-    max_tokens: int = 1024
     template_id: str | None = None
 
     def __post_init__(self) -> None:
         if not self.user.strip():
             raise LlmError("user text must be non-empty")
-        if not (math.isfinite(self.temperature) and self.temperature >= 0):
-            raise LlmError(f"temperature must be finite and >= 0, got {self.temperature}")
-        if self.max_tokens < 1:
-            raise LlmError("max_tokens must be positive")
 
 
 @dataclass(frozen=True)
@@ -488,9 +487,23 @@ class _HttpBackend:
 
 
 class HttpChatBackend(_HttpBackend):
-    """POSTs to ``{base}/v1/chat/completions``; forwards the JSON schema."""
+    """POSTs to ``{base}/v1/chat/completions`` with the sampling settings of
+    every call of a run; forwards the JSON schema. A reply cut off at
+    `max_tokens` (finish reason ``length``) raises TruncatedReplyError."""
 
     endpoint = "chat"
+
+    def __init__(
+        self, base_url: str, api_key: str = "", model: str = "default", timeout_s: float = 120.0,
+        *, temperature: float = 0.0, max_tokens: int = 1024,
+    ):
+        if not (math.isfinite(temperature) and temperature >= 0):
+            raise LlmError(f"temperature must be finite and >= 0, got {temperature}")
+        if max_tokens < 1:
+            raise LlmError("max_tokens must be positive")
+        super().__init__(base_url, api_key, model, timeout_s)
+        self.temperature = temperature
+        self.max_tokens = max_tokens
 
     def complete(self, request: ChatRequest) -> str:
         messages = []
@@ -500,8 +513,8 @@ class HttpChatBackend(_HttpBackend):
         body = self._post("/v1/chat/completions", {
             "model": self.model_id,
             "messages": messages,
-            "temperature": request.temperature,
-            "max_tokens": request.max_tokens,
+            "temperature": self.temperature,
+            "max_tokens": self.max_tokens,
             "response_format": {
                 "type": "json_schema",
                 "json_schema": {
@@ -511,9 +524,12 @@ class HttpChatBackend(_HttpBackend):
             },
         })
         try:
-            content = body["choices"][0]["message"]["content"]
+            choice = body["choices"][0]
+            content = choice["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
             raise TransportError(f"malformed chat response: {exc}", retryable=False)
+        if choice.get("finish_reason") == "length":
+            raise TruncatedReplyError(f"chat reply cut off at max_tokens {self.max_tokens}")
         if not isinstance(content, str):
             raise TransportError(
                 f"malformed chat response: content is {type(content).__name__}, not a string",
@@ -604,8 +620,9 @@ class LlmClient:
     def chat(self, request: ChatRequest) -> StructuredOutput:
         """Run one schema-validated chat call.
 
-        Raises SchemaViolationError once the retry budget is spent; callers
-        typically record the report as unparseable and continue.
+        Raises SchemaViolationError once the retry budget is spent, or at
+        once for a reply cut off at its token cap; callers typically record
+        the report as unparseable and continue.
         """
         if self.chat_backend is None:
             raise LlmError("no chat backend configured")

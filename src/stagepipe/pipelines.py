@@ -141,10 +141,6 @@ class PredictionRecord:
                 f"category {self.category.value}"
             )
 
-    @property
-    def is_unparseable(self) -> bool:
-        return self.predicted is None
-
 
 @dataclass(frozen=True)
 class InductionResult:

@@ -71,8 +71,6 @@ class PromptTemplate:
     template_id: str
     body: str
     category: StageCategory
-    temperature: float = 0.0
-    max_tokens: int = 1024
 
     def __post_init__(self) -> None:
         _check_body(self.template_id, self.body)
@@ -107,8 +105,6 @@ def render(template: PromptTemplate, bindings: dict[str, str]) -> ChatRequest:
     return ChatRequest(
         user=template.body.format(**bindings),
         schema=template.schema,
-        temperature=template.temperature,
-        max_tokens=template.max_tokens,
         template_id=template.template_id,
     )
 
@@ -225,29 +221,18 @@ def _default_bodies(category: StageCategory) -> dict[str, str]:
     return {tid: body + _esc(_schema(tid, category).example()) for tid, body in bodies.items()}
 
 
-def _registry(
-    category: StageCategory, bodies: dict[str, str], temperature: float, max_tokens: int
-) -> TemplateRegistry:
+def _registry(category: StageCategory, bodies: dict[str, str]) -> TemplateRegistry:
     return TemplateRegistry(category, {
-        tid: PromptTemplate(tid, body, category, temperature, max_tokens)
-        for tid, body in bodies.items()
+        tid: PromptTemplate(tid, body, category) for tid, body in bodies.items()
     })
 
 
-def default_templates(
-    category: StageCategory, *, temperature: float = 0.0, max_tokens: int = 1024
-) -> TemplateRegistry:
+def default_templates(category: StageCategory) -> TemplateRegistry:
     """The seven shipped templates specialized to `category`'s label set."""
-    return _registry(category, _default_bodies(category), temperature, max_tokens)
+    return _registry(category, _default_bodies(category))
 
 
-def load_templates(
-    directory: str | Path,
-    category: StageCategory,
-    *,
-    temperature: float = 0.0,
-    max_tokens: int = 1024,
-) -> TemplateRegistry:
+def load_templates(directory: str | Path, category: StageCategory) -> TemplateRegistry:
     """The shipped templates, each replaced by ``<template_id>.txt`` when
     `directory` holds one. Every ``.txt`` there must be named for a template
     and hold exactly its placeholders; errors name the file."""
@@ -265,4 +250,4 @@ def load_templates(
             _check_body(path.stem, bodies[path.stem])
         except TemplateError as exc:
             raise TemplateError(f"{path}: {exc}")
-    return _registry(category, bodies, temperature, max_tokens)
+    return _registry(category, bodies)

@@ -200,9 +200,15 @@ class LoopbackEndpoint:
     order, and `peak` holds the most requests to each path that were in
     hand at once, each counted from its arrival until just before its reply
     is sent.
+
+    Every chat reply carries `finish_reason` ("stop" unless a test sets
+    another), and only the first `content_chars` characters of its content
+    when a test sets that, as a reply cut off at its token cap does.
     """
 
     def __init__(self):
+        self.finish_reason = "stop"
+        self.content_chars: int | None = None
         self.requests: list[LoopbackRequest] = []
         self.peak: Counter[str] = Counter()
         in_hand: Counter[str] = Counter()
@@ -237,8 +243,11 @@ class LoopbackEndpoint:
                     digest = hashlib.sha256(user.encode()).digest()
                     content = json.dumps(
                         rules_body(f"T{digest[0] % 4 + 1}", [f"rule {digest[1] % 3}"])
-                    )
-                    return {"choices": [{"message": {"role": "assistant", "content": content}}]}
+                    )[:endpoint.content_chars]
+                    return {"choices": [{
+                        "message": {"role": "assistant", "content": content},
+                        "finish_reason": endpoint.finish_reason,
+                    }]}
                 if self.path == "/v1/embeddings":
                     return {"model": body["model"], "data": [
                         {"index": i, "embedding": text_vector(text)}

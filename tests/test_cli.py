@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import re
@@ -560,6 +561,52 @@ class TestLoopbackEndpoint:
         # the client bounds each endpoint on its own, at max_in_flight (4) calls
         assert set(endpoint.peak) == {"/v1/chat/completions", "/v1/embeddings"}
         assert max(endpoint.peak.values()) <= 4
+
+    @pytest.mark.parametrize(
+        "flags, config, sent",
+        [
+            (["--temperature", "0.5", "--max-tokens", "99"], None, (0.5, 99)),
+            ([], {"temperature": 0.5, "max_tokens": 99}, (0.5, 99)),
+            ([], None, (0.0, 1024)),
+        ],
+        ids=["flags", "config", "defaults"],
+    )
+    def test_sampling_settings_reach_every_chat_body(
+        self, tmp_path, monkeypatch, loopback_endpoints, flags, config, sent
+    ):
+        endpoint = loopback_endpoints()
+        live_env(monkeypatch, llm_base=endpoint.url)
+        corpus = tmp_path / "c.jsonl"
+        write_corpus(corpus, 3)
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            flags = flags + ["--config", str(cfg)]
+        code = main(["run", "--method", "zscot", "--category", "T", "--corpus", str(corpus),
+                     "--out", str(tmp_path / "out")] + flags)
+        assert code == 0
+        assert len(endpoint.requests) == 3
+        for request in endpoint.requests:
+            assert (request.body["temperature"], request.body["max_tokens"]) == sent
+            assert type(request.body["temperature"]) is float
+
+    @pytest.mark.parametrize("finish_reason, calls", [("length", 1), ("stop", 1 + 3)])
+    def test_reply_cut_off_at_max_tokens_is_unparseable_without_a_reask(
+        self, tmp_path, monkeypatch, loopback_endpoints, finish_reason, calls
+    ):
+        endpoint = loopback_endpoints()
+        endpoint.finish_reason, endpoint.content_chars = finish_reason, 20  # not JSON
+        live_env(monkeypatch, llm_base=endpoint.url)
+        corpus = tmp_path / "c.jsonl"
+        write_corpus(corpus, 2)
+        out = tmp_path / "out"
+        code = main(["run", "--method", "zscot", "--category", "T", "--corpus", str(corpus),
+                     "--out", str(out)])
+        assert code == 0
+        assert json.loads((out / "manifest.json").read_text())["status"] == "ok"
+        assert len(endpoint.requests) == 2 * calls  # per report: one call, or 3 re-asks more
+        lines = [json.loads(l) for l in (out / "predictions.jsonl").read_text().splitlines()]
+        assert [l["predicted"] for l in lines] == ["unparseable"] * 2
 
 
 class TestIndexInputs:
@@ -1719,6 +1766,60 @@ class TestConfigPrecedence:
         assert from_file.requests == []
         assert len(from_env.requests) == 4
         assert {r.body["model"] for r in from_env.requests} == {"m"}
+
+
+# the flag of every config key that has one, and the keys that have none
+FLAGS = {
+    "category": "--category", "method": "--method", "corpus": "--corpus",
+    "guideline": "--guideline", "index": "--index", "k": "--k", "threshold": "--threshold",
+    "n_train": "--n-train", "n_splits": "--splits", "seed": "--seed",
+    "train_size": "--train-size", "out": "--out", "script": "--script",
+    "rag_query_mode": "--rag-query-mode", "templates": "--templates",
+    "llm_model": "--llm-model", "embed_model": "--embed-model",
+    "temperature": "--temperature", "max_tokens": "--max-tokens", "query": "--query",
+}
+UNFLAGGED = {"llm_base", "llm_key", "embed_base", "embed_key", "chunk_max_chars", "chunk_overlap"}
+# each subcommand's flags besides --config and those of FLAGS
+COMMAND_FLAGS = {"ingest": set(), "index": set(), "run": set(),
+                 "sweep": {"--train-counts", "--thresholds"}, "evaluate": {"--predictions"}}
+# a flag value other than the key's default, and the value it sets
+FLAG_VALUES = {
+    "category": ("N", "N"), "method": ("kewrag", "kewrag"), "k": ("7", 7),
+    "threshold": ("0.5", 0.5), "n_train": ("7", 7), "n_splits": ("7", 7), "seed": ("7", 7),
+    "train_size": ("7", 7), "rag_query_mode": ("report-text", "report-text"),
+    "temperature": ("0.5", 0.5), "max_tokens": ("7", 7),
+}
+
+
+class TestFlags:
+    """Each config key keeps its flag, type and choices, or its lack of a flag."""
+
+    @pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(cli.RunConfig)])
+    def test_each_key_is_set_by_its_flag_or_has_none(self, capsys, key):
+        if key in UNFLAGGED:
+            assert key not in FLAGS
+            with pytest.raises(SystemExit):
+                cli.build_parser().parse_args(["run", "--" + key.replace("_", "-"), "x"])
+            assert "unrecognized arguments" in capsys.readouterr().err
+            return
+        text, value = FLAG_VALUES.get(key, ("x", "x"))
+        args = cli.build_parser().parse_args(["run", FLAGS[key], text])
+        assert getattr(cli.resolve_config(args), key) == value
+        assert type(getattr(args, key)) is type(value)
+
+    @pytest.mark.parametrize("key", ["category", "method", "rag_query_mode"])
+    def test_flag_rejects_a_value_outside_its_choices(self, capsys, key):
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(["run", FLAGS[key], "X"])
+        assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", list(COMMAND_FLAGS))
+    def test_help_lists_exactly_the_flags(self, capsys, command):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+        assert listed == {"--help", "--config", *FLAGS.values(), *COMMAND_FLAGS[command]}
+        assert len(FLAGS) + 1 == 21
 
 
 class TestNumpyLoadsOnlyWithVectors:

@@ -23,6 +23,7 @@ from stagepipe.llm import (
     ScriptError,
     ScriptExhaustedError,
     TransportError,
+    TruncatedReplyError,
     _extract_json_object,
     parse_structured,
     scripted_backend,
@@ -170,17 +171,6 @@ class TestChatRequest:
     def test_empty_user_rejected(self):
         with pytest.raises(LlmError):
             ChatRequest(user="   ", schema=STAGING_T)
-
-    def test_defaults(self):
-        req = ChatRequest(user="hi", schema=STAGING_T)
-        assert req.temperature == 0.0
-        assert req.max_tokens == 1024
-
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.5])
-    def test_temperature_must_be_finite_and_non_negative(self, value):
-        # a NaN or infinite temperature cannot be sent as JSON
-        with pytest.raises(LlmError, match="temperature must be finite and >= 0"):
-            ChatRequest(user="hi", schema=STAGING_T, temperature=value)
 
 
 class TestEmbeddingVector:
@@ -394,6 +384,29 @@ class TestReask:
 
 
 class TestHttpChatBackend:
+    def test_defaults(self):
+        backend = HttpChatBackend("http://localhost:1")
+        assert backend.temperature == 0.0
+        assert backend.max_tokens == 1024
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.5])
+    def test_temperature_must_be_finite_and_non_negative(self, value):
+        # a NaN or infinite temperature cannot be sent as JSON
+        with pytest.raises(LlmError, match="temperature must be finite and >= 0"):
+            HttpChatBackend("http://localhost:1", temperature=value)
+
+    def test_max_tokens_must_be_positive(self):
+        with pytest.raises(LlmError, match="max_tokens must be positive"):
+            HttpChatBackend("http://localhost:1", max_tokens=0)
+
+    def test_reply_cut_off_at_max_tokens_is_not_reasked(self, loopback_endpoints):
+        endpoint = loopback_endpoints()
+        endpoint.finish_reason, endpoint.content_chars = "length", 20
+        client = LlmClient(chat_backend=HttpChatBackend(endpoint.url, max_tokens=7))
+        with pytest.raises(TruncatedReplyError, match="cut off at max_tokens 7"):
+            client.chat(ChatRequest(user="q", schema=STAGING_T))
+        assert len(endpoint.requests) == 1  # a re-ask would hit the same cap
+
     @pytest.mark.parametrize(
         "body",
         [NULL_CONTENT_REPLY, []],

@@ -68,7 +68,7 @@ class TestRunZscot:
         entries = [chat_entry(bad)] * 4 + [chat_entry(staging_body("T2"))]
         client, _ = scripted_client(entries)
         records = infer("zscot", reports(2), T, client, REGISTRY)
-        assert records[0].is_unparseable
+        assert records[0].predicted is None
         assert records[0].reasoning == ""
         assert records[1].predicted == StageLabel.parse("T2")
 

@@ -135,12 +135,6 @@ class TestRender:
         )
         assert "size {2.5} cm" in request.user
 
-    def test_gen_params_threaded(self):
-        registry = default_templates(T, temperature=0.5, max_tokens=99)
-        request = render(registry.get("zscot_inference"), {"report": "x"})
-        assert request.temperature == 0.5
-        assert request.max_tokens == 99
-
     @given(
         a=st.text(alphabet="abc xyz.", min_size=1).filter(str.strip),
         b=st.text(alphabet="abc xyz.", min_size=1).filter(str.strip),
