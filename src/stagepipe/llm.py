@@ -452,19 +452,27 @@ class _HttpBackend:
         TransportError, a 429 carrying its Retry-After seconds. Any other
         status, or a body that is not JSON, raises a non-retryable one.
         """
-        import requests
+        import http.client
+        import urllib.error
+        import urllib.request
 
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
+        request = urllib.request.Request(
+            _endpoint(self.base_url, path), data=json.dumps(payload).encode(), headers=headers
+        )
         try:
-            resp = requests.post(
-                _endpoint(self.base_url, path), json=payload, headers=headers,
-                timeout=self.timeout_s,
-            )
-        except requests.RequestException as exc:
+            try:
+                # a new opener reads the proxy variables as they are now
+                resp = urllib.request.build_opener().open(request, timeout=self.timeout_s)
+            except urllib.error.HTTPError as exc:  # any status but 2xx, read as a reply
+                resp = exc
+            with resp:
+                status, body = resp.status, resp.read()
+        except (OSError, http.client.HTTPException) as exc:
+            # refused, reset, closed before the reply, timed out, or a short body
             raise TransportError(f"{self.endpoint} endpoint unreachable: {exc}")
-        status = resp.status_code
         if status in (401, 403):
             raise AuthenticationError(f"{self.endpoint} endpoint rejected credentials ({status})")
         if status == 429:
@@ -477,11 +485,12 @@ class _HttpBackend:
         if status >= 500:
             raise TransportError(f"{self.endpoint} endpoint error {status}")
         if status != 200:
+            text = body.decode(errors="replace")[:200]
             raise TransportError(
-                f"{self.endpoint} endpoint returned {status}: {resp.text[:200]}", retryable=False
+                f"{self.endpoint} endpoint returned {status}: {text}", retryable=False
             )
         try:
-            return resp.json()
+            return json.loads(body)
         except ValueError as exc:
             raise TransportError(f"malformed {self.endpoint} response: {exc}", retryable=False)
 

@@ -309,8 +309,6 @@ def run_rag(
         raise PipelineError(f"unknown rag_query_mode {rag_query_mode!r}")
     if not reports:  # before the shared retrieval spends an embed call
         raise PipelineError("no reports to run")
-    if len(index) == 0:
-        raise PipelineError("retrieval index is empty")
     if rag_query_mode == "guideline":
         shared = _retrieve(index, query, client)
         return infer("rag", reports, category, client, templates, lambda report: shared)
@@ -402,8 +400,6 @@ def elicit_kewrag_rules(
     Single pass, no iteration; an unparseable synthesis is terminal for the
     run.
     """
-    if len(index) == 0:
-        raise PipelineError("retrieval index is empty")
     context, chunk_ids = _retrieve(index, query, client)
     request = render(templates.get("rag_elicit"), {"chunks": context})
     try:

@@ -71,6 +71,8 @@ class ChunkIndex:
     doc_hash: str
 
     def __post_init__(self) -> None:
+        if not self.chunks:
+            raise RetrievalError("index is empty")
         if len(self.chunks) != self.vectors.shape[0]:
             raise RetrievalError(
                 f"{len(self.chunks)} chunks but {self.vectors.shape[0]} vectors"
@@ -217,8 +219,6 @@ def top_k(
     """
     import numpy as np
 
-    if len(index) == 0:
-        raise RetrievalError("index is empty")
     k = query.k
     if k > len(index):
         log.warning("k=%d exceeds index size %d; clamping", k, len(index))

@@ -4,8 +4,8 @@ import hashlib
 import json
 import re
 import threading
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, deque
+from dataclasses import dataclass, field
 from email.message import Message
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -61,19 +61,6 @@ def rules_body(stage: str, rules: list[str], reasoning: str = "because") -> dict
 def scripted_client(entries: list[dict]) -> tuple[LlmClient, ScriptedBackend]:
     backend = ScriptedBackend(entries)
     return LlmClient(chat_backend=backend, embed_backend=backend), backend
-
-
-class JsonResponse:
-    """Stands in for a `requests.Response` carrying `body` as JSON."""
-
-    def __init__(self, body, status_code: int = 200, headers: dict | None = None):
-        self.body = body
-        self.status_code = status_code
-        self.headers = headers or {}
-        self.text = json.dumps(body)
-
-    def json(self):
-        return self.body
 
 
 NULL_CONTENT_REPLY = {"choices": [{"message": {"role": "assistant", "content": None}}]}
@@ -190,6 +177,27 @@ class LoopbackRequest:
     body: dict
 
 
+# How long a "slow reply" is held back, far past the timeouts tests set
+SLOW_REPLY_S = 5.0
+
+
+@dataclass(frozen=True)
+class Reply:
+    """One scripted reply of a `LoopbackEndpoint`: `body` as JSON (the
+    endpoint's own reply when None), with `status` and extra `headers`.
+
+    A `fault` changes how it is sent: "short body" sends half of the body
+    that its Content-Length announces, then closes the connection; "close
+    before reply" closes the connection without a reply; "slow reply" sends
+    it after SLOW_REPLY_S, or once the endpoint closes.
+    """
+
+    status: int = 200
+    body: object = None
+    headers: dict = field(default_factory=dict)
+    fault: str | None = None
+
+
 class LoopbackEndpoint:
     """An OpenAI-compatible endpoint on 127.0.0.1, served from a thread.
 
@@ -204,37 +212,58 @@ class LoopbackEndpoint:
     Every chat reply carries `finish_reason` ("stop" unless a test sets
     another), and only the first `content_chars` characters of its content
     when a test sets that, as a reply cut off at its token cap does.
+
+    `replies` queues scripted `Reply`s: each request, in arrival order,
+    takes the next one, and once the queue is empty gets the endpoint's own
+    reply.
     """
 
-    def __init__(self):
+    def __init__(self, replies: tuple[Reply, ...] = ()):
         self.finish_reason = "stop"
         self.content_chars: int | None = None
+        self.replies = deque(replies)
         self.requests: list[LoopbackRequest] = []
         self.peak: Counter[str] = Counter()
+        self.closing = threading.Event()
         in_hand: Counter[str] = Counter()
         lock = threading.Lock()
         endpoint = self
 
         class Handler(BaseHTTPRequestHandler):
+            def handle(self):
+                try:
+                    super().handle()
+                except ConnectionError:  # a client that gave up on a slow reply
+                    pass
+
             def do_POST(self):
                 body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
                 with lock:
                     endpoint.requests.append(LoopbackRequest(self.path, self.headers, body))
                     in_hand[self.path] += 1
                     endpoint.peak[self.path] = max(endpoint.peak[self.path], in_hand[self.path])
+                    scripted = endpoint.replies.popleft() if endpoint.replies else Reply()
                 try:
-                    reply = self._reply(body)
+                    reply = self._reply(body) if scripted.body is None else scripted.body
                 finally:  # before the reply goes out, so the client's next call finds it done
                     with lock:
                         in_hand[self.path] -= 1
+                if scripted.fault == "close before reply":
+                    return
+                if scripted.fault == "slow reply":
+                    endpoint.closing.wait(SLOW_REPLY_S)
                 if reply is None:
                     self.send_error(404)
                     return
                 payload = json.dumps(reply).encode()
-                self.send_response(200)
+                self.send_response(scripted.status)
                 self.send_header("Content-Type", "application/json")
+                for name, value in scripted.headers.items():
+                    self.send_header(name, value)
                 self.send_header("Content-Length", str(len(payload)))
                 self.end_headers()
+                if scripted.fault == "short body":
+                    payload = payload[: len(payload) // 2]
                 self.wfile.write(payload)
 
             def _reply(self, body: dict) -> dict | None:
@@ -260,10 +289,14 @@ class LoopbackEndpoint:
 
         self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
         self.url = f"http://127.0.0.1:{self.server.server_address[1]}"
-        self._thread = threading.Thread(target=self.server.serve_forever, daemon=True)
+        # a short poll keeps `close`, and so each test's teardown, quick
+        self._thread = threading.Thread(
+            target=self.server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        )
         self._thread.start()
 
     def close(self) -> None:
+        self.closing.set()
         self.server.shutdown()
         self.server.server_close()
         self._thread.join()
@@ -286,15 +319,16 @@ def failure_recorded(monkeypatch) -> threading.Event:
 
 @pytest.fixture
 def loopback_endpoints(monkeypatch):
-    """Starts loopback endpoints on demand: `loopback_endpoints()` returns a
-    new running `LoopbackEndpoint`; each is shut down at teardown."""
-    # requests honours proxy settings; these keep loopback calls direct
+    """Starts loopback endpoints on demand: `loopback_endpoints(*replies)`
+    returns a new running `LoopbackEndpoint` that sends the scripted replies
+    first; each is shut down at teardown."""
+    # urllib honours the proxy variables; these keep loopback calls direct
     monkeypatch.setenv("NO_PROXY", "127.0.0.1")
     monkeypatch.setenv("no_proxy", "127.0.0.1")
     started: list[LoopbackEndpoint] = []
 
-    def start() -> LoopbackEndpoint:
-        started.append(LoopbackEndpoint())
+    def start(*replies: Reply) -> LoopbackEndpoint:
+        started.append(LoopbackEndpoint(replies))
         return started[-1]
 
     yield start

@@ -28,7 +28,7 @@ from stagepipe.prompts import default_templates
 from .conftest import (
     NULL_CONTENT_REPLY,
     ContentKeyedBackend,
-    JsonResponse,
+    Reply,
     make_report,
     write_corpus_jsonl,
 )
@@ -242,12 +242,10 @@ class TestRunZscot:
              "--corpus", str(corpus), "--out", str(tmp_path / "o")]
         ) == 2
 
-    def test_null_content_writes_failed_manifest(self, tmp_path, monkeypatch):
-        import requests
-
-        reply = JsonResponse(NULL_CONTENT_REPLY)
-        monkeypatch.setattr(requests, "post", lambda url, **kwargs: reply)
-        monkeypatch.setenv("STAGEPIPE_LLM_BASE", "http://localhost:1")
+    def test_null_content_writes_failed_manifest(self, tmp_path, monkeypatch, loopback_endpoints):
+        # one null reply for each of the 4 reports; none is retried
+        endpoint = loopback_endpoints(*[Reply(body=NULL_CONTENT_REPLY)] * 4)
+        monkeypatch.setenv("STAGEPIPE_LLM_BASE", endpoint.url)
         corpus = tmp_path / "c.jsonl"
         write_corpus(corpus, 4)
         out = tmp_path / "out"
@@ -260,20 +258,16 @@ class TestRunZscot:
         assert manifest["status"] == "FAILED"
         assert "content is NoneType" in manifest["error"]
 
-    def test_rate_limited_on_every_attempt_writes_failed_manifest(self, tmp_path, monkeypatch):
-        import requests
-
-        posts, sleeps = [], []
-        reply = JsonResponse({"error": "rate limited"}, status_code=429, headers={"Retry-After": "3"})
-
-        def fake_post(url, **kwargs):
-            posts.append(kwargs["json"]["messages"][-1]["content"])
-            return reply
-
-        monkeypatch.setattr(requests, "post", fake_post)
+    def test_rate_limited_on_every_attempt_writes_failed_manifest(
+        self, tmp_path, monkeypatch, loopback_endpoints
+    ):
+        # 4 reports x 3 attempts: every request the run can make is rate limited
+        limited = Reply(429, {"error": "rate limited"}, {"Retry-After": "3"})
+        endpoint = loopback_endpoints(*[limited] * 12)
+        sleeps = []
         # the CLI builds its client with the default sleep; record the waits instead
         monkeypatch.setitem(LlmClient.__init__.__kwdefaults__, "sleep", sleeps.append)
-        monkeypatch.setenv("STAGEPIPE_LLM_BASE", "http://localhost:1")
+        monkeypatch.setenv("STAGEPIPE_LLM_BASE", endpoint.url)
         corpus = tmp_path / "c.jsonl"
         write_corpus(corpus, 4)
         out = tmp_path / "out"
@@ -287,7 +281,7 @@ class TestRunZscot:
         assert "429" in manifest["error"]
         # reports run up to four at once: the first to give up stops new ones
         # from starting, and the ones already posting each finish their attempts
-        per_report = Counter(posts)
+        per_report = Counter(r.body["messages"][-1]["content"] for r in endpoint.requests)
         assert 1 <= len(per_report) <= 4
         assert set(per_report.values()) == {3}  # every transport attempt, then give up
         # Retry-After outlasts the 1 s and 2 s backoff
@@ -561,6 +555,33 @@ class TestLoopbackEndpoint:
         # the client bounds each endpoint on its own, at max_in_flight (4) calls
         assert set(endpoint.peak) == {"/v1/chat/completions", "/v1/embeddings"}
         assert max(endpoint.peak.values()) <= 4
+
+    @pytest.mark.parametrize("reply, attempts, error", [
+        (Reply(401, {"error": "bad key"}), 1, "chat endpoint rejected credentials (401)"),
+        (Reply(fault="close before reply"), 3, "chat endpoint unreachable"),
+    ], ids=["401", "closed-before-reply"])
+    def test_failing_endpoint_writes_failed_manifest(
+        self, tmp_path, monkeypatch, loopback_endpoints, reply, attempts, error
+    ):
+        # 4 reports x 3 attempts: every request the run can make fails
+        endpoint = loopback_endpoints(*[reply] * 12)
+        sleeps = []
+        monkeypatch.setitem(LlmClient.__init__.__kwdefaults__, "sleep", sleeps.append)
+        live_env(monkeypatch, llm_base=endpoint.url)
+        corpus = tmp_path / "c.jsonl"
+        write_corpus(corpus, 4)
+        out = tmp_path / "out"
+        code = main(["run", "--method", "zscot", "--category", "T", "--corpus", str(corpus),
+                     "--out", str(out)])
+        assert code == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "FAILED"
+        assert error in manifest["error"]
+        # reports that had started posting each finish their attempts
+        per_report = Counter(r.body["messages"][-1]["content"] for r in endpoint.requests)
+        assert 1 <= len(per_report) <= 4
+        assert set(per_report.values()) == {attempts}
+        assert len(sleeps) == (attempts - 1) * len(per_report)
 
     @pytest.mark.parametrize(
         "flags, config, sent",
@@ -1823,20 +1844,22 @@ class TestFlags:
 
 
 class TestNumpyLoadsOnlyWithVectors:
-    """Only commands that embed import numpy; the others start without it."""
+    """Only commands that embed import numpy; the others start without it,
+    and no scripted command imports the HTTP client modules."""
 
     SRC = Path(__file__).resolve().parents[1] / "src"
-    # runs one command in a fresh interpreter, prints whether it imported
-    # numpy and exits with the command's code
+    PROBED = ("numpy", "http.client", "urllib.request")
+    # runs one command in a fresh interpreter, prints which of PROBED it
+    # imported and exits with the command's code
     PROBE = (
         "import sys\n"
         "from stagepipe.cli import main\n"
         "code = main(sys.argv[1:])\n"
-        "print('numpy' in sys.modules)\n"
+        f"print(*[name for name in {PROBED!r} if name in sys.modules])\n"
         "sys.exit(code)\n"
     )
 
-    def _numpy_loaded(self, tmp_path, argv: list[str]) -> bool:
+    def _loaded(self, tmp_path, argv: list[str]) -> set[str]:
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(self.SRC), env.get("PYTHONPATH")]))
         proc = subprocess.run(
@@ -1844,7 +1867,7 @@ class TestNumpyLoadsOnlyWithVectors:
             cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
-        return proc.stdout.splitlines()[-1] == "True"
+        return set(proc.stdout.splitlines()[-1].split())
 
     @pytest.mark.parametrize("argv, n_chat", [
         (["run", "--method", "zscot"], 12),
@@ -1856,13 +1879,13 @@ class TestNumpyLoadsOnlyWithVectors:
     def test_commands_without_vectors_never_import_numpy(self, tmp_path, argv, n_chat):
         write_corpus(tmp_path / "c.jsonl", 12)
         write_script(tmp_path / "script.json", n_chat)
-        assert not self._numpy_loaded(tmp_path, argv + [
-            "--category", "T", "--corpus", "c.jsonl", "--script", "script.json"])
+        assert self._loaded(tmp_path, argv + [
+            "--category", "T", "--corpus", "c.jsonl", "--script", "script.json"]) == set()
 
     def test_rag_imports_numpy(self, tmp_path):
         write_corpus(tmp_path / "c.jsonl", 5)
         write_guideline(tmp_path / "guide.md")
         write_script(tmp_path / "script.json", 5, hash_dim=8)
-        assert self._numpy_loaded(tmp_path, [
+        assert self._loaded(tmp_path, [
             "run", "--method", "rag", "--category", "T", "--corpus", "c.jsonl",
-            "--guideline", "guide.md", "--script", "script.json"])
+            "--guideline", "guide.md", "--script", "script.json"]) == {"numpy"}

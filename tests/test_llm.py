@@ -22,6 +22,7 @@ from stagepipe.llm import (
     ScriptedBackend,
     ScriptError,
     ScriptExhaustedError,
+    StructuredOutput,
     TransportError,
     TruncatedReplyError,
     _extract_json_object,
@@ -30,7 +31,7 @@ from stagepipe.llm import (
 )
 from .conftest import (
     NULL_CONTENT_REPLY,
-    JsonResponse,
+    Reply,
     chat_entry,
     rules_body,
     scripted_client,
@@ -412,80 +413,57 @@ class TestHttpChatBackend:
         [NULL_CONTENT_REPLY, []],
         ids=["null-content", "list-body"],
     )
-    def test_unusable_reply_is_a_non_retryable_transport_error(self, monkeypatch, body):
-        import requests
-
-        posts = []
-
-        def fake_post(url, **kwargs):
-            posts.append(url)
-            return JsonResponse(body)
-
-        monkeypatch.setattr(requests, "post", fake_post)
-        client = LlmClient(
-            chat_backend=HttpChatBackend("http://localhost:1"), sleep=lambda _: None
-        )
+    def test_unusable_reply_is_a_non_retryable_transport_error(self, loopback_endpoints, body):
+        endpoint = loopback_endpoints(Reply(body=body))
+        client = LlmClient(chat_backend=HttpChatBackend(endpoint.url), sleep=lambda _: None)
         with pytest.raises(TransportError) as info:
             client.chat(ChatRequest(user="q", schema=STAGING_T))
         assert not info.value.retryable
-        assert posts == ["http://localhost:1/v1/chat/completions"]
+        assert [r.path for r in endpoint.requests] == ["/v1/chat/completions"]
 
-    def test_payload_carries_the_output_schema(self, monkeypatch):
-        import requests
-
-        payloads = []
-
-        def fake_post(url, **kwargs):
-            payloads.append(kwargs["json"])
-            return JsonResponse(CHAT_REPLY)
-
-        monkeypatch.setattr(requests, "post", fake_post)
-        client = LlmClient(chat_backend=HttpChatBackend("http://localhost:1"))
+    def test_payload_carries_the_output_schema(self, loopback_endpoints):
+        endpoint = loopback_endpoints(Reply(body=CHAT_REPLY))
+        client = LlmClient(chat_backend=HttpChatBackend(endpoint.url))
         client.chat(ChatRequest(user="q", schema=STAGING_T))
-        (payload,) = payloads
+        (payload,) = [r.body for r in endpoint.requests]
         assert payload["messages"] == [{"role": "user", "content": "q"}]
         assert payload["response_format"]["json_schema"]["schema"] == STAGING_T.json_schema()
+
+
+    def test_proxy_variable_is_honoured(self, loopback_endpoints, monkeypatch):
+        proxy = loopback_endpoints(Reply(body=CHAT_REPLY))
+        monkeypatch.setenv("http_proxy", proxy.url)
+        # a loopback address that nothing serves: only the proxy can answer
+        client = LlmClient(chat_backend=HttpChatBackend("http://127.0.0.2:9"))
+        assert client.chat(ChatRequest(user="q", schema=STAGING_T)).stage.render() == "T1"
+        assert [r.path for r in proxy.requests] == ["http://127.0.0.2:9/v1/chat/completions"]
 
 
 CHAT_REPLY = {"choices": [{"message": {"content": json.dumps(staging_body("T1"))}}]}
 EMBED_REPLY = {"data": [{"index": 0, "embedding": [1.0, 0.0]}], "model": "m"}
 
 
-def rate_limited(retry_after: str | None) -> JsonResponse:
+def rate_limited(retry_after: str | None) -> Reply:
     headers = {} if retry_after is None else {"Retry-After": retry_after}
-    return JsonResponse({"error": "rate limited"}, status_code=429, headers=headers)
-
-
-def patch_posts(monkeypatch, replies: list) -> list[str]:
-    """Answer each `requests.post` with the next reply; returns the posted urls."""
-    import requests
-
-    posts = []
-
-    def fake_post(url, **kwargs):
-        posts.append(url)
-        return replies.pop(0)
-
-    monkeypatch.setattr(requests, "post", fake_post)
-    return posts
+    return Reply(429, {"error": "rate limited"}, headers)
 
 
 class TestRateLimit:
-    def test_chat_429_waits_retry_after_then_succeeds(self, monkeypatch):
-        posts = patch_posts(monkeypatch, [rate_limited("3"), JsonResponse(CHAT_REPLY)])
+    def test_chat_429_waits_retry_after_then_succeeds(self, loopback_endpoints):
+        endpoint = loopback_endpoints(rate_limited("3"), Reply(body=CHAT_REPLY))
         sleeps = []
-        client = LlmClient(chat_backend=HttpChatBackend("http://localhost:1"), sleep=sleeps.append)
+        client = LlmClient(chat_backend=HttpChatBackend(endpoint.url), sleep=sleeps.append)
         out = client.chat(ChatRequest(user="q", schema=STAGING_T))
         assert out.stage.render() == "T1"
-        assert len(posts) == 2
+        assert len(endpoint.requests) == 2
         assert sleeps == [3.0]
 
-    def test_embed_429_waits_retry_after_then_succeeds(self, monkeypatch):
-        posts = patch_posts(monkeypatch, [rate_limited("3"), JsonResponse(EMBED_REPLY)])
+    def test_embed_429_waits_retry_after_then_succeeds(self, loopback_endpoints):
+        endpoint = loopback_endpoints(rate_limited("3"), Reply(body=EMBED_REPLY))
         sleeps = []
-        client = LlmClient(embed_backend=HttpEmbedBackend("http://localhost:1"), sleep=sleeps.append)
+        client = LlmClient(embed_backend=HttpEmbedBackend(endpoint.url), sleep=sleeps.append)
         assert [v.values for v in client.embed(["x"])] == [(1.0, 0.0)]
-        assert posts == ["http://localhost:1/v1/embeddings"] * 2
+        assert [r.path for r in endpoint.requests] == ["/v1/embeddings"] * 2
         assert sleeps == [3.0]
 
     @pytest.mark.parametrize(
@@ -507,18 +485,18 @@ class TestRateLimit:
         ids=["coercible", "bool-value", "repeated-index", "shifted-index", "float-index",
              "null-model"],
     )
-    def test_embed_reply_of_wrong_types_or_indices_is_malformed(self, monkeypatch, reply):
-        posts = patch_posts(monkeypatch, [JsonResponse(reply)])
-        client = LlmClient(embed_backend=HttpEmbedBackend("http://localhost:1"), sleep=lambda _: None)
+    def test_embed_reply_of_wrong_types_or_indices_is_malformed(self, loopback_endpoints, reply):
+        endpoint = loopback_endpoints(Reply(body=reply))
+        client = LlmClient(embed_backend=HttpEmbedBackend(endpoint.url), sleep=lambda _: None)
         with pytest.raises(TransportError, match="malformed embedding response") as info:
             client.embed(["a", "b"])
         assert not info.value.retryable
-        assert len(posts) == 1
+        assert len(endpoint.requests) == 1
 
-    def test_embed_reply_in_any_order_without_model_is_accepted(self, monkeypatch):
+    def test_embed_reply_in_any_order_without_model_is_accepted(self, loopback_endpoints):
         reply = {"data": [{"index": 1, "embedding": [1, 0]}, {"index": 0, "embedding": [0.6, 0.8]}]}
-        patch_posts(monkeypatch, [JsonResponse(reply)])
-        client = LlmClient(embed_backend=HttpEmbedBackend("http://localhost:1", model="e"))
+        endpoint = loopback_endpoints(Reply(body=reply))
+        client = LlmClient(embed_backend=HttpEmbedBackend(endpoint.url, model="e"))
         vectors = client.embed(["a", "b"])
         assert [v.values for v in vectors] == [(0.6, 0.8), (1.0, 0.0)]
         assert {v.model_id for v in vectors} == {"e"}
@@ -530,23 +508,81 @@ class TestRateLimit:
         ids=["shorter-than-backoff", "absent", "http-date", "capped"],
     )
     def test_wait_is_the_longer_of_backoff_and_capped_retry_after(
-        self, monkeypatch, retry_after, expected
+        self, loopback_endpoints, retry_after, expected
     ):
-        patch_posts(monkeypatch, [rate_limited(retry_after), JsonResponse(CHAT_REPLY)])
+        endpoint = loopback_endpoints(rate_limited(retry_after), Reply(body=CHAT_REPLY))
         sleeps = []
         client = LlmClient(
-            chat_backend=HttpChatBackend("http://localhost:1"), sleep=sleeps.append, backoff_s=1.0
+            chat_backend=HttpChatBackend(endpoint.url), sleep=sleeps.append, backoff_s=1.0
         )
         client.chat(ChatRequest(user="q", schema=STAGING_T))
         assert sleeps == [expected]
 
-    def test_client_error_other_than_429_is_not_retried(self, monkeypatch):
-        posts = patch_posts(monkeypatch, [JsonResponse({}, status_code=400)])
-        client = LlmClient(chat_backend=HttpChatBackend("http://localhost:1"), sleep=lambda _: None)
+    def test_client_error_other_than_429_is_not_retried(self, loopback_endpoints):
+        endpoint = loopback_endpoints(Reply(400, {}))
+        client = LlmClient(chat_backend=HttpChatBackend(endpoint.url), sleep=lambda _: None)
         with pytest.raises(TransportError) as info:
             client.chat(ChatRequest(user="q", schema=STAGING_T))
         assert not info.value.retryable
-        assert len(posts) == 1
+        assert len(endpoint.requests) == 1
+
+
+# Each is sent in place of a reply; HttpChatBackend(timeout_s=0.2) gives up
+# on the slow one
+FAULTS = {
+    "5xx": Reply(503, {"error": "overloaded"}),
+    "short-body": Reply(fault="short body"),
+    "closed-before-reply": Reply(fault="close before reply"),
+    "slow-reply": Reply(fault="slow reply"),
+}
+
+
+class TestHttpFaults:
+    """Every status and connection fault, over a real socket, ends as its
+    typed error or recovers within `transport_attempts` (3)."""
+
+    def _chat(self, url: str, sleeps: list) -> StructuredOutput:
+        client = LlmClient(chat_backend=HttpChatBackend(url, timeout_s=0.2), sleep=sleeps.append)
+        return client.chat(ChatRequest(user="q", schema=STAGING_T))
+
+    @pytest.mark.parametrize("fault", FAULTS.values(), ids=FAULTS.keys())
+    def test_two_faults_then_a_reply_recover(self, loopback_endpoints, fault):
+        endpoint = loopback_endpoints(fault, fault)
+        sleeps = []
+        assert self._chat(endpoint.url, sleeps).stage is not None
+        assert len(endpoint.requests) == 3
+        assert sleeps == [1.0, 2.0]
+
+    @pytest.mark.parametrize("fault", FAULTS.values(), ids=FAULTS.keys())
+    def test_a_fault_on_every_attempt_is_a_retryable_transport_error(
+        self, loopback_endpoints, fault
+    ):
+        endpoint = loopback_endpoints(fault, fault, fault)
+        sleeps = []
+        expected = "error 503" if fault.status == 503 else "unreachable"
+        with pytest.raises(TransportError, match=f"chat endpoint {expected}") as info:
+            self._chat(endpoint.url, sleeps)
+        assert info.value.retryable
+        assert len(endpoint.requests) == 3
+        assert sleeps == [1.0, 2.0]
+
+    def test_refused_connection_is_retried_as_unreachable(self, loopback_endpoints):
+        endpoint = loopback_endpoints()
+        endpoint.close()  # nothing listens on its port now
+        sleeps = []
+        with pytest.raises(TransportError, match="chat endpoint unreachable") as info:
+            self._chat(endpoint.url, sleeps)
+        assert info.value.retryable
+        assert sleeps == [1.0, 2.0]  # 3 attempts
+
+    @pytest.mark.parametrize("status", [401, 403])
+    def test_rejected_credentials_are_never_retried(self, loopback_endpoints, status):
+        endpoint = loopback_endpoints(Reply(status, {"error": "bad key"}))
+        sleeps = []
+        with pytest.raises(AuthenticationError, match=rf"rejected credentials \({status}\)"):
+            self._chat(endpoint.url, sleeps)
+        assert len(endpoint.requests) == 1
+        assert sleeps == []
 
 
 class TestClientSettings:

@@ -155,17 +155,6 @@ class TestRunRag:
         # ties break by chunk id: r02 scores a and b alike
         assert [r.retrieved_chunk_ids for r in records] == [(0, 2, 1), (1, 2, 0), (2, 0, 1)]
 
-    def test_empty_index_rejected_before_llm(self):
-        client, backend = scripted_client([])
-        with pytest.raises(PipelineError):
-            run_rag(reports(1), T, client, _EmptyIndex(), RetrievalQuery("q", k=1), REGISTRY)
-        assert backend.chat_calls == 0
-
-
-class _EmptyIndex:
-    def __len__(self):
-        return 0
-
 
 class TestInduceLtm:
     def test_identical_rules_hand_trace(self):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from stagepipe.llm import EmbeddingVector
 from stagepipe.retrieval import (
     Chunk,
+    ChunkIndex,
     RetrievalError,
     RetrievalQuery,
     build_index,
@@ -153,6 +154,11 @@ class TestBuildIndex:
     def test_empty_chunks(self):
         with pytest.raises(RetrievalError):
             build_index([], fake_embedder({}), "h")
+
+    def test_index_of_zero_chunks_cannot_be_made(self):
+        # the one empty-index check, so retrieval never meets an empty index
+        with pytest.raises(RetrievalError, match="index is empty"):
+            ChunkIndex(chunks=(), vectors=np.zeros((0, 2)), model_id="m", doc_hash="h")
 
     def test_rebuild_is_byte_identical(self, tmp_path):
         texts = ["alpha text", "beta text"]
