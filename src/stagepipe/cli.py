@@ -17,6 +17,7 @@ import math
 import os
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
@@ -308,9 +309,10 @@ def _kewltm_points(
     before any call.
 
     Every (point, split) cycle is independent, so up to `min(points x
-    splits, max_in_flight)` of them run at once. Each cycle's inference asks
-    for up to `max_in_flight` reports at once; the client bounds the calls
-    and decides which runs next. Cycles start in (point, split) order, so at
+    splits, max_in_flight)` of them run at once on a pool of their own, and
+    put their reports on the run's one executor, `max_in_flight` wide: at
+    most 1 + 2 x `max_in_flight` threads. The client bounds the calls and
+    decides which runs next. Cycles start in (point, split) order, so at
     width 1 (scripted replays) the calls keep their sequential order: split
     0 of point 0 induces and infers, then split 1, and so on, point after
     point. The first terminal failure stops every cycle: none starts after
@@ -323,8 +325,6 @@ def _kewltm_points(
                 f"split {i}: no test report carries a gold {category.value} label"
             )
     tasks = [(p, i) for p in range(len(points)) for i in range(len(splits))]
-    width = min(len(tasks), client.max_in_flight)
-    stop = pipelines.StopSignal()
     results: dict[tuple[int, int], tuple] = {}
     lock = threading.Lock()  # guards `results`: one cycle alone sees its point finish
     finished = {}
@@ -336,7 +336,7 @@ def _kewltm_points(
         # both steps through the module, where the benchmark's tracer wraps them
         induction = pipelines.induce_ltm(
             [by_id[rid] for rid in split.train_ids], category, client, registry,
-            threshold=point.threshold, stop=stop,
+            threshold=point.threshold, run=run,
         )
         if induction.final_memory is None:
             prefix = f"{param}={getattr(point, param)} " if param else ""
@@ -345,7 +345,7 @@ def _kewltm_points(
         memory.write_traces(induction.traces, out / f"trace_split{i}.csv")
         records = pipelines.run_kewltm_inference(
             [by_id[rid] for rid in split.test_ids], category, induction.final_memory,
-            client, registry, stop=stop,
+            client, registry, run=run,
         )
         _, block = evaluation.score(records, corpus, category)
         block.update({"split": i, "seed": split.seed,
@@ -365,10 +365,12 @@ def _kewltm_points(
             finished[p] = metrics, curve
 
     error = None
-    try:
-        pipelines.run_bounded(cycle, tasks, width, stop)
-    except Exception as exc:  # raised once the finished points are out
-        error = exc
+    with (pipelines.Run(client.max_in_flight) as run,
+          ThreadPoolExecutor(min(len(tasks), client.max_in_flight)) as cycles):
+        try:
+            pipelines.run_bounded(cycle, tasks, cycles, run)
+        except Exception as exc:  # raised once the finished points are out
+            error = exc
     for p in sorted(finished):
         yield (points[p], *finished[p])
     if error is not None:

@@ -69,7 +69,7 @@ class StageLabel:
         `category` is given and the label belongs to the other category.
         """
         s = text.strip().upper()
-        if len(s) != 2 or s[0] not in ("T", "N") or not s[1].isdigit():
+        if len(s) != 2 or s[0] not in ("T", "N") or s[1] not in "0123456789":
             raise CorpusError(f"unknown stage label {text!r}")
         cat = StageCategory(s[0])
         if int(s[1]) not in cat.ranks:

@@ -565,7 +565,7 @@ class HttpEmbedBackend(_HttpBackend):
                 for row in rows
             ]
             model = typed(data.get("model", self.model_id), str, "model")
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise TransportError(f"malformed embedding response: {exc}", retryable=False)
         return vectors, model
 
@@ -581,11 +581,12 @@ class LlmClient:
     Chat and embeddings are separate endpoints, each bounded on its own: at
     most `max_in_flight` chat calls and at most `max_in_flight` embed calls
     run at once, across every thread that shares the client, so up to
-    `max_in_flight_total` calls in all. When either backend replays by call
-    order (`replays_in_call_order`) both roles share one slot, so calls run
-    one at a time in the order they arrive. A call holds its slot through
-    its transport retries and nothing else, so a caller never holds one
-    while it waits on other tasks.
+    `max_in_flight_total` calls in all, which is also the width of a
+    report-text RAG run's report executor (`pipelines.run_rag`). When either
+    backend replays by call order (`replays_in_call_order`) both roles share
+    one slot, so calls run one at a time in the order they arrive. A call
+    holds its slot through its transport retries and nothing else, so a
+    caller never holds one while it waits on other tasks.
     """
 
     def __init__(

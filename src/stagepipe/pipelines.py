@@ -7,22 +7,23 @@ kewltm the rule memory that `induce_ltm` builds by gated iterative
 induction, and kewrag the rules that `elicit_kewrag_rules` synthesizes once
 from retrieved chunks. Each induction is a strictly sequential chain, since
 every step reads the memory the previous one left; the caller may run the
-chains of independent (point, split) cycles concurrently. Test-set inference
-asks for up to `max_in_flight` reports at once, or, in report-text RAG, where
-each report embeds its query before its chat call, up to
-`max_in_flight_total`, so that one report's embed runs while others' chats
-hold the chat slots. The client bounds the calls to each endpoint of every
-pool that shares it and decides which waiting call runs next. Records are
-sorted by report id so output bytes never depend on scheduling. Tasks that
-run together share one `StopSignal`: after the first terminal failure none
-of them starts another step.
+chains of independent (point, split) cycles concurrently. Every inference
+of a run puts its reports on the run's one executor (`Run`), `max_in_flight`
+threads wide, or `max_in_flight_total` in report-text RAG, where each report
+embeds its query before its chat call, so that one report's embed runs while
+others' chats hold the chat slots. No thread that waits on the executor runs
+reports on it, so a kewltm run holds at most 1 + 2 x `max_in_flight` threads
+and cannot deadlock. The client bounds each endpoint's calls and decides
+which waiting call runs next. Records are sorted by report id so output
+bytes never depend on scheduling.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
+from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass
 from typing import Callable, Sequence, TypeVar
 
@@ -57,17 +58,19 @@ class PipelineError(RuntimeError):
     """A workflow could not run (bad configuration or terminal step failure)."""
 
 
-class StopSignal:
-    """The first terminal failure among tasks that run together.
+class Run(AbstractContextManager):
+    """The tasks of one run: the executor of all its reports, `width` wide
+    and shut down when the run's `with` block ends, and its first failure.
 
     Once a task has recorded a failure, `check()` raises that very error in
-    every task that calls it, so no task sharing the signal starts another
-    step, and every level of nested pools raises the same first error.
+    every task that calls it, so no task of the run starts another step, and
+    every caller waiting on the run's tasks raises the same first error.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, width: int) -> None:
         self._lock = threading.Lock()
         self.error: Exception | None = None
+        self.reports = ThreadPoolExecutor(max_workers=width)
 
     def fail(self, exc: Exception) -> None:
         with self._lock:
@@ -78,6 +81,9 @@ class StopSignal:
         if self.error is not None:
             raise self.error
 
+    def __exit__(self, *exc_info) -> None:
+        self.reports.shutdown(cancel_futures=True)
+
 
 _Item = TypeVar("_Item")
 _Result = TypeVar("_Result")
@@ -86,29 +92,29 @@ _Result = TypeVar("_Result")
 def run_bounded(
     task: Callable[[_Item], _Result],
     items: Sequence[_Item],
-    width: int,
-    stop: StopSignal,
+    pool: Executor,
+    run: Run,
 ) -> list[_Result]:
-    """`task(item)` for every item, `width` at a time; results in item order.
+    """`task(item)` for every item, on `pool`; results in item order.
 
-    The first task to raise records its error in `stop`. An item that finds
-    `stop` set, by this call or by any other that shares it, does not start;
+    The first task to raise records its error in `run`. An item that finds
+    `run` failed, by this call or by any other of the run, does not start;
     the tasks in flight finish, and the first error is raised.
     """
 
     def guarded(item: _Item) -> _Result | None:
-        if stop.error is not None:
+        if run.error is not None:
             return None
         try:
             return task(item)
-        except Exception as exc:  # terminal: raised below, once the pool drains
-            stop.fail(exc)
+        except Exception as exc:  # terminal: raised below, once the items are done
+            run.fail(exc)
             return None
 
-    with ThreadPoolExecutor(max_workers=width) as pool:
-        futures = [pool.submit(guarded, item) for item in items]
-    stop.check()
-    return [f.result() for f in futures]
+    futures = [pool.submit(guarded, item) for item in items]
+    results = [f.result() for f in futures]
+    run.check()
+    return results
 
 
 @dataclass(frozen=True)
@@ -222,8 +228,7 @@ def infer(
     *,
     rules: RuleMemory | None = None,
     chunk_ids: Sequence[int] = (),
-    stop: StopSignal | None = None,
-    width: int | None = None,
+    run: Run | None = None,
 ) -> list[PredictionRecord]:
     """The inference step of every method: one chat call per report.
 
@@ -232,12 +237,12 @@ def infer(
     `context(report)` returns, with the chunk ids the record carries (rag);
     `context` is called just before the report's chat call. kewrag records
     carry `chunk_ids`, the chunks its rules came from. A report whose output
-    stays unparseable is recorded as such and the batch goes on. Up to
-    `width` reports (`client.max_in_flight` by default) run at once; the
-    client decides which of the calls waiting on it runs next. Any other
-    failure is terminal: it is recorded in `stop`, no report starts after
-    it, the reports in flight finish, and the first failure is raised.
-    Records are sorted by report id.
+    stays unparseable is recorded as such and the batch goes on. The reports
+    run on `run`'s executor (without a run, on a run of their own); the
+    client decides which waiting call runs next. Any other failure is
+    terminal: it is recorded in `run`, no report starts after it, the
+    reports in flight finish, and the first failure is raised. Records are
+    sorted by report id.
     """
     row = METHODS[method]
     if row.carries_memory and (rules is None or not rules.rules):
@@ -272,7 +277,8 @@ def infer(
             timing_ms=0 if client.deterministic else int((time.perf_counter() - start) * 1000),
         )
 
-    records = run_bounded(one, reports, width or client.max_in_flight, stop or StopSignal())
+    with nullcontext(run) if run is not None else Run(client.max_in_flight) as run:
+        records = run_bounded(one, reports, run.reports, run)
     return sorted(records, key=lambda rec: rec.report_id)
 
 
@@ -301,9 +307,9 @@ def run_rag(
 
     In the default ``guideline`` mode the query is report-independent and
     retrieval happens once per run; ``report-text`` mode retrieves per report,
-    just before its chat call, using the report text as the query, and runs
-    up to `client.max_in_flight_total` reports at once, so that the embed and
-    chat endpoints are both kept busy.
+    just before its chat call, using the report text as the query, on a run
+    whose executor is `client.max_in_flight_total` wide, so that the embed
+    and chat endpoints are both kept busy.
     """
     if rag_query_mode not in RAG_QUERY_MODES:
         raise PipelineError(f"unknown rag_query_mode {rag_query_mode!r}")
@@ -312,11 +318,12 @@ def run_rag(
     if rag_query_mode == "guideline":
         shared = _retrieve(index, query, client)
         return infer("rag", reports, category, client, templates, lambda report: shared)
-    return infer(
-        "rag", reports, category, client, templates,
-        lambda report: _retrieve(index, RetrievalQuery(report.text, query.k), client),
-        width=client.max_in_flight_total,
-    )
+    with Run(client.max_in_flight_total) as run:
+        return infer(
+            "rag", reports, category, client, templates,
+            lambda report: _retrieve(index, RetrievalQuery(report.text, query.k), client),
+            run=run,
+        )
 
 
 def induce_ltm(
@@ -326,7 +333,7 @@ def induce_ltm(
     templates: TemplateRegistry,
     threshold: float = 80.0,
     *,
-    stop: StopSignal | None = None,
+    run: Run | None = None,
 ) -> InductionResult:
     """Iteratively induce the rule memory over `train_reports`, in order.
 
@@ -335,15 +342,15 @@ def induce_ltm(
     template with the current memory bound in, gated by the similarity
     threshold. A step whose output stays unparseable is skipped: the memory
     is unchanged and the trace records a rejection at similarity 0. The
-    stage each step predicts is not used. Once `stop` holds a failure (of
+    stage each step predicts is not used. Once `run` holds a failure (of
     this or a concurrent task) no further step starts and that failure is
     raised.
     """
     memory: RuleMemory | None = None
     traces: list[UpdateTrace] = []
     for step, report in enumerate(train_reports, 1):
-        if stop is not None:
-            stop.check()
+        if run is not None:
+            run.check()
         if memory is None:
             request = render(templates.get("ltm_elicit"), {"report": report.text})
         else:
@@ -380,13 +387,13 @@ def run_kewltm_inference(
     client: LlmClient,
     templates: TemplateRegistry,
     *,
-    stop: StopSignal | None = None,
+    run: Run | None = None,
 ) -> list[PredictionRecord]:
     """Memory-guided inference with the frozen induced rule list: `infer`
     for kewltm. It keeps a name of its own because the benchmark's tracer
     (`perfbench/spans.py`) wraps it by that name to time each cycle's
     inference."""
-    return infer("kewltm", test_reports, category, client, templates, rules=memory, stop=stop)
+    return infer("kewltm", test_reports, category, client, templates, rules=memory, run=run)
 
 
 def elicit_kewrag_rules(

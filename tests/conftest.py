@@ -304,16 +304,16 @@ class LoopbackEndpoint:
 
 @pytest.fixture
 def failure_recorded(monkeypatch) -> threading.Event:
-    """Set once a `StopSignal` has recorded a failure, so a call held on it
-    returns only when no task sharing the signal starts another step."""
+    """Set once a `Run` has recorded a failure, so a call held on it
+    returns only when no task of the run starts another step."""
     recorded = threading.Event()
-    fail = pipelines.StopSignal.fail
+    fail = pipelines.Run.fail
 
     def fail_and_signal(self, exc):
         fail(self, exc)
         recorded.set()
 
-    monkeypatch.setattr(pipelines.StopSignal, "fail", fail_and_signal)
+    monkeypatch.setattr(pipelines.Run, "fail", fail_and_signal)
     return recorded
 
 

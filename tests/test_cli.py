@@ -1061,13 +1061,13 @@ REGISTRY = default_templates(T)
 N_TRAIN, N_TEST = 3, 4
 
 
-def disjoint_splits(n_splits: int) -> tuple[Corpus, list[Split]]:
+def disjoint_splits(n_splits: int, n_test: int = N_TEST) -> tuple[Corpus, list[Split]]:
     """Hand-made splits that share no report, so every call names its split:
     report `s{i}t{j}` trains split i and report `s{i}e{j}` tests it."""
     reports, splits = [], []
     for i in range(n_splits):
         train = tuple(f"s{i}t{j}" for j in range(N_TRAIN))
-        test = tuple(f"s{i}e{j}" for j in range(N_TEST))
+        test = tuple(f"s{i}e{j}" for j in range(n_test))
         splits.append(Split(seed=i, train_ids=train, test_ids=test))
         reports += [make_report(rid, t=LABELS[j % 4]) for j, rid in enumerate(train + test)]
     return Corpus(tuple(reports)), splits
@@ -1343,6 +1343,54 @@ class TestCrossPointPool:
         unfinished = tmp_path / "failed" / "n_train=3"
         assert not (unfinished / "predictions.jsonl").exists()
         assert not (unfinished / "metrics.json").exists()
+
+
+class TestRunThreads:
+    """A run puts every report on its one report executor; a kewltm run adds
+    one pool for its cycles. Both stop before the command returns."""
+
+    def test_sweep_holds_one_report_executor_beside_its_cycle_pool(self, tmp_path):
+        corpus, splits = disjoint_splits(2, n_test=8)
+        backend = ContentKeyedBackend(barrier=threading.Barrier(8, timeout=10))
+        alive = []
+        complete = backend.complete
+
+        def counting(request):
+            alive.append(threading.active_count())
+            return complete(request)
+
+        backend.complete = counting
+        before = threading.active_count()
+        points = [cli.RunConfig(n_train=N_TRAIN, threshold=t) for t in (0, 40, 60, 80)]
+        kewltm_points(backend, splits, corpus, 8, points, tmp_path)
+        assert backend.peak == 8  # the barrier lets 8 through together
+        # the 8 cycles and the 8 report threads, where a report pool per
+        # cycle would add 8 x 8
+        assert max(alive) - before <= 8 + 8
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--thresholds", "0,80", "--splits", "2", "--train-size", "3", "--n-train", "3"],
+        ["run", "--method", "zscot"],
+        ["run", "--method", "rag", "--rag-query-mode", "report-text", "--guideline", "guide.md"],
+    ], ids=["kewltm-sweep", "zscot", "report-text-rag"])
+    def test_no_thread_outlives_its_command(self, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        write_keyed_corpus(tmp_path / "c.jsonl", 12)
+        write_guideline(tmp_path / "guide.md")
+        monkeypatch.setattr(cli, "scripted_backend", lambda path: ContentKeyedBackend())
+        started = []
+        start = threading.Thread.start
+
+        def recording(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recording)
+        code = main(argv + ["--category", "T", "--corpus", "c.jsonl",
+                            "--script", "content-keyed", "--out", "out"])
+        assert code == 0
+        assert started  # its reports ran on threads
+        assert not set(started) & set(threading.enumerate())
 
 
 class TestEvaluate:

@@ -30,7 +30,10 @@ class TestLabels:
         assert StageLabel.parse(name).render() == name
         assert StageLabel.parse(name.lower()).render() == name
 
-    @pytest.mark.parametrize("bad", ["T0", "T5", "N4", "X1", "", "T11", "T", "1T", "Tx"])
+    # a digit other than ASCII's (superscript, Arabic-Indic, fullwidth) is no rank
+    @pytest.mark.parametrize(
+        "bad", ["T0", "T5", "N4", "X1", "", "T11", "T", "1T", "Tx", "T²", "T٢", "N０"]
+    )
     def test_rejects_illegal(self, bad):
         with pytest.raises(CorpusError):
             StageLabel.parse(bad)

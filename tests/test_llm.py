@@ -102,6 +102,10 @@ class TestParseStructured:
         with pytest.raises(SchemaViolationError):
             parse_structured('{"reasoning": "x", "stage": "N1"}', STAGING_T)
 
+    def test_non_ascii_digit_rejected(self):
+        with pytest.raises(SchemaViolationError, match="T²"):
+            parse_structured('{"reasoning": "x", "stage": "T²"}', STAGING_T)
+
     def test_case_normalized(self):
         out = parse_structured('{"reasoning": "x", "stage": "t3"}', STAGING_T)
         assert out.stage == StageLabel.parse("T3")
@@ -481,9 +485,11 @@ class TestRateLimit:
                       {"index": 1.0, "embedding": [0.8, 0.6]}], "model": "m"},
             {"data": [{"index": 0, "embedding": [0.6, 0.8]},
                       {"index": 1, "embedding": [0.8, 0.6]}], "model": None},
+            {"data": [{"index": 0, "embedding": [10**400, 0.8]},
+                      {"index": 1, "embedding": [0.8, 0.6]}], "model": "m"},
         ],
         ids=["coercible", "bool-value", "repeated-index", "shifted-index", "float-index",
-             "null-model"],
+             "null-model", "too-large-for-float"],
     )
     def test_embed_reply_of_wrong_types_or_indices_is_malformed(self, loopback_endpoints, reply):
         endpoint = loopback_endpoints(Reply(body=reply))
