@@ -4,9 +4,6 @@ The guideline corpus is small, so retrieval is exact: every chunk vector is
 compared against the query. Chunking splits on blank-line paragraph
 boundaries and packs paragraphs greedily up to a size cap; the non-overlap
 spans of consecutive chunks tile the document exactly.
-
-numpy is imported by the functions that handle vectors, on first use, so
-the commands that never embed (zscot, kewltm) do not load it.
 """
 
 from __future__ import annotations
@@ -14,16 +11,16 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
+import operator
 import re
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 from .corpus import StageCategory, typed, write_utf8
 from .llm import EmbeddingVector
-
-if TYPE_CHECKING:
-    import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -66,24 +63,31 @@ class RetrievalQuery:
 @dataclass(frozen=True)
 class ChunkIndex:
     chunks: tuple[Chunk, ...]
-    vectors: np.ndarray  # (n_chunks, dim), rows L2-normalized
+    vectors: tuple[tuple[float, ...], ...]  # one L2-normalized row per chunk
     model_id: str
     doc_hash: str
 
     def __post_init__(self) -> None:
+        """The one check of the vectors: one row per chunk, one dimension,
+        finite values and unit norm within 1e-6."""
         if not self.chunks:
             raise RetrievalError("index is empty")
-        if len(self.chunks) != self.vectors.shape[0]:
-            raise RetrievalError(
-                f"{len(self.chunks)} chunks but {self.vectors.shape[0]} vectors"
-            )
+        if len(self.chunks) != len(self.vectors):
+            raise RetrievalError(f"{len(self.chunks)} chunks but {len(self.vectors)} vectors")
+        dims = {len(row) for row in self.vectors}
+        if len(dims) != 1:
+            raise RetrievalError(f"vectors of inconsistent dimensions: {sorted(dims)}")
+        if not all(map(math.isfinite, chain.from_iterable(self.vectors))):
+            raise RetrievalError("vectors are not finite")
+        if any(abs(math.hypot(*row) - 1.0) > 1e-6 for row in self.vectors):
+            raise RetrievalError("vectors are not unit-norm")
 
     def __len__(self) -> int:
         return len(self.chunks)
 
     @property
     def dim(self) -> int:
-        return int(self.vectors.shape[1])
+        return len(self.vectors[0])
 
 
 def hash_document(doc: str) -> str:
@@ -180,29 +184,27 @@ def chunk_document(
 EmbedFn = Callable[[Sequence[str]], list[EmbeddingVector]]
 
 
-def _normalize(rows: np.ndarray) -> np.ndarray:
-    import numpy as np
-
-    norms = np.linalg.norm(rows, axis=1, keepdims=True)
-    if np.any(norms == 0):
-        raise RetrievalError("cannot normalize an all-zero embedding")
-    return rows / norms
+def _unit(values: Sequence[float]) -> tuple[float, ...]:
+    """`values` over its L2 norm. `math.hypot` neither overflows nor
+    underflows in the squares; a norm past the float range is taken of the
+    values over their largest magnitude, so any finite non-zero vector gives
+    a unit one."""
+    norm = math.hypot(*values)
+    if norm == math.inf:
+        top = max(map(abs, values))
+        values = [v / top for v in values]
+        norm = math.hypot(*values)
+    return tuple(v / norm for v in values)
 
 
 def build_index(chunks: Sequence[Chunk], embed_fn: EmbedFn, doc_hash: str) -> ChunkIndex:
     """Embed every chunk and store L2-normalized vectors."""
-    import numpy as np
-
     if not chunks:
         raise RetrievalError("cannot build an index over zero chunks")
     vectors = embed_fn([c.text for c in chunks])
-    dims = {len(v.values) for v in vectors}
-    if len(dims) != 1:
-        raise RetrievalError(f"inconsistent embedding dimensions: {sorted(dims)}")
-    matrix = _normalize(np.array([v.values for v in vectors], dtype=np.float64))
     return ChunkIndex(
         chunks=tuple(chunks),
-        vectors=matrix,
+        vectors=tuple(_unit(v.values) for v in vectors),
         model_id=vectors[0].model_id,
         doc_hash=doc_hash,
     )
@@ -217,8 +219,6 @@ def top_k(
     index size with a warning. The query must be embedded by the model that
     built the index.
     """
-    import numpy as np
-
     k = query.k
     if k > len(index):
         log.warning("k=%d exceeds index size %d; clamping", k, len(index))
@@ -232,13 +232,10 @@ def top_k(
         raise RetrievalError(
             f"query embedded by model {embedded.model_id!r}, the index by {index.model_id!r}"
         )
-    qvec = np.array(embedded.values, dtype=np.float64)
-    qnorm = np.linalg.norm(qvec)
-    if qnorm == 0:
-        raise RetrievalError("query embedded to the zero vector")
-    scores = index.vectors @ (qvec / qnorm)
+    q = _unit(embedded.values)
+    scores = [sum(map(operator.mul, row, q)) for row in index.vectors]
     order = sorted(range(len(index)), key=lambda i: (-scores[i], index.chunks[i].chunk_id))
-    return [(index.chunks[i], float(scores[i])) for i in order[:k]]
+    return [(index.chunks[i], scores[i]) for i in order[:k]]
 
 
 def save_index(index: ChunkIndex, path: str | Path) -> None:
@@ -249,17 +246,15 @@ def save_index(index: ChunkIndex, path: str | Path) -> None:
             {"chunk_id": c.chunk_id, "text": c.text, "source_span": list(c.source_span)}
             for c in index.chunks
         ],
-        "vectors": index.vectors.tolist(),
+        "vectors": [list(row) for row in index.vectors],
     }
     write_utf8(path, json.dumps(payload, ensure_ascii=False, indent=2) + "\n")
 
 
 def load_index(path: str | Path) -> ChunkIndex:
     """Reads a `save_index` file; each field must hold the JSON type that
-    `save_index` writes, and its vectors must be a finite 2-D matrix of
-    unit-norm rows."""
-    import numpy as np
-
+    `save_index` writes, the vectors a list of lists of JSON numbers, which
+    `ChunkIndex` then checks."""
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
         chunks = []
@@ -270,19 +265,19 @@ def load_index(path: str | Path) -> ChunkIndex:
                 text=typed(c["text"], str, "text"),
                 source_span=(typed(start, int, "source_span"), typed(end, int, "source_span")),
             ))
-        vectors = np.array(typed(obj["vectors"], list, "vectors"))
-        if vectors.dtype.kind not in "if":
+        rows = typed(obj["vectors"], list, "vectors")
+        if not all(type(row) is list for row in rows):
+            raise TypeError("vectors must be a 2-D list of lists")
+        # a bool is not a number here
+        if not all(type(x) in (int, float) for x in chain.from_iterable(rows)):
             raise TypeError("vectors must hold JSON numbers")
-        model_id = typed(obj["model_id"], str, "model_id")
-        doc_hash = typed(obj["doc_hash"], str, "doc_hash")
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
-        # ValueError covers bad JSON, ragged vector lists and spans of another length
+        return ChunkIndex(
+            chunks=tuple(chunks),
+            vectors=tuple(tuple(map(float, row)) for row in rows),
+            model_id=typed(obj["model_id"], str, "model_id"),
+            doc_hash=typed(obj["doc_hash"], str, "doc_hash"),
+        )
+    except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
+        # ValueError covers bad JSON, spans of another length and the index's
+        # own checks (a RetrievalError); OverflowError an int past the float range
         raise RetrievalError(f"malformed index file {path}: {exc}")
-    if vectors.ndim != 2 or not np.isfinite(vectors).all():
-        raise RetrievalError(f"index file {path}: vectors are not a finite 2-D matrix")
-    if not np.allclose(np.linalg.norm(vectors, axis=1), 1.0, rtol=0, atol=1e-6):
-        raise RetrievalError(f"index file {path}: vectors are not unit-norm")
-    return ChunkIndex(
-        chunks=tuple(chunks), vectors=vectors.astype(np.float64), model_id=model_id,
-        doc_hash=doc_hash,
-    )

@@ -698,9 +698,14 @@ class TestIndexInputs:
             (lambda obj: obj.update(chunks={}), "chunks must be a JSON list"),
             (lambda obj: obj.update(vectors=[[str(x) for x in row] for row in obj["vectors"]]),
              "vectors must hold JSON numbers"),
+            # a unit row if the bool were read as 1.0; hash_dim is 8
+            (lambda obj: obj.update(vectors=[[True] + [0.0] * 7] + obj["vectors"][1:]),
+             "vectors must hold JSON numbers"),
+            (lambda obj: obj["vectors"][0].__setitem__(0, 10**400), "too large to convert to float"),
         ],
         ids=["text-null", "chunk-id-bool", "chunk-id-string", "span-float", "span-string",
-             "model-id-number", "doc-hash-null", "chunks-object", "vectors-strings"],
+             "model-id-number", "doc-hash-null", "chunks-object", "vectors-strings",
+             "vectors-bool", "vectors-int-past-float-range"],
     )
     def test_field_of_the_wrong_json_type(self, tmp_path, built_backends, corrupt, message):
         _, index = self._index(tmp_path)
@@ -1891,9 +1896,10 @@ class TestFlags:
         assert len(FLAGS) + 1 == 21
 
 
-class TestNumpyLoadsOnlyWithVectors:
-    """Only commands that embed import numpy; the others start without it,
-    and no scripted command imports the HTTP client modules."""
+class TestStartUpImports:
+    """No scripted command imports numpy or the HTTP client modules: retrieval
+    runs on the standard library, and `urllib.request` is imported by the
+    first live HTTP call."""
 
     SRC = Path(__file__).resolve().parents[1] / "src"
     PROBED = ("numpy", "http.client", "urllib.request")
@@ -1907,33 +1913,31 @@ class TestNumpyLoadsOnlyWithVectors:
         "sys.exit(code)\n"
     )
 
-    def _loaded(self, tmp_path, argv: list[str]) -> set[str]:
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(self.SRC), env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", self.PROBE] + argv + ["--out", str(tmp_path / "out")],
-            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
-        )
-        assert proc.returncode == 0, proc.stderr
-        return set(proc.stdout.splitlines()[-1].split())
-
     @pytest.mark.parametrize("argv, n_chat", [
+        (["ingest"], 0),
+        (["index", "--guideline", "guide.md"], 0),
         (["run", "--method", "zscot"], 12),
         # 2 splits x (3 induction + 9 inference)
         (["run", "--method", "kewltm", "--splits", "2", "--train-size", "3", "--n-train", "3"], 24),
         # points 1 and 2: (1 + 10) + (2 + 10) calls per split, 2 splits
         (["sweep", "--splits", "2", "--train-size", "2", "--train-counts", "1,2"], (11 + 12) * 2),
-    ], ids=["zscot", "kewltm", "sweep"])
-    def test_commands_without_vectors_never_import_numpy(self, tmp_path, argv, n_chat):
+        (["run", "--method", "rag", "--guideline", "guide.md"], 12),
+        (["run", "--method", "rag", "--rag-query-mode", "report-text",
+          "--guideline", "guide.md"], 12),
+        # 1 elicitation + 12 inference
+        (["run", "--method", "kewrag", "--guideline", "guide.md"], 13),
+    ], ids=["ingest", "index", "zscot", "kewltm", "sweep", "rag-guideline", "rag-report-text",
+            "kewrag"])
+    def test_command_imports_neither_numpy_nor_http(self, tmp_path, argv, n_chat):
         write_corpus(tmp_path / "c.jsonl", 12)
-        write_script(tmp_path / "script.json", n_chat)
-        assert self._loaded(tmp_path, argv + [
-            "--category", "T", "--corpus", "c.jsonl", "--script", "script.json"]) == set()
-
-    def test_rag_imports_numpy(self, tmp_path):
-        write_corpus(tmp_path / "c.jsonl", 5)
         write_guideline(tmp_path / "guide.md")
-        write_script(tmp_path / "script.json", 5, hash_dim=8)
-        assert self._loaded(tmp_path, [
-            "run", "--method", "rag", "--category", "T", "--corpus", "c.jsonl",
-            "--guideline", "guide.md", "--script", "script.json"]) == {"numpy"}
+        write_script(tmp_path / "script.json", n_chat, hash_dim=8)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(self.SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", self.PROBE, *argv, "--category", "T", "--corpus", "c.jsonl",
+             "--script", "script.json", "--out", str(tmp_path / "out")],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1].split() == []

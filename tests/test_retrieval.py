@@ -158,7 +158,7 @@ class TestBuildIndex:
     def test_index_of_zero_chunks_cannot_be_made(self):
         # the one empty-index check, so retrieval never meets an empty index
         with pytest.raises(RetrievalError, match="index is empty"):
-            ChunkIndex(chunks=(), vectors=np.zeros((0, 2)), model_id="m", doc_hash="h")
+            ChunkIndex(chunks=(), vectors=(), model_id="m", doc_hash="h")
 
     def test_rebuild_is_byte_identical(self, tmp_path):
         texts = ["alpha text", "beta text"]
@@ -178,6 +178,35 @@ class TestBuildIndex:
         assert np.array_equal(loaded.vectors, index.vectors)
         assert loaded.model_id == index.model_id
         assert loaded.doc_hash == index.doc_hash
+
+    def test_numpy_written_index_ranks_as_a_rebuilt_one(self, tmp_path):
+        """An index file whose rows numpy normalized, as earlier versions wrote
+        it, loads and gives the ranking of an index rebuilt from the same
+        embeddings."""
+        rng = np.random.default_rng(5)
+        n, dim = 40, 64
+        raw = rng.normal(size=(n, dim))
+        texts = [f"c{i}" for i in range(n)]
+        mapping = {t: raw[i].tolist() for i, t in enumerate(texts)}
+        queries = [f"q{j}" for j in range(20)]
+        mapping.update({q: rng.normal(size=dim).tolist() for q in queries})
+        chunks = [Chunk(i, t, (0, 2)) for i, t in enumerate(texts)]
+        unit_rows = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+        (tmp_path / "idx.json").write_text(json.dumps({
+            "model_id": "fake",
+            "doc_hash": "h",
+            "chunks": [{"chunk_id": c.chunk_id, "text": c.text, "source_span": [0, 2]}
+                       for c in chunks],
+            "vectors": unit_rows.tolist(),
+        }))
+        loaded = load_index(tmp_path / "idx.json")
+        assert np.array_equal(loaded.vectors, unit_rows)
+        embed = fake_embedder(mapping)
+        rebuilt = build_index(chunks, embed, "h")
+        for q in queries:
+            query = RetrievalQuery(q, k=n)
+            assert ([c.chunk_id for c, _ in top_k(loaded, query, embed)]
+                    == [c.chunk_id for c, _ in top_k(rebuilt, query, embed)])
 
 
 class TestTopK:
@@ -249,6 +278,22 @@ class TestTopK:
             for k in range(1, n + 1):
                 hits = top_k(index, RetrievalQuery("q", k=k), embed)
                 assert [c.chunk_id for c, _ in hits] == expected[:k]
+
+    # 1e200 squares past the float range and 1e-170 to zero; 4e307 stands
+    # for the top of the range (3s is not finite for s = 1e308), and its norm
+    # 5s = 2e308 is past the range too
+    @pytest.mark.parametrize("s", [1e200, 1e-170, 4e307])
+    def test_any_finite_scale(self, tmp_path, s):
+        mapping = {"c0": [3 * s, 4 * s], "c1": [4 * s, 3 * s], "q": [s, 0.0]}
+        chunks = [Chunk(i, f"c{i}", (0, 2)) for i in range(2)]
+        embed = fake_embedder(mapping)
+        index = build_index(chunks, embed, "h")
+        assert np.allclose(np.linalg.norm(index.vectors, axis=1), 1.0)
+        hits = top_k(index, RetrievalQuery("q", k=2), embed)
+        assert [c.chunk_id for c, _ in hits] == [1, 0]
+        assert [score for _, score in hits] == [pytest.approx(0.8), pytest.approx(0.6)]
+        save_index(index, tmp_path / "idx.json")
+        assert load_index(tmp_path / "idx.json") == index
 
 
 def test_hash_document_stability():
