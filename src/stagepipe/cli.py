@@ -33,7 +33,9 @@ from .corpus import (
     make_splits,
     read_utf8,
     truncate_train,
-    write_utf8,
+    write_csv,
+    write_json,
+    write_jsonl,
 )
 from .llm import HttpChatBackend, HttpEmbedBackend, LlmClient, LlmError, scripted_backend
 from .pipelines import PipelineError, PredictionRecord, record_from_json, record_to_json
@@ -177,15 +179,6 @@ def _build_client(cfg: RunConfig) -> LlmClient:
         embed_backend=HttpEmbedBackend(cfg.embed_base, cfg.embed_key, model=cfg.embed_model)
         if cfg.embed_base else None,
     )
-
-
-def _write_json(path: Path, obj) -> None:
-    write_utf8(path, json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) + "\n")
-
-
-def _write_jsonl(path: Path, rows: Sequence[dict]) -> None:
-    write_utf8(path, "".join(json.dumps(row, sort_keys=True, ensure_ascii=False) + "\n"
-                             for row in rows))
 
 
 def _redact(cfg: RunConfig) -> dict:
@@ -357,11 +350,11 @@ def _kewltm_points(
             per_split, blocks, traces = zip(*done)
             metrics = {"per_split": list(blocks), **evaluation.aggregate_splits(blocks)}
             curve = evaluation.memory_curve(traces)
-            _write_jsonl(out / "predictions.jsonl", [
+            write_jsonl(out / "predictions.jsonl", [
                 record_to_json(r, split=j) for j, rs in enumerate(per_split) for r in rs
             ])
-            _write_json(out / "metrics.json", metrics)
-            evaluation.write_curve_csv(curve, out / "curves.csv")
+            write_json(out / "metrics.json", metrics)
+            write_csv(out / "curves.csv", ["step", "mean_len"], curve)
             finished[p] = metrics, curve
 
     error = None
@@ -439,7 +432,7 @@ def _run_command(cfg: RunConfig, command: str, client: LlmClient, out: Path, fie
         body(fields)
     except COMMAND_ERRORS as exc:
         error = str(exc)
-    _write_json(out / "manifest.json", _manifest(cfg, command, client, fields, error))
+    write_json(out / "manifest.json", _manifest(cfg, command, client, fields, error))
     if error is not None:
         print(f"error: {error}", file=sys.stderr)
         return 1
@@ -493,8 +486,8 @@ def cmd_run(cfg: RunConfig) -> int:
             records = pipelines.infer(method, list(corpus), category, client, registry,
                                       rules=rules, chunk_ids=chunk_ids)
         _, metrics = evaluation.score(records, corpus, category)
-        _write_jsonl(out / "predictions.jsonl", [record_to_json(r) for r in records])
-        _write_json(out / "metrics.json", metrics)
+        write_jsonl(out / "predictions.jsonl", [record_to_json(r) for r in records])
+        write_json(out / "metrics.json", metrics)
         m = metrics["macro"]
         print(f"{method} {category.value}: precision {m['precision']:.3f} "
               f"recall {m['recall']:.3f} f1 {m['f1']:.3f} "
@@ -540,8 +533,7 @@ def cmd_sweep(cfg: RunConfig, train_counts: list[int] | None, thresholds: list[f
     def body(fields: dict) -> None:
         splits = make_splits(corpus, cfg.n_splits, cfg.train_size, cfg.seed)
         fields["seeds"] = [s.seed for s in splits]
-        metric_lines = [f"{param},split,seed,precision,recall,f1"]
-        curve_lines = [f"{param},step,mean_len"]
+        metric_rows, curve_rows = [], []
         try:
             for point_cfg, metrics, curve in _kewltm_points(
                 splits, point_cfgs, [out / f"{param}={point}" for point in points],
@@ -553,13 +545,12 @@ def cmd_sweep(cfg: RunConfig, train_counts: list[int] | None, thresholds: list[f
                         for key in blocks[0]["macro"]}
                 rows = [(b["split"], b["seed"], b["macro"]) for b in blocks] + [("mean", "", mean)]
                 # macro dicts keep the header's precision, recall, f1 order
-                metric_lines.extend(f"{point},{split},{seed}," + ",".join(map(repr, m.values()))
-                                    for split, seed, m in rows)
-                curve_lines.extend(f"{point},{step},{mean_len!r}" for step, mean_len in curve)
+                metric_rows.extend([point, split, seed, *m.values()] for split, seed, m in rows)
+                curve_rows.extend([point, step, mean_len] for step, mean_len in curve)
         finally:  # a failed sweep keeps the rows of every point that finished
-            for name, lines in (("sweep_metrics.csv", metric_lines),
-                                ("sweep_curves.csv", curve_lines)):
-                write_utf8(out / name, "\n".join(lines) + "\n")
+            write_csv(out / "sweep_metrics.csv",
+                      [param, "split", "seed", "precision", "recall", "f1"], metric_rows)
+            write_csv(out / "sweep_curves.csv", [param, "step", "mean_len"], curve_rows)
         print(f"swept {param} over {points} -> {out}")
 
     fields = {"template_hashes": registry.hashes(), "sweep": {param: points}}

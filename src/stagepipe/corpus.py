@@ -1,13 +1,18 @@
-"""Report corpus: label sets, JSONL ingestion, and seeded train/test splits.
+"""Report corpus: label sets, JSONL ingestion, seeded train/test splits, and
+the writers of every output file.
 
 A corpus is an ordered collection of pathology reports, each optionally
 carrying gold T/N labels. Splits are produced by an explicit seeded
 Fisher-Yates shuffle over lexicographically sorted report ids, so the same
-(corpus, seed) pair yields byte-identical splits on every platform.
+(corpus, seed) pair yields byte-identical splits on every platform. Every
+output file is written by `write_json`, `write_jsonl` or `write_csv`, so
+each format is decided here once: JSON keys sorted, every line ended by LF.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 import random
@@ -16,7 +21,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterable, Mapping, Sequence
 
 
 class CorpusError(ValueError):
@@ -164,12 +169,12 @@ def write_utf8(path: str | Path, text: str) -> None:
     then `os.replace` into place, so a killed process leaves the old file or
     the new one, never part of either. Creates missing parent directories
     and writes line endings as given. The temp file is named for the process
-    and thread, so concurrent writers never share one, and is removed on any
-    error."""
+    and thread, so no two live writers share one; a stale one of that name,
+    left by a killed process, is overwritten. It is removed on any error."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
-    fh = tmp.open("x", encoding="utf-8", newline="")
+    fh = tmp.open("w", encoding="utf-8", newline="")
     try:
         with fh:
             fh.write(text)
@@ -177,6 +182,28 @@ def write_utf8(path: str | Path, text: str) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_json(path: str | Path, obj) -> None:
+    """`obj` as JSON: two-space indent, sorted keys, non-ASCII kept, and a
+    trailing newline."""
+    write_utf8(path, json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) + "\n")
+
+
+def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
+    """One compact JSON line per row, keys sorted."""
+    write_utf8(path, "".join(json.dumps(row, sort_keys=True, ensure_ascii=False) + "\n"
+                             for row in rows))
+
+
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """`header`, then `rows`, as CSV lines ended by LF alone; `csv` quotes
+    any field that needs it."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    write_utf8(path, buf.getvalue())
 
 
 def typed(value, kind: type | tuple[type, ...], name: str):

@@ -21,10 +21,9 @@ import math
 import statistics
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
-from pathlib import Path
 from typing import Sequence
 
-from .corpus import Corpus, StageCategory, StageLabel, write_utf8
+from .corpus import Corpus, StageCategory, StageLabel
 from .memory import UpdateTrace
 from .pipelines import PredictionRecord
 
@@ -203,12 +202,6 @@ def memory_curve(
         ]
         series.append((step, sum(lengths) / len(lengths)))
     return series
-
-
-def write_curve_csv(series: Sequence[tuple[int, float]], path: str | Path) -> None:
-    lines = ["step,mean_len"]
-    lines += [f"{step},{repr(mean)}" for step, mean in series]
-    write_utf8(path, "\n".join(lines) + "\n")
 
 
 def render_metrics_table(block: dict) -> str:

@@ -11,14 +11,12 @@ first candidate (empty memory) is always accepted.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .corpus import StageCategory, typed, write_utf8
+from .corpus import StageCategory, typed, write_csv, write_json
 
 
 class RuleMemoryError(ValueError):
@@ -191,12 +189,8 @@ def gated_update(
 
 def persist(memory: RuleMemory, path: str | Path) -> None:
     """Write the memory as JSON; `load` restores it losslessly."""
-    payload = {
-        "category": memory.category.value,
-        "version": memory.version,
-        "rules": list(memory.rules),
-    }
-    write_utf8(path, json.dumps(payload, indent=2, ensure_ascii=False) + "\n")
+    write_json(path, {"category": memory.category.value, "rules": list(memory.rules),
+                      "version": memory.version})
 
 
 def load(path: str | Path, expect_category: StageCategory | None = None) -> RuleMemory:
@@ -218,13 +212,6 @@ def load(path: str | Path, expect_category: StageCategory | None = None) -> Rule
 
 def write_traces(traces: Sequence[UpdateTrace], path: str | Path) -> None:
     """Write traces as CSV with header step,proposed_len,current_len,similarity,accepted."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)  # rows end in \r\n, csv's default
-    writer.writerow(["step", "proposed_len", "current_len", "similarity", "accepted"])
-    for t in traces:
-        writer.writerow(
-            [t.step, t.proposed_len, t.current_len, repr(t.similarity),
-             "true" if t.accepted else "false"]
-        )
-    write_utf8(path, buf.getvalue())
-
+    write_csv(path, ["step", "proposed_len", "current_len", "similarity", "accepted"],
+              ([t.step, t.proposed_len, t.current_len, t.similarity,
+                "true" if t.accepted else "false"] for t in traces))

@@ -19,7 +19,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .corpus import StageCategory, typed, write_utf8
+from .corpus import StageCategory, typed, write_json
 from .llm import EmbeddingVector
 
 log = logging.getLogger(__name__)
@@ -239,16 +239,15 @@ def top_k(
 
 
 def save_index(index: ChunkIndex, path: str | Path) -> None:
-    payload = {
-        "model_id": index.model_id,
-        "doc_hash": index.doc_hash,
+    write_json(path, {
         "chunks": [
-            {"chunk_id": c.chunk_id, "text": c.text, "source_span": list(c.source_span)}
+            {"chunk_id": c.chunk_id, "source_span": list(c.source_span), "text": c.text}
             for c in index.chunks
         ],
+        "doc_hash": index.doc_hash,
+        "model_id": index.model_id,
         "vectors": [list(row) for row in index.vectors],
-    }
-    write_utf8(path, json.dumps(payload, ensure_ascii=False, indent=2) + "\n")
+    })
 
 
 def load_index(path: str | Path) -> ChunkIndex:

@@ -28,9 +28,9 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # the output-tree digest of each workload's run at seed 7
 DIGESTS = {
-    "ltm-cpu": "9bdeec3234246d2716d5b229a6367597070e583560fe367373b1cef2b2df4e74",
+    "ltm-cpu": "4bd142429e533c6ee568577d392854f47d49b1186c759c9ec1fabd4c186afdf3",
     "rag-latency": "f3f6511dad03d2bf6ef6eab682f800c13e13be357d2963b53d2916b40dd4b884",
-    "sweep-latency": "85175e140009d405c40dc4bb717d04b832b91243b327f2eccbc033b442301db2",
+    "sweep-latency": "bf358418b29d9160e94ed60107506fddc8a17f25df575267bc06abed44c1389b",
 }
 
 

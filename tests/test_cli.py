@@ -894,6 +894,69 @@ class TestSweep:
         assert not out.exists()
 
 
+# the header of each CSV a command writes, as the README gives it, by file
+# name without its split index
+CSV_HEADERS = {
+    "trace_split": "step,proposed_len,current_len,similarity,accepted",
+    "curves": "step,mean_len",
+    "sweep_metrics": "threshold,split,seed,precision,recall,f1",
+    "sweep_curves": "threshold,step,mean_len",
+}
+
+
+def test_every_output_file_has_the_one_style_of_its_format(tmp_path):
+    """Every JSON file is indented by two with sorted keys and non-ASCII kept,
+    every JSON-lines line a compact sorted-key dump, and every CSV holds no
+    \\r and starts with its README header: in the trees of a kewltm run, a
+    threshold sweep, a kewrag run (for `rules.json`) and an index."""
+    corpus, guideline, script = tmp_path / "c.jsonl", tmp_path / "g.md", tmp_path / "s.json"
+    write_corpus(corpus, 10)
+    write_guideline(guideline)
+    # non-ASCII rules, one or two in turn, so the gate both accepts and rejects
+    script.write_text(json.dumps(
+        [{"key": None, "kind": "embed", "body": {"hash_dim": 8}}]
+        + [rules_entry(["größe ≥ 2 cm → T2", "node rule"][:1 + i % 2], LABELS[i % 4])
+           for i in range(60)]
+    ))
+    out = tmp_path / "out"
+    inputs = ["--category", "T", "--corpus", str(corpus), "--script", str(script)]
+    for argv in (
+        ["run", "--method", "kewltm", "--splits", "2", "--train-size", "3",
+         "--n-train", "3", "--out", str(out / "kewltm")],
+        ["sweep", "--splits", "2", "--train-size", "2", "--n-train", "2",
+         "--thresholds", "0,80", "--out", str(out / "sweep")],
+        ["run", "--method", "kewrag", "--guideline", str(guideline), "--k", "3",
+         "--out", str(out / "kewrag")],
+    ):
+        assert main(argv + inputs) == 0
+    assert main(["index", "--guideline", str(guideline), "--script", str(script),
+                 "--out", str(out / "index.json")]) == 0
+    files = sorted(p for p in out.rglob("*") if p.is_file())
+    names = {p.name for p in files}
+    assert {"memory_split0.json", "trace_split0.csv", "rules.json", "index.json",
+            "sweep_metrics.csv", "predictions.jsonl"} <= names
+    misformatted = []
+    for path in files:
+        text = path.read_bytes().decode("utf-8")  # no newline translation
+        if path.suffix == ".json":
+            ok = text == json.dumps(json.loads(text), indent=2, sort_keys=True,
+                                    ensure_ascii=False) + "\n"
+        elif path.suffix == ".jsonl":
+            # split on "\n" alone: a JSON string may hold U+2028
+            lines = text.split("\n")
+            ok = lines[-1] == "" and all(
+                line == json.dumps(json.loads(line), sort_keys=True, ensure_ascii=False)
+                for line in lines[:-1]
+            )
+        else:
+            assert path.suffix == ".csv", path
+            header = CSV_HEADERS[re.sub(r"\d+$", "", path.stem)]
+            ok = "\r" not in text and text.startswith(header + "\n")
+        if not ok:
+            misformatted.append(str(path.relative_to(out)))
+    assert misformatted == []
+
+
 @pytest.mark.parametrize(
     "argv",
     [

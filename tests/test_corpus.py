@@ -263,6 +263,16 @@ class TestWriteUtf8:
             write_utf8(tmp_path / "out", "text")
         assert [p.name for p in tmp_path.iterdir()] == ["out"]
 
+    def test_stale_temp_file_of_this_writer_is_replaced(self, tmp_path):
+        """A temp file left by a killed process whose pid and thread id this
+        writer now holds does not block the write."""
+        path = tmp_path / "manifest.json"
+        stale = tmp_path / f"manifest.json.{os.getpid()}-{threading.get_ident()}.tmp"
+        stale.write_text("left by a killed process, and longer than the new text\n")
+        write_utf8(path, "new\n")
+        assert path.read_bytes() == b"new\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+
     def test_concurrent_writers_share_one_new_directory(self, tmp_path):
         """Writers that all create the same missing directory at once, as the
         cycles of a kewltm point do, each write their own file."""

@@ -438,8 +438,8 @@ def test_trace_csv_round_trip(tmp_path):
     content = path.read_text()
     assert content.splitlines()[0] == "step,proposed_len,current_len,similarity,accepted"
     assert read_traces(path) == traces
-    # csv's own row ending, written as is
+    # rows end in \n, as in every CSV a command writes
     assert path.read_bytes() == (
-        b"step,proposed_len,current_len,similarity,accepted\r\n1,11,11,0.0,true\r\n"
-        b"2,11,11,90.9090909090909,true\r\n3,11,11,9.090909090909092,false\r\n"
+        b"step,proposed_len,current_len,similarity,accepted\n1,11,11,0.0,true\n"
+        b"2,11,11,90.9090909090909,true\n3,11,11,9.090909090909092,false\n"
     )
