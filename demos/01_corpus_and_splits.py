@@ -10,7 +10,7 @@ import json
 import tempfile
 from pathlib import Path
 
-from stagepipe import (
+from stagepipe.corpus import (
     StageCategory,
     label_distribution,
     load_corpus,

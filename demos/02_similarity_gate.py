@@ -9,9 +9,9 @@ candidate is always accepted; afterwards a threshold of 80 keeps evolution
 incremental, while a threshold of 0 accepts everything.
 """
 
-from stagepipe import edit_distance, gated_update, similarity
 from stagepipe.corpus import StageCategory
 from stagepipe.evaluation import memory_curve
+from stagepipe.memory import edit_distance, gated_update, similarity
 
 print("edit_distance('kitten', 'sitting') =", edit_distance("kitten", "sitting"))
 print("similarity('abcde', 'abcdf') =", similarity("abcde", "abcdf"), "(distance 1 of 5)")

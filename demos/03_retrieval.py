@@ -7,8 +7,8 @@ deterministic hash embedder from a scripted backend (no model required), and
 runs exact cosine retrieval. Every chunk is scored; nothing approximate.
 """
 
-from stagepipe import RetrievalQuery, build_index, chunk_document, hash_document, top_k
 from stagepipe.llm import LlmClient, ScriptedBackend
+from stagepipe.retrieval import RetrievalQuery, build_index, chunk_document, hash_document, top_k
 
 guideline = "\n\n".join(
     [

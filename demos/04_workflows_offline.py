@@ -9,15 +9,7 @@ reasoning, a stage, and rules, which satisfies every schema the templates
 use.
 """
 
-from stagepipe import (
-    RetrievalQuery,
-    StageCategory,
-    build_index,
-    chunk_document,
-    default_templates,
-    hash_document,
-)
-from stagepipe.corpus import Corpus, Report, StageLabel
+from stagepipe.corpus import Corpus, Report, StageCategory, StageLabel
 from stagepipe.llm import LlmClient, ScriptedBackend
 from stagepipe.pipelines import (
     elicit_kewrag_rules,
@@ -26,6 +18,8 @@ from stagepipe.pipelines import (
     run_kewltm_inference,
     run_rag,
 )
+from stagepipe.prompts import default_templates
+from stagepipe.retrieval import RetrievalQuery, build_index, chunk_document, hash_document
 
 T = StageCategory.T
 registry = default_templates(T)

@@ -11,9 +11,15 @@ rounding, unique-error comparison between two methods, and mean±std
 aggregation.
 """
 
-from stagepipe import StageCategory, aggregate_runs, compare_unique_errors, score
-from stagepipe.corpus import Corpus, Report, StageLabel
-from stagepipe.evaluation import aggregate_splits, format_error_pct, render_metrics_table
+from stagepipe.corpus import Corpus, Report, StageCategory, StageLabel
+from stagepipe.evaluation import (
+    aggregate_runs,
+    aggregate_splits,
+    compare_unique_errors,
+    format_error_pct,
+    render_metrics_table,
+    score,
+)
 from stagepipe.pipelines import PredictionRecord
 
 T = StageCategory.T

@@ -47,7 +47,7 @@ class StageCategory(Enum):
         return [lab.render() for lab in self.labels()]
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class StageLabel:
     """A single stage label such as T2 or N0. Only the 8 legal labels exist."""
 
@@ -62,9 +62,6 @@ class StageLabel:
 
     def render(self) -> str:
         return f"{self.category.value}{self.rank}"
-
-    def __str__(self) -> str:  # pragma: no cover - convenience
-        return self.render()
 
     @classmethod
     def parse(cls, text: str, category: StageCategory | None = None) -> StageLabel:

@@ -15,7 +15,7 @@ import math
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import Callable, NamedTuple, Protocol, Sequence
@@ -183,24 +183,9 @@ class ChatRequest:
 class StructuredOutput:
     """Validated model output; fields present exactly as the schema demands."""
 
-    raw: str
     reasoning: str | None = None
     stage: StageLabel | None = None
     rules: tuple[str, ...] | None = None
-
-
-@dataclass(frozen=True)
-class EmbeddingVector:
-    values: tuple[float, ...]
-    model_id: str
-
-    def __post_init__(self) -> None:
-        if not self.values:
-            raise LlmError("embedding vector must be non-empty")
-        if not all(map(math.isfinite, self.values)):
-            raise LlmError("embedding vector holds a non-finite value")
-        if all(v == 0.0 for v in self.values):
-            raise LlmError("embedding vector is all-zero")
 
 
 def _extract_json_object(text: str) -> dict:
@@ -230,7 +215,7 @@ def parse_structured(raw: str, schema: OutputSchema) -> StructuredOutput:
         if f.name not in obj:
             raise SchemaViolationError(f"missing required field '{f.name}'")
         values[f.name] = f.read(obj[f.name])
-    return StructuredOutput(raw=raw, **values)
+    return StructuredOutput(**values)
 
 
 class ChatBackend(Protocol):
@@ -679,10 +664,13 @@ class LlmClient:
                     delay *= 2
             return call()
 
-    def embed(self, texts: Sequence[str]) -> list[EmbeddingVector]:
-        """Embed a batch; one vector per text, order preserved."""
+    def embed(self, texts: Sequence[str]) -> tuple[list[list[float]], str]:
+        """Embed a batch: one vector per text, order preserved, and the id
+        of the model that embedded them. Every vector is non-empty, finite
+        and not all-zero, and all have one dimension. An empty batch makes
+        no call and returns ``([], "")``."""
         if not texts:
-            return []
+            return [], ""
         if self.embed_backend is None:
             raise LlmError("no embedding backend configured")
         for t in texts:
@@ -698,4 +686,11 @@ class LlmClient:
         dims = {len(v) for v in vectors}
         if len(dims) > 1:
             raise LlmError(f"inconsistent embedding dimensions in one batch: {sorted(dims)}")
-        return [EmbeddingVector(tuple(v), model_id) for v in vectors]
+        for v in vectors:
+            if not v:
+                raise LlmError("embedding vector must be non-empty")
+            if not all(map(math.isfinite, v)):
+                raise LlmError("embedding vector holds a non-finite value")
+            if not any(v):
+                raise LlmError("embedding vector is all-zero")
+        return vectors, model_id

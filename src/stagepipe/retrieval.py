@@ -20,7 +20,6 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .corpus import StageCategory, typed, write_json
-from .llm import EmbeddingVector
 
 log = logging.getLogger(__name__)
 
@@ -181,7 +180,8 @@ def chunk_document(
     return chunks
 
 
-EmbedFn = Callable[[Sequence[str]], list[EmbeddingVector]]
+# `LlmClient.embed`'s shape: one vector per text, and the embedding model's id
+EmbedFn = Callable[[Sequence[str]], tuple[list[list[float]], str]]
 
 
 def _unit(values: Sequence[float]) -> tuple[float, ...]:
@@ -201,11 +201,11 @@ def build_index(chunks: Sequence[Chunk], embed_fn: EmbedFn, doc_hash: str) -> Ch
     """Embed every chunk and store L2-normalized vectors."""
     if not chunks:
         raise RetrievalError("cannot build an index over zero chunks")
-    vectors = embed_fn([c.text for c in chunks])
+    vectors, model_id = embed_fn([c.text for c in chunks])
     return ChunkIndex(
         chunks=tuple(chunks),
-        vectors=tuple(_unit(v.values) for v in vectors),
-        model_id=vectors[0].model_id,
+        vectors=tuple(map(_unit, vectors)),
+        model_id=model_id,
         doc_hash=doc_hash,
     )
 
@@ -223,16 +223,16 @@ def top_k(
     if k > len(index):
         log.warning("k=%d exceeds index size %d; clamping", k, len(index))
         k = len(index)
-    embedded = embed_fn([query.text])[0]
-    if len(embedded.values) != index.dim:
+    (embedded,), model_id = embed_fn([query.text])
+    if len(embedded) != index.dim:
         raise RetrievalError(
-            f"query embedding has dimension {len(embedded.values)}, the index {index.dim}"
+            f"query embedding has dimension {len(embedded)}, the index {index.dim}"
         )
-    if embedded.model_id != index.model_id:
+    if model_id != index.model_id:
         raise RetrievalError(
-            f"query embedded by model {embedded.model_id!r}, the index by {index.model_id!r}"
+            f"query embedded by model {model_id!r}, the index by {index.model_id!r}"
         )
-    q = _unit(embedded.values)
+    q = _unit(embedded)
     scores = [sum(map(operator.mul, row, q)) for row in index.vectors]
     order = sorted(range(len(index)), key=lambda i: (-scores[i], index.chunks[i].chunk_id))
     return [(index.chunks[i], scores[i]) for i in order[:k]]

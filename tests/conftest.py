@@ -66,6 +66,24 @@ def scripted_client(entries: list[dict]) -> tuple[LlmClient, ScriptedBackend]:
 NULL_CONTENT_REPLY = {"choices": [{"message": {"role": "assistant", "content": None}}]}
 
 
+# Embedding batches that each break one check of `LlmClient.embed`, with the
+# words its error names.
+BAD_EMBEDDINGS = {
+    "all-zero": ([[0.6, 0.8], [0.0, 0.0]], "all-zero"),
+    "nan": ([[0.6, 0.8], [float("nan"), 1.0]], "non-finite"),
+    "inf": ([[0.6, 0.8], [float("inf"), 1.0]], "non-finite"),
+    "-inf": ([[0.6, 0.8], [float("-inf"), 1.0]], "non-finite"),
+    "empty": ([[], []], "non-empty"),
+    "ragged": ([[0.6, 0.8], [1.0]], "inconsistent embedding dimensions"),
+}
+
+
+def embeddings_reply(rows: list[list[float]], n: int) -> dict:
+    """An embeddings reply of `n` vectors: copies of `rows[0]`, then `rows`."""
+    vectors = rows[:1] * (n - len(rows)) + rows
+    return {"model": "e", "data": [{"index": i, "embedding": v} for i, v in enumerate(vectors)]}
+
+
 REPORT_ID = re.compile(r"pathology report body for (\S+)")
 
 

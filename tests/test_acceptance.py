@@ -18,7 +18,6 @@ import pytest
 from stagepipe.cli import _build_client, build_parser, main, resolve_config
 from stagepipe.corpus import Corpus, Report, StageCategory, StageLabel, make_splits
 from stagepipe.evaluation import aggregate_runs, format_error_pct, score
-from stagepipe.llm import EmbeddingVector
 from stagepipe.memory import gated_update, similarity, write_traces
 from stagepipe.pipelines import (
     PredictionRecord,
@@ -290,7 +289,7 @@ def test_retrieval_oracle():
         mapping["q"] = qvec.tolist()
 
         def embed(batch, _m=mapping):
-            return [EmbeddingVector(tuple(_m[t]), "fake") for t in batch]
+            return [_m[t] for t in batch], "fake"
 
         index = build_index([Chunk(i, t, (0, 2)) for i, t in enumerate(texts)], embed, "h")
         unit_rows = vectors / np.linalg.norm(vectors, axis=1, keepdims=True)

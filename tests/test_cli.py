@@ -25,10 +25,13 @@ from stagepipe.corpus import (
 from stagepipe.evaluation import mcnemar_p
 from stagepipe.llm import LlmClient, ScriptedBackend, TransportError
 from stagepipe.prompts import default_templates
+from stagepipe.retrieval import chunk_document
 from .conftest import (
+    BAD_EMBEDDINGS,
     NULL_CONTENT_REPLY,
     ContentKeyedBackend,
     Reply,
+    embeddings_reply,
     make_report,
     write_corpus_jsonl,
 )
@@ -555,6 +558,26 @@ class TestLoopbackEndpoint:
         # the client bounds each endpoint on its own, at max_in_flight (4) calls
         assert set(endpoint.peak) == {"/v1/chat/completions", "/v1/embeddings"}
         assert max(endpoint.peak.values()) <= 4
+
+    @pytest.mark.parametrize("rows, check", BAD_EMBEDDINGS.values(), ids=BAD_EMBEDDINGS.keys())
+    def test_bad_guideline_embeddings_fail_the_run_before_any_chat_call(
+        self, tmp_path, monkeypatch, loopback_endpoints, rows, check
+    ):
+        guideline = tmp_path / "guide.md"
+        write_guideline(guideline)
+        chunks = len(chunk_document(guideline.read_text()))  # at the default chunk size
+        endpoint = loopback_endpoints(Reply(body=embeddings_reply(rows, chunks)))
+        live_env(monkeypatch, llm_base=endpoint.url, embed_base=endpoint.url)
+        corpus = tmp_path / "c.jsonl"
+        write_corpus(corpus, 3)
+        out = tmp_path / "out"
+        code = main(["run", "--method", "rag", "--category", "T", "--corpus", str(corpus),
+                     "--guideline", str(guideline), "--out", str(out)])
+        assert code == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "FAILED"
+        assert check in manifest["error"]
+        assert [r.path for r in endpoint.requests] == ["/v1/embeddings"]
 
     @pytest.mark.parametrize("reply, attempts, error", [
         (Reply(401, {"error": "bad key"}), 1, "chat endpoint rejected credentials (401)"),

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import json
 import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -296,3 +300,27 @@ class TestWriteUtf8:
         assert sorted(p.name for p in out.iterdir()) == [f"memory_split{i}.json" for i in range(8)]
         assert all((out / f"memory_split{i}.json").read_text() == f"{i}\n" * 1000
                    for i in range(8))
+
+
+@pytest.mark.parametrize("module, loaded", [
+    ("stagepipe.corpus", ["stagepipe", "stagepipe.corpus"]),
+    ("stagepipe.retrieval", ["stagepipe", "stagepipe.corpus", "stagepipe.retrieval"]),
+])
+def test_a_module_loads_only_the_stagepipe_modules_it_imports(tmp_path, module, loaded):
+    """The package itself imports nothing: the corpus module needs no other
+    stagepipe module, and retrieval does not load the model client."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    code = (
+        f"import json, sys, {module}\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'stagepipe')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout) == loaded

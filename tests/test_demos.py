@@ -1,7 +1,8 @@
 """Every demo script runs to completion against the current package.
 
-The demos import public names from `stagepipe`; running them here means a
-renamed or deleted name they use fails the test suite, not only a reader.
+Each demo imports every name from the module that defines it; running them
+here means a renamed, moved or deleted name they use fails the test suite,
+not only a reader.
 Each demo writes only to temporary directories.
 """
 

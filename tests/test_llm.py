@@ -10,7 +10,6 @@ from stagepipe.corpus import StageCategory, StageLabel
 from stagepipe.llm import (
     AuthenticationError,
     ChatRequest,
-    EmbeddingVector,
     MAX_RETRY_AFTER_S,
     HttpChatBackend,
     HttpEmbedBackend,
@@ -30,9 +29,11 @@ from stagepipe.llm import (
     scripted_backend,
 )
 from .conftest import (
+    BAD_EMBEDDINGS,
     NULL_CONTENT_REPLY,
     Reply,
     chat_entry,
+    embeddings_reply,
     rules_body,
     scripted_client,
     staging_body,
@@ -178,17 +179,6 @@ class TestChatRequest:
             ChatRequest(user="   ", schema=STAGING_T)
 
 
-class TestEmbeddingVector:
-    def test_all_zero_rejected(self):
-        with pytest.raises(LlmError):
-            EmbeddingVector((0.0, 0.0), "m")
-
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
-    def test_non_finite_rejected(self, value):
-        with pytest.raises(LlmError, match="non-finite"):
-            EmbeddingVector((value, 1.0), "m")
-
-
 class TestScriptedBackend:
     def test_sequential_replay_then_exhausted(self):
         entries = [chat_entry(staging_body(s)) for s in ("T1", "T2", "T3")]
@@ -291,19 +281,16 @@ class TestScriptedBackend:
             {"key": None, "kind": "embed", "body": {"map": {"chest wall": [1.0, 0.0, 0.5]}}}
         ]
         client, _ = scripted_client(entries)
-        (vec,) = client.embed(["chest wall"])
-        assert vec.values == (1.0, 0.0, 0.5)
+        assert client.embed(["chest wall"]) == ([[1.0, 0.0, 0.5]], "scripted")
         # map entries are persistent
-        (again,) = client.embed(["chest wall"])
-        assert again.values == (1.0, 0.0, 0.5)
+        assert client.embed(["chest wall"]) == ([[1.0, 0.0, 0.5]], "scripted")
 
     def test_embed_vectors_batch(self):
         entries = [
             {"key": None, "kind": "embed", "body": {"vectors": [[1.0, 0.0], [0.0, 1.0]]}}
         ]
         client, _ = scripted_client(entries)
-        vecs = client.embed(["a", "b"])
-        assert [v.values for v in vecs] == [(1.0, 0.0), (0.0, 1.0)]
+        assert client.embed(["a", "b"]) == ([[1.0, 0.0], [0.0, 1.0]], "scripted")
 
     def test_embed_vectors_arity_mismatch(self):
         entries = [{"key": None, "kind": "embed", "body": {"vectors": [[1.0, 0.0]]}}]
@@ -312,18 +299,19 @@ class TestScriptedBackend:
             client.embed(["a", "b"])
 
     def test_embed_empty_list(self):
-        client, _ = scripted_client([])
-        assert client.embed([]) == []
+        client, backend = scripted_client([])
+        assert client.embed([]) == ([], "")
+        assert backend.embed_calls == 0
 
     def test_embed_hash_dim_deterministic(self):
         entries = [{"key": None, "kind": "embed", "body": {"hash_dim": 6}}]
         client, _ = scripted_client(entries)
-        (a,) = client.embed(["some text"])
-        (b,) = client.embed(["some text"])
-        (c,) = client.embed(["other text"])
-        assert a.values == b.values
-        assert a.values != c.values
-        assert len(a.values) == 6
+        (a,), _ = client.embed(["some text"])
+        (b,), _ = client.embed(["some text"])
+        (c,), _ = client.embed(["other text"])
+        assert a == b
+        assert a != c
+        assert len(a) == 6
 
     def test_embed_order_preserved(self):
         entries = [
@@ -334,8 +322,7 @@ class TestScriptedBackend:
             }
         ]
         client, _ = scripted_client(entries)
-        vecs = client.embed(["y", "x"])
-        assert [v.values for v in vecs] == [(0.0, 1.0), (1.0, 0.0)]
+        assert client.embed(["y", "x"]) == ([[0.0, 1.0], [1.0, 0.0]], "scripted")
 
 
 class _FlakyBackend:
@@ -466,7 +453,7 @@ class TestRateLimit:
         endpoint = loopback_endpoints(rate_limited("3"), Reply(body=EMBED_REPLY))
         sleeps = []
         client = LlmClient(embed_backend=HttpEmbedBackend(endpoint.url), sleep=sleeps.append)
-        assert [v.values for v in client.embed(["x"])] == [(1.0, 0.0)]
+        assert client.embed(["x"]) == ([[1.0, 0.0]], "m")
         assert [r.path for r in endpoint.requests] == ["/v1/embeddings"] * 2
         assert sleeps == [3.0]
 
@@ -503,9 +490,18 @@ class TestRateLimit:
         reply = {"data": [{"index": 1, "embedding": [1, 0]}, {"index": 0, "embedding": [0.6, 0.8]}]}
         endpoint = loopback_endpoints(Reply(body=reply))
         client = LlmClient(embed_backend=HttpEmbedBackend(endpoint.url, model="e"))
-        vectors = client.embed(["a", "b"])
-        assert [v.values for v in vectors] == [(0.6, 0.8), (1.0, 0.0)]
-        assert {v.model_id for v in vectors} == {"e"}
+        assert client.embed(["a", "b"]) == ([[0.6, 0.8], [1.0, 0.0]], "e")
+
+    @pytest.mark.parametrize("rows, check", BAD_EMBEDDINGS.values(), ids=BAD_EMBEDDINGS.keys())
+    def test_embed_reply_that_fails_a_vector_check_is_rejected(
+        self, loopback_endpoints, rows, check
+    ):
+        endpoint = loopback_endpoints(Reply(body=embeddings_reply(rows, 2)))
+        client = LlmClient(embed_backend=HttpEmbedBackend(endpoint.url), sleep=lambda _: None)
+        with pytest.raises(LlmError, match=check) as info:
+            client.embed(["a", "b"])
+        assert not isinstance(info.value, TransportError)  # so it is never retried
+        assert len(endpoint.requests) == 1
 
     @pytest.mark.parametrize(
         "retry_after, expected",
@@ -680,6 +676,6 @@ def test_chat_replay_is_deterministic():
     for _ in range(2):
         client, _ = scripted_client(entries)
         outs.append(
-            [client.chat(ChatRequest(user="q", schema=STAGING_T)).raw for _ in range(2)]
+            [client.chat(ChatRequest(user="q", schema=STAGING_T)) for _ in range(2)]
         )
     assert outs[0] == outs[1]

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stagepipe.llm import EmbeddingVector
 from stagepipe.retrieval import (
     Chunk,
     ChunkIndex,
@@ -45,7 +44,7 @@ def para(ch: str, size: int) -> str:
 
 def fake_embedder(mapping: dict[str, list[float]], model_id: str = "fake"):
     def embed(texts):
-        return [EmbeddingVector(tuple(mapping[t]), model_id) for t in texts]
+        return [mapping[t] for t in texts], model_id
 
     return embed
 
@@ -143,10 +142,7 @@ class TestBuildIndex:
 
     def test_dimension_mismatch(self):
         def bad_embed(texts):
-            return [
-                EmbeddingVector((1.0, 2.0), "m"),
-                EmbeddingVector((1.0, 2.0, 3.0), "m"),
-            ]
+            return [[1.0, 2.0], [1.0, 2.0, 3.0]], "m"
 
         with pytest.raises(RetrievalError, match="dimension"):
             build_index(self._chunks(["a", "b"]), bad_embed, "h")
