@@ -32,7 +32,7 @@ for c in chunks:
 
 # a scripted backend with a hash embedder: deterministic vectors per text
 backend = ScriptedBackend(
-    [{"key": None, "kind": "embed", "body": {"hash_dim": 16}}]
+    [{"kind": "embed", "body": {"hash_dim": 16}}]
 )
 client = LlmClient(embed_backend=backend)
 

@@ -44,10 +44,9 @@ guideline = "\n\n".join(
 
 
 def scripted(n_inference: int, stages: list[str]) -> tuple[LlmClient, ScriptedBackend]:
-    entries = [{"key": None, "kind": "embed", "body": {"hash_dim": 12}}]
+    entries = [{"kind": "embed", "body": {"hash_dim": 12}}]
     entries += [
         {
-            "key": None,
             "kind": "chat",
             "body": {
                 "reasoning": f"scripted reasoning {i}",

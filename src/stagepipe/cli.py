@@ -424,18 +424,15 @@ def _run_command(cfg: RunConfig, command: str, client: LlmClient, out: Path, fie
 
     `body` adds to the manifest `fields` what it learns as it goes (split
     seeds, the guideline hash), so a failed command records as much as it
-    got to. An error in COMMAND_ERRORS ends as a FAILED manifest and exit
-    code 1.
+    got to. An error in COMMAND_ERRORS is recorded in a FAILED manifest and
+    raised again, so `main` reports it and exits 1.
     """
-    error = None
     try:
         body(fields)
     except COMMAND_ERRORS as exc:
-        error = str(exc)
-    write_json(out / "manifest.json", _manifest(cfg, command, client, fields, error))
-    if error is not None:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
+        write_json(out / "manifest.json", _manifest(cfg, command, client, fields, str(exc)))
+        raise
+    write_json(out / "manifest.json", _manifest(cfg, command, client, fields, None))
     return 0
 
 
@@ -707,16 +704,13 @@ def main(argv: Sequence[str] | None = None) -> int:
                 _parse_list(args.train_counts, "--train-counts", int),
                 _parse_list(args.thresholds, "--thresholds", float),
             )
-        if args.command == "evaluate":
-            return cmd_evaluate(cfg, args.predictions)
-        parser.error(f"unknown command {args.command}")
+        return cmd_evaluate(cfg, args.predictions)  # the parser admits no other command
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except COMMAND_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

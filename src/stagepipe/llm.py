@@ -29,6 +29,12 @@ class LlmError(Exception):
 
 # Longest server-requested Retry-After wait honoured, in seconds.
 MAX_RETRY_AFTER_S = 60.0
+# Re-asks of a chat reply that fails its schema, after the first ask.
+MAX_SCHEMA_RETRIES = 3
+# Tries of one backend call that fails with a retryable transport error.
+TRANSPORT_ATTEMPTS = 3
+# Wait before the first transport retry, in seconds; it doubles after each.
+BACKOFF_S = 1.0
 
 
 class TransportError(LlmError):
@@ -60,7 +66,7 @@ class TruncatedReplyError(SchemaViolationError):
 
 
 class ScriptError(LlmError):
-    """Scripted backend problem: malformed script or key miss."""
+    """Scripted backend problem: a malformed script or a mismatched batch."""
 
 
 class ScriptExhaustedError(ScriptError):
@@ -167,7 +173,8 @@ def _rule_list(value) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class ChatRequest:
-    """One chat-completion call. `template_id` is provenance for replay keying."""
+    """One chat-completion call. `template_id` names the template that
+    rendered `user`, for provenance."""
 
     user: str
     schema: OutputSchema
@@ -238,8 +245,6 @@ def _hash_vector(text: str, dim: int) -> list[float]:
         digest = hashlib.sha256(f"{i}:{text}".encode("utf-8")).digest()
         n = int.from_bytes(digest[:8], "big", signed=False)
         values.append(n / 2**63 - 1.0)  # in [-1, 1)
-    if all(v == 0.0 for v in values):  # astronomically unlikely
-        values[0] = 1.0
     return values
 
 
@@ -253,15 +258,14 @@ def _is_vector(value) -> bool:
 class ScriptedBackend:
     """Replays scripted chat/embed responses; deterministic by construction.
 
-    Chat entries are matched by (template_id, per-template 1-based call
-    index) when keyed, each key at most once, otherwise consumed in file
-    order. Embed entries take no key: they are either persistent lookups
-    (``{"map": {...}}`` / ``{"hash_dim": n}``) or positionally consumed
-    ``{"vectors": [...]}`` batches; their shapes are checked when the script
-    loads.
+    Each entry is ``{"kind": "chat" | "embed", "body": {...}}`` and holds no
+    other field. Chat entries are consumed in file order, one per call. Embed
+    entries are either persistent lookups (``{"map": {...}}`` /
+    ``{"hash_dim": n}``) or ``{"vectors": [...]}`` batches consumed in file
+    order; their shapes are checked when the script loads.
 
-    Both the call indices and the file-order queues follow the order calls
-    arrive in, so a client over this backend makes one call at a time.
+    The file-order queues follow the order calls arrive in, so a client over
+    this backend makes one call at a time.
     """
 
     deterministic = True
@@ -274,38 +278,24 @@ class ScriptedBackend:
         if not isinstance(script, list):
             raise ScriptError(f"{origin}: script must be a JSON list")
         self._lock = threading.Lock()
-        self._template_counts: dict[str, int] = {}
-        self._keyed_chat: dict[tuple[str, int], dict] = {}
         self._chat_queue: deque[dict] = deque()
         self._vector_queue: deque[list] = deque()
         self._maps: list[dict] = []
         self._hash_dim: int | None = None
-        keyed_at: dict[tuple[str, int], int] = {}  # the entry that holds each chat key
         for pos, item in enumerate(script):
             where = f"{origin}: entry {pos}"
             if not isinstance(item, dict):
                 raise ScriptError(f"{where} is not an object")
-            kind, body, key = item.get("kind"), item.get("body"), item.get("key")
+            extra = sorted(set(item) - {"kind", "body"})
+            if extra:
+                raise ScriptError(f"{where} has fields other than kind and body: {extra}")
+            kind, body = item.get("kind"), item.get("body")
             if kind not in ("chat", "embed"):
                 raise ScriptError(f"{where} has bad kind {kind!r}")
             if not isinstance(body, dict):
                 raise ScriptError(f"{where} body must be an object")
-            if key is not None and not (
-                isinstance(key, dict)
-                and isinstance(key.get("template"), str)
-                and isinstance(key.get("index"), int)
-            ):
-                raise ScriptError(f"{where} has malformed key {key!r}")
-            if kind == "chat" and key is None:
+            if kind == "chat":
                 self._chat_queue.append(body)
-            elif kind == "chat":
-                slot = key["template"], key["index"]
-                if slot in keyed_at:
-                    raise ScriptError(f"{where} repeats the key {key!r} of entry {keyed_at[slot]}")
-                keyed_at[slot] = pos
-                self._keyed_chat[slot] = body
-            elif key is not None:
-                raise ScriptError(f"{where}: an embed entry takes no key, got {key!r}")
             elif "map" in body:
                 lookup = body["map"]
                 if not isinstance(lookup, dict) or not all(map(_is_vector, lookup.values())):
@@ -341,20 +331,8 @@ class ScriptedBackend:
     def complete(self, request: ChatRequest) -> str:
         with self._lock:
             self.chat_calls += 1
-            tid = request.template_id
-            index = None
-            if tid is not None:
-                self._template_counts[tid] = self._template_counts.get(tid, 0) + 1
-                index = self._template_counts[tid]
-                body = self._keyed_chat.pop((tid, index), None)
-                if body is not None:
-                    return self._chat_body(body)
             if self._chat_queue:
                 return self._chat_body(self._chat_queue.popleft())
-            if self._keyed_chat:
-                raise ScriptError(
-                    f"no scripted chat response for template {tid!r} call {index}"
-                )
             raise ScriptExhaustedError("script exhausted: no chat responses left")
 
     @staticmethod
@@ -579,24 +557,13 @@ class LlmClient:
         chat_backend: ChatBackend | None = None,
         embed_backend: EmbedBackend | None = None,
         *,
-        max_schema_retries: int = 3,
-        transport_attempts: int = 3,
-        backoff_s: float = 1.0,
         sleep: Callable[[float], None] = time.sleep,
         max_in_flight: int = 4,
     ):
-        for name, value, least in (
-            ("max_schema_retries", max_schema_retries, 0),
-            ("transport_attempts", transport_attempts, 1),
-            ("max_in_flight", max_in_flight, 1),
-        ):
-            if value < least:
-                raise LlmError(f"{name} must be at least {least}, got {value}")
+        if max_in_flight < 1:
+            raise LlmError(f"max_in_flight must be at least 1, got {max_in_flight}")
         self.chat_backend = chat_backend
         self.embed_backend = embed_backend
-        self.max_schema_retries = max_schema_retries
-        self.transport_attempts = transport_attempts
-        self.backoff_s = backoff_s
         self._sleep = sleep
         replays = any(
             getattr(b, "replays_in_call_order", False) for b in (chat_backend, embed_backend)
@@ -623,7 +590,7 @@ class LlmClient:
             raise LlmError("no chat backend configured")
         attempt_request = request
         last: SchemaViolationError | None = None
-        for _ in range(1 + self.max_schema_retries):
+        for _ in range(1 + MAX_SCHEMA_RETRIES):
             raw = self._transport(
                 self._chat_slots, lambda: self.chat_backend.complete(attempt_request)
             )
@@ -635,7 +602,7 @@ class LlmClient:
                     request, user=self._corrective(request, violation)
                 )
         raise SchemaViolationError(
-            f"schema still violated after {self.max_schema_retries} retries: {last}"
+            f"schema still violated after {MAX_SCHEMA_RETRIES} retries: {last}"
         )
 
     def _corrective(self, request: ChatRequest, violation: SchemaViolationError) -> str:
@@ -649,12 +616,13 @@ class LlmClient:
         """Run one backend call in one of `slots`, retrying retryable
         transport errors.
 
-        Waits double from `backoff_s`; a rate-limited reply's Retry-After
-        (capped at MAX_RETRY_AFTER_S) lengthens the wait when it is longer.
+        Makes up to TRANSPORT_ATTEMPTS tries. Waits double from BACKOFF_S; a
+        rate-limited reply's Retry-After (capped at MAX_RETRY_AFTER_S)
+        lengthens the wait when it is longer.
         """
-        delay = self.backoff_s
+        delay = BACKOFF_S
         with slots:
-            for _ in range(1, self.transport_attempts):
+            for _ in range(1, TRANSPORT_ATTEMPTS):
                 try:
                     return call()
                 except TransportError as exc:

@@ -39,9 +39,6 @@ class RuleMemory:
         if self.version < 0:
             raise RuleMemoryError(f"version must be >= 0, got {self.version}")
 
-    def __len__(self) -> int:
-        return len(self.rules)
-
 
 @dataclass(frozen=True)
 class UpdateTrace:

@@ -47,15 +47,13 @@ def _check_body(template_id: str, body: str) -> None:
     literals) are exactly those `template_id`'s contract names."""
     if template_id not in _CONTRACTS:
         raise TemplateError(f"unknown template id {template_id!r}")
-    found = set()
     try:
-        for _, field_name, _, _ in string.Formatter().parse(body):
-            if field_name is not None:
-                if not field_name or not field_name.isidentifier():
-                    raise TemplateError(f"bad placeholder {{{field_name}}}")
-                found.add(field_name)
+        found = {name for _, name, _, _ in string.Formatter().parse(body) if name is not None}
     except ValueError as exc:
         raise TemplateError(f"malformed placeholder syntax: {exc}")
+    for name in sorted(found):
+        if not name.isidentifier():
+            raise TemplateError(f"bad placeholder {{{name}}}")
     required = _CONTRACTS[template_id][0]
     if missing := required - found:
         raise TemplateError(f"{template_id}: body lacks required placeholder(s) {sorted(missing)}")

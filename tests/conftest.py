@@ -45,9 +45,8 @@ def write_corpus_jsonl(path, rows) -> None:
             fh.write(json.dumps(row) + "\n")
 
 
-def chat_entry(body: dict, template: str | None = None, index: int | None = None) -> dict:
-    key = {"template": template, "index": index} if template else None
-    return {"key": key, "kind": "chat", "body": body}
+def chat_entry(body: dict) -> dict:
+    return {"kind": "chat", "body": body}
 
 
 def staging_body(stage: str, reasoning: str = "because") -> dict:
@@ -201,8 +200,9 @@ SLOW_REPLY_S = 5.0
 
 @dataclass(frozen=True)
 class Reply:
-    """One scripted reply of a `LoopbackEndpoint`: `body` as JSON (the
-    endpoint's own reply when None), with `status` and extra `headers`.
+    """One scripted reply of a `LoopbackEndpoint`: `body` as JSON, or as
+    is when it is bytes (the endpoint's own reply when None), with `status`
+    and extra `headers`.
 
     A `fault` changes how it is sent: "short body" sends half of the body
     that its Content-Length announces, then closes the connection; "close
@@ -273,7 +273,7 @@ class LoopbackEndpoint:
                 if reply is None:
                     self.send_error(404)
                     return
-                payload = json.dumps(reply).encode()
+                payload = reply if isinstance(reply, bytes) else json.dumps(reply).encode()
                 self.send_response(scripted.status)
                 self.send_header("Content-Type", "application/json")
                 for name, value in scripted.headers.items():

@@ -231,7 +231,6 @@ def test_algorithm2_call_counts():
     n = 20
     chunk_texts = [f"guideline chunk {i}" for i in range(8)]
     embed_entry = {
-        "key": None,
         "kind": "embed",
         "body": {"map": {t: [1.0, float(i + 1)] for i, t in enumerate(chunk_texts)}
                  | {"q": [1.0, 0.5]}},
@@ -352,7 +351,7 @@ def test_end_to_end_determinism(tmp_path):
         rules_body(T_LABELS[i % 4], ["size rule", "margin rule"]) for i in range(24)
     ]
     script_path.write_text(
-        json.dumps([{"key": None, "kind": "chat", "body": b} for b in entries])
+        json.dumps([{"kind": "chat", "body": b} for b in entries])
     )
     out = tmp_path / "out"
     argv = [

@@ -65,7 +65,7 @@ def test_traced_repetition_matches_derived_counts(tmp_path, workload):
     bench = _bench_runner()
     assert bench.check_trace(bench.WORKLOADS[workload], rep) == []
     assert rep["digest"] == DIGESTS[workload]
-    spans = [json.loads(line) for line in (tmp_path / "spans.jsonl").open()]
+    spans = [json.loads(line) for line in (tmp_path / "spans.jsonl").read_text().splitlines()]
     if workload == "rag-latency":
         # test-set inference overlaps its model calls
         assert rep["layers"]["llm.in_flight_max"] > 1

@@ -64,7 +64,6 @@ def write_keyed_corpus(path: Path, n: int) -> None:
 def rules_entry(rules: list[str], stage: str = "T1") -> dict:
     # valid under every schema kind: extras are ignored
     return {
-        "key": None,
         "kind": "chat",
         "body": {"reasoning": "because", "stage": stage, "rules": rules},
     }
@@ -75,7 +74,7 @@ def write_script(
 ) -> None:
     entries = []
     if hash_dim:
-        entries.append({"key": None, "kind": "embed", "body": {"hash_dim": hash_dim}})
+        entries.append({"kind": "embed", "body": {"hash_dim": hash_dim}})
     entries += [
         rules_entry(["size rule", "node rule"], stage=labels[i % 4]) for i in range(n_chat)
     ]
@@ -191,7 +190,7 @@ class TestIndex:
         guideline = tmp_path / "guide.md"
         write_guideline(guideline)
         script = tmp_path / "script.json"
-        script.write_text(json.dumps([{"key": None, "kind": "embed", "body": b} for b in bodies]))
+        script.write_text(json.dumps([{"kind": "embed", "body": b} for b in bodies]))
         out = tmp_path / "idx.json"
         code = main(["index", "--guideline", str(guideline), "--script", str(script), "--out", str(out)])
         assert code == 1
@@ -203,7 +202,7 @@ class TestIndex:
         guideline = tmp_path / "guide.md"
         guideline.write_text("One short staging paragraph.")  # one chunk, so one vector
         script = tmp_path / "script.json"
-        script.write_text(json.dumps([{"key": None, "kind": "embed", "body": {"vectors": [[value, 1.0]]}}]))
+        script.write_text(json.dumps([{"kind": "embed", "body": {"vectors": [[value, 1.0]]}}]))
         out = tmp_path / "idx.json"
         code = main(["index", "--guideline", str(guideline), "--script", str(script), "--out", str(out)])
         assert code == 1
@@ -356,6 +355,35 @@ class TestRunKewltm:
         assert f"error: {backend.error}" in capsys.readouterr().err
         assert backend.peak == 4
         assert not (out / "predictions.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "command, prefix",
+        [(["run", "--method", "kewltm", "--n-train", "3"], ""),
+         (["sweep", "--train-counts", "3"], "n_train=3 ")],
+        ids=["run", "sweep"],
+    )
+    def test_induction_with_no_valid_reply_fails_before_inference(
+        self, tmp_path, capsys, built_backends, command, prefix
+    ):
+        corpus = tmp_path / "c.jsonl"
+        write_corpus(corpus, 12)
+        script = tmp_path / "script.json"
+        # split 0's 3 induction steps each ask 1 + 3 times and get no rule list;
+        # valid replies follow, enough for the rest of the run
+        no_rules = {"kind": "chat", "body": {"reasoning": "because", "stage": "T1"}}
+        script.write_text(json.dumps([no_rules] * 12 + [rules_entry(["size rule"])] * 24))
+        out = tmp_path / "out"
+        code = main(command + ["--category", "T", "--corpus", str(corpus),
+                               "--script", str(script), "--out", str(out),
+                               "--splits", "2", "--train-size", "3"])
+        assert code == 1
+        error = f"{prefix}split 0: induction produced no memory"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["status"], manifest["error"]) == ("FAILED", error)
+        # split 0's induction calls alone: no inference call, and split 1 never started
+        assert built_backends[0].chat_calls == 12
+        err_lines = capsys.readouterr().err.splitlines()
+        assert [line for line in err_lines if line.startswith("error:")] == [f"error: {error}"]
 
     def test_negative_seed_fails_before_any_call(self, tmp_path, capsys, built_backends):
         # Random(-s) draws Random(s)'s stream, so a negative seed would repeat splits
@@ -937,7 +965,7 @@ def test_every_output_file_has_the_one_style_of_its_format(tmp_path):
     write_guideline(guideline)
     # non-ASCII rules, one or two in turn, so the gate both accepts and rejects
     script.write_text(json.dumps(
-        [{"key": None, "kind": "embed", "body": {"hash_dim": 8}}]
+        [{"kind": "embed", "body": {"hash_dim": 8}}]
         + [rules_entry(["größe ≥ 2 cm → T2", "node rule"][:1 + i % 2], LABELS[i % 4])
            for i in range(60)]
     ))
@@ -1726,9 +1754,11 @@ class TestEvaluate:
             {"method": "rag", "retrieved_chunk_ids": 5},
             {"report_id": ["r001"]},
             {"timing_ms": "0"},
+            {"split": "0"},
+            {"category": "N", "predicted": "N1"},
         ],
         ids=["not-an-object", "predicted-number", "chunk-ids-number", "report-id-list",
-             "timing-string"],
+             "timing-string", "split-string", "other-category"],
     )
     def test_malformed_line_is_usage_error_naming_it(self, tmp_path, capsys, fields):
         corpus = tmp_path / "c.jsonl"
@@ -1744,6 +1774,33 @@ class TestEvaluate:
         )
         assert code == 2
         assert f"{preds} line 2: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "splits, copies, check",
+        [
+            ([], 1, "{preds}: no prediction records found"),
+            ([0, None], 1, "{preds}: some records carry a split and some do not"),
+            ([None, None], 3, "evaluate takes one or two prediction files"),
+        ],
+        ids=["no-records", "split-on-some-records", "three-files"],
+    )
+    def test_unusable_prediction_files_are_usage_error(
+        self, tmp_path, capsys, splits, copies, check
+    ):
+        corpus = tmp_path / "c.jsonl"
+        write_corpus(corpus, 2)
+        preds = tmp_path / "p.jsonl"
+        self._write_predictions(preds, {f"r{i:03d}": "T1" for i in range(len(splits))})
+        rows = [json.loads(line) for line in preds.read_text().splitlines()]
+        # a blank line first, all that the no-records file holds
+        preds.write_text("\n" + "".join(
+            json.dumps(row if split is None else row | {"split": split}) + "\n"
+            for row, split in zip(rows, splits)
+        ))
+        code = main(["evaluate", "--predictions", *[str(preds)] * copies,
+                     "--corpus", str(corpus), "--category", "T"])
+        assert code == 2
+        assert capsys.readouterr().err == f"usage error: {check.format(preds=preds)}\n"
 
 
 class TestNonUtf8Input:

@@ -85,6 +85,24 @@ class TestLoadCorpus:
         with pytest.raises(CorpusError, match="line 2"):
             load_corpus(path)
 
+    @pytest.mark.parametrize(
+        "row, check",
+        [
+            (["r1", "text"], "expected an object"),
+            ({"id": 1, "text": "x"}, "id and text must be strings"),
+            ({"id": "r1", "text": None}, "id and text must be strings"),
+            ({"id": "r1", "text": "x", "t_label": 1}, "t_label must be a string or null"),
+            ({"id": "r1", "text": "x", "n_label": ["N0"]}, "n_label must be a string or null"),
+        ],
+        ids=["list", "number-id", "null-text", "number-t-label", "list-n-label"],
+    )
+    def test_wrong_json_type_names_its_line(self, tmp_path, row, check):
+        path = tmp_path / "c.jsonl"
+        write_corpus_jsonl(path, [{"id": "r0", "text": "fine"}, row])
+        with pytest.raises(CorpusError) as info:
+            load_corpus(path)
+        assert str(info.value) == f"c.jsonl line 2: {check}"
+
     def test_unknown_label_rejected(self, tmp_path):
         path = tmp_path / "c.jsonl"
         write_corpus_jsonl(path, [{"id": "r1", "text": "x", "t_label": "T9", "n_label": None}])

@@ -34,7 +34,6 @@ from .conftest import (
     Reply,
     chat_entry,
     embeddings_reply,
-    rules_body,
     scripted_client,
     staging_body,
 )
@@ -189,31 +188,6 @@ class TestScriptedBackend:
         with pytest.raises(ScriptExhaustedError):
             client.chat(req)
 
-    def test_keyed_match(self):
-        entries = [
-            chat_entry(rules_body("T1", ["keyed rule"]), template="ltm_elicit", index=1),
-            chat_entry(staging_body("T4")),
-        ]
-        client, _ = scripted_client(entries)
-        keyed = client.chat(
-            ChatRequest(
-                user="q",
-                schema=WITH_RULES_T,
-                template_id="ltm_elicit",
-            )
-        )
-        assert keyed.rules == ("keyed rule",)
-        plain = client.chat(ChatRequest(user="q", schema=STAGING_T))
-        assert plain.stage.render() == "T4"
-
-    def test_key_miss_distinct_from_exhausted(self):
-        entries = [chat_entry(staging_body("T1"), template="ltm_update", index=5)]
-        client, _ = scripted_client(entries)
-        with pytest.raises(ScriptError, match="ltm_elicit"):
-            client.chat(
-                ChatRequest(user="q", schema=STAGING_T, template_id="ltm_elicit")
-            )
-
     def test_retry_consumes_invalid_then_valid(self):
         entries = [
             chat_entry(staging_body("T5")),  # schema-violating
@@ -226,7 +200,7 @@ class TestScriptedBackend:
 
     def test_raw_text_body(self):
         entries = [
-            {"key": None, "kind": "chat", "body": {"raw_text": "not json at all"}},
+            {"kind": "chat", "body": {"raw_text": "not json at all"}},
             chat_entry(staging_body("T1")),
         ]
         client, _ = scripted_client(entries)
@@ -253,8 +227,6 @@ class TestScriptedBackend:
             "[3]",
             '[{"kind": "chat", "body": {}, "key": {"template": 1, "index": 1}}]',
             '[{"kind": "embed", "body": {"dim": 4}}]',
-            '[{"kind": "chat", "body": {}, "key": {"template": "zscot_inference", "index": 1}},'
-            ' {"kind": "chat", "body": {}, "key": {"template": "zscot_inference", "index": 1}}]',
             '[{"kind": "embed", "body": {"hash_dim": 4}, "key": {"template": "nothing", "index": 9}}]',
         ],
     )
@@ -264,21 +236,22 @@ class TestScriptedBackend:
         with pytest.raises(ScriptError):
             scripted_backend(path)
 
-    def test_repeated_key_names_both_entries(self):
-        entries = [
-            chat_entry(staging_body("T1"), template="zscot_inference", index=1),
-            chat_entry(staging_body("T2")),
-            chat_entry(staging_body("T3"), template="zscot_inference", index=1),
-        ]
+    @pytest.mark.parametrize(
+        "extra",
+        [{"key": None}, {"key": {"template": "zscot_inference", "index": 1}}, {"note": "x"}],
+        ids=["null-key", "template-key", "other-field"],
+    )
+    def test_entry_with_a_field_besides_kind_and_body_is_named(self, extra):
+        entries = [chat_entry(staging_body("T1")), chat_entry(staging_body("T2")) | extra]
         with pytest.raises(ScriptError) as info:
             ScriptedBackend(entries, origin="s.json")
         assert str(info.value) == (
-            "s.json: entry 2 repeats the key {'template': 'zscot_inference', 'index': 1} of entry 0"
+            f"s.json: entry 1 has fields other than kind and body: {sorted(extra)}"
         )
 
     def test_embed_map(self):
         entries = [
-            {"key": None, "kind": "embed", "body": {"map": {"chest wall": [1.0, 0.0, 0.5]}}}
+            {"kind": "embed", "body": {"map": {"chest wall": [1.0, 0.0, 0.5]}}}
         ]
         client, _ = scripted_client(entries)
         assert client.embed(["chest wall"]) == ([[1.0, 0.0, 0.5]], "scripted")
@@ -287,13 +260,13 @@ class TestScriptedBackend:
 
     def test_embed_vectors_batch(self):
         entries = [
-            {"key": None, "kind": "embed", "body": {"vectors": [[1.0, 0.0], [0.0, 1.0]]}}
+            {"kind": "embed", "body": {"vectors": [[1.0, 0.0], [0.0, 1.0]]}}
         ]
         client, _ = scripted_client(entries)
         assert client.embed(["a", "b"]) == ([[1.0, 0.0], [0.0, 1.0]], "scripted")
 
     def test_embed_vectors_arity_mismatch(self):
-        entries = [{"key": None, "kind": "embed", "body": {"vectors": [[1.0, 0.0]]}}]
+        entries = [{"kind": "embed", "body": {"vectors": [[1.0, 0.0]]}}]
         client, _ = scripted_client(entries)
         with pytest.raises(ScriptError):
             client.embed(["a", "b"])
@@ -304,7 +277,7 @@ class TestScriptedBackend:
         assert backend.embed_calls == 0
 
     def test_embed_hash_dim_deterministic(self):
-        entries = [{"key": None, "kind": "embed", "body": {"hash_dim": 6}}]
+        entries = [{"kind": "embed", "body": {"hash_dim": 6}}]
         client, _ = scripted_client(entries)
         (a,), _ = client.embed(["some text"])
         (b,), _ = client.embed(["some text"])
@@ -316,7 +289,6 @@ class TestScriptedBackend:
     def test_embed_order_preserved(self):
         entries = [
             {
-                "key": None,
                 "kind": "embed",
                 "body": {"map": {"x": [1.0, 0.0], "y": [0.0, 1.0]}},
             }
@@ -401,15 +373,22 @@ class TestHttpChatBackend:
 
     @pytest.mark.parametrize(
         "body",
-        [NULL_CONTENT_REPLY, []],
-        ids=["null-content", "list-body"],
+        [NULL_CONTENT_REPLY, [], b"<html>not json</html>"],
+        ids=["null-content", "list-body", "not-json"],
     )
     def test_unusable_reply_is_a_non_retryable_transport_error(self, loopback_endpoints, body):
         endpoint = loopback_endpoints(Reply(body=body))
         client = LlmClient(chat_backend=HttpChatBackend(endpoint.url), sleep=lambda _: None)
-        with pytest.raises(TransportError) as info:
+        with pytest.raises(TransportError, match="malformed chat response") as info:
             client.chat(ChatRequest(user="q", schema=STAGING_T))
         assert not info.value.retryable
+        assert [r.path for r in endpoint.requests] == ["/v1/chat/completions"]
+
+    @pytest.mark.parametrize("suffix", ["", "/", "/v1", "/v1/"])
+    def test_base_url_with_or_without_v1_posts_to_one_path(self, loopback_endpoints, suffix):
+        endpoint = loopback_endpoints()
+        client = LlmClient(chat_backend=HttpChatBackend(endpoint.url + suffix))
+        assert client.chat(ChatRequest(user="q", schema=STAGING_T)).stage is not None
         assert [r.path for r in endpoint.requests] == ["/v1/chat/completions"]
 
     def test_payload_carries_the_output_schema(self, loopback_endpoints):
@@ -514,9 +493,7 @@ class TestRateLimit:
     ):
         endpoint = loopback_endpoints(rate_limited(retry_after), Reply(body=CHAT_REPLY))
         sleeps = []
-        client = LlmClient(
-            chat_backend=HttpChatBackend(endpoint.url), sleep=sleeps.append, backoff_s=1.0
-        )
+        client = LlmClient(chat_backend=HttpChatBackend(endpoint.url), sleep=sleeps.append)
         client.chat(ChatRequest(user="q", schema=STAGING_T))
         assert sleeps == [expected]
 
@@ -541,7 +518,7 @@ FAULTS = {
 
 class TestHttpFaults:
     """Every status and connection fault, over a real socket, ends as its
-    typed error or recovers within `transport_attempts` (3)."""
+    typed error or recovers within TRANSPORT_ATTEMPTS (3)."""
 
     def _chat(self, url: str, sleeps: list) -> StructuredOutput:
         client = LlmClient(chat_backend=HttpChatBackend(url, timeout_s=0.2), sleep=sleeps.append)
@@ -588,9 +565,7 @@ class TestHttpFaults:
 
 
 class TestClientSettings:
-    @pytest.mark.parametrize("setting, value", [
-        ("max_in_flight", 0), ("transport_attempts", 0), ("max_schema_retries", -1),
-    ])
+    @pytest.mark.parametrize("setting, value", [("max_in_flight", 0)])
     def test_out_of_range_setting_rejected_at_construction(self, setting, value):
         with pytest.raises(LlmError, match=setting):
             LlmClient(chat_backend=_RecordingBackend([]), **{setting: value})
@@ -600,7 +575,7 @@ class TestClientRetries:
     def test_transport_retry_with_backoff(self):
         sleeps = []
         backend = _FlakyBackend(failures=2)
-        client = LlmClient(chat_backend=backend, sleep=sleeps.append, backoff_s=1.0)
+        client = LlmClient(chat_backend=backend, sleep=sleeps.append)
         out = client.chat(ChatRequest(user="q", schema=STAGING_T))
         assert out.stage.render() == "T1"
         assert sleeps == [1.0, 2.0]  # exponential from 1 s
@@ -622,7 +597,7 @@ class TestClientRetries:
     def test_schema_retry_budget_exhausted(self):
         bad = json.dumps(staging_body("T9"))
         backend = _RecordingBackend([bad, bad, bad, bad])
-        client = LlmClient(chat_backend=backend, max_schema_retries=3)
+        client = LlmClient(chat_backend=backend)
         with pytest.raises(SchemaViolationError):
             client.chat(ChatRequest(user="q", schema=STAGING_T))
         assert len(backend.requests) == 4  # initial + 3 retries
@@ -658,7 +633,7 @@ _adversarial_body = st.one_of(
 @given(bodies=st.lists(_adversarial_body, min_size=1, max_size=5))
 @settings(max_examples=100, deadline=None)
 def test_chat_output_always_validates(bodies):
-    entries = [{"key": None, "kind": "chat", "body": b} for b in bodies]
+    entries = [{"kind": "chat", "body": b} for b in bodies]
     client, _ = scripted_client(entries)
     request = ChatRequest(user="q", schema=STAGING_T)
     try:

@@ -46,7 +46,7 @@ def reports(n: int):
 def embed_script(texts: list[str], extra: dict | None = None) -> dict:
     mapping = {t: [1.0, float(i + 1)] for i, t in enumerate(texts)}
     mapping.update(extra or {})
-    return {"key": None, "kind": "embed", "body": {"map": mapping}}
+    return {"kind": "embed", "body": {"map": mapping}}
 
 
 def guideline_index(client: LlmClient, texts: list[str]):
@@ -142,7 +142,7 @@ class TestRunRag:
         # each report's query ranks the three chunks in its own order
         queries = {"r00": [1.0, 0.1], "r01": [0.1, 1.0], "r02": [1.0, 1.0]}
         vectors.update({f"pathology report body for {rid}": v for rid, v in queries.items()})
-        entries = [{"key": None, "kind": "embed", "body": {"map": vectors}}]
+        entries = [{"kind": "embed", "body": {"map": vectors}}]
         entries += [chat_entry(staging_body("T1"))] * 3
         client, backend = scripted_client(entries)
         index = guideline_index(client, ["chunk a", "chunk b", "chunk c"])
@@ -422,10 +422,10 @@ class TestConcurrentInference:
         assert info.value is backend.error
         assert backend.started == [f"r{i:02d}" for i in range(6)]
 
-    def test_scripted_backend_replays_keyed_script_in_report_order(self):
+    def test_scripted_backend_replays_script_in_report_order(self):
         stages = ["T1", "T2", "T3", "T4", "T2", "T1", "T3", "T3"]
         entries = [
-            chat_entry(staging_body(stage, reasoning=f"call {i}"), "zscot_inference", i)
+            chat_entry(staging_body(stage, reasoning=f"call {i}"))
             for i, stage in enumerate(stages, 1)
         ]
         backend = ScriptedBackend(entries)

@@ -199,6 +199,18 @@ class TestOverrides:
             load_templates(tmp_path, T)
         assert str(path) in str(info.value)
 
+    @pytest.mark.parametrize(
+        "body, check",
+        [("{report} {memory} {0}", "bad placeholder {0}"),
+         ("{report} {memory", "malformed placeholder syntax")],
+        ids=["positional", "unclosed"],
+    )
+    def test_override_with_bad_placeholder_syntax_fails_at_load(self, tmp_path, body, check):
+        path = self._write_override(tmp_path, "ltm_update", body)
+        with pytest.raises(TemplateError) as info:
+            load_templates(tmp_path, T)
+        assert str(info.value).startswith(f"{path}: {check}")
+
     def test_file_named_for_no_template_fails_at_load(self, tmp_path):
         self._write_override(tmp_path, "zscot_inference", "{report}")
         path = self._write_override(tmp_path, "bogus", "{report}")

@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stagepipe.retrieval import (
@@ -115,15 +115,27 @@ class TestChunkDocument:
             chunk_document("text", max_chars=max_chars, overlap_chars=overlap)
 
     @given(
-        sizes=st.lists(st.integers(min_value=5, max_value=600), min_size=1, max_size=8),
+        lead=st.sampled_from(["", "\n\n", "\n \t\n\n"]),
+        paragraphs=st.lists(
+            st.tuples(st.booleans(), st.integers(min_value=5, max_value=2000)),
+            min_size=1, max_size=8,
+        ),
+        tail=st.sampled_from(["", "\n\n", "\n\n \t ", "\n \n\n"]),
         max_chars=st.integers(min_value=200, max_value=900),
     )
+    # blank lines first, a run with no whitespace past the cap, a blank tail
+    @example(lead="\n\n", paragraphs=[(False, 1000), (True, 50)], tail="\n\n \t ", max_chars=200)
     @settings(max_examples=60, deadline=None)
-    def test_reconstruction_property(self, sizes, max_chars):
-        doc = "\n\n".join(para("azx"[i % 3], s) for i, s in enumerate(sizes))
+    def test_reconstruction_property(self, lead, paragraphs, tail, max_chars):
+        # a paragraph is words, or one run with no whitespace to split it at
+        doc = lead + "\n\n".join(
+            para("azx"[i % 3], size) if spaced else "azx"[i % 3] * size
+            for i, (spaced, size) in enumerate(paragraphs)
+        ) + tail
         chunks = chunk_document(doc, max_chars=max_chars)
         assert reconstruct(chunks, doc) == doc
         assert all(c.text for c in chunks)
+        assert all(end - start <= max_chars for start, end in (c.source_span for c in chunks))
 
 
 class TestBuildIndex:
