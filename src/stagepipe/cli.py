@@ -711,7 +711,3 @@ def main(argv: Sequence[str] | None = None) -> int:
     except COMMAND_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -146,11 +146,6 @@ class Split:
     train_ids: tuple[str, ...]
     test_ids: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        overlap = set(self.train_ids) & set(self.test_ids)
-        if overlap:
-            raise CorpusError(f"train/test ids overlap: {sorted(overlap)[:3]}")
-
 
 def read_utf8(path: str | Path, error: type[Exception]) -> str:
     """The text of a UTF-8 file; `error`, naming the file, when it is not

@@ -40,10 +40,6 @@ class ConfusionMatrix:
     counts: tuple[tuple[int, ...], ...]  # 4 rows of 4
     unparseable: tuple[int, ...]  # 4
 
-    @property
-    def total(self) -> int:
-        return sum(map(sum, self.counts)) + sum(self.unparseable)
-
 
 def _safe_div(num: float, den: float) -> float:
     return num / den if den > 0 else 0.0

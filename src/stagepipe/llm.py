@@ -66,7 +66,7 @@ class TruncatedReplyError(SchemaViolationError):
 
 
 class ScriptError(LlmError):
-    """Scripted backend problem: a malformed script or a mismatched batch."""
+    """Scripted backend problem: a malformed script."""
 
 
 class ScriptExhaustedError(ScriptError):
@@ -197,20 +197,28 @@ class StructuredOutput:
 
 def _extract_json_object(text: str) -> dict:
     """Parse the response as a JSON object; failing that, take the object
-    that parses from the first `{` it can, ignoring the prose around it."""
+    that parses from the first `{` it can, ignoring the prose around it.
+
+    A value that fails to decode at one `{`, an integer past Python's digit
+    limit included, moves the scan on to the next. JSON nested past the
+    recursion limit ends the scan at once: a later `{` inside the same
+    nesting would recurse as deep again. Either way a reply with no usable
+    object is a SchemaViolationError."""
     try:
         obj = json.loads(text)
         if isinstance(obj, dict):
             return obj
-    except json.JSONDecodeError:
+    except (ValueError, RecursionError):  # ValueError includes JSONDecodeError
         pass
     decoder = json.JSONDecoder()
     start = text.find("{")
     while start != -1:
         try:
             return decoder.raw_decode(text, start)[0]  # a value at "{" is an object
-        except json.JSONDecodeError:
+        except ValueError:  # JSONDecodeError, or an integer past the digit limit
             start = text.find("{", start + 1)
+        except RecursionError as exc:
+            raise SchemaViolationError(f"response is not a usable JSON object: {exc}")
     raise SchemaViolationError("response is not a JSON object")
 
 
@@ -349,11 +357,6 @@ class ScriptedBackend:
                 return resolved, self.model_id
             if self._vector_queue:
                 vectors = self._vector_queue.popleft()
-                if len(vectors) != len(texts):
-                    raise ScriptError(
-                        f"scripted embed batch has {len(vectors)} vectors "
-                        f"for {len(texts)} texts"
-                    )
                 return [list(map(float, v)) for v in vectors], self.model_id
             raise ScriptExhaustedError("script exhausted: no embed responses left")
 
@@ -413,7 +416,8 @@ class _HttpBackend:
 
         401/403 raise AuthenticationError. 429 and 5xx raise a retryable
         TransportError, a 429 carrying its Retry-After seconds. Any other
-        status, or a body that is not JSON, raises a non-retryable one.
+        status, or a body that is not JSON (or nests past the recursion
+        limit), raises a non-retryable one.
         """
         import http.client
         import urllib.error
@@ -454,7 +458,7 @@ class _HttpBackend:
             )
         try:
             return json.loads(body)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # not JSON, or nested past the limit
             raise TransportError(f"malformed {self.endpoint} response: {exc}", retryable=False)
 
 

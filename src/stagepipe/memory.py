@@ -11,16 +11,15 @@ first candidate (empty memory) is always accepted.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .corpus import StageCategory, typed, write_csv, write_json
+from .corpus import StageCategory, write_csv, write_json
 
 
 class RuleMemoryError(ValueError):
-    """A rule memory value, file, or update request is invalid."""
+    """A rule memory value or update request is invalid."""
 
 
 @dataclass(frozen=True)
@@ -36,8 +35,6 @@ class RuleMemory:
         if any(not r for r in cleaned):
             raise RuleMemoryError("rules must be non-empty after trimming")
         object.__setattr__(self, "rules", cleaned)
-        if self.version < 0:
-            raise RuleMemoryError(f"version must be >= 0, got {self.version}")
 
 
 @dataclass(frozen=True)
@@ -185,26 +182,9 @@ def gated_update(
 
 
 def persist(memory: RuleMemory, path: str | Path) -> None:
-    """Write the memory as JSON; `load` restores it losslessly."""
+    """Write the memory as JSON: its category, rules and version."""
     write_json(path, {"category": memory.category.value, "rules": list(memory.rules),
                       "version": memory.version})
-
-
-def load(path: str | Path, expect_category: StageCategory | None = None) -> RuleMemory:
-    """Load a memory file, validating invariants and (optionally) category."""
-    try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-        category = StageCategory(obj["category"])
-        rules = tuple(typed(r, str, "rule") for r in typed(obj["rules"], list, "rules"))
-        version = typed(obj["version"], int, "version")
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise RuleMemoryError(f"malformed memory file {path}: {exc}")
-    if expect_category is not None and category is not expect_category:
-        raise RuleMemoryError(
-            f"memory file {path} is for category {category.value}, "
-            f"expected {expect_category.value}"
-        )
-    return RuleMemory(category=category, rules=rules, version=version)
 
 
 def write_traces(traces: Sequence[UpdateTrace], path: str | Path) -> None:

@@ -133,6 +133,12 @@ class TestIngest:
     def test_missing_corpus_flag(self, tmp_path, capsys):
         assert main(["ingest"]) == 2
 
+    def test_empty_report_id_names_its_line(self, tmp_path, capsys):
+        corpus = tmp_path / "c.jsonl"
+        write_corpus_jsonl(corpus, [{"id": "a", "text": "ok"}, {"id": "", "text": "ok"}])
+        assert main(["ingest", "--corpus", str(corpus)]) == 1
+        assert capsys.readouterr().err == "error: c.jsonl line 2: report id must be non-empty\n"
+
 
 class TestIndex:
     def test_builds_and_is_idempotent(self, tmp_path, capsys):
@@ -197,6 +203,35 @@ class TestIndex:
         assert complaint in capsys.readouterr().err
         assert not out.exists()
 
+    def test_no_embedding_backend_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        live_env(monkeypatch)  # no endpoint, and no --script
+        guideline = tmp_path / "guide.md"
+        write_guideline(guideline)
+        out = tmp_path / "idx.json"
+        assert main(["index", "--guideline", str(guideline), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "usage error: no embedding backend configured "
+            "(set STAGEPIPE_EMBED_BASE or --script)\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bodies, complaint", [
+        ([], "script exhausted: no embed responses left"),
+        ([{"vectors": [[1.0, 0.0], [0.0, 1.0]]}], "embedding backend returned 2 vectors for 1 texts"),
+    ], ids=["no-embed-entry", "batch-of-another-size"])
+    def test_embed_reply_that_misses_the_batch_fails_and_writes_no_index(
+        self, tmp_path, capsys, bodies, complaint
+    ):
+        guideline = tmp_path / "guide.md"
+        guideline.write_text("One short staging paragraph.")  # one chunk, so one text
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps([{"kind": "embed", "body": b} for b in bodies]))
+        out = tmp_path / "idx.json"
+        code = main(["index", "--guideline", str(guideline), "--script", str(script), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {complaint}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_vector_fails_and_writes_no_index(self, tmp_path, capsys, value):
         guideline = tmp_path / "guide.md"
@@ -234,6 +269,39 @@ class TestRunZscot:
             "ltm_elicit", "ltm_update", "ltm_inference", "rag_elicit",
             "rag_inference", "zscot_inference", "rawrag_inference",
         }
+
+    def _run(self, tmp_path, replies: list[dict]) -> list[dict]:
+        """A zscot run over reports r000 (gold T1) and r001 (gold T2)
+        answered by `replies`, which it must use up; its records."""
+        corpus = tmp_path / "c.jsonl"
+        write_corpus(corpus, 2)
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps([{"kind": "chat", "body": b} for b in replies]))
+        out = tmp_path / "out"
+        code = main(["run", "--method", "zscot", "--category", "T", "--corpus", str(corpus),
+                     "--script", str(script), "--out", str(out)])
+        assert code == 0
+        assert json.loads((out / "manifest.json").read_text())["status"] == "ok"
+        return [json.loads(line) for line in (out / "predictions.jsonl").read_text().splitlines()]
+
+    def test_reply_with_a_non_string_field_is_reasked(self, tmp_path, built_backends):
+        records = self._run(tmp_path, [
+            {"reasoning": 5, "stage": "T1"}, {"reasoning": "r", "stage": "T1"},
+            {"reasoning": "r", "stage": "T2"},
+        ])
+        assert [(r["predicted"], r["reasoning"]) for r in records] == [("T1", "r"), ("T2", "r")]
+        assert built_backends[0].chat_calls == 3
+
+    @pytest.mark.parametrize("raw", [
+        "[" * 100_000,
+        "The answer is " + '{"a": ' + "[" * 100_000,
+        '{"reasoning": "r", "stage": ' + "7" * 5000 + "}",
+    ], ids=["nested-array", "prose-then-nested-object", "5000-digit-stage"])
+    def test_reply_past_the_decoder_limits_is_unparseable(self, tmp_path, capsys, raw):
+        # the first report's ask and its 3 re-asks all get `raw`
+        records = self._run(tmp_path, [{"raw_text": raw}] * 4 + [{"reasoning": "r", "stage": "T2"}])
+        assert [r["predicted"] for r in records] == ["unparseable", "T2"]
+        assert capsys.readouterr().err == ""  # no traceback, no error
 
     def test_no_backend_is_usage_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("STAGEPIPE_LLM_BASE", raising=False)
@@ -479,6 +547,19 @@ class TestRunRag:
         assert manifest["config"]["rag_query_mode"] == "report-text"
         assert manifest["doc_hash"]
 
+    def test_no_embedding_backend_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        live_env(monkeypatch, llm_base="http://127.0.0.1:9")  # a chat endpoint alone
+        corpus = tmp_path / "c.jsonl"
+        write_corpus(corpus, 5)
+        guideline = tmp_path / "guide.md"
+        write_guideline(guideline)
+        out = tmp_path / "out"
+        code = main(["run", "--method", "rag", "--category", "T", "--corpus", str(corpus),
+                     "--guideline", str(guideline), "--out", str(out)])
+        assert code == 2
+        assert "usage error: no embedding backend configured" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_failed_run_writes_failed_manifest(self, tmp_path):
         corpus = tmp_path / "c.jsonl"
         write_corpus(corpus, 5)
@@ -610,7 +691,8 @@ class TestLoopbackEndpoint:
     @pytest.mark.parametrize("reply, attempts, error", [
         (Reply(401, {"error": "bad key"}), 1, "chat endpoint rejected credentials (401)"),
         (Reply(fault="close before reply"), 3, "chat endpoint unreachable"),
-    ], ids=["401", "closed-before-reply"])
+        (Reply(body=b"[" * 200_000), 1, "malformed chat response"),
+    ], ids=["401", "closed-before-reply", "body-nested-past-the-limit"])
     def test_failing_endpoint_writes_failed_manifest(
         self, tmp_path, monkeypatch, loopback_endpoints, reply, attempts, error
     ):
@@ -726,8 +808,9 @@ class TestIndexInputs:
             (lambda v: [x for row in v for x in row], "2-D"),
             (lambda v: [[float("nan")] + row[1:] for row in v], "finite"),
             (lambda v: [[3 * x for x in row] for row in v], "unit-norm"),
+            (lambda v: v[:-1], "chunks but"),
         ],
-        ids=["ragged", "flat", "nan", "scaled"],
+        ids=["ragged", "flat", "nan", "scaled", "row-missing"],
     )
     def test_malformed_vectors(self, tmp_path, built_backends, corrupt, message):
         _, index = self._index(tmp_path)
@@ -740,6 +823,7 @@ class TestIndexInputs:
         "corrupt, message",
         [
             (lambda obj: obj["chunks"][0].update(text=None), "text must be a JSON str"),
+            (lambda obj: obj["chunks"][0].update(text=""), "chunk 0 has empty text"),
             (lambda obj: obj["chunks"][0].update(chunk_id=True), "chunk_id must be a JSON int"),
             (lambda obj: obj["chunks"][0].update(chunk_id="0"), "chunk_id must be a JSON int"),
             (lambda obj: obj["chunks"][0].update(source_span=[0, 1.5]), "source_span must"),
@@ -754,7 +838,7 @@ class TestIndexInputs:
              "vectors must hold JSON numbers"),
             (lambda obj: obj["vectors"][0].__setitem__(0, 10**400), "too large to convert to float"),
         ],
-        ids=["text-null", "chunk-id-bool", "chunk-id-string", "span-float", "span-string",
+        ids=["text-null", "text-empty", "chunk-id-bool", "chunk-id-string", "span-float", "span-string",
              "model-id-number", "doc-hash-null", "chunks-object", "vectors-strings",
              "vectors-bool", "vectors-int-past-float-range"],
     )
@@ -819,6 +903,15 @@ class TestSweep:
         curves = (out / "sweep_curves.csv").read_text().splitlines()
         params = {line.split(",")[0] for line in curves[1:]}
         assert params == {"0.0", "80.0"}
+
+    def test_method_other_than_kewltm_is_usage_error(self, tmp_path, capsys):
+        corpus = tmp_path / "c.jsonl"
+        write_corpus(corpus, 10)
+        out = tmp_path / "o"
+        assert main(["sweep", "--method", "zscot", "--category", "T", "--corpus", str(corpus),
+                     "--out", str(out), "--train-counts", "1"]) == 2
+        assert capsys.readouterr().err == "usage error: sweep supports only method kewltm\n"
+        assert not out.exists()
 
     def test_requires_exactly_one_sweep_axis(self, tmp_path, capsys):
         corpus = tmp_path / "c.jsonl"
@@ -1546,6 +1639,21 @@ class TestEvaluate:
         assert "num_errors=1" in out
         assert "25.0%" in out
 
+    def test_records_without_a_gold_label_are_skipped_and_counted(self, tmp_path, capsys):
+        corpus = tmp_path / "c.jsonl"
+        write_corpus_jsonl(corpus, [
+            {"id": "r000", "text": "a", "t_label": "T1"},
+            {"id": "r001", "text": "b", "t_label": None},
+        ])
+        preds = tmp_path / "p.jsonl"
+        self._write_predictions(preds, {"r000": "T1", "r001": "T2"})
+        code = main(["evaluate", "--predictions", str(preds),
+                     "--corpus", str(corpus), "--category", "T"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "(skipped 1 records without a gold T label)" in out
+        assert "num_errors=0 of 1" in out
+
     def test_two_identical_files_empty_unique_lists(self, tmp_path, capsys):
         corpus = tmp_path / "c.jsonl"
         write_corpus(corpus, 4)
@@ -1752,13 +1860,14 @@ class TestEvaluate:
             ["r001"],
             {"predicted": 5},
             {"method": "rag", "retrieved_chunk_ids": 5},
+            {"method": "rag", "retrieved_chunk_ids": ["0"]},
             {"report_id": ["r001"]},
             {"timing_ms": "0"},
             {"split": "0"},
             {"category": "N", "predicted": "N1"},
         ],
-        ids=["not-an-object", "predicted-number", "chunk-ids-number", "report-id-list",
-             "timing-string", "split-string", "other-category"],
+        ids=["not-an-object", "predicted-number", "chunk-ids-number", "chunk-ids-strings",
+             "report-id-list", "timing-string", "split-string", "other-category"],
     )
     def test_malformed_line_is_usage_error_naming_it(self, tmp_path, capsys, fields):
         corpus = tmp_path / "c.jsonl"
@@ -1801,6 +1910,26 @@ class TestEvaluate:
                      "--corpus", str(corpus), "--category", "T"])
         assert code == 2
         assert capsys.readouterr().err == f"usage error: {check.format(preds=preds)}\n"
+
+
+@pytest.mark.parametrize("argv, missing", [
+    (["run", "--method", "zscot", "--category", "T"], "--corpus"),
+    (["run", "--method", "zscot", "--corpus", "{corpus}"], "--category"),
+    (["sweep", "--train-counts", "1", "--category", "T"], "--corpus"),
+    (["evaluate", "--predictions", "{corpus}", "--corpus", "{corpus}"], "--category"),
+], ids=["run-corpus", "run-category", "sweep-corpus", "evaluate-category"])
+def test_command_that_scores_needs_a_corpus_and_a_category(
+    tmp_path, capsys, built_backends, argv, missing
+):
+    corpus = tmp_path / "c.jsonl"
+    write_corpus(corpus, 4)
+    script = tmp_path / "script.json"
+    write_script(script, 4)
+    out = tmp_path / "out"
+    argv = [arg.format(corpus=corpus) for arg in argv]
+    assert main(argv + ["--script", str(script), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"usage error: {missing} is required\n"
+    assert not out.exists() and not built_backends
 
 
 class TestNonUtf8Input:

@@ -50,6 +50,11 @@ class TestLabels:
         assert StageCategory.T.label_names() == ["T1", "T2", "T3", "T4"]
         assert StageCategory.N.label_names() == ["N0", "N1", "N2", "N3"]
 
+    @pytest.mark.parametrize("category, rank", [(StageCategory.T, 0), (StageCategory.N, 4)])
+    def test_constructor_rejects_an_illegal_rank(self, category, rank):
+        with pytest.raises(CorpusError, match=f"illegal rank {rank} for category"):
+            StageLabel(category, rank)
+
 
 class TestLoadCorpus:
     def test_minimal_record(self, tmp_path):
@@ -150,6 +155,10 @@ def make_corpus(n: int) -> Corpus:
 
 
 class TestSplits:
+    def test_no_splits_rejected(self):
+        with pytest.raises(CorpusError, match="n_splits must be >= 1, got 0"):
+            make_splits(make_corpus(4), n_splits=0, train_size=2, base_seed=0)
+
     def test_protocol_800(self):
         corpus = make_corpus(800)
         splits = make_splits(corpus, n_splits=8, train_size=100, base_seed=0)
@@ -235,6 +244,11 @@ class TestTruncate:
         (split,) = make_splits(corpus, 1, 4, 0)
         with pytest.raises(CorpusError):
             truncate_train(split, n)
+
+
+def test_corpus_rejects_no_reports():
+    with pytest.raises(CorpusError, match="at least one report"):
+        Corpus(())
 
 
 def test_corpus_rejects_duplicates():

@@ -37,6 +37,11 @@ def prediction(rid: str, label: str | None, method: str = "zscot") -> Prediction
     )
 
 
+def cell_total(matrix) -> int:
+    """Every record the matrix counts: its cells and its unparseable counts."""
+    return sum(map(sum, matrix.counts)) + sum(matrix.unparseable)
+
+
 def brute_force_metrics(pairs: list[tuple[str, str | None]]):
     """Independent oracle: recount TP/FP/FN per label from raw pairs."""
     labels = ["T1", "T2", "T3", "T4"]
@@ -117,7 +122,7 @@ class TestScore:
         assert by_label["T3"]["f1"] == 0.0
         assert by_label["T4"]["f1"] == 0.0
         assert block["macro"]["f1"] == pytest.approx((2 / 3 + 0.8) / 4)
-        assert matrix.total == 4
+        assert cell_total(matrix) == 4
 
     def test_unparseable_is_fn_for_gold_not_fp(self):
         corpus = corpus_with_gold({"a": "T1", "b": "T1"})
@@ -127,7 +132,7 @@ class TestScore:
         assert t1["precision"] == 1.0  # the unparseable added no false positive
         assert t1["recall"] == 0.5  # but counts as a miss for T1
         assert sum(matrix.unparseable) == 1
-        assert matrix.total == 2
+        assert cell_total(matrix) == 2
 
     def test_unknown_report_id(self, scorer):
         corpus = corpus_with_gold({"a": "T1"})
@@ -190,7 +195,7 @@ class TestScore:
             prediction(rid, None if i % 3 == 0 else "T2") for i, rid in enumerate(gold)
         ]
         matrix, _ = score(records, corpus, T)
-        assert matrix.total == len(records)
+        assert cell_total(matrix) == len(records)
 
 
 class TestErrorFormatting:
@@ -214,6 +219,11 @@ class TestErrorFormatting:
 
     def test_perfect_run(self):
         assert format_error_pct(0, 700) == "0.0%"
+
+    @pytest.mark.parametrize("total", [0, -800])
+    def test_non_positive_total_rejected(self, total):
+        with pytest.raises(EvaluationError, match="total must be positive"):
+            format_error_pct(1, total)
 
     def test_unparseable_counts_as_error(self):
         gold = {"a": "T1"}

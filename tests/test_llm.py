@@ -157,6 +157,21 @@ class TestParseStructured:
         with pytest.raises(SchemaViolationError):
             parse_structured("no json here", STAGING_T)
 
+    @pytest.mark.parametrize(
+        "before",
+        ['{"n": %s} ' % ("7" * 5000), "prose " + "[" * 100000 + " "],
+        ids=["object-past-the-digit-limit", "deep-array-without-a-brace"],
+    )
+    def test_scan_steps_past_an_undecodable_value_to_a_later_object(self, before):
+        out = parse_structured(before + '{"reasoning": "r", "stage": "T2"}', STAGING_T)
+        assert out.stage == StageLabel.parse("T2")
+
+    def test_object_nested_past_the_recursion_limit_ends_the_scan(self):
+        # each "{" inside the nesting would recurse as deep again
+        raw = '{"a": ' + "[" * 100000 + ' {"reasoning": "r", "stage": "T2"}'
+        with pytest.raises(SchemaViolationError, match="not a usable JSON object"):
+            parse_structured(raw, STAGING_T)
+
 
 _brace_free_prose = st.text(alphabet=st.characters(blacklist_characters="{}"), max_size=20)
 _braced_text = st.text(alphabet=st.sampled_from('ab {}"\\:,'), max_size=8)
@@ -170,6 +185,32 @@ _braced_text = st.text(alphabet=st.sampled_from('ab {}"\\:,'), max_size=8)
 @settings(max_examples=300, deadline=None)
 def test_json_object_round_trips_through_prose(prefix, obj, suffix):
     assert _extract_json_object(prefix + json.dumps(obj) + suffix) == obj
+
+
+# replies past the decoder's limits: nesting deeper than the recursion limit,
+# and integers longer than Python converts
+_deep_json = st.builds(
+    str.__mul__, st.sampled_from(["[", '{"a": ', '{"a": [', '{"stage": {"x": ']),
+    st.integers(min_value=500, max_value=5000),
+)
+_long_integer = st.builds(
+    lambda key, digits: '{"reasoning": "r", "%s": %s}' % (key, "7" * digits),
+    st.sampled_from(["stage", "other"]), st.integers(min_value=4000, max_value=6000),
+)
+
+
+@given(
+    prefix=st.text(max_size=20),
+    reply=st.text() | _deep_json | _long_integer | st.just('{"reasoning": "r", "stage": "T2"}'),
+    suffix=st.text(max_size=20),
+)
+@settings(max_examples=300, deadline=None)
+def test_any_reply_parses_or_is_a_schema_violation(prefix, reply, suffix):
+    try:
+        out = parse_structured(prefix + reply + suffix, STAGING_T)
+    except SchemaViolationError:
+        return
+    assert isinstance(out, StructuredOutput)
 
 
 class TestChatRequest:
@@ -266,14 +307,21 @@ class TestScriptedBackend:
         assert client.embed(["a", "b"]) == ([[1.0, 0.0], [0.0, 1.0]], "scripted")
 
     def test_embed_vectors_arity_mismatch(self):
+        # the client's check of every backend's batch, not the script's, names it
         entries = [{"kind": "embed", "body": {"vectors": [[1.0, 0.0]]}}]
         client, _ = scripted_client(entries)
-        with pytest.raises(ScriptError):
+        with pytest.raises(LlmError, match="embedding backend returned 1 vectors for 2 texts"):
             client.embed(["a", "b"])
 
     def test_embed_empty_list(self):
         client, backend = scripted_client([])
         assert client.embed([]) == ([], "")
+        assert backend.embed_calls == 0
+
+    def test_embed_empty_text_rejected_before_any_call(self):
+        client, backend = scripted_client([{"kind": "embed", "body": {"hash_dim": 4}}])
+        with pytest.raises(LlmError, match="cannot embed empty text"):
+            client.embed(["a", ""])
         assert backend.embed_calls == 0
 
     def test_embed_hash_dim_deterministic(self):
@@ -398,6 +446,15 @@ class TestHttpChatBackend:
         (payload,) = [r.body for r in endpoint.requests]
         assert payload["messages"] == [{"role": "user", "content": "q"}]
         assert payload["response_format"]["json_schema"]["schema"] == STAGING_T.json_schema()
+
+    def test_system_message_is_sent_first(self, loopback_endpoints):
+        endpoint = loopback_endpoints(Reply(body=CHAT_REPLY))
+        client = LlmClient(chat_backend=HttpChatBackend(endpoint.url))
+        client.chat(ChatRequest(user="q", schema=STAGING_T, system="s"))
+        (payload,) = [r.body for r in endpoint.requests]
+        assert payload["messages"] == [
+            {"role": "system", "content": "s"}, {"role": "user", "content": "q"},
+        ]
 
 
     def test_proxy_variable_is_honoured(self, loopback_endpoints, monkeypatch):
@@ -569,6 +626,16 @@ class TestClientSettings:
     def test_out_of_range_setting_rejected_at_construction(self, setting, value):
         with pytest.raises(LlmError, match=setting):
             LlmClient(chat_backend=_RecordingBackend([]), **{setting: value})
+
+    def test_chat_without_a_chat_backend_is_an_llm_error(self):
+        client = LlmClient(embed_backend=ScriptedBackend([]))
+        with pytest.raises(LlmError, match="no chat backend configured"):
+            client.chat(ChatRequest(user="q", schema=STAGING_T))
+
+    def test_embed_without_an_embed_backend_is_an_llm_error(self):
+        backend = _RecordingBackend([])
+        with pytest.raises(LlmError, match="no embedding backend configured"):
+            LlmClient(chat_backend=backend).embed(["a"])
 
 
 class TestClientRetries:

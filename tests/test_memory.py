@@ -17,7 +17,6 @@ from stagepipe.memory import (
     UpdateTrace,
     edit_distance,
     gated_update,
-    load,
     persist,
     render_numbered,
     serialize,
@@ -386,45 +385,13 @@ class TestGatedUpdate:
 
 
 class TestPersistence:
-    def test_round_trip(self, tmp_path):
+    def test_writes_category_rules_and_version(self, tmp_path):
         mem = RuleMemory(StageCategory.N, ("look at node counts", "check laterality"), version=3)
         path = tmp_path / "mem.json"
         persist(mem, path)
-        assert load(path) == mem
-
-    def test_empty_rule_rejected_on_load(self, tmp_path):
-        path = tmp_path / "mem.json"
-        path.write_text('{"category": "T", "version": 1, "rules": ["ok", ""]}')
-        with pytest.raises(RuleMemoryError):
-            load(path)
-
-    def test_category_mismatch(self, tmp_path):
-        path = tmp_path / "mem.json"
-        persist(RuleMemory(StageCategory.N, ("r",), version=1), path)
-        with pytest.raises(RuleMemoryError, match="category"):
-            load(path, expect_category=StageCategory.T)
-
-    def test_malformed_file(self, tmp_path):
-        path = tmp_path / "mem.json"
-        path.write_text("{nope")
-        with pytest.raises(RuleMemoryError):
-            load(path)
-
-    @pytest.mark.parametrize(
-        "payload, message",
-        [
-            ({"category": "T", "version": True, "rules": [1, None, "ok"]}, "rule must be"),
-            ({"category": "T", "version": "2", "rules": "ab"}, "rules must be"),
-            ({"category": "T", "version": True, "rules": ["ok"]}, "version must be"),
-            ({"category": "T", "version": 1.0, "rules": ["ok"]}, "version must be"),
-        ],
-        ids=["bool-version-non-string-rules", "string-rules", "bool-version", "float-version"],
-    )
-    def test_fields_of_another_json_type_rejected(self, tmp_path, payload, message):
-        path = tmp_path / "mem.json"
-        path.write_text(json.dumps(payload))
-        with pytest.raises(RuleMemoryError, match=message):
-            load(path)
+        assert json.loads(path.read_text(encoding="utf-8")) == {
+            "category": "N", "rules": ["look at node counts", "check laterality"], "version": 3,
+        }
 
 
 def test_trace_csv_round_trip(tmp_path):

@@ -155,6 +155,21 @@ class TestRunRag:
         # ties break by chunk id: r02 scores a and b alike
         assert [r.retrieved_chunk_ids for r in records] == [(0, 2, 1), (1, 2, 0), (2, 0, 1)]
 
+    @pytest.mark.parametrize(
+        "n_reports, mode, message",
+        [(1, "guidline", "unknown rag_query_mode 'guidline'"), (0, "guideline", "no reports to run")],
+        ids=["misspelt-mode", "no-reports"],
+    )
+    def test_bad_call_fails_before_any_model_call(self, n_reports, mode, message):
+        texts = ["chunk a", "chunk b"]
+        client, backend = self._client(1, texts)
+        index = guideline_index(client, texts)
+        embeds_before = backend.embed_calls
+        with pytest.raises(PipelineError, match=message):
+            run_rag(reports(n_reports), T, client, index, RetrievalQuery("q", k=2), REGISTRY,
+                    rag_query_mode=mode)
+        assert (backend.embed_calls - embeds_before, backend.chat_calls) == (0, 0)
+
 
 class TestInduceLtm:
     def test_identical_rules_hand_trace(self):
