@@ -3,12 +3,12 @@ Scoring, error tables, and multi-run aggregation
 ================================================
 
 Walks through the evaluation machinery on a toy prediction set: `score`
-gives a confusion matrix and a score block (per-class and macro metrics and
-the error count) over the records whose report carries a gold label; error
-rows built from score blocks the way `run` and `evaluate` build them (one
-block per run or split, the count averaged over runs), the reference
-rounding, unique-error comparison between two methods, and mean±std
-aggregation.
+gives a score block (per-class and macro metrics, the error count and the
+confusion matrix it comes from) over the records whose report carries a
+gold label; error rows built from score blocks the way `run` and
+`evaluate` build them (one block per run or split, the count averaged over
+runs), the reference rounding, unique-error comparison between two
+methods, and mean±std aggregation.
 """
 
 from stagepipe.corpus import Corpus, Report, StageCategory, StageLabel
@@ -57,16 +57,17 @@ records_b = [
 ]
 
 print("method A:")
-matrix, block = score(records_a, corpus, T)
+block = score(records_a, corpus, T)
 print(render_metrics_table(block))
-print("confusion rows (gold T1..T4):", matrix.counts, "unparseable:", matrix.unparseable)
+# the block, as metrics.json holds it, carries the matrix the table prints
+print("confusion:", block["confusion"])
 
 # unparseable predictions (None above) count as errors for their gold class;
 # a row aggregates one score block per run, its count the mean over the runs
 print("\nerror table:")
 for method, runs in (("A", [records_a]), ("B", [records_b]),
                      ("A and B as two runs", [records_a, records_b])):
-    blocks = [score(run, corpus, T)[1] for run in runs]
+    blocks = [score(run, corpus, T) for run in runs]
     row = aggregate_splits(blocks)
     print(f"  {method}: {row['num_errors_mean']} errors of {blocks[0]['n_evaluated']}"
           f" -> {row['error_pct']}")

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import logging
 import math
 import os
@@ -31,6 +30,8 @@ from .corpus import (
     label_distribution,
     load_corpus,
     make_splits,
+    read_json,
+    read_jsonl,
     read_utf8,
     truncate_train,
     write_csv,
@@ -146,8 +147,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     config_path = getattr(args, "config", None)
     if config_path:
         try:
-            file_cfg = json.loads(Path(config_path).read_text(encoding="utf-8"))
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            file_cfg = read_json(config_path, UsageError)
+        except OSError as exc:
             raise UsageError(f"cannot read config file {config_path}: {exc}")
         if not isinstance(file_cfg, dict):
             raise UsageError(f"config file {config_path} must hold a JSON object")
@@ -340,7 +341,7 @@ def _kewltm_points(
             [by_id[rid] for rid in split.test_ids], category, induction.final_memory,
             client, registry, run=run,
         )
-        _, block = evaluation.score(records, corpus, category)
+        block = evaluation.score(records, corpus, category)
         block.update({"split": i, "seed": split.seed,
                       "memory_version": induction.final_memory.version})
         with lock:
@@ -482,7 +483,7 @@ def cmd_run(cfg: RunConfig) -> int:
         else:
             records = pipelines.infer(method, list(corpus), category, client, registry,
                                       rules=rules, chunk_ids=chunk_ids)
-        _, metrics = evaluation.score(records, corpus, category)
+        metrics = evaluation.score(records, corpus, category)
         write_jsonl(out / "predictions.jsonl", [record_to_json(r) for r in records])
         write_json(out / "metrics.json", metrics)
         m = metrics["macro"]
@@ -564,13 +565,10 @@ def _load_predictions(path: str | Path, category: StageCategory, corpus: Corpus)
     file without that field. A report id appears at most once per group."""
     groups: Groups = {}
     first_line: dict[tuple[int | None, str], int] = {}
-    for lineno, line in enumerate(read_utf8(path, PipelineError).split("\n"), 1):
-        if not line.strip():
-            continue
+    for lineno, obj in read_jsonl(path, UsageError):
         try:
-            obj = json.loads(line)
             rec = record_from_json(obj)
-        except (json.JSONDecodeError, KeyError, ValueError, PipelineError) as exc:
+        except (KeyError, ValueError, PipelineError) as exc:
             raise UsageError(f"{path} line {lineno}: {exc}")
         split = obj.get("split")
         if split is not None and type(split) is not int:
@@ -622,7 +620,7 @@ def cmd_evaluate(cfg: RunConfig, prediction_paths: list[str]) -> int:
     runs = [_load_predictions(path, category, corpus) for path in prediction_paths]
     pairs = _pair_splits(*runs) if len(runs) == 2 else {}
     for path, groups in zip(prediction_paths, runs):
-        blocks = [evaluation.score(records, corpus, category)[1] for records in groups.values()]
+        blocks = [evaluation.score(records, corpus, category) for records in groups.values()]
         skipped = sum(map(len, groups.values())) - sum(b["n_evaluated"] for b in blocks)
         print(f"== {path} ==")
         if skipped:

@@ -1,12 +1,16 @@
 """Report corpus: label sets, JSONL ingestion, seeded train/test splits, and
-the writers of every output file.
+the readers and writers of every local file.
 
 A corpus is an ordered collection of pathology reports, each optionally
 carrying gold T/N labels. Splits are produced by an explicit seeded
 Fisher-Yates shuffle over lexicographically sorted report ids, so the same
 (corpus, seed) pair yields byte-identical splits on every platform. Every
-output file is written by `write_json`, `write_jsonl` or `write_csv`, so
-each format is decided here once: JSON keys sorted, every line ended by LF.
+local JSON or JSON-lines input is decoded by `read_json` or `read_jsonl`,
+so what counts as a malformed file is decided here once: text that is not
+UTF-8 or does not decode ends as the caller's error type, naming the file
+(and line). Every output file is written by `write_json`, `write_jsonl` or
+`write_csv`, so each format is decided here once: JSON keys sorted, every
+line ended by LF.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 class CorpusError(ValueError):
@@ -156,6 +160,38 @@ def read_utf8(path: str | Path, error: type[Exception]) -> str:
         raise error(f"{path}: not UTF-8 text ({exc})")
 
 
+# what a JSON text that does not decode raises: JSONDecodeError, or the
+# ValueError of an integer past Python's digit limit, is a ValueError; JSON
+# nested past the recursion limit is a RecursionError
+_UNDECODABLE = (ValueError, RecursionError)
+
+
+def read_json(path: str | Path, error: type[Exception]):
+    """The value of a UTF-8 JSON file; `error`, naming the file, when it does
+    not decode (an unreadable file raises OSError as usual)."""
+    text = read_utf8(path, error)
+    try:
+        return json.loads(text)
+    except _UNDECODABLE as exc:
+        raise error(f"{path}: invalid JSON ({exc})")
+
+
+def read_jsonl(path: str | Path, error: type[Exception]) -> Iterator[tuple[int, object]]:
+    """Each non-blank line of a UTF-8 JSON-lines file as (1-based line
+    number, value), in file order; `error`, naming the file and line, when
+    one does not decode (an unreadable file raises OSError as usual)."""
+    # reading has turned \r\n and \r into \n; splitlines would also split
+    # a text at U+2028, which JSON strings may hold
+    for lineno, line in enumerate(read_utf8(path, error).split("\n"), 1):
+        if not line.strip():
+            continue
+        try:
+            value = json.loads(line)
+        except _UNDECODABLE as exc:
+            raise error(f"{path} line {lineno}: invalid JSON ({exc})")
+        yield lineno, value
+
+
 def write_utf8(path: str | Path, text: str) -> None:
     """Write `text` to `path` as UTF-8, whole: into a temp file beside it,
     then `os.replace` into place, so a killed process leaves the old file or
@@ -213,49 +249,41 @@ def load_corpus(path: str | Path) -> Corpus:
 
     Each line is an object ``{"id": str, "text": str, "t_label": str|null,
     "n_label": str|null}``. Labels are normalized to canonical uppercase.
-    Errors carry the 1-based line number.
+    Errors name the file as given and the 1-based line number.
     """
-    path = Path(path)
     reports: list[Report] = []
     seen: set[str] = set()
-    # reading has turned \r\n and \r into \n; splitlines would also split
-    # a text at U+2028, which JSON strings may hold
-    for lineno, line in enumerate(read_utf8(path, CorpusError).split("\n"), 1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise CorpusError(f"{path.name} line {lineno}: invalid JSON ({exc.msg})")
+    for lineno, obj in read_jsonl(path, CorpusError):
+        where = f"{path} line {lineno}"
         if not isinstance(obj, dict):
-            raise CorpusError(f"{path.name} line {lineno}: expected an object")
+            raise CorpusError(f"{where}: expected an object")
         try:
             rid = obj["id"]
             text = obj["text"]
         except KeyError as exc:
-            raise CorpusError(f"{path.name} line {lineno}: missing field {exc.args[0]!r}")
+            raise CorpusError(f"{where}: missing field {exc.args[0]!r}")
         if not isinstance(rid, str) or not isinstance(text, str):
-            raise CorpusError(f"{path.name} line {lineno}: id and text must be strings")
+            raise CorpusError(f"{where}: id and text must be strings")
         if rid in seen:
-            raise CorpusError(f"{path.name} line {lineno}: duplicate report id {rid!r}")
+            raise CorpusError(f"{where}: duplicate report id {rid!r}")
         gold: dict[StageCategory, StageLabel] = {}
         for key, cat in (("t_label", StageCategory.T), ("n_label", StageCategory.N)):
             raw = obj.get(key)
             if raw is None:
                 continue
             if not isinstance(raw, str):
-                raise CorpusError(f"{path.name} line {lineno}: {key} must be a string or null")
+                raise CorpusError(f"{where}: {key} must be a string or null")
             try:
                 gold[cat] = StageLabel.parse(raw, cat)
             except CorpusError as exc:
-                raise CorpusError(f"{path.name} line {lineno}: {exc}")
+                raise CorpusError(f"{where}: {exc}")
         try:
             reports.append(Report(rid, text, gold))
         except CorpusError as exc:
-            raise CorpusError(f"{path.name} line {lineno}: {exc}")
+            raise CorpusError(f"{where}: {exc}")
         seen.add(rid)
     if not reports:
-        raise CorpusError(f"{path.name}: no reports found")
+        raise CorpusError(f"{path}: no reports found")
     return Corpus(tuple(reports))
 
 

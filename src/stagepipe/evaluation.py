@@ -3,9 +3,9 @@
 One pass checks records against the corpus gold labels: a record whose
 report lacks the category's label is skipped, and a record of an unknown
 report, or a set with no labeled record, is an error. `score` turns the
-labeled records into a confusion matrix and a score block, the one result
-format that `metrics.json`, `aggregate_splits` and `render_metrics_table`
-read.
+labeled records into a score block, which carries its confusion matrix:
+the one result format that `metrics.json`, `aggregate_splits` and
+`render_metrics_table` read.
 
 Each category is scored as a 4-class problem: per-class precision, recall,
 and F1 from the confusion matrix, macro-averaged with equal class weights.
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Sequence
 
@@ -30,15 +29,6 @@ from .pipelines import PredictionRecord
 
 class EvaluationError(ValueError):
     """Records or aggregation inputs are inconsistent."""
-
-
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    """4x4 grid indexed (gold rank, predicted rank) plus per-gold unparseable counts."""
-
-    category: StageCategory
-    counts: tuple[tuple[int, ...], ...]  # 4 rows of 4
-    unparseable: tuple[int, ...]  # 4
 
 
 def _safe_div(num: float, den: float) -> float:
@@ -72,11 +62,12 @@ def score(
     records: Sequence[PredictionRecord],
     corpus: Corpus,
     category: StageCategory,
-) -> tuple[ConfusionMatrix, dict]:
-    """The confusion matrix and the score block of one run or split, over its
-    records with a gold label: macro and per-class metrics, the error count
-    and its percentage (the errors are the matrix's off-diagonal and
-    unparseable cells)."""
+) -> dict:
+    """The score block of one run or split, over its records with a gold
+    label: macro and per-class metrics, the error count and its percentage,
+    and the confusion matrix they come from (`confusion`: the label order,
+    the 4x4 counts indexed [gold][predicted] and the unparseable count of
+    each gold class; the errors are its off-diagonal and unparseable cells)."""
     pairs = _with_gold(records, corpus, category)
     offset = category.ranks.start
     counts = [[0] * 4 for _ in range(4)]
@@ -97,15 +88,16 @@ def score(
         per_class.append({"label": lab.render(), "precision": p, "recall": r,
                           "f1": _safe_div(2 * p * r, p + r)})
     n_errors = len(pairs) - sum(counts[i][i] for i in range(4))
-    block = {
+    return {
         "n_evaluated": len(pairs),
         "macro": {key: sum(c[key] for c in per_class) / len(per_class)
                   for key in ("precision", "recall", "f1")},
         "per_class": per_class,
         "num_errors": n_errors,
         "error_pct": format_error_pct(n_errors, len(pairs)),
+        "confusion": {"labels": category.label_names(), "counts": counts,
+                      "unparseable": unparseable},
     }
-    return ConfusionMatrix(category, tuple(map(tuple, counts)), tuple(unparseable)), block
 
 
 def format_error_pct(count: float, total: int) -> str:
@@ -201,12 +193,22 @@ def memory_curve(
 
 
 def render_metrics_table(block: dict) -> str:
-    """Human-readable per-class and macro metrics and error count of a score block."""
+    """Human-readable per-class and macro metrics of a score block, its
+    confusion matrix (a row per gold label) and its error count."""
     rows = [(c["label"], c) for c in block["per_class"]] + [("macro", block["macro"])]
     lines = [f"{'label':<8}{'precision':>10}{'recall':>10}{'f1':>10}"]
     lines += [
         f"{label:<8}{m['precision']:>10.3f}{m['recall']:>10.3f}{m['f1']:>10.3f}"
         for label, m in rows
+    ]
+    confusion = block["confusion"]
+    lines.append(f"{'gold':<8}" + "".join(f"{label:>6}" for label in confusion["labels"])
+                 + f"{'unparseable':>13}")
+    lines += [
+        f"{label:<8}" + "".join(f"{n:>6}" for n in row) + f"{unparseable:>13}"
+        for label, row, unparseable in zip(
+            confusion["labels"], confusion["counts"], confusion["unparseable"]
+        )
     ]
     lines.append(f"num_errors={block['num_errors']} of {block['n_evaluated']} "
                  f"error_pct={block['error_pct']}")

@@ -20,7 +20,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, NamedTuple, Protocol, Sequence
 
-from .corpus import CorpusError, StageCategory, StageLabel, typed
+from .corpus import CorpusError, StageCategory, StageLabel, read_json, typed
 
 
 class LlmError(Exception):
@@ -379,9 +379,9 @@ class ScriptedBackend:
 def scripted_backend(script: str | Path) -> ScriptedBackend:
     """Load a replay backend from a script file (see ScriptedBackend)."""
     try:
-        data = json.loads(Path(script).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ScriptError(f"cannot parse script {script}: {exc}")
+        data = read_json(script, ScriptError)
+    except OSError as exc:
+        raise ScriptError(f"cannot read script {script}: {exc}")
     return ScriptedBackend(data, origin=str(script))
 
 

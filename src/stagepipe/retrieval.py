@@ -9,7 +9,6 @@ spans of consecutive chunks tile the document exactly.
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import math
 import operator
@@ -19,7 +18,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .corpus import StageCategory, typed, write_json
+from .corpus import StageCategory, read_json, typed, write_json
 
 log = logging.getLogger(__name__)
 
@@ -254,8 +253,8 @@ def load_index(path: str | Path) -> ChunkIndex:
     """Reads a `save_index` file; each field must hold the JSON type that
     `save_index` writes, the vectors a list of lists of JSON numbers, which
     `ChunkIndex` then checks."""
+    obj = read_json(path, RetrievalError)
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
         chunks = []
         for c in typed(obj["chunks"], list, "chunks"):
             start, end = typed(c["source_span"], list, "source_span")
@@ -277,6 +276,6 @@ def load_index(path: str | Path) -> ChunkIndex:
             doc_hash=typed(obj["doc_hash"], str, "doc_hash"),
         )
     except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
-        # ValueError covers bad JSON, spans of another length and the index's
-        # own checks (a RetrievalError); OverflowError an int past the float range
+        # ValueError covers spans of another length and the index's own
+        # checks (a RetrievalError); OverflowError an int past the float range
         raise RetrievalError(f"malformed index file {path}: {exc}")

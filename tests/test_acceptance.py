@@ -62,8 +62,10 @@ def test_metrics_oracle():
             )
             for rid, p in preds.items()
         ]
-        matrix, block = score(records, corpus, T)
-        counts, unparseable = np.asarray(matrix.counts), np.asarray(matrix.unparseable)
+        block = score(records, corpus, T)
+        confusion = block["confusion"]
+        assert confusion["labels"] == T_LABELS
+        counts, unparseable = np.asarray(confusion["counts"]), np.asarray(confusion["unparseable"])
         macro_p = macro_r = macro_f = 0.0
         for idx, lab in enumerate(T_LABELS):
             tp = sum(1 for rid in gold if gold[rid] == lab and preds[rid] == lab)

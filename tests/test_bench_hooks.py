@@ -28,9 +28,9 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # the output-tree digest of each workload's run at seed 7
 DIGESTS = {
-    "ltm-cpu": "4bd142429e533c6ee568577d392854f47d49b1186c759c9ec1fabd4c186afdf3",
-    "rag-latency": "f3f6511dad03d2bf6ef6eab682f800c13e13be357d2963b53d2916b40dd4b884",
-    "sweep-latency": "bf358418b29d9160e94ed60107506fddc8a17f25df575267bc06abed44c1389b",
+    "ltm-cpu": "9263f82942d1817f6d945a53ac016cd26c0ce77d77ac365b02903613bd6f3771",
+    "rag-latency": "992b019bfc30fa9c8d9cbc8111fdca3308161351d3809547b73f02d900e24010",
+    "sweep-latency": "047040956db351e78c05b3cfc2e636a9ab7aec9a831a500623f521fecb5082ba",
 }
 
 

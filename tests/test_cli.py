@@ -137,7 +137,7 @@ class TestIngest:
         corpus = tmp_path / "c.jsonl"
         write_corpus_jsonl(corpus, [{"id": "a", "text": "ok"}, {"id": "", "text": "ok"}])
         assert main(["ingest", "--corpus", str(corpus)]) == 1
-        assert capsys.readouterr().err == "error: c.jsonl line 2: report id must be non-empty\n"
+        assert capsys.readouterr().err == f"error: {corpus} line 2: report id must be non-empty\n"
 
 
 class TestIndex:
@@ -1684,6 +1684,31 @@ class TestEvaluate:
         capsys.readouterr()
         return corpus, out
 
+    def test_kewltm_metrics_carry_each_splits_confusion_matrix(self, tmp_path, capsys):
+        corpus, out = self._kewltm_run(tmp_path, capsys)
+        rows = map(json.loads, corpus.read_text().splitlines())
+        gold = {row["id"]: row["t_label"] for row in rows}
+        labels = ["T1", "T2", "T3", "T4"]
+        expected = {}  # per split, counts[gold][predicted] and unparseable per gold
+        for rec in map(json.loads, (out / "predictions.jsonl").read_text().splitlines()):
+            counts, unparseable = expected.setdefault(
+                rec["split"], ([[0] * 4 for _ in labels], [0] * 4))
+            row = labels.index(gold[rec["report_id"]])
+            if rec["predicted"] == "unparseable":
+                unparseable[row] += 1
+            else:
+                counts[row][labels.index(rec["predicted"])] += 1
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert "confusion" not in metrics  # splits overlap, so no summed matrix
+        for block in metrics["per_split"]:
+            counts, unparseable = expected[block["split"]]
+            assert block["confusion"] == {
+                "labels": labels, "counts": counts, "unparseable": unparseable,
+            }
+            diagonal = sum(counts[i][i] for i in range(4))
+            assert sum(map(sum, counts)) + sum(unparseable) == block["n_evaluated"]
+            assert block["n_evaluated"] - diagonal == block["num_errors"]
+
     def test_kewltm_file_reproduces_the_run_aggregate(self, tmp_path, capsys):
         corpus, out = self._kewltm_run(tmp_path, capsys)
         code = main(
@@ -1934,8 +1959,8 @@ def test_command_that_scores_needs_a_corpus_and_a_category(
 
 class TestNonUtf8Input:
     """An input file that is not UTF-8 ends as a typed error naming it: a
-    usage error for a config file, exit code 1 for any other file, and a
-    FAILED manifest once `run` has created its output directory."""
+    usage error for a config or predictions file, exit code 1 for any other
+    file, and a FAILED manifest once `run` has created its output directory."""
 
     @pytest.mark.parametrize(
         "argv, bad, code, manifest",
@@ -1952,7 +1977,7 @@ class TestNonUtf8Input:
             (["run", "--method", "zscot", "--category", "T", "--corpus", "{corpus}",
               "--script", "{script}", "--out", "{out}"], "script", 1, False),
             (["evaluate", "--predictions", "{predictions}", "--category", "T",
-              "--corpus", "{corpus}"], "predictions", 1, False),
+              "--corpus", "{corpus}"], "predictions", 2, False),
             (["run", "--method", "zscot", "--category", "T", "--corpus", "{corpus}",
               "--script", "{script}", "--templates", "{templates}", "--out", "{out}"],
              "templates", 1, False),
@@ -1991,6 +2016,81 @@ class TestNonUtf8Input:
             written = json.loads(out.read_text())
             assert written["status"] == "FAILED"
             assert str(bad_file) in written["error"]
+
+
+# JSON nested past the recursion limit, and an integer past Python's digit limit
+NESTED, LONG_INTEGER = "[" * 100_000, "7" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv, bad, text, code, manifest",
+    [
+        (["ingest", "--corpus", "{corpus}", "--config", "{config}"], "config",
+         NESTED, 2, False),
+        (["ingest", "--corpus", "{corpus}", "--config", "{config}"], "config",
+         '{"k": %s}' % LONG_INTEGER, 2, False),
+        (["run", "--method", "zscot", "--category", "T", "--corpus", "{corpus}",
+          "--script", "{script}", "--out", "{out}"], "script", NESTED, 1, False),
+        (["run", "--method", "zscot", "--category", "T", "--corpus", "{corpus}",
+          "--script", "{script}", "--out", "{out}"], "script",
+         '[{"kind": "chat", "body": {"n": %s}}]' % LONG_INTEGER, 1, False),
+        (["run", "--method", "rag", "--category", "T", "--corpus", "{corpus}",
+          "--index", "{index}", "--script", "{script}", "--out", "{out}"], "index",
+         NESTED, 1, True),
+        (["evaluate", "--predictions", "{predictions}", "--category", "T",
+          "--corpus", "{corpus}"], "predictions", NESTED, 2, False),
+        (["ingest", "--corpus", "{corpus}"], "corpus", NESTED, 1, False),
+        (["ingest", "--corpus", "{corpus}"], "corpus",
+         '{"id": "r9", "text": "x", "n": %s}' % LONG_INTEGER, 1, False),
+    ],
+    ids=["config-nested", "config-long-integer", "script-nested", "script-long-integer",
+         "index-nested", "predictions-nested", "corpus-nested", "corpus-long-integer"],
+)
+def test_undecodable_input_file_ends_as_one_error_line(
+    tmp_path, capsys, argv, bad, text, code, manifest
+):
+    """A local JSON or JSON-lines input that does not decode ends as the
+    reader's typed error, one line naming the file, with the exit code of
+    that file's other errors."""
+    paths = {name: tmp_path / file for name, file in [
+        ("corpus", "c.jsonl"), ("script", "script.json"), ("index", "index.json"),
+        ("predictions", "p.jsonl"), ("config", "cfg.json"), ("out", "out"),
+    ]}
+    write_corpus(paths["corpus"], 5)
+    write_script(paths["script"], 12, hash_dim=8)
+    bad_file = paths[bad]
+    # a JSON-lines file's bad line comes after a good one
+    good_first = paths["corpus"].read_text().splitlines()[0] + "\n" if bad == "corpus" else ""
+    bad_file.write_text(good_first + text + "\n")
+    assert main([arg.format(**paths) for arg in argv]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(("error: ", "usage error: ")) and err.count("\n") == 1
+    assert str(bad_file) in err and "Traceback" not in err
+    if bad == "corpus":
+        assert f"{bad_file} line 2: invalid JSON" in err
+    assert (paths["out"] / "manifest.json").exists() == manifest
+    if manifest:
+        assert json.loads((paths["out"] / "manifest.json").read_text())["status"] == "FAILED"
+
+
+@pytest.mark.parametrize(
+    "argv, code, error",
+    [
+        (["ingest", "--corpus", "{corpus}", "--config", "{missing}"], 2,
+         "usage error: cannot read config file {missing}: "),
+        (["run", "--method", "zscot", "--category", "T", "--corpus", "{corpus}",
+          "--script", "{missing}", "--out", "{out}"], 1, "error: cannot read script {missing}: "),
+    ],
+    ids=["config", "script"],
+)
+def test_missing_config_or_script_is_its_readers_error(tmp_path, capsys, argv, code, error):
+    paths = {"corpus": tmp_path / "c.jsonl", "missing": tmp_path / "nope.json",
+             "out": tmp_path / "out"}
+    write_corpus(paths["corpus"], 5)
+    assert main([arg.format(**paths) for arg in argv]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(error.format(**paths)) and "No such file" in err
+    assert not paths["out"].exists()
 
 
 class TestConfigPrecedence:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -20,6 +21,8 @@ from stagepipe.corpus import (
     label_distribution,
     load_corpus,
     make_splits,
+    read_json,
+    read_jsonl,
     truncate_train,
     write_utf8,
 )
@@ -106,7 +109,7 @@ class TestLoadCorpus:
         write_corpus_jsonl(path, [{"id": "r0", "text": "fine"}, row])
         with pytest.raises(CorpusError) as info:
             load_corpus(path)
-        assert str(info.value) == f"c.jsonl line 2: {check}"
+        assert str(info.value) == f"{path} line 2: {check}"
 
     def test_unknown_label_rejected(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -271,6 +274,46 @@ def test_report_rejects_mismatched_gold():
         Report(id="x", text="body", gold={StageCategory.T: StageLabel.parse("N1")})
 
 
+class ReaderError(Exception):
+    """Any error type a caller of the readers names."""
+
+
+class TestReaders:
+    def test_jsonl_numbers_lines_and_skips_blank_ones(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        # CRLF ends a line; U+2028 inside a JSON string does not
+        path.write_bytes(b'{"a": 1}\r\n\n  \n["x\xe2\x80\xa8y"]\n')
+        assert list(read_jsonl(path, ReaderError)) == [(1, {"a": 1}), (4, ["x\u2028y"])]
+
+    @pytest.mark.parametrize(
+        "text",
+        ["{oops", "[" * 100_000, '{"n": %s}' % ("7" * 5000)],
+        ids=["not-json", "nested-past-the-recursion-limit", "integer-past-the-digit-limit"],
+    )
+    def test_undecodable_text_is_the_callers_error_naming_file_and_line(self, tmp_path, text):
+        json_path, jsonl_path = tmp_path / "v.json", tmp_path / "v.jsonl"
+        json_path.write_text(text)
+        jsonl_path.write_text('{"ok": 1}\n\n' + text + "\n")
+        with pytest.raises(ReaderError) as info:
+            read_json(json_path, ReaderError)
+        assert str(info.value).startswith(f"{json_path}: invalid JSON (")
+        with pytest.raises(ReaderError) as info:
+            list(read_jsonl(jsonl_path, ReaderError))
+        assert str(info.value).startswith(f"{jsonl_path} line 3: invalid JSON (")
+
+    @pytest.mark.parametrize("read", [read_json, lambda *args: list(read_jsonl(*args))],
+                             ids=["json", "jsonl"])
+    def test_text_not_utf8_is_the_callers_error_and_a_missing_file_an_oserror(
+        self, tmp_path, read
+    ):
+        path = tmp_path / "latin.json"
+        path.write_bytes('"caf\u00e9"'.encode("latin-1"))
+        with pytest.raises(ReaderError, match="latin.json: not UTF-8 text"):
+            read(path, ReaderError)
+        with pytest.raises(FileNotFoundError):
+            read(tmp_path / "missing.json", ReaderError)
+
+
 class TestWriteUtf8:
     def test_writes_the_exact_text_and_its_missing_parents(self, tmp_path):
         path = tmp_path / "a" / "b" / "out.csv"
@@ -356,3 +399,35 @@ def test_a_module_loads_only_the_stagepipe_modules_it_imports(tmp_path, module, 
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert json.loads(proc.stdout) == loaded
+
+
+# every place src/stagepipe may decode JSON: the two readers of local files,
+# and the two decoders of a model endpoint's reply
+JSON_DECODERS = {
+    ("corpus.py", "read_json"), ("corpus.py", "read_jsonl"),
+    ("llm.py", "_extract_json_object"), ("llm.py", "_HttpBackend._post"),
+}
+
+
+def test_only_the_readers_and_the_reply_decoders_decode_json():
+    """A `json.load`/`json.loads` (or a `from json import`) anywhere else
+    would be a second decoder of a local file, with its own idea of what a
+    malformed one is."""
+    found = set()
+
+    def visit(node: ast.AST, file: str, scope: tuple[str, ...]) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+            elif (isinstance(child, ast.Attribute) and child.attr in ("load", "loads")
+                  and isinstance(child.value, ast.Name) and child.value.id == "json"):
+                found.add((file, ".".join(scope)))
+            elif isinstance(child, ast.ImportFrom) and child.module == "json":
+                found.add((file, "from json import"))
+            visit(child, file, inner)
+
+    src = Path(__file__).resolve().parents[1] / "src" / "stagepipe"
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.name, ())
+    assert found == JSON_DECODERS

@@ -14,6 +14,7 @@ from stagepipe.evaluation import (
     format_error_pct,
     mcnemar_p,
     memory_curve,
+    render_metrics_table,
     score,
 )
 from stagepipe.memory import UpdateTrace
@@ -37,9 +38,11 @@ def prediction(rid: str, label: str | None, method: str = "zscot") -> Prediction
     )
 
 
-def cell_total(matrix) -> int:
-    """Every record the matrix counts: its cells and its unparseable counts."""
-    return sum(map(sum, matrix.counts)) + sum(matrix.unparseable)
+def cell_total(block: dict) -> int:
+    """Every record the block's confusion matrix counts: its cells and its
+    unparseable counts."""
+    confusion = block["confusion"]
+    return sum(map(sum, confusion["counts"])) + sum(confusion["unparseable"])
 
 
 def brute_force_metrics(pairs: list[tuple[str, str | None]]):
@@ -97,7 +100,7 @@ class TestScore:
         gold = {"a": "T1", "b": "T2", "c": "T3", "d": "T4"}
         corpus = corpus_with_gold(gold)
         records = [prediction(rid, lab) for rid, lab in gold.items()]
-        _, block = score(records, corpus, T)
+        block = score(records, corpus, T)
         macro = block["macro"]
         assert macro["precision"] == macro["recall"] == macro["f1"] == 1.0
 
@@ -111,7 +114,7 @@ class TestScore:
             prediction("c", "T2"),
             prediction("d", "T2"),
         ]
-        matrix, block = score(records, corpus, T)
+        block = score(records, corpus, T)
         by_label = {cm["label"]: cm for cm in block["per_class"]}
         assert by_label["T1"]["precision"] == 1.0
         assert by_label["T1"]["recall"] == 0.5
@@ -122,17 +125,21 @@ class TestScore:
         assert by_label["T3"]["f1"] == 0.0
         assert by_label["T4"]["f1"] == 0.0
         assert block["macro"]["f1"] == pytest.approx((2 / 3 + 0.8) / 4)
-        assert cell_total(matrix) == 4
+        assert block["confusion"] == {
+            "labels": ["T1", "T2", "T3", "T4"],
+            "counts": [[1, 1, 0, 0], [0, 2, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+            "unparseable": [0, 0, 0, 0],
+        }
 
     def test_unparseable_is_fn_for_gold_not_fp(self):
         corpus = corpus_with_gold({"a": "T1", "b": "T1"})
         records = [prediction("a", "T1"), prediction("b", None)]
-        matrix, block = score(records, corpus, T)
+        block = score(records, corpus, T)
         t1 = block["per_class"][0]
         assert t1["precision"] == 1.0  # the unparseable added no false positive
         assert t1["recall"] == 0.5  # but counts as a miss for T1
-        assert sum(matrix.unparseable) == 1
-        assert cell_total(matrix) == 2
+        assert sum(block["confusion"]["unparseable"]) == 1
+        assert cell_total(block) == 2
 
     def test_unknown_report_id(self, scorer):
         corpus = corpus_with_gold({"a": "T1"})
@@ -172,7 +179,7 @@ class TestScore:
             records = [
                 prediction(rid, pred) for rid, (_, pred) in zip(gold, pairs)
             ]
-            _, block = score(records, corpus, T)
+            block = score(records, corpus, T)
             _, (exp_p, exp_r, exp_f1) = brute_force_metrics(pairs)
             assert block["macro"]["precision"] == pytest.approx(exp_p, abs=1e-12)
             assert block["macro"]["recall"] == pytest.approx(exp_r, abs=1e-12)
@@ -184,8 +191,8 @@ class TestScore:
         gold = {"a": "T1", "b": "T2", "c": "T3"}
         corpus = corpus_with_gold(gold)
         records = [prediction("a", "T2"), prediction("b", "T2"), prediction("c", "T1")]
-        _, forward = score(records, corpus, T)
-        _, backward = score(list(reversed(records)), corpus, T)
+        forward = score(records, corpus, T)
+        backward = score(list(reversed(records)), corpus, T)
         assert forward["macro"]["f1"] == backward["macro"]["f1"]
 
     def test_totals_add_up(self):
@@ -194,8 +201,22 @@ class TestScore:
         records = [
             prediction(rid, None if i % 3 == 0 else "T2") for i, rid in enumerate(gold)
         ]
-        matrix, _ = score(records, corpus, T)
-        assert cell_total(matrix) == len(records)
+        block = score(records, corpus, T)
+        assert cell_total(block) == len(records)
+
+    def test_table_prints_the_matrix_under_the_metrics(self):
+        corpus = corpus_with_gold({"a": "T1", "b": "T1", "c": "T2"})
+        records = [prediction("a", "T1"), prediction("b", None), prediction("c", "T1")]
+        lines = render_metrics_table(score(records, corpus, T)).splitlines()
+        assert lines[5].startswith("macro")
+        assert lines[6:] == [
+            "gold        T1    T2    T3    T4  unparseable",
+            "T1           1     0     0     0            1",
+            "T2           1     0     0     0            0",
+            "T3           0     0     0     0            0",
+            "T4           0     0     0     0            0",
+            "num_errors=2 of 3 error_pct=66.7%",
+        ]
 
 
 class TestErrorFormatting:
@@ -228,7 +249,7 @@ class TestErrorFormatting:
     def test_unparseable_counts_as_error(self):
         gold = {"a": "T1"}
         corpus = corpus_with_gold(gold)
-        _, block = score([prediction("a", None)], corpus, T)
+        block = score([prediction("a", None)], corpus, T)
         assert (block["num_errors"], block["error_pct"]) == (1, "100.0%")
 
 
@@ -262,9 +283,9 @@ class TestAggregateSplits:
     def test_error_pct_only_for_equal_split_totals(self):
         gold = {f"r{i}": "T1" for i in range(4)}
         corpus = corpus_with_gold(gold)
-        _, wrong = score([prediction(rid, "T2") for rid in gold], corpus, T)  # 4 errors
-        _, right = score([prediction(rid, "T1") for rid in gold], corpus, T)  # 0 errors
-        _, one = score([prediction("r0", "T2")], corpus, T)  # 1 error of 1
+        wrong = score([prediction(rid, "T2") for rid in gold], corpus, T)  # 4 errors
+        right = score([prediction(rid, "T1") for rid in gold], corpus, T)  # 0 errors
+        one = score([prediction("r0", "T2")], corpus, T)  # 1 error of 1
         assert aggregate_splits([wrong]) == {
             "aggregate": {"precision": "0.000", "recall": "0.000", "f1": "0.000"},
             "num_errors_mean": "4",
@@ -284,7 +305,7 @@ class TestAggregateSplits:
 
     def test_score_skips_unlabeled_reports(self):
         corpus = Corpus((make_report("a", t="T1"), make_report("b", n="N1")))
-        _, block = score([prediction("a", "T1"), prediction("b", "T2")], corpus, T)
+        block = score([prediction("a", "T1"), prediction("b", "T2")], corpus, T)
         assert (block["n_evaluated"], block["num_errors"], block["error_pct"]) == (1, 0, "0.0%")
         with pytest.raises(EvaluationError, match="gold"):
             score([prediction("b", "T2")], corpus, T)

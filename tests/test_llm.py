@@ -22,6 +22,7 @@ from stagepipe.llm import (
     ScriptError,
     ScriptExhaustedError,
     StructuredOutput,
+    TRANSPORT_ATTEMPTS,
     TransportError,
     TruncatedReplyError,
     _extract_json_object,
@@ -710,6 +711,42 @@ def test_chat_output_always_validates(bodies):
     assert out.stage is not None
     assert out.stage.category is T
     assert out.reasoning is not None
+
+
+# reply bodies: any bytes, and JSON built from the fields of chat and
+# embedding replies, so the field checks behind the decoder run too
+_reply_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["choices", "message", "content", "finish_reason", "data", "index",
+                         "embedding", "model"]), inner, max_size=4),
+    max_leaves=12,
+)
+_reply_body = st.binary(max_size=64) | _reply_json.map(lambda value: json.dumps(value).encode())
+
+
+def test_any_reply_an_endpoint_sends_ends_as_an_llm_error(loopback_endpoints):
+    """Whatever body an endpoint sends with a 200, 400, 429 or 500, chat and
+    embed return or raise an LlmError, never another exception."""
+    endpoint = loopback_endpoints()
+    client = LlmClient(chat_backend=HttpChatBackend(endpoint.url),
+                       embed_backend=HttpEmbedBackend(endpoint.url), sleep=lambda _: None)
+    calls = (lambda: client.chat(ChatRequest(user="q", schema=STAGING_T)),
+             lambda: client.embed(["a", "b"]))
+
+    # built inside the test, so hypothesis reuses the one endpoint
+    @given(status=st.sampled_from([200, 400, 429, 500]), body=_reply_body)
+    @settings(max_examples=200, deadline=None)
+    def check(status, body):
+        for call in calls:
+            endpoint.replies.clear()  # the replies a call before left unread
+            endpoint.replies.extend([Reply(status=status, body=body)] * TRANSPORT_ATTEMPTS)
+            try:
+                call()
+            except LlmError:
+                pass
+
+    check()
 
 
 def test_chat_replay_is_deterministic():
