@@ -115,7 +115,6 @@ class RunConfig:
     temperature: float = _key(0.0, "sampling temperature of every chat call", least=0)
     max_tokens: int = _key(1024, "reply token cap of every chat call", least=1)
     chunk_max_chars: int = _key(1200, least=200)
-    chunk_overlap: int = 0
     query: str | None = _key(None, "retrieval query text (defaults to the category query)")
 
     def __post_init__(self) -> None:
@@ -133,10 +132,6 @@ class RunConfig:
                 raise UsageError(f"{field.name} must be within [{least}, {most}], got {value}")
             if least is not None and value < least:
                 raise UsageError(f"{field.name} must be at least {least}, got {value}")
-        if not 0 <= self.chunk_overlap < self.chunk_max_chars:
-            raise UsageError(
-                f"chunk_overlap must be within [0, chunk_max_chars), got {self.chunk_overlap}"
-            )
         if not self.out:  # Path("") is the working directory
             raise UsageError("out must be a non-empty path")
 
@@ -251,9 +246,7 @@ def _load_or_build_index(
                 f"index {cfg.index} was built from another document than {cfg.guideline}"
             )
         return idx, idx.doc_hash
-    chunks = retrieval.chunk_document(
-        doc, max_chars=cfg.chunk_max_chars, overlap_chars=cfg.chunk_overlap
-    )
+    chunks = retrieval.chunk_document(doc, max_chars=cfg.chunk_max_chars)
     return retrieval.build_index(chunks, client.embed, doc_hash), doc_hash
 
 

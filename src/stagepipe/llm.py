@@ -196,20 +196,14 @@ class StructuredOutput:
 
 
 def _extract_json_object(text: str) -> dict:
-    """Parse the response as a JSON object; failing that, take the object
-    that parses from the first `{` it can, ignoring the prose around it.
+    """Take the JSON object that parses from the first `{` it can, ignoring
+    the prose around it; a reply that is one object is parsed whole.
 
     A value that fails to decode at one `{`, an integer past Python's digit
     limit included, moves the scan on to the next. JSON nested past the
     recursion limit ends the scan at once: a later `{` inside the same
     nesting would recurse as deep again. Either way a reply with no usable
     object is a SchemaViolationError."""
-    try:
-        obj = json.loads(text)
-        if isinstance(obj, dict):
-            return obj
-    except (ValueError, RecursionError):  # ValueError includes JSONDecodeError
-        pass
     decoder = json.JSONDecoder()
     start = text.find("{")
     while start != -1:
@@ -373,7 +367,7 @@ class ScriptedBackend:
             if vec is None:
                 return None
             out.append(vec)
-        return out if out or not texts else None
+        return out
 
 
 def scripted_backend(script: str | Path) -> ScriptedBackend:

@@ -2,8 +2,8 @@
 
 The guideline corpus is small, so retrieval is exact: every chunk vector is
 compared against the query. Chunking splits on blank-line paragraph
-boundaries and packs paragraphs greedily up to a size cap; the non-overlap
-spans of consecutive chunks tile the document exactly.
+boundaries and packs paragraphs greedily up to a size cap; the chunks'
+spans tile the document exactly.
 """
 
 from __future__ import annotations
@@ -92,90 +92,44 @@ def hash_document(doc: str) -> str:
     return hashlib.sha256(doc.encode("utf-8")).hexdigest()
 
 
-def _paragraph_spans(doc: str) -> list[tuple[int, int]]:
-    """Disjoint covering spans, one per paragraph with its trailing separator.
-
-    Whitespace-only spans are merged into a neighbor so every piece carries
-    content.
-    """
-    bounds = [0]
-    for m in re.finditer(r"\n(?:[ \t\r]*\n)+", doc):
-        bounds.append(m.end())
-    if bounds[-1] != len(doc):
-        bounds.append(len(doc))
-    spans = [
-        (bounds[i], bounds[i + 1])
-        for i in range(len(bounds) - 1)
-        if bounds[i + 1] > bounds[i]
-    ]
-    merged: list[tuple[int, int]] = []
-    for span in spans:
-        if merged and not doc[merged[-1][0] : merged[-1][1]].strip():
-            merged[-1] = (merged[-1][0], span[1])  # blank piece joins the next
-        else:
-            merged.append(span)
-    if len(merged) > 1 and not doc[merged[-1][0] : merged[-1][1]].strip():
-        tail = merged.pop()
-        merged[-1] = (merged[-1][0], tail[1])
-    return merged
+# a blank line; a paragraph ends after one once it holds non-whitespace
+_SEPARATOR = re.compile(r"\n(?:[ \t\r]*\n)+")
+_UP_TO_LAST_SPACE = re.compile(r".*\s", re.S)
 
 
-def _split_long(doc: str, span: tuple[int, int], max_chars: int) -> list[tuple[int, int]]:
-    """Split one over-long span at the last whitespace before each limit."""
-    out = []
-    start, end = span
-    while end - start > max_chars:
-        window = doc[start : start + max_chars]
-        cut = -1
-        for m in re.finditer(r"\s", window):
-            cut = m.start()
-        if cut <= 0:
-            cut = max_chars - 1  # no whitespace: hard split
-        out.append((start, start + cut + 1))
-        start = start + cut + 1
-    if end > start:
-        out.append((start, end))
-    return out
+def chunk_document(doc: str, max_chars: int = 1200) -> list[Chunk]:
+    """Split `doc` into chunks of at most `max_chars` characters that tile it.
 
-
-def chunk_document(
-    doc: str, max_chars: int = 1200, overlap_chars: int = 0
-) -> list[Chunk]:
-    """Split `doc` into chunks of at most `max_chars` (non-overlap) characters.
-
-    Paragraphs (blank-line delimited) are merged greedily until adding the
-    next one would exceed the cap; a single paragraph longer than the cap is
-    split at the last whitespace before the limit. With ``overlap_chars > 0``
-    each chunk is prefixed with that much of the preceding chunk's text, and
-    `source_span` covers exactly the chunk's text.
+    Paragraphs end after blank lines; a whitespace-only paragraph joins the
+    next one, and a whitespace-only tail the last. Paragraphs are packed
+    greedily until adding the next one would pass the cap; a paragraph
+    longer than the cap is split after the last whitespace before the limit,
+    or at the limit when there is none. Each `source_span` covers exactly its
+    chunk's text.
     """
     if max_chars < 200:
         raise RetrievalError(f"max_chars must be >= 200, got {max_chars}")
-    if not 0 <= overlap_chars < max_chars:
-        raise RetrievalError(
-            f"overlap_chars must be in [0, max_chars), got {overlap_chars}"
-        )
-    if not doc.strip():
+    content_end = len(doc.rstrip())
+    if not content_end:
         raise RetrievalError("empty document")
-    pieces: list[tuple[int, int]] = []
-    for span in _paragraph_spans(doc):
-        pieces.extend(_split_long(doc, span, max_chars))
-    # greedy packing over the disjoint cover
-    packed: list[tuple[int, int]] = []
-    cur_start, cur_end = pieces[0]
-    for start, end in pieces[1:]:
-        if end - cur_start > max_chars:
-            packed.append((cur_start, cur_end))
-            cur_start, cur_end = start, end
-        else:
-            cur_end = end
-    packed.append((cur_start, cur_end))
-    chunks = []
-    for i, (start, end) in enumerate(packed):
-        if i > 0 and overlap_chars:
-            prev_start = packed[i - 1][0]
-            start = max(prev_start, start - overlap_chars)
-        chunks.append(Chunk(chunk_id=i, text=doc[start:end], source_span=(start, end)))
+    chunks: list[Chunk] = []
+    start = end = 0  # the open chunk is doc[start:end]
+    # blank lines in the whitespace tail end no paragraph
+    stops = (m.end() for m in _SEPARATOR.finditer(doc, 0, content_end))
+    for stop in chain(stops, [len(doc)]):
+        if doc[end:stop].isspace():  # `end` is the last paragraph's end here
+            continue
+        while end < stop:
+            cut = stop
+            if stop - end > max_chars:
+                # whitespace only at the window's first character does not count
+                m = _UP_TO_LAST_SPACE.match(doc, end, end + max_chars)
+                cut = m.end() if m and m.end() > end + 1 else end + max_chars
+            if cut - start > max_chars:
+                chunks.append(Chunk(len(chunks), doc[start:end], (start, end)))
+                start = end
+            end = cut
+    chunks.append(Chunk(len(chunks), doc[start:end], (start, end)))
     return chunks
 
 

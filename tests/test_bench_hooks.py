@@ -28,9 +28,9 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # the output-tree digest of each workload's run at seed 7
 DIGESTS = {
-    "ltm-cpu": "9263f82942d1817f6d945a53ac016cd26c0ce77d77ac365b02903613bd6f3771",
-    "rag-latency": "992b019bfc30fa9c8d9cbc8111fdca3308161351d3809547b73f02d900e24010",
-    "sweep-latency": "047040956db351e78c05b3cfc2e636a9ab7aec9a831a500623f521fecb5082ba",
+    "ltm-cpu": "fd81a10040996808ef720a7b8a37606fb4956fdb4782709f2ab7ac727ef21cac",
+    "rag-latency": "60faad05ef9d45339e9fcd2e94c362e1b2f5085d0cb8d0698e765836c2fb0de6",
+    "sweep-latency": "32bec6abe57ee245d4276e7502237788fe85ed1aa0eb94509fcb0bf9e23da7c7",
 }
 
 

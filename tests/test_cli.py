@@ -1158,10 +1158,9 @@ def test_threshold_out_of_range_is_usage_error_before_any_call(
          "max_tokens must be at least 1, got 0"),
         (["run", "--method", "rag"], {"chunk_max_chars": 199},
          "chunk_max_chars must be at least 200, got 199"),
-        (["run", "--method", "rag"], {"chunk_overlap": -1},
-         "chunk_overlap must be within [0, chunk_max_chars), got -1"),
-        (["run", "--method", "rag"], {"chunk_max_chars": 300, "chunk_overlap": 300},
-         "chunk_overlap must be within [0, chunk_max_chars), got 300"),
+        # chunks tile the guideline, with no overlap to set
+        (["run", "--method", "rag"], {"chunk_overlap": 0},
+         "unknown config key(s): ['chunk_overlap']"),
         (["sweep", "--train-counts", "2"], {"seed": -3}, "seed must be at least 0, got -3"),
         # a repeated point would run twice and write each of its rows twice
         (["sweep", "--train-counts", "2,2"], None, "--train-counts repeats a value: 2, 2"),
@@ -1181,7 +1180,7 @@ def test_threshold_out_of_range_is_usage_error_before_any_call(
          "sweep-train-counts-above-train-size", "n-train-above-train-size",
          "sweep-thresholds-n-train-above-train-size", "temperature", "temperature-nan",
          "temperature-inf", "config-temperature-nan", "config-threshold-inf", "max-tokens",
-         "chunk-max-chars", "negative-chunk-overlap", "chunk-overlap-not-below-max",
+         "chunk-max-chars", "config-chunk-overlap",
          "config-seed", "sweep-repeated-train-count", "sweep-repeated-threshold",
          "run-without-method", "config-method", "query-with-report-text-rag",
          "corpus-without-category-label"],
@@ -2224,7 +2223,7 @@ FLAGS = {
     "llm_model": "--llm-model", "embed_model": "--embed-model",
     "temperature": "--temperature", "max_tokens": "--max-tokens", "query": "--query",
 }
-UNFLAGGED = {"llm_base", "llm_key", "embed_base", "embed_key", "chunk_max_chars", "chunk_overlap"}
+UNFLAGGED = {"llm_base", "llm_key", "embed_base", "embed_key", "chunk_max_chars"}
 # each subcommand's flags besides --config and those of FLAGS
 COMMAND_FLAGS = {"ingest": set(), "index": set(), "run": set(),
                  "sweep": {"--train-counts", "--thresholds"}, "evaluate": {"--predictions"}}

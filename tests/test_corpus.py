@@ -410,9 +410,9 @@ JSON_DECODERS = {
 
 
 def test_only_the_readers_and_the_reply_decoders_decode_json():
-    """A `json.load`/`json.loads` (or a `from json import`) anywhere else
-    would be a second decoder of a local file, with its own idea of what a
-    malformed one is."""
+    """A `json.load`, `json.loads` or `json.JSONDecoder` (or a `from json
+    import`) anywhere else would be a second decoder of a local file, with
+    its own idea of what a malformed one is."""
     found = set()
 
     def visit(node: ast.AST, file: str, scope: tuple[str, ...]) -> None:
@@ -420,7 +420,7 @@ def test_only_the_readers_and_the_reply_decoders_decode_json():
             inner = scope
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 inner = scope + (child.name,)
-            elif (isinstance(child, ast.Attribute) and child.attr in ("load", "loads")
+            elif (isinstance(child, ast.Attribute) and child.attr in ("load", "loads", "JSONDecoder")
                   and isinstance(child.value, ast.Name) and child.value.id == "json"):
                 found.add((file, ".".join(scope)))
             elif isinstance(child, ast.ImportFrom) and child.module == "json":

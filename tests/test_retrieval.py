@@ -3,11 +3,10 @@ from __future__ import annotations
 import json
 import logging
 import random
-from typing import Sequence
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from stagepipe.retrieval import (
@@ -24,22 +23,32 @@ from stagepipe.retrieval import (
 )
 
 
-def reconstruct(chunks: Sequence[Chunk], doc: str) -> str:
-    """Oracle: concatenate the non-overlap spans; equals `doc` for its own chunks."""
-    out = []
-    prev_end = 0
-    for c in chunks:
-        start = max(c.source_span[0], prev_end)
-        out.append(doc[start : c.source_span[1]])
-        prev_end = c.source_span[1]
-    return "".join(out)
-
-
-def para(ch: str, size: int) -> str:
+def para(ch: str, size: int, space: str = " ") -> str:
     """One paragraph of `size` characters ending with a letter."""
-    unit = (ch * 9 + " ")
+    unit = (ch * 9 + space)
     body = (unit * (size // 10 + 1))[:size]
     return body[:-1] + ch
+
+
+SPACES = [" ", "\t", "\xa0", "\x0b", "\x85", "\u2028"]
+XA0_DOC = "a" * 150 + "\n\n\xa0\n\n" + "b" * 150
+
+
+@st.composite
+def documents(draw) -> str:
+    """Paragraphs of words, runs with no whitespace to split them at, and
+    whitespace-only paragraphs, between LF or CRLF blank lines, with blank
+    text before and after."""
+    parts = [draw(st.sampled_from(["", "\n\n", "\n \t\n\n", "\xa0\r\n\r\n"]))]
+    for i in range(draw(st.integers(min_value=1, max_value=8))):
+        if i:
+            parts.append(draw(st.sampled_from(["\n\n", "\r\n\r\n", "\n \t\n", "\n\r\n\n"])))
+        kind, size = draw(st.sampled_from(["words", "run", "blank"])), draw(st.integers(5, 2000))
+        space = draw(st.sampled_from(SPACES))
+        parts.append({"words": para("azx"[i % 3], size, space), "run": "azx"[i % 3] * size,
+                      "blank": space * (size % 4 + 1)}[kind])
+    parts.append(draw(st.sampled_from(["", "\n\n", "\n\n \t ", "\n \n\n", "\xa0", "\r\n"])))
+    return "".join(parts)
 
 
 def fake_embedder(mapping: dict[str, list[float]], model_id: str = "fake"):
@@ -89,18 +98,18 @@ class TestChunkDocument:
     def test_reconstruction(self):
         doc = "\n\n".join(para(c, 350) for c in "abcdef")
         chunks = chunk_document(doc, max_chars=800)
-        assert reconstruct(chunks, doc) == doc
+        assert "".join(c.text for c in chunks) == doc
 
-    def test_reconstruction_with_overlap(self):
-        doc = "\n\n".join(para(c, 350) for c in "abcdef")
-        chunks = chunk_document(doc, max_chars=800, overlap_chars=50)
-        assert reconstruct(chunks, doc) == doc
-
-    def test_overlap_prefix_matches_previous_suffix(self):
-        doc = "\n\n".join(para(c, 500) for c in "ab")
-        chunks = chunk_document(doc, max_chars=600, overlap_chars=40)
-        assert len(chunks) == 2
-        assert chunks[1].text[:40] == chunks[0].text[-40:]
+    @pytest.mark.parametrize("doc, lengths", [
+        # the blank line after the \xa0 ends no paragraph: the text since the
+        # last paragraph end holds no content
+        (XA0_DOC, [152, 153]),
+        # the second window starts at the second space and holds no other
+        # whitespace, so it is split at the cap
+        ("a" * 199 + "  " + "b" * 300, [200, 200, 101]),
+    ], ids=["whitespace-only-paragraph", "whitespace-only-first-in-window"])
+    def test_chunk_lengths(self, doc, lengths):
+        assert [len(c.text) for c in chunk_document(doc, max_chars=200)] == lengths
 
     def test_ids_dense_from_zero_and_text_matches_span(self):
         doc = "\n\n".join(para(c, 400) for c in "abcd")
@@ -109,33 +118,29 @@ class TestChunkDocument:
         for c in chunks:
             assert doc[c.source_span[0] : c.source_span[1]] == c.text
 
-    @pytest.mark.parametrize("max_chars,overlap", [(100, 0), (200, 200), (300, -1)])
-    def test_parameter_validation(self, max_chars, overlap):
-        with pytest.raises(RetrievalError):
-            chunk_document("text", max_chars=max_chars, overlap_chars=overlap)
+    def test_parameter_validation(self):
+        with pytest.raises(RetrievalError, match="max_chars must be >= 200, got 100"):
+            chunk_document("text", max_chars=100)
 
-    @given(
-        lead=st.sampled_from(["", "\n\n", "\n \t\n\n"]),
-        paragraphs=st.lists(
-            st.tuples(st.booleans(), st.integers(min_value=5, max_value=2000)),
-            min_size=1, max_size=8,
-        ),
-        tail=st.sampled_from(["", "\n\n", "\n\n \t ", "\n \n\n"]),
-        max_chars=st.integers(min_value=200, max_value=900),
-    )
+    @given(doc=documents(), max_chars=st.integers(min_value=200, max_value=900))
     # blank lines first, a run with no whitespace past the cap, a blank tail
-    @example(lead="\n\n", paragraphs=[(False, 1000), (True, 50)], tail="\n\n \t ", max_chars=200)
-    @settings(max_examples=60, deadline=None)
-    def test_reconstruction_property(self, lead, paragraphs, tail, max_chars):
-        # a paragraph is words, or one run with no whitespace to split it at
-        doc = lead + "\n\n".join(
-            para("azx"[i % 3], size) if spaced else "azx"[i % 3] * size
-            for i, (spaced, size) in enumerate(paragraphs)
-        ) + tail
+    @example(doc="\n\n" + "a" * 1000 + "\n\n" + para("z", 50) + "\n\n \t ", max_chars=200)
+    @example(doc=XA0_DOC, max_chars=200)
+    @settings(max_examples=100, deadline=None)
+    def test_reconstruction_property(self, doc, max_chars):
+        assume(doc.strip())
         chunks = chunk_document(doc, max_chars=max_chars)
-        assert reconstruct(chunks, doc) == doc
-        assert all(c.text for c in chunks)
-        assert all(end - start <= max_chars for start, end in (c.source_span for c in chunks))
+        assert "".join(c.text for c in chunks) == doc
+        for c in chunks:
+            assert doc[slice(*c.source_span)] == c.text
+            # not always non-blank: "x" * 199 + "\n\n" + "y" * 300 gives a "\n" chunk
+            assert 0 < len(c.text) <= max_chars
+        for c, after in zip(chunks, chunks[1:]):
+            assert after.source_span[1] - c.source_span[0] > max_chars  # greedy
+            # split after a whitespace, or hard at the cap in a run with none
+            assert c.text[-1].isspace() or (
+                len(c.text) == max_chars and not any(map(str.isspace, c.text[1:]))
+            )
 
 
 class TestBuildIndex:
