@@ -167,6 +167,11 @@ class TestParseStructured:
         out = parse_structured(before + '{"reasoning": "r", "stage": "T2"}', STAGING_T)
         assert out.stage == StageLabel.parse("T2")
 
+    def test_reply_opening_with_a_byte_order_mark_parses(self):
+        # json.loads refuses a leading BOM; the scan starts at the "{" after it
+        out = parse_structured('\ufeff{"reasoning": "r", "stage": "T2"}', STAGING_T)
+        assert out.stage == StageLabel.parse("T2")
+
     def test_object_nested_past_the_recursion_limit_ends_the_scan(self):
         # each "{" inside the nesting would recurse as deep again
         raw = '{"a": ' + "[" * 100000 + ' {"reasoning": "r", "stage": "T2"}'

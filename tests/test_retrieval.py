@@ -107,7 +107,16 @@ class TestChunkDocument:
         # the second window starts at the second space and holds no other
         # whitespace, so it is split at the cap
         ("a" * 199 + "  " + "b" * 300, [200, 200, 101]),
-    ], ids=["whitespace-only-paragraph", "whitespace-only-first-in-window"])
+        # a run with no whitespace at all is split at the cap
+        ("a" * 450, [200, 200, 50]),
+        # a CRLF blank line ends a paragraph, and its chunk keeps the separator
+        (para("a", 150) + "\r\n\r\n" + para("b", 150), [154, 150]),
+        # blank lines before the first paragraph belong to its chunk
+        ("\n\n" + para("a", 150) + "\n\n" + para("b", 150), [154, 150]),
+        # a whitespace-only tail joins the last chunk rather than standing alone
+        (para("a", 150) + "\n\n" + para("b", 150) + "\n\n \t ", [152, 155]),
+    ], ids=["whitespace-only-paragraph", "whitespace-only-first-in-window", "run-split-at-cap",
+            "crlf-separator", "blank-lead-joins-first", "blank-tail-joins-last"])
     def test_chunk_lengths(self, doc, lengths):
         assert [len(c.text) for c in chunk_document(doc, max_chars=200)] == lengths
 
