@@ -6,7 +6,9 @@ Runs the two baselines and the two rule-elicitation workflows end to end
 without any model: a scripted backend replays canned responses, so the whole
 demonstration is offline and bit-reproducible. The script bodies carry
 reasoning, a stage, and rules, which satisfies every schema the templates
-use.
+use. Every workflow renders the one template set of its category
+(`stagepipe.prompts.default_templates`), so no call takes prompts of its
+own, and retrieval uses the category's query, as `stagepipe run` does.
 """
 
 from stagepipe.corpus import Corpus, Report, StageCategory, StageLabel
@@ -18,11 +20,15 @@ from stagepipe.pipelines import (
     run_kewltm_inference,
     run_rag,
 )
-from stagepipe.prompts import default_templates
-from stagepipe.retrieval import RetrievalQuery, build_index, chunk_document, hash_document
+from stagepipe.retrieval import (
+    DEFAULT_QUERIES,
+    RetrievalQuery,
+    build_index,
+    chunk_document,
+    hash_document,
+)
 
 T = StageCategory.T
-registry = default_templates(T)
 
 reports = [
     Report(f"case{i}", f"Report {i}: invasive carcinoma, {size} cm, margins clear.",
@@ -62,15 +68,15 @@ def scripted(n_inference: int, stages: list[str]) -> tuple[LlmClient, ScriptedBa
 
 # --- baseline 1: plain step-by-step inference ---------------------------------
 client, backend = scripted(5, ["T1", "T2", "T3", "T1", "T2"])
-records = infer("zscot", reports, T, client, registry)
+records = infer("zscot", reports, T, client)
 print(f"zscot: {len(records)} records, {backend.chat_calls} chat calls")
 
 # --- baseline 2: raw retrieved chunks in every prompt --------------------------
 client, backend = scripted(5, ["T1", "T2", "T3", "T1", "T2"])
 chunks = chunk_document(guideline, max_chars=400)
 index = build_index(chunks, client.embed, hash_document(guideline))
-query = RetrievalQuery("rules for the T stage of breast cancer", k=3)
-records = run_rag(reports, T, client, index, query, registry)
+query = RetrievalQuery(DEFAULT_QUERIES[T], k=3)
+records = run_rag(reports, T, client, index, query)
 print(
     f"rag:   {len(records)} records, every one citing chunks "
     f"{records[0].retrieved_chunk_ids}"
@@ -78,13 +84,13 @@ print(
 
 # --- workflow 1: iterative induction, then frozen-memory inference ------------
 client, backend = scripted(8, ["T1", "T2"])
-induction = induce_ltm(reports[:3], T, client, registry, threshold=80.0)
+induction = induce_ltm(reports[:3], T, client, threshold=80.0)
 print(
     f"kewltm: induced memory v{induction.final_memory.version} "
     f"({len(induction.final_memory.rules)} rules) over {len(induction.traces)} reports; "
     f"acceptance pattern {[t.accepted for t in induction.traces]}"
 )
-records = run_kewltm_inference(reports[3:], T, induction.final_memory, client, registry)
+records = run_kewltm_inference(reports[3:], T, induction.final_memory, client)
 print(f"kewltm: {len(records)} inference records, all at memory version "
       f"{records[0].memory_version}")
 
@@ -92,11 +98,11 @@ print(f"kewltm: {len(records)} inference records, all at memory version "
 client, backend = scripted(6, ["T1", "T2", "T3"])
 index = build_index(chunk_document(guideline, max_chars=400), client.embed,
                     hash_document(guideline))
-elicited = elicit_kewrag_rules(index, query, client, registry)
+elicited = elicit_kewrag_rules(index, query, T, client)
 print(f"kewrag: synthesized {len(elicited.memory.rules)} rules from chunks "
       f"{elicited.chunk_ids} in a single pass")
 before = backend.embed_calls
-records = infer("kewrag", reports, T, client, registry,
+records = infer("kewrag", reports, T, client,
                 rules=elicited.memory, chunk_ids=elicited.chunk_ids)
 print(
     f"kewrag: {len(records)} inference records with zero retrieval calls "

@@ -74,8 +74,9 @@ class UsageError(ValueError):
     """Bad flags/config combination; reported before any work starts."""
 
 
-# Every error a command can end with other than a UsageError: exit code 1,
-# and, once a run's or sweep's output directory exists, a FAILED manifest.
+# Every error a command can end with other than a UsageError: exit code 1.
+# Once a run's or sweep's output directory exists, any error, one of these
+# or not, leaves a FAILED manifest.
 COMMAND_ERRORS = (
     CorpusError, LlmError, RetrievalError, PipelineError, evaluation.EvaluationError,
     memory.RuleMemoryError, prompts.TemplateError, OSError,
@@ -105,7 +106,6 @@ class RunConfig:
     script: str | None = _key(None, "scripted backend file (offline deterministic runs)")
     rag_query_mode: str = _key("guideline", "what each rag report retrieves with",
                                choices=pipelines.RAG_QUERY_MODES)
-    templates: str | None = _key(None, "prompt template override directory")
     llm_base: str | None = None
     llm_key: str = ""
     llm_model: str = _key("default", "chat model id")
@@ -115,7 +115,6 @@ class RunConfig:
     temperature: float = _key(0.0, "sampling temperature of every chat call", least=0)
     max_tokens: int = _key(1024, "reply token cap of every chat call", least=1)
     chunk_max_chars: int = _key(1200, least=200)
-    query: str | None = _key(None, "retrieval query text (defaults to the category query)")
 
     def __post_init__(self) -> None:
         for field in dataclasses.fields(self):
@@ -182,6 +181,11 @@ def _redact(cfg: RunConfig) -> dict:
     for secret in ("llm_key", "embed_key"):
         out[secret] = bool(out[secret])
     return out
+
+
+def _template_hashes(category: StageCategory) -> dict[str, str]:
+    """The body hash of each template a run of `category` renders, by id."""
+    return {tid: t.body_hash() for tid, t in prompts.default_templates(category).items()}
 
 
 # what a command learns as it goes; each is null in its manifest until set
@@ -274,7 +278,6 @@ def _kewltm_points(
     corpus: Corpus,
     category: StageCategory,
     client: LlmClient,
-    registry: prompts.TemplateRegistry,
     *,
     param: str | None = None,
 ) -> Iterator[tuple[RunConfig, dict, list[tuple[int, float]]]]:
@@ -322,7 +325,7 @@ def _kewltm_points(
         split = truncate_train(splits[i], point.n_train)
         # both steps through the module, where the benchmark's tracer wraps them
         induction = pipelines.induce_ltm(
-            [by_id[rid] for rid in split.train_ids], category, client, registry,
+            [by_id[rid] for rid in split.train_ids], category, client,
             threshold=point.threshold, run=run,
         )
         if induction.final_memory is None:
@@ -332,7 +335,7 @@ def _kewltm_points(
         memory.write_traces(induction.traces, out / f"trace_split{i}.csv")
         records = pipelines.run_kewltm_inference(
             [by_id[rid] for rid in split.test_ids], category, induction.final_memory,
-            client, registry, run=run,
+            client, run=run,
         )
         block = evaluation.score(records, corpus, category)
         block.update({"split": i, "seed": split.seed,
@@ -385,7 +388,7 @@ def _category(cfg: RunConfig) -> StageCategory:
 
 def _setup(
     cfg: RunConfig, retrieves: bool
-) -> tuple[StageCategory, LlmClient, prompts.TemplateRegistry, Corpus, Path]:
+) -> tuple[StageCategory, LlmClient, Corpus, Path]:
     """Checks the inputs of a `run` or `sweep`, then creates its output directory.
 
     Every check runs before any model call and before the directory exists,
@@ -402,14 +405,12 @@ def _setup(
         raise UsageError(
             "no embedding backend configured (set STAGEPIPE_EMBED_BASE or --script)"
         )
-    registry = (prompts.load_templates(cfg.templates, category) if cfg.templates
-                else prompts.default_templates(category))
     corpus = load_corpus(cfg.corpus)
     if all(report.gold_label(category) is None for report in corpus):
         raise UsageError(f"no report in {cfg.corpus} carries a gold {category.value} label")
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    return category, client, registry, corpus, out
+    return category, client, corpus, out
 
 
 def _run_command(cfg: RunConfig, command: str, client: LlmClient, out: Path, fields: dict,
@@ -418,12 +419,13 @@ def _run_command(cfg: RunConfig, command: str, client: LlmClient, out: Path, fie
 
     `body` adds to the manifest `fields` what it learns as it goes (split
     seeds, the guideline hash), so a failed command records as much as it
-    got to. An error in COMMAND_ERRORS is recorded in a FAILED manifest and
-    raised again, so `main` reports it and exits 1.
+    got to. Any error is recorded in a FAILED manifest and raised again:
+    `main` reports one in COMMAND_ERRORS and exits 1, and any other ends the
+    command with its traceback.
     """
     try:
         body(fields)
-    except COMMAND_ERRORS as exc:
+    except Exception as exc:
         write_json(out / "manifest.json", _manifest(cfg, command, client, fields, str(exc)))
         raise
     write_json(out / "manifest.json", _manifest(cfg, command, client, fields, None))
@@ -437,24 +439,20 @@ def cmd_run(cfg: RunConfig) -> int:
     retrieves = pipelines.METHODS[method].carries_chunks
     if method == "kewltm":
         _check_n_train([cfg], "--n-train")
+    category, client, corpus, out = _setup(cfg, retrieves)
+    query_text = retrieval.DEFAULT_QUERIES[category]
+    fields = {"template_hashes": _template_hashes(category)}
     # each report's text is its query, so the run has no query of its own
-    report_text = method == "rag" and cfg.rag_query_mode == "report-text"
-    if report_text and cfg.query:
-        raise UsageError("--query has no effect with --rag-query-mode report-text, "
-                         "where each report's text is its query")
-    category, client, registry, corpus, out = _setup(cfg, retrieves)
-    query_text = cfg.query or retrieval.DEFAULT_QUERIES[category]
-    fields = {"template_hashes": registry.hashes()}
-    if retrieves and not report_text:
+    if retrieves and not (method == "rag" and cfg.rag_query_mode == "report-text"):
         fields["query"] = query_text
-        fields["query_provenance"] = "user" if cfg.query else retrieval.QUERY_PROVENANCE[category]
+        fields["query_provenance"] = retrieval.QUERY_PROVENANCE[category]
 
     def body(fields: dict) -> None:
         if method == "kewltm":  # a sweep of one point, written into --out itself
             splits = make_splits(corpus, cfg.n_splits, cfg.train_size, cfg.seed)
             fields["seeds"] = [s.seed for s in splits]
             ((_, metrics, _),) = _kewltm_points(
-                splits, [cfg], [out], corpus, category, client, registry
+                splits, [cfg], [out], corpus, category, client
             )
             agg = metrics["aggregate"]
             print(f"kewltm {category.value}: precision {agg['precision']} "
@@ -465,16 +463,16 @@ def cmd_run(cfg: RunConfig) -> int:
             index, fields["doc_hash"] = _load_or_build_index(cfg, client)
             query = RetrievalQuery(query_text, cfg.k)
         if method == "kewrag":
-            elicited = pipelines.elicit_kewrag_rules(index, query, client, registry)
+            elicited = pipelines.elicit_kewrag_rules(index, query, category, client)
             memory.persist(elicited.memory, out / "rules.json")
             rules, chunk_ids = elicited.memory, elicited.chunk_ids
         if method == "rag":
             records = pipelines.run_rag(
-                list(corpus), category, client, index, query, registry,
+                list(corpus), category, client, index, query,
                 rag_query_mode=cfg.rag_query_mode,
             )
         else:
-            records = pipelines.infer(method, list(corpus), category, client, registry,
+            records = pipelines.infer(method, list(corpus), category, client,
                                       rules=rules, chunk_ids=chunk_ids)
         metrics = evaluation.score(records, corpus, category)
         write_jsonl(out / "predictions.jsonl", [record_to_json(r) for r in records])
@@ -519,7 +517,7 @@ def cmd_sweep(cfg: RunConfig, train_counts: list[int] | None, thresholds: list[f
         raise UsageError(f"{flag} repeats a value: {', '.join(map(str, points))}")
     point_cfgs = [dataclasses.replace(cfg, **{param: point}) for point in points]
     _check_n_train(point_cfgs, "--train-counts" if train_counts else "--n-train")
-    category, client, registry, corpus, out = _setup(cfg, retrieves=False)
+    category, client, corpus, out = _setup(cfg, retrieves=False)
 
     def body(fields: dict) -> None:
         splits = make_splits(corpus, cfg.n_splits, cfg.train_size, cfg.seed)
@@ -528,7 +526,7 @@ def cmd_sweep(cfg: RunConfig, train_counts: list[int] | None, thresholds: list[f
         try:
             for point_cfg, metrics, curve in _kewltm_points(
                 splits, point_cfgs, [out / f"{param}={point}" for point in points],
-                corpus, category, client, registry, param=param,
+                corpus, category, client, param=param,
             ):
                 point = getattr(point_cfg, param)
                 blocks = metrics["per_split"]
@@ -544,7 +542,7 @@ def cmd_sweep(cfg: RunConfig, train_counts: list[int] | None, thresholds: list[f
             write_csv(out / "sweep_curves.csv", [param, "step", "mean_len"], curve_rows)
         print(f"swept {param} over {points} -> {out}")
 
-    fields = {"template_hashes": registry.hashes(), "sweep": {param: points}}
+    fields = {"template_hashes": _template_hashes(category), "sweep": {param: points}}
     return _run_command(cfg, "sweep", client, out, fields, body)
 
 

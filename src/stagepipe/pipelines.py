@@ -30,7 +30,7 @@ from typing import Callable, Sequence, TypeVar
 from .corpus import Report, StageCategory, StageLabel
 from .llm import LlmClient, SchemaViolationError
 from .memory import RuleMemory, UpdateTrace, gated_update, render_numbered, serialize
-from .prompts import TemplateRegistry, render
+from .prompts import default_templates, render
 from .retrieval import ChunkIndex, RetrievalQuery, top_k
 
 
@@ -223,7 +223,6 @@ def infer(
     reports: Sequence[Report],
     category: StageCategory,
     client: LlmClient,
-    templates: TemplateRegistry,
     context: Callable[[Report], tuple[str, tuple[int, ...]]] | None = None,
     *,
     rules: RuleMemory | None = None,
@@ -249,7 +248,7 @@ def infer(
         raise PipelineError(f"cannot run {method} inference without rules")
     if not reports:
         raise PipelineError("no reports to run")
-    template = templates.get(row.template_id)
+    template = default_templates(category)[row.template_id]
     slots = template.placeholders - {"report"}
     if context is None:
         fixed = (render_numbered(rules) if row.carries_memory else "",
@@ -299,7 +298,6 @@ def run_rag(
     client: LlmClient,
     index: ChunkIndex,
     query: RetrievalQuery,
-    templates: TemplateRegistry,
     *,
     rag_query_mode: str = "guideline",
 ) -> list[PredictionRecord]:
@@ -317,10 +315,10 @@ def run_rag(
         raise PipelineError("no reports to run")
     if rag_query_mode == "guideline":
         shared = _retrieve(index, query, client)
-        return infer("rag", reports, category, client, templates, lambda report: shared)
+        return infer("rag", reports, category, client, lambda report: shared)
     with Run(client.max_in_flight_total) as run:
         return infer(
-            "rag", reports, category, client, templates,
+            "rag", reports, category, client,
             lambda report: _retrieve(index, RetrievalQuery(report.text, query.k), client),
             run=run,
         )
@@ -330,7 +328,6 @@ def induce_ltm(
     train_reports: Sequence[Report],
     category: StageCategory,
     client: LlmClient,
-    templates: TemplateRegistry,
     threshold: float = 80.0,
     *,
     run: Run | None = None,
@@ -346,16 +343,17 @@ def induce_ltm(
     this or a concurrent task) no further step starts and that failure is
     raised.
     """
+    templates = default_templates(category)
     memory: RuleMemory | None = None
     traces: list[UpdateTrace] = []
     for step, report in enumerate(train_reports, 1):
         if run is not None:
             run.check()
         if memory is None:
-            request = render(templates.get("ltm_elicit"), {"report": report.text})
+            request = render(templates["ltm_elicit"], {"report": report.text})
         else:
             request = render(
-                templates.get("ltm_update"),
+                templates["ltm_update"],
                 {"report": report.text, "memory": render_numbered(memory)},
             )
         try:
@@ -385,7 +383,6 @@ def run_kewltm_inference(
     category: StageCategory,
     memory: RuleMemory,
     client: LlmClient,
-    templates: TemplateRegistry,
     *,
     run: Run | None = None,
 ) -> list[PredictionRecord]:
@@ -393,14 +390,14 @@ def run_kewltm_inference(
     for kewltm. It keeps a name of its own because the benchmark's tracer
     (`perfbench/spans.py`) wraps it by that name to time each cycle's
     inference."""
-    return infer("kewltm", test_reports, category, client, templates, rules=memory, run=run)
+    return infer("kewltm", test_reports, category, client, rules=memory, run=run)
 
 
 def elicit_kewrag_rules(
     index: ChunkIndex,
     query: RetrievalQuery,
+    category: StageCategory,
     client: LlmClient,
-    templates: TemplateRegistry,
 ) -> ElicitedRules:
     """Retrieve once and synthesize the chunks into a frozen rule set.
 
@@ -408,11 +405,11 @@ def elicit_kewrag_rules(
     run.
     """
     context, chunk_ids = _retrieve(index, query, client)
-    request = render(templates.get("rag_elicit"), {"chunks": context})
+    request = render(default_templates(category)["rag_elicit"], {"chunks": context})
     try:
         out = client.chat(request)
     except SchemaViolationError as exc:
         raise PipelineError(f"rule synthesis failed: {exc}")
     assert out.rules is not None
-    memory = RuleMemory(category=templates.category, rules=tuple(out.rules), version=1)
+    memory = RuleMemory(category=category, rules=tuple(out.rules), version=1)
     return ElicitedRules(memory=memory, chunk_ids=chunk_ids)

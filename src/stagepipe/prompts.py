@@ -4,19 +4,21 @@ Seven templates exist per category: rule elicitation, rule update, and
 memory-guided inference for the iterative workflow; one-shot elicitation and
 rule-guided inference for the retrieval workflow; plus plain step-by-step
 inference and raw-context inference for the two baselines. Placeholders use
-``{name}`` syntax with literal braces doubled. The shipped wording is
-editable via an override directory; run manifests embed each template's
-body hash so results stay attributable to exact prompt text.
+``{name}`` syntax with literal braces doubled. The wording is fixed by the
+program (`_default_bodies`); run manifests embed each template's body hash
+so results stay attributable to exact prompt text.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import string
 from dataclasses import dataclass
-from pathlib import Path
+from types import MappingProxyType
+from typing import Mapping
 
-from .corpus import StageCategory, read_utf8
+from .corpus import StageCategory
 from .llm import ChatRequest, OutputSchema, SchemaKind
 
 # each template's contract: the placeholders its body holds, exactly, and
@@ -30,7 +32,6 @@ _CONTRACTS: dict[str, tuple[frozenset[str], SchemaKind]] = {
     "zscot_inference": (frozenset({"report"}), SchemaKind.STAGING),
     "rawrag_inference": (frozenset({"report", "chunks"}), SchemaKind.STAGING),
 }
-TEMPLATE_IDS = tuple(_CONTRACTS)
 
 
 def _schema(template_id: str, category: StageCategory) -> OutputSchema:
@@ -39,7 +40,7 @@ def _schema(template_id: str, category: StageCategory) -> OutputSchema:
 
 
 class TemplateError(ValueError):
-    """A template body, registry, or render request is invalid."""
+    """A template body or render request is invalid."""
 
 
 def _check_body(template_id: str, body: str) -> None:
@@ -105,20 +106,6 @@ def render(template: PromptTemplate, bindings: dict[str, str]) -> ChatRequest:
         schema=template.schema,
         template_id=template.template_id,
     )
-
-
-class TemplateRegistry:
-    """Immutable map of the seven templates, specialized to one category."""
-
-    def __init__(self, category: StageCategory, templates: dict[str, PromptTemplate]):
-        self.category = category
-        self._templates = dict(templates)
-
-    def get(self, template_id: str) -> PromptTemplate:
-        return self._templates[template_id]
-
-    def hashes(self) -> dict[str, str]:
-        return {tid: self._templates[tid].body_hash() for tid in TEMPLATE_IDS}
 
 
 def _esc(text: str) -> str:
@@ -213,33 +200,11 @@ def _default_bodies(category: StageCategory) -> dict[str, str]:
     return {tid: body + _esc(_schema(tid, category).example()) for tid, body in bodies.items()}
 
 
-def _registry(category: StageCategory, bodies: dict[str, str]) -> TemplateRegistry:
-    return TemplateRegistry(category, {
-        tid: PromptTemplate(tid, body, category) for tid, body in bodies.items()
+@functools.cache
+def default_templates(category: StageCategory) -> Mapping[str, PromptTemplate]:
+    """The seven templates specialized to `category`'s label set, keyed by
+    template id; one read-only mapping per category, shared by every caller."""
+    return MappingProxyType({
+        tid: PromptTemplate(tid, body, category)
+        for tid, body in _default_bodies(category).items()
     })
-
-
-def default_templates(category: StageCategory) -> TemplateRegistry:
-    """The seven shipped templates specialized to `category`'s label set."""
-    return _registry(category, _default_bodies(category))
-
-
-def load_templates(directory: str | Path, category: StageCategory) -> TemplateRegistry:
-    """The shipped templates, each replaced by ``<template_id>.txt`` when
-    `directory` holds one. Every ``.txt`` there must be named for a template
-    and hold exactly its placeholders; errors name the file."""
-    directory = Path(directory)
-    if not directory.is_dir():
-        raise TemplateError(f"template directory {directory} does not exist")
-    bodies = _default_bodies(category)
-    for path in sorted(directory.glob("*.txt")):
-        if path.stem not in _CONTRACTS:
-            raise TemplateError(
-                f"{path}: {path.stem!r} is not a template id (one of {', '.join(TEMPLATE_IDS)})"
-            )
-        bodies[path.stem] = read_utf8(path, TemplateError)
-        try:
-            _check_body(path.stem, bodies[path.stem])
-        except TemplateError as exc:
-            raise TemplateError(f"{path}: {exc}")
-    return _registry(category, bodies)

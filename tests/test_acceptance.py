@@ -26,13 +26,11 @@ from stagepipe.pipelines import (
     infer,
     run_rag,
 )
-from stagepipe.prompts import default_templates
 from stagepipe.retrieval import Chunk, RetrievalQuery, build_index, top_k
 from .conftest import chat_entry, make_report, rules_body, scripted_client, staging_body
 
 T = StageCategory.T
 T_LABELS = ["T1", "T2", "T3", "T4"]
-REGISTRY = default_templates(T)
 
 SPLIT_DIGEST = "34c1767381570acf0764598578ca43af27ad2b6c96d3b43940f365a0cd82eadf"
 
@@ -206,7 +204,7 @@ def test_algorithm1_replay(tmp_path):
     results = []
     for run in range(2):
         client, _ = scripted_client(_induction_script())
-        result = induce_ltm(reports, T, client, REGISTRY, threshold=80.0)
+        result = induce_ltm(reports, T, client, threshold=80.0)
         write_traces(result.traces, tmp_path / f"trace_run{run}.csv")
         results.append(result)
     first, second = results
@@ -247,8 +245,8 @@ def test_algorithm2_call_counts():
     client, backend = scripted_client(entries)
     index = build_index(chunks, client.embed, "h")
     backend.embed_calls = backend.chat_calls = 0  # index build is setup
-    elicited = elicit_kewrag_rules(index, query, client, REGISTRY)
-    infer("kewrag", reports, T, client, REGISTRY,
+    elicited = elicit_kewrag_rules(index, query, T, client)
+    infer("kewrag", reports, T, client,
           rules=elicited.memory, chunk_ids=elicited.chunk_ids)
     assert backend.embed_calls == 1
     assert backend.chat_calls == 1 + n
@@ -258,14 +256,14 @@ def test_algorithm2_call_counts():
     client, backend = scripted_client(entries)
     index = build_index(chunks, client.embed, "h")
     backend.embed_calls = backend.chat_calls = 0
-    run_rag(reports, T, client, index, query, REGISTRY)
+    run_rag(reports, T, client, index, query)
     assert backend.embed_calls == 1
     assert backend.chat_calls == n
 
     # zscot: exactly N chats, no retrieval
     entries = [chat_entry(staging_body("T1"))] * n
     client, backend = scripted_client(entries)
-    infer("zscot", reports, T, client, REGISTRY)
+    infer("zscot", reports, T, client)
     assert backend.embed_calls == 0
     assert backend.chat_calls == n
     _passed("algorithm2-call-counts", started, 1.0)
@@ -398,7 +396,7 @@ def test_live_smoke():
         )
         for i in range(3)
     ]
-    records = infer("zscot", reports, T, client, REGISTRY)
+    records = infer("zscot", reports, T, client)
     assert len(records) == 3
     for rec in records:
         assert rec.predicted is not None  # schema-valid label

@@ -28,9 +28,9 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # the output-tree digest of each workload's run at seed 7
 DIGESTS = {
-    "ltm-cpu": "fd81a10040996808ef720a7b8a37606fb4956fdb4782709f2ab7ac727ef21cac",
-    "rag-latency": "60faad05ef9d45339e9fcd2e94c362e1b2f5085d0cb8d0698e765836c2fb0de6",
-    "sweep-latency": "32bec6abe57ee245d4276e7502237788fe85ed1aa0eb94509fcb0bf9e23da7c7",
+    "ltm-cpu": "7d164e308d6a617133f97ef4ba63538149d96b2243b9a97ea74a9ab0f3977666",
+    "rag-latency": "b53a19dc400de7e98f8eb6833b11e57ad9dbbc6e774a027b8fcb39125ace0dca",
+    "sweep-latency": "8698d6668fcd5c3bccc2f7dd315736962b721fb2f15a75602989296aa991da61",
 }
 
 

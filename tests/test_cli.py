@@ -24,7 +24,6 @@ from stagepipe.corpus import (
 )
 from stagepipe.evaluation import mcnemar_p
 from stagepipe.llm import LlmClient, ScriptedBackend, TransportError
-from stagepipe.prompts import default_templates
 from stagepipe.retrieval import chunk_document
 from .conftest import (
     BAD_EMBEDDINGS,
@@ -269,6 +268,23 @@ class TestRunZscot:
             "ltm_elicit", "ltm_update", "ltm_inference", "rag_elicit",
             "rag_inference", "zscot_inference", "rawrag_inference",
         }
+
+    def test_unexpected_exception_writes_failed_manifest(self, tmp_path, monkeypatch):
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(pipelines, "infer", boom)
+        corpus = tmp_path / "c.jsonl"
+        write_corpus(corpus, 4)
+        script = tmp_path / "script.json"
+        write_script(script, 4)
+        out = tmp_path / "out"
+        # an error outside COMMAND_ERRORS keeps its traceback
+        with pytest.raises(RuntimeError, match="boom"):
+            main(["run", "--method", "zscot", "--category", "T", "--corpus", str(corpus),
+                  "--script", str(script), "--out", str(out)])
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["status"], manifest["error"]) == ("FAILED", "boom")
 
     def _run(self, tmp_path, replies: list[dict]) -> list[dict]:
         """A zscot run over reports r000 (gold T1) and r001 (gold T2)
@@ -1170,9 +1186,10 @@ def test_threshold_out_of_range_is_usage_error_before_any_call(
          "('zscot', 'rag', 'kewltm', 'kewrag')\n"),
         (["run"], {"method": "bogus"}, "usage error: method must be one of "
          "('zscot', 'rag', 'kewltm', 'kewrag'), got 'bogus'\n"),
-        # each report's text is its query, so a --query would be ignored
-        (["run", "--method", "rag", "--rag-query-mode", "report-text", "--query", "size"], None,
-         "--query has no effect with --rag-query-mode report-text"),
+        # the prompts and the retrieval query are fixed by the program
+        (["run", "--method", "zscot"], {"templates": "tpl"},
+         "unknown config key(s): ['templates']"),
+        (["run", "--method", "rag"], {"query": "size"}, "unknown config key(s): ['query']"),
         # no report of the corpus carries an N label, so nothing could be scored
         (["run", "--method", "zscot", "--category", "N"], None, "carries a gold N label"),
     ],
@@ -1182,7 +1199,7 @@ def test_threshold_out_of_range_is_usage_error_before_any_call(
          "temperature-inf", "config-temperature-nan", "config-threshold-inf", "max-tokens",
          "chunk-max-chars", "config-chunk-overlap",
          "config-seed", "sweep-repeated-train-count", "sweep-repeated-threshold",
-         "run-without-method", "config-method", "query-with-report-text-rag",
+         "run-without-method", "config-method", "config-templates", "config-query",
          "corpus-without-category-label"],
 )
 def test_out_of_range_setting_is_usage_error_before_any_call(
@@ -1268,7 +1285,6 @@ def test_empty_out_is_usage_error(tmp_path, capsys, monkeypatch, argv):
 
 
 T = StageCategory.T
-REGISTRY = default_templates(T)
 N_TRAIN, N_TEST = 3, 4
 
 
@@ -1306,7 +1322,7 @@ def kewltm_points(
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # switch threads often, so interleavings vary
     try:
-        finished = list(cli._kewltm_points(splits, points, outs, corpus, T, client, REGISTRY))
+        finished = list(cli._kewltm_points(splits, points, outs, corpus, T, client))
     finally:
         sys.setswitchinterval(interval)
     assert [point for point, *_ in finished] == points
@@ -1977,9 +1993,6 @@ class TestNonUtf8Input:
               "--script", "{script}", "--out", "{out}"], "script", 1, False),
             (["evaluate", "--predictions", "{predictions}", "--category", "T",
               "--corpus", "{corpus}"], "predictions", 2, False),
-            (["run", "--method", "zscot", "--category", "T", "--corpus", "{corpus}",
-              "--script", "{script}", "--templates", "{templates}", "--out", "{out}"],
-             "templates", 1, False),
             (["index", "--guideline", "{guideline}", "--script", "{script}",
               "--out", "{out}/index.json"], "guideline", 1, False),
             (["run", "--method", "rag", "--category", "T", "--corpus", "{corpus}",
@@ -1987,13 +2000,12 @@ class TestNonUtf8Input:
              "guideline", 1, True),
         ],
         ids=["config", "corpus-ingest", "corpus-run", "corpus-sweep", "corpus-evaluate",
-             "script", "predictions", "templates", "guideline-index", "guideline-run"],
+             "script", "predictions", "guideline-index", "guideline-run"],
     )
     def test_names_the_file(self, tmp_path, capsys, argv, bad, code, manifest):
         paths = {name: tmp_path / file for name, file in [
             ("corpus", "c.jsonl"), ("script", "script.json"), ("guideline", "guide.md"),
-            ("predictions", "p.jsonl"), ("config", "cfg.json"), ("templates", "tpl"),
-            ("out", "out"),
+            ("predictions", "p.jsonl"), ("config", "cfg.json"), ("out", "out"),
         ]}
         write_corpus(paths["corpus"], 5)
         write_script(paths["script"], 12, hash_dim=8)
@@ -2002,10 +2014,7 @@ class TestNonUtf8Input:
             {"report_id": "r000", "category": "T", "predicted": "T1", "method": "zscot"}
         ) + "\n")
         paths["config"].write_text("{}")
-        paths["templates"].mkdir()
-        body = paths["templates"] / "zscot_inference.txt"
-        body.write_text("Stage this: {report}")
-        bad_file = body if bad == "templates" else paths[bad]
+        bad_file = paths[bad]
         bad_file.write_bytes("caf\u00e9 {report}\n".encode("latin-1"))
         assert main([arg.format(**paths) for arg in argv]) == code
         assert str(bad_file) in capsys.readouterr().err
@@ -2121,11 +2130,11 @@ class TestConfigPrecedence:
             ({"temperature": "0"}, "must be a number"),
             ({"threshold": True}, "must be a number"),
             ({"llm_model": None}, "must be a string"),
-            ({"query": 5}, "must be a string or null"),
+            ({"guideline": 5}, "must be a string or null"),
             ({"rag_query_mode": "bogus"}, "must be one of"),
         ],
         ids=["float", "bool", "fraction", "string", "string-threshold",
-             "string-temperature", "bool-threshold", "null-model", "int-query",
+             "string-temperature", "bool-threshold", "null-model", "int-guideline",
              "unknown-query-mode"],
     )
     def test_non_integer_config_value_is_usage_error_before_any_call(
@@ -2219,9 +2228,8 @@ FLAGS = {
     "guideline": "--guideline", "index": "--index", "k": "--k", "threshold": "--threshold",
     "n_train": "--n-train", "n_splits": "--splits", "seed": "--seed",
     "train_size": "--train-size", "out": "--out", "script": "--script",
-    "rag_query_mode": "--rag-query-mode", "templates": "--templates",
-    "llm_model": "--llm-model", "embed_model": "--embed-model",
-    "temperature": "--temperature", "max_tokens": "--max-tokens", "query": "--query",
+    "rag_query_mode": "--rag-query-mode", "llm_model": "--llm-model",
+    "embed_model": "--embed-model", "temperature": "--temperature", "max_tokens": "--max-tokens",
 }
 UNFLAGGED = {"llm_base", "llm_key", "embed_base", "embed_key", "chunk_max_chars"}
 # each subcommand's flags besides --config and those of FLAGS
@@ -2264,7 +2272,15 @@ class TestFlags:
             main([command, "--help"])
         listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
         assert listed == {"--help", "--config", *FLAGS.values(), *COMMAND_FLAGS[command]}
-        assert len(FLAGS) + 1 == 21
+        assert len(FLAGS) + 1 == 19
+
+    @pytest.mark.parametrize("flag", ["--templates", "--query"])
+    def test_prompt_and_query_flags_are_gone(self, capsys, flag):
+        # the prompts and the retrieval query are fixed by the program
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--method", "rag", flag, "x"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} x" in capsys.readouterr().err
 
 
 class TestStartUpImports:

@@ -23,7 +23,6 @@ from stagepipe.pipelines import (
     run_kewltm_inference,
     run_rag,
 )
-from stagepipe.prompts import default_templates
 from stagepipe.retrieval import Chunk, RetrievalQuery, build_index
 from .conftest import (
     REPORT_ID,
@@ -36,7 +35,6 @@ from .conftest import (
 )
 
 T = StageCategory.T
-REGISTRY = default_templates(T)
 
 
 def reports(n: int):
@@ -57,7 +55,7 @@ def guideline_index(client: LlmClient, texts: list[str]):
 class TestRunZscot:
     def test_single_report(self):
         client, _ = scripted_client([chat_entry(staging_body("T1"))])
-        (record,) = infer("zscot", reports(1), T, client, REGISTRY)
+        (record,) = infer("zscot", reports(1), T, client)
         assert record.predicted == StageLabel.parse("T1")
         assert record.method == "zscot"
         assert record.memory_version is None
@@ -67,7 +65,7 @@ class TestRunZscot:
         bad = staging_body("T7")
         entries = [chat_entry(bad)] * 4 + [chat_entry(staging_body("T2"))]
         client, _ = scripted_client(entries)
-        records = infer("zscot", reports(2), T, client, REGISTRY)
+        records = infer("zscot", reports(2), T, client)
         assert records[0].predicted is None
         assert records[0].reasoning == ""
         assert records[1].predicted == StageLabel.parse("T2")
@@ -75,7 +73,7 @@ class TestRunZscot:
     def test_one_record_per_report(self):
         n = 20
         client, backend = scripted_client([chat_entry(staging_body("T1"))] * n)
-        records = infer("zscot", reports(n), T, client, REGISTRY)
+        records = infer("zscot", reports(n), T, client)
         assert len(records) == n
         assert backend.chat_calls == n
         assert [r.report_id for r in records] == sorted(r.report_id for r in records)
@@ -83,7 +81,7 @@ class TestRunZscot:
     def test_empty_reports_rejected(self):
         client, _ = scripted_client([])
         with pytest.raises(PipelineError):
-            infer("zscot", [], T, client, REGISTRY)
+            infer("zscot", [], T, client)
 
 
 class TestRunRag:
@@ -97,7 +95,7 @@ class TestRunRag:
         client, backend = self._client(4, texts)
         index = guideline_index(client, texts)
         records = run_rag(
-            reports(4), T, client, index, RetrievalQuery("q", k=5), REGISTRY
+            reports(4), T, client, index, RetrievalQuery("q", k=5)
         )
         assert len(records) == 4
         id_sets = {r.retrieved_chunk_ids for r in records}
@@ -109,7 +107,7 @@ class TestRunRag:
         client, backend = self._client(3, texts)
         index = guideline_index(client, texts)
         embeds_before = backend.embed_calls
-        run_rag(reports(3), T, client, index, RetrievalQuery("q", k=2), REGISTRY)
+        run_rag(reports(3), T, client, index, RetrievalQuery("q", k=2))
         assert backend.embed_calls - embeds_before == 1
 
     def test_k_clamped(self, caplog):
@@ -117,7 +115,7 @@ class TestRunRag:
         client, _ = self._client(1, texts)
         index = guideline_index(client, texts)
         records = run_rag(
-            reports(1), T, client, index, RetrievalQuery("q", k=99), REGISTRY
+            reports(1), T, client, index, RetrievalQuery("q", k=99)
         )
         assert len(records[0].retrieved_chunk_ids) == 2
 
@@ -134,7 +132,7 @@ class TestRunRag:
             return original(request)
 
         backend.complete = spy
-        run_rag(reports(1), T, client, index, RetrievalQuery("q", k=2), REGISTRY)
+        run_rag(reports(1), T, client, index, RetrievalQuery("q", k=2))
         assert CHUNK_SEPARATOR in captured[0]
 
     def test_report_text_mode_retrieves_per_report(self):
@@ -148,7 +146,7 @@ class TestRunRag:
         index = guideline_index(client, ["chunk a", "chunk b", "chunk c"])
         before = backend.embed_calls
         records = run_rag(
-            reports(3), T, client, index, RetrievalQuery("q", k=3), REGISTRY,
+            reports(3), T, client, index, RetrievalQuery("q", k=3),
             rag_query_mode="report-text",
         )
         assert backend.embed_calls - before == 3
@@ -166,7 +164,7 @@ class TestRunRag:
         index = guideline_index(client, texts)
         embeds_before = backend.embed_calls
         with pytest.raises(PipelineError, match=message):
-            run_rag(reports(n_reports), T, client, index, RetrievalQuery("q", k=2), REGISTRY,
+            run_rag(reports(n_reports), T, client, index, RetrievalQuery("q", k=2),
                     rag_query_mode=mode)
         assert (backend.embed_calls - embeds_before, backend.chat_calls) == (0, 0)
 
@@ -178,7 +176,7 @@ class TestInduceLtm:
         rules = ["size under 2 cm means stage one", "size above 5 cm means stage three"]
         entries = [chat_entry(rules_body("T1", rules))] * 3
         client, _ = scripted_client(entries)
-        result = induce_ltm(reports(3), T, client, REGISTRY, threshold=80.0)
+        result = induce_ltm(reports(3), T, client, threshold=80.0)
         assert len(result.traces) == 3
         assert result.final_memory.rules == tuple(rules)
         assert result.final_memory.version == 3
@@ -192,7 +190,7 @@ class TestInduceLtm:
             chat_entry(rules_body("T2", ["zzzzz", "qqqqq"])),  # wholly different
         ]
         client, _ = scripted_client(entries)
-        result = induce_ltm(reports(2), T, client, REGISTRY, threshold=80.0)
+        result = induce_ltm(reports(2), T, client, threshold=80.0)
         assert [t.accepted for t in result.traces] == [True, False]
         assert result.final_memory.rules == ("aaaaa", "bbbbb")
         assert result.final_memory.version == 1
@@ -201,7 +199,7 @@ class TestInduceLtm:
         growing = [["rule 1"], ["rule 1", "rule 2"], ["rule 1", "rule 2", "rule 3"]]
         entries = [chat_entry(rules_body("T1", rs)) for rs in growing]
         client, _ = scripted_client(entries)
-        result = induce_ltm(reports(3), T, client, REGISTRY, threshold=0.0)
+        result = induce_ltm(reports(3), T, client, threshold=0.0)
         assert all(t.accepted for t in result.traces)
         lens = [t.current_len for t in result.traces]
         assert lens == sorted(lens)  # appends only -> nondecreasing
@@ -218,7 +216,7 @@ class TestInduceLtm:
             return original(request)
 
         backend.complete = spy
-        result = induce_ltm(reports(5)[:3], T, client, REGISTRY, threshold=0.0)
+        result = induce_ltm(reports(5)[:3], T, client, threshold=0.0)
         assert [t.step for t in result.traces] == [1, 2, 3]
         assert backend.chat_calls == 3
         for i, prompt in enumerate(prompts):
@@ -232,7 +230,7 @@ class TestInduceLtm:
             + [chat_entry(rules_body("T1", ["aaaaa"]))]
         )
         client, backend = scripted_client(entries)
-        result = induce_ltm(reports(3), T, client, REGISTRY, threshold=80.0)
+        result = induce_ltm(reports(3), T, client, threshold=80.0)
         assert [t.accepted for t in result.traces] == [True, False, True]
         skipped = result.traces[1]
         assert skipped.similarity == 0.0
@@ -255,7 +253,7 @@ class TestInduceLtm:
             return original(request)
 
         backend.complete = spy
-        result = induce_ltm(reports(2), T, client, REGISTRY, threshold=80.0)
+        result = induce_ltm(reports(2), T, client, threshold=80.0)
         # step 1 failed entirely, so step 2 still runs the elicit template
         assert set(captured) == {"ltm_elicit"}
         assert result.final_memory.rules == ("finally a rule",)
@@ -270,7 +268,7 @@ class TestInduceLtm:
 
         client = LlmClient(chat_backend=Dying())
         with pytest.raises(TransportError):
-            induce_ltm(reports(2), T, client, REGISTRY, threshold=80.0)
+            induce_ltm(reports(2), T, client, threshold=80.0)
 
     def test_replay_reproduces_traces_and_memory(self):
         entries = [
@@ -281,7 +279,7 @@ class TestInduceLtm:
         results = []
         for _ in range(2):
             client, _ = scripted_client(entries)
-            results.append(induce_ltm(reports(3), T, client, REGISTRY, threshold=80.0))
+            results.append(induce_ltm(reports(3), T, client, threshold=80.0))
         assert results[0].traces == results[1].traces
         assert results[0].final_memory == results[1].final_memory
 
@@ -290,7 +288,7 @@ class TestKewltmInference:
     def test_frozen_memory_version_on_all_records(self):
         memory = RuleMemory(T, ("rule one", "rule two"), version=7)
         client, _ = scripted_client([chat_entry(staging_body("T1"))] * 4)
-        records = run_kewltm_inference(reports(4), T, memory, client, REGISTRY)
+        records = run_kewltm_inference(reports(4), T, memory, client)
         assert len(records) == 4
         assert {r.memory_version for r in records} == {7}
         assert {r.method for r in records} == {"kewltm"}
@@ -300,7 +298,7 @@ class TestKewltmInference:
         client, _ = scripted_client([])
         with pytest.raises(PipelineError):
             run_kewltm_inference(
-                reports(1), T, RuleMemory(T, (), version=0), client, REGISTRY
+                reports(1), T, RuleMemory(T, (), version=0), client
             )
 
 
@@ -316,7 +314,7 @@ class TestElicitKewrag:
     def test_six_rules_version_one(self):
         rules = [f"synthesized rule {i}" for i in range(6)]
         client, _, index = self._setup([f"chunk {i}" for i in range(8)], rules)
-        elicited = elicit_kewrag_rules(index, RetrievalQuery("q", k=5), client, REGISTRY)
+        elicited = elicit_kewrag_rules(index, RetrievalQuery("q", k=5), T, client)
         assert len(elicited.memory.rules) == 6
         assert elicited.memory.version == 1
         assert len(elicited.chunk_ids) == 5
@@ -332,7 +330,7 @@ class TestElicitKewrag:
             return original(request)
 
         backend.complete = spy
-        elicit_kewrag_rules(index, RetrievalQuery("q", k=5), client, REGISTRY)
+        elicit_kewrag_rules(index, RetrievalQuery("q", k=5), T, client)
         bound = [t for t in texts if t in captured[0]]
         assert len(bound) == 5
 
@@ -343,7 +341,7 @@ class TestElicitKewrag:
         client, _ = scripted_client(entries)
         index = guideline_index(client, texts)
         with pytest.raises(PipelineError, match="synthesis"):
-            elicit_kewrag_rules(index, RetrievalQuery("q", k=1), client, REGISTRY)
+            elicit_kewrag_rules(index, RetrievalQuery("q", k=1), T, client)
 
 
 class TestKewragInference:
@@ -353,7 +351,7 @@ class TestKewragInference:
         client, backend = scripted_client([chat_entry(staging_body("T1"))] * n)
         before = backend.embed_calls
         records = infer(
-            "kewrag", reports(n), T, client, REGISTRY, rules=rules, chunk_ids=(0, 1)
+            "kewrag", reports(n), T, client, rules=rules, chunk_ids=(0, 1)
         )
         assert backend.embed_calls == before == 0
         assert backend.chat_calls == n
@@ -365,7 +363,7 @@ class TestKewragInference:
         ltm_style = RuleMemory(T, ("borrowed rule",), version=4)
         client, _ = scripted_client([chat_entry(staging_body("T2"))])
         (record,) = infer(
-            "kewrag", reports(1), T, client, REGISTRY, rules=ltm_style, chunk_ids=()
+            "kewrag", reports(1), T, client, rules=ltm_style, chunk_ids=()
         )
         assert record.method == "kewrag"
         assert record.predicted == StageLabel.parse("T2")
@@ -373,7 +371,7 @@ class TestKewragInference:
     def test_empty_rules_rejected(self):
         client, _ = scripted_client([])
         with pytest.raises(PipelineError):
-            infer("kewrag", reports(1), T, client, REGISTRY, rules=RuleMemory(T, (), version=0))
+            infer("kewrag", reports(1), T, client, rules=RuleMemory(T, (), version=0))
 
 
 class TestConcurrentInference:
@@ -383,14 +381,14 @@ class TestConcurrentInference:
         sys.setswitchinterval(1e-5)  # switch threads often, so interleavings vary
         try:
             records = infer(
-                "zscot", reports(12), T, LlmClient(chat_backend=wide, max_in_flight=4), REGISTRY
+                "zscot", reports(12), T, LlmClient(chat_backend=wide, max_in_flight=4)
             )
         finally:
             sys.setswitchinterval(interval)
         assert wide.peak == 4  # the barrier lets 4 through together, the pool no more
         narrow = ContentKeyedBackend()
         sequential = infer(
-            "zscot", reports(12), T, LlmClient(chat_backend=narrow, max_in_flight=1), REGISTRY
+            "zscot", reports(12), T, LlmClient(chat_backend=narrow, max_in_flight=1)
         )
         assert narrow.peak == 1
         assert narrow.started == [f"r{i:02d}" for i in range(12)]
@@ -403,7 +401,7 @@ class TestConcurrentInference:
         client = LlmClient(chat_backend=backend, max_in_flight=2)
         results = []
         runs = [
-            threading.Thread(target=lambda: results.append(infer("zscot", reports(8), T, client, REGISTRY)))
+            threading.Thread(target=lambda: results.append(infer("zscot", reports(8), T, client)))
             for _ in range(2)
         ]
         interval = sys.getswitchinterval()
@@ -424,7 +422,7 @@ class TestConcurrentInference:
         backend = ContentKeyedBackend(barrier=threading.Barrier(4, timeout=10), fail_id="r02")
         client = LlmClient(chat_backend=backend, max_in_flight=4)
         with pytest.raises(TransportError) as info:
-            infer("zscot", reports(12), T, client, REGISTRY)
+            infer("zscot", reports(12), T, client)
         assert info.value is backend.error
         # the first four were in flight together; none of the eight queued started
         assert sorted(backend.started) == ["r00", "r01", "r02", "r03"]
@@ -433,7 +431,7 @@ class TestConcurrentInference:
         backend = ContentKeyedBackend(fail_id="r05")
         client = LlmClient(chat_backend=backend, max_in_flight=1)
         with pytest.raises(TransportError) as info:
-            infer("zscot", reports(12), T, client, REGISTRY)
+            infer("zscot", reports(12), T, client)
         assert info.value is backend.error
         assert backend.started == [f"r{i:02d}" for i in range(6)]
 
@@ -446,7 +444,7 @@ class TestConcurrentInference:
         backend = ScriptedBackend(entries)
         client = LlmClient(chat_backend=backend, embed_backend=backend, max_in_flight=4)
         assert client.max_in_flight == 1
-        records = infer("zscot", reports(len(stages)), T, client, REGISTRY)
+        records = infer("zscot", reports(len(stages)), T, client)
         assert [r.predicted.render() for r in records] == stages
         assert [r.reasoning for r in records] == [f"call {i}" for i in range(1, 9)]
 
@@ -459,7 +457,7 @@ def report_text_rag(backend, n: int, max_in_flight: int) -> list[PredictionRecor
     sys.setswitchinterval(1e-5)  # switch threads often, so interleavings vary
     try:
         return run_rag(
-            reports(n), T, client, index, RetrievalQuery("q", k=3), REGISTRY,
+            reports(n), T, client, index, RetrievalQuery("q", k=3),
             rag_query_mode="report-text",
         )
     finally:
@@ -525,7 +523,7 @@ class TestReportTextRagConcurrency:
         backend.embed = spy("embed", backend.embed)
         backend.complete = spy("chat", backend.complete)
         run_rag(
-            reports(n), T, client, index, RetrievalQuery("q", k=2), REGISTRY,
+            reports(n), T, client, index, RetrievalQuery("q", k=2),
             rag_query_mode="report-text",
         )
         assert events == [
@@ -630,9 +628,9 @@ def test_scripted_pipelines_are_byte_deterministic():
     dumps = []
     for _ in range(2):
         client, _ = scripted_client(entries)
-        result = induce_ltm(reports(2), T, client, REGISTRY, threshold=80.0)
+        result = induce_ltm(reports(2), T, client, threshold=80.0)
         records = run_kewltm_inference(
-            reports(3), T, result.final_memory, client, REGISTRY
+            reports(3), T, result.final_memory, client
         )
         dumps.append(json.dumps([record_to_json(r) for r in records]))
     assert dumps[0] == dumps[1]

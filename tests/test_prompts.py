@@ -6,49 +6,57 @@ from hypothesis import strategies as st
 
 from stagepipe.corpus import StageCategory
 from stagepipe.llm import SchemaKind
-from stagepipe.prompts import (
-    TEMPLATE_IDS,
-    PromptTemplate,
-    TemplateError,
-    default_templates,
-    load_templates,
-    render,
-)
+from stagepipe.prompts import PromptTemplate, TemplateError, default_templates, render
 
 T = StageCategory.T
 N = StageCategory.N
 
 
+def body_hashes(category: StageCategory) -> dict[str, str]:
+    return {tid: t.body_hash() for tid, t in default_templates(category).items()}
+
+
 class TestDefaultTemplates:
     def test_seven_templates(self):
-        registry = default_templates(T)
-        assert len(TEMPLATE_IDS) == 7
-        assert tuple(registry.hashes()) == TEMPLATE_IDS
-        for tid in TEMPLATE_IDS:
-            assert registry.get(tid).template_id == tid
+        templates = default_templates(T)
+        assert sorted(templates) == sorted([
+            "ltm_elicit", "ltm_update", "ltm_inference", "rag_elicit",
+            "rag_inference", "zscot_inference", "rawrag_inference",
+        ])
+        for tid, template in templates.items():
+            assert (template.template_id, template.category) == (tid, T)
+
+    @pytest.mark.parametrize("category", [T, N])
+    def test_one_read_only_set_per_category(self, category):
+        templates = default_templates(category)
+        assert default_templates(category) is templates
+        with pytest.raises(TypeError):
+            templates["zscot_inference"] = templates["ltm_elicit"]
+        with pytest.raises(TypeError):
+            del templates["zscot_inference"]
 
     def test_elicit_mentions_t_labels(self):
-        body = default_templates(T).get("ltm_elicit").body
+        body = default_templates(T)["ltm_elicit"].body
         for name in ("T1", "T2", "T3", "T4"):
             assert name in body
 
     def test_n_inference_schema_enum(self):
-        schema = default_templates(N).get("ltm_inference").schema
+        schema = default_templates(N)["ltm_inference"].schema
         assert schema.kind is SchemaKind.STAGING
         assert schema.label_names() == ["N0", "N1", "N2", "N3"]
 
     def test_schema_kinds_by_role(self):
-        registry = default_templates(T)
-        assert registry.get("ltm_elicit").schema.kind is SchemaKind.STAGING_WITH_RULES
-        assert registry.get("ltm_update").schema.kind is SchemaKind.STAGING_WITH_RULES
-        assert registry.get("rag_elicit").schema.kind is SchemaKind.RULES_ONLY
-        assert registry.get("rag_elicit").schema.category is None
+        templates = default_templates(T)
+        assert templates["ltm_elicit"].schema.kind is SchemaKind.STAGING_WITH_RULES
+        assert templates["ltm_update"].schema.kind is SchemaKind.STAGING_WITH_RULES
+        assert templates["rag_elicit"].schema.kind is SchemaKind.RULES_ONLY
+        assert templates["rag_elicit"].schema.category is None
         for tid in ("ltm_inference", "rag_inference", "zscot_inference", "rawrag_inference"):
-            assert registry.get(tid).schema.kind is SchemaKind.STAGING
+            assert templates[tid].schema.kind is SchemaKind.STAGING
 
     @pytest.mark.parametrize("category", [T, N])
     def test_rendered_inference_contains_every_label(self, category):
-        registry = default_templates(category)
+        templates = default_templates(category)
         bindings_by_id = {
             "ltm_inference": {"report": "body", "memory": "1. rule"},
             "rag_inference": {"report": "body", "rules": "1. rule"},
@@ -56,13 +64,13 @@ class TestDefaultTemplates:
             "rawrag_inference": {"report": "body", "chunks": "chunk text"},
         }
         for tid, bindings in bindings_by_id.items():
-            request = render(registry.get(tid), bindings)
+            request = render(templates[tid], bindings)
             for name in category.label_names():
                 assert name in request.user, f"{tid} lacks {name}"
 
     def test_hashes_stable(self):
-        assert default_templates(T).hashes() == default_templates(T).hashes()
-        assert default_templates(T).hashes() != default_templates(N).hashes()
+        assert body_hashes(T) == body_hashes(T)
+        assert body_hashes(T) != body_hashes(N)
 
     @pytest.mark.parametrize(
         "category, hashes",
@@ -94,14 +102,13 @@ class TestDefaultTemplates:
     )
     def test_shipped_body_hashes(self, category, hashes):
         # the shipped wording, example reply objects included, is a pinned contract
-        assert default_templates(category).hashes() == hashes
+        assert body_hashes(category) == hashes
 
 
 class TestRender:
     def test_update_binding(self):
-        registry = default_templates(T)
         request = render(
-            registry.get("ltm_update"),
+            default_templates(T)["ltm_update"],
             {"report": "the report", "memory": "1. rule one\n2. rule two"},
         )
         assert request.schema.kind is SchemaKind.STAGING_WITH_RULES
@@ -110,28 +117,28 @@ class TestRender:
         assert request.template_id == "ltm_update"
 
     def test_zscot_binding(self):
-        request = render(default_templates(T).get("zscot_inference"), {"report": "xyz"})
+        request = render(default_templates(T)["zscot_inference"], {"report": "xyz"})
         assert request.schema.kind is SchemaKind.STAGING
         assert "memory" not in request.user
 
     def test_missing_placeholder_named(self):
         with pytest.raises(TemplateError, match="memory"):
-            render(default_templates(T).get("ltm_update"), {"report": "x"})
+            render(default_templates(T)["ltm_update"], {"report": "x"})
 
     def test_extraneous_binding_rejected(self):
         with pytest.raises(TemplateError, match="extra"):
             render(
-                default_templates(T).get("zscot_inference"),
+                default_templates(T)["zscot_inference"],
                 {"report": "x", "extra": "y"},
             )
 
     def test_empty_binding_rejected(self):
         with pytest.raises(TemplateError, match="report"):
-            render(default_templates(T).get("zscot_inference"), {"report": "   "})
+            render(default_templates(T)["zscot_inference"], {"report": "   "})
 
     def test_braces_in_binding_values_stay_verbatim(self):
         request = render(
-            default_templates(T).get("zscot_inference"), {"report": "size {2.5} cm"}
+            default_templates(T)["zscot_inference"], {"report": "size {2.5} cm"}
         )
         assert "size {2.5} cm" in request.user
 
@@ -142,7 +149,7 @@ class TestRender:
     @settings(max_examples=60, deadline=None)
     def test_injective_in_bindings(self, a, b):
         # distinct brace-free binding values render to distinct prompts
-        template = default_templates(T).get("zscot_inference")
+        template = default_templates(T)["zscot_inference"]
         rendered_a = render(template, {"report": a}).user
         rendered_b = render(template, {"report": b}).user
         assert (rendered_a == rendered_b) == (a == b)
@@ -163,61 +170,13 @@ class TestTemplateValidation:
         with pytest.raises(TemplateError):
             PromptTemplate(template_id="mystery", body="{report}", category=T)
 
-
-class TestOverrides:
-    def _write_override(self, tmp_path, tid, body):
-        path = tmp_path / f"{tid}.txt"
-        path.write_text(body)
-        return path
-
-    def test_valid_override_loads(self, tmp_path):
-        body = "Custom wording. Report: {report}\nRules so far:\n{memory}\nStages: T1 T2 T3 T4"
-        self._write_override(tmp_path, "ltm_update", body)
-        registry = load_templates(tmp_path, T)
-        assert registry.get("ltm_update").body == body
-        # untouched templates fall back to defaults
-        assert registry.get("zscot_inference").body == default_templates(T).get("zscot_inference").body
-
-    def test_override_keeps_the_reply_schema(self, tmp_path):
-        self._write_override(tmp_path, "rag_elicit", "Rules from {chunks}")
-        template = load_templates(tmp_path, N).get("rag_elicit")
-        assert template.schema == default_templates(N).get("rag_elicit").schema
-
-    def test_empty_directory_loads_the_shipped_templates(self, tmp_path):
-        (tmp_path / "notes.md").write_text("not a template")
-        assert load_templates(tmp_path, T).hashes() == default_templates(T).hashes()
-
-    def test_override_missing_placeholder_fails_at_load(self, tmp_path):
-        path = self._write_override(tmp_path, "ltm_update", "no placeholders")
-        with pytest.raises(TemplateError, match="ltm_update") as info:
-            load_templates(tmp_path, T)
-        assert str(path) in str(info.value)
-
-    def test_override_extra_placeholder_fails_at_load(self, tmp_path):
-        path = self._write_override(tmp_path, "ltm_update", "{report} {memory} {chunks}")
-        with pytest.raises(TemplateError, match="undeclared") as info:
-            load_templates(tmp_path, T)
-        assert str(path) in str(info.value)
-
     @pytest.mark.parametrize(
         "body, check",
         [("{report} {memory} {0}", "bad placeholder {0}"),
          ("{report} {memory", "malformed placeholder syntax")],
         ids=["positional", "unclosed"],
     )
-    def test_override_with_bad_placeholder_syntax_fails_at_load(self, tmp_path, body, check):
-        path = self._write_override(tmp_path, "ltm_update", body)
+    def test_bad_placeholder_syntax(self, body, check):
         with pytest.raises(TemplateError) as info:
-            load_templates(tmp_path, T)
-        assert str(info.value).startswith(f"{path}: {check}")
-
-    def test_file_named_for_no_template_fails_at_load(self, tmp_path):
-        self._write_override(tmp_path, "zscot_inference", "{report}")
-        path = self._write_override(tmp_path, "bogus", "{report}")
-        with pytest.raises(TemplateError, match="bogus") as info:
-            load_templates(tmp_path, T)
-        assert str(path) in str(info.value)
-
-    def test_missing_directory_fails_at_load(self, tmp_path):
-        with pytest.raises(TemplateError, match="does not exist"):
-            load_templates(tmp_path / "absent", T)
+            PromptTemplate(template_id="ltm_update", body=body, category=T)
+        assert str(info.value).startswith(check)
