@@ -24,7 +24,8 @@ from stagepipe.corpus import (
 )
 from stagepipe.evaluation import mcnemar_p
 from stagepipe.llm import LlmClient, ScriptedBackend, TransportError
-from stagepipe.retrieval import chunk_document
+from stagepipe.prompts import default_templates
+from stagepipe.retrieval import DEFAULT_QUERIES, QUERY_PROVENANCE, chunk_document
 from .conftest import (
     BAD_EMBEDDINGS,
     NULL_CONTENT_REPLY,
@@ -543,6 +544,32 @@ class TestRunRag:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["query_provenance"] == "extrapolated"
 
+    @pytest.mark.parametrize(
+        "category, labels", [("T", LABELS), ("N", ["N0", "N1", "N2", "N3"])], ids=["T", "N"]
+    )
+    def test_manifest_records_the_categorys_query_and_prompts(self, tmp_path, category, labels):
+        # the prompts and the query are fixed by the program, one set per category
+        corpus = tmp_path / "c.jsonl"
+        write_corpus(corpus, 4)
+        guideline = tmp_path / "guide.md"
+        write_guideline(guideline)
+        script = tmp_path / "script.json"
+        write_script(script, 4, hash_dim=8, labels=labels)
+        out = tmp_path / "out"
+        assert main(
+            ["run", "--method", "rag", "--category", category, "--corpus", str(corpus),
+             "--guideline", str(guideline), "--script", str(script), "--out", str(out)]
+        ) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        cat = StageCategory(category)
+        assert (manifest["query"], manifest["query_provenance"]) == (
+            DEFAULT_QUERIES[cat], QUERY_PROVENANCE[cat]
+        )
+        assert manifest["template_hashes"] == {
+            tid: t.body_hash() for tid, t in default_templates(cat).items()
+        }
+        assert "templates" not in manifest["config"] and "query" not in manifest["config"]
+
     def test_report_text_run_records_no_query(self, tmp_path):
         corpus = tmp_path / "c.jsonl"
         write_corpus(corpus, 5)
@@ -919,6 +946,29 @@ class TestSweep:
         curves = (out / "sweep_curves.csv").read_text().splitlines()
         params = {line.split(",")[0] for line in curves[1:]}
         assert params == {"0.0", "80.0"}
+
+    def test_unexpected_exception_writes_failed_manifest(self, tmp_path, monkeypatch):
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(pipelines, "induce_ltm", boom)
+        corpus = tmp_path / "c.jsonl"
+        write_corpus(corpus, 10)
+        script = tmp_path / "script.json"
+        write_script(script, 4)
+        out = tmp_path / "out"
+        # an error outside COMMAND_ERRORS keeps its traceback
+        with pytest.raises(RuntimeError, match="boom"):
+            main(["sweep", "--category", "T", "--corpus", str(corpus), "--script", str(script),
+                  "--out", str(out), "--splits", "2", "--train-size", "2",
+                  "--train-counts", "1,2"])
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["status"], manifest["error"]) == ("FAILED", "boom")
+        assert manifest["sweep"] == {"n_train": [1, 2]}
+        # the sweep's tables are written, headed and empty, beside the manifest
+        assert (out / "sweep_metrics.csv").read_text().splitlines() == [
+            "n_train,split,seed,precision,recall,f1"
+        ]
 
     def test_method_other_than_kewltm_is_usage_error(self, tmp_path, capsys):
         corpus = tmp_path / "c.jsonl"

@@ -23,6 +23,7 @@ from stagepipe.pipelines import (
     run_kewltm_inference,
     run_rag,
 )
+from stagepipe.prompts import default_templates, render
 from stagepipe.retrieval import Chunk, RetrievalQuery, build_index
 from .conftest import (
     REPORT_ID,
@@ -82,6 +83,25 @@ class TestRunZscot:
         client, _ = scripted_client([])
         with pytest.raises(PipelineError):
             infer("zscot", [], T, client)
+
+    @pytest.mark.parametrize("category", [T, StageCategory.N])
+    def test_prompt_is_the_categorys_template(self, category):
+        # the category alone decides the template set a pipeline renders
+        report = make_report("r00", t="T2", n="N1")
+        stage = report.gold[category].render()
+        client, backend = scripted_client([chat_entry(staging_body(stage))])
+        captured = []
+        original = backend.complete
+
+        def spy(request):
+            captured.append(request.user)
+            return original(request)
+
+        backend.complete = spy
+        (record,) = infer("zscot", [report], category, client)
+        template = default_templates(category)["zscot_inference"]
+        assert captured == [render(template, {"report": report.text}).user]
+        assert record.predicted == report.gold[category]
 
 
 class TestRunRag:
