@@ -8,7 +8,14 @@ runs exact cosine retrieval. Every chunk is scored; nothing approximate.
 """
 
 from stagepipe.llm import LlmClient, ScriptedBackend
-from stagepipe.retrieval import RetrievalQuery, build_index, chunk_document, hash_document, top_k
+from stagepipe.corpus import StageCategory
+from stagepipe.retrieval import (
+    DEFAULT_QUERIES,
+    build_index,
+    chunk_document,
+    hash_document,
+    top_k,
+)
 
 guideline = "\n\n".join(
     [
@@ -39,11 +46,9 @@ client = LlmClient(embed_backend=backend)
 index = build_index(chunks, client.embed, hash_document(guideline))
 print(f"index: {len(index)} vectors of dim {index.dim}, doc {index.doc_hash[:12]}...")
 
-query = RetrievalQuery(
-    "A list of rules as knowledge that help predict the T stage for breast cancer",
-    k=3,
-)
-hits = top_k(index, query, client.embed)
-print(f"top {query.k} chunks for the staging query:")
+# the T category's query, the one `stagepipe run` retrieves with
+k = 3
+hits = top_k(index, DEFAULT_QUERIES[StageCategory.T], k, client.embed)
+print(f"top {k} chunks for the staging query:")
 for chunk, score in hits:
     print(f"  chunk {chunk.chunk_id} (cosine {score:+.3f}): {chunk.text[:60]}...")

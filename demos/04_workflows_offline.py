@@ -8,7 +8,8 @@ demonstration is offline and bit-reproducible. The script bodies carry
 reasoning, a stage, and rules, which satisfies every schema the templates
 use. Every workflow renders the one template set of its category
 (`stagepipe.prompts.default_templates`), so no call takes prompts of its
-own, and retrieval uses the category's query, as `stagepipe run` does.
+own, and retrieval uses the category's query (`DEFAULT_QUERIES` in
+`stagepipe.retrieval`), as `stagepipe run` does.
 """
 
 from stagepipe.corpus import Corpus, Report, StageCategory, StageLabel
@@ -20,13 +21,7 @@ from stagepipe.pipelines import (
     run_kewltm_inference,
     run_rag,
 )
-from stagepipe.retrieval import (
-    DEFAULT_QUERIES,
-    RetrievalQuery,
-    build_index,
-    chunk_document,
-    hash_document,
-)
+from stagepipe.retrieval import build_index, chunk_document, hash_document
 
 T = StageCategory.T
 
@@ -75,8 +70,7 @@ print(f"zscot: {len(records)} records, {backend.chat_calls} chat calls")
 client, backend = scripted(5, ["T1", "T2", "T3", "T1", "T2"])
 chunks = chunk_document(guideline, max_chars=400)
 index = build_index(chunks, client.embed, hash_document(guideline))
-query = RetrievalQuery(DEFAULT_QUERIES[T], k=3)
-records = run_rag(reports, T, client, index, query)
+records = run_rag(reports, T, client, index, k=3)
 print(
     f"rag:   {len(records)} records, every one citing chunks "
     f"{records[0].retrieved_chunk_ids}"
@@ -98,7 +92,7 @@ print(f"kewltm: {len(records)} inference records, all at memory version "
 client, backend = scripted(6, ["T1", "T2", "T3"])
 index = build_index(chunk_document(guideline, max_chars=400), client.embed,
                     hash_document(guideline))
-elicited = elicit_kewrag_rules(index, query, T, client)
+elicited = elicit_kewrag_rules(index, T, client, k=3)
 print(f"kewrag: synthesized {len(elicited.memory.rules)} rules from chunks "
       f"{elicited.chunk_ids} in a single pass")
 before = backend.embed_calls

@@ -40,7 +40,9 @@ from .corpus import (
 )
 from .llm import HttpChatBackend, HttpEmbedBackend, LlmClient, LlmError, scripted_backend
 from .pipelines import PipelineError, PredictionRecord, record_from_json, record_to_json
-from .retrieval import RetrievalError, RetrievalQuery
+from .retrieval import RetrievalError
+
+log = logging.getLogger(__name__)
 
 _ENV_KEYS = {
     "STAGEPIPE_LLM_BASE": "llm_base",
@@ -236,11 +238,9 @@ def cmd_ingest(cfg: RunConfig) -> int:
     return 0
 
 
-def _load_or_build_index(
-    cfg: RunConfig, client: LlmClient
-) -> tuple[retrieval.ChunkIndex, str]:
-    """Returns (index, doc_hash). Prefers --index, which must have been built
-    from --guideline when both are given; else chunks --guideline."""
+def _load_or_build_index(cfg: RunConfig, client: LlmClient) -> retrieval.ChunkIndex:
+    """Prefers --index, which must have been built from --guideline when both
+    are given; else chunks --guideline."""
     doc = read_utf8(cfg.guideline, RetrievalError) if cfg.guideline else None
     doc_hash = retrieval.hash_document(doc) if doc is not None else None
     if cfg.index:
@@ -249,9 +249,9 @@ def _load_or_build_index(
             raise RetrievalError(
                 f"index {cfg.index} was built from another document than {cfg.guideline}"
             )
-        return idx, idx.doc_hash
+        return idx
     chunks = retrieval.chunk_document(doc, max_chars=cfg.chunk_max_chars)
-    return retrieval.build_index(chunks, client.embed, doc_hash), doc_hash
+    return retrieval.build_index(chunks, client.embed, doc_hash)
 
 
 def cmd_index(cfg: RunConfig) -> int:
@@ -265,7 +265,7 @@ def cmd_index(cfg: RunConfig) -> int:
         raise UsageError(
             "no embedding backend configured (set STAGEPIPE_EMBED_BASE or --script)"
         )
-    index, _ = _load_or_build_index(cfg, client)
+    index = _load_or_build_index(cfg, client)
     retrieval.save_index(index, out)
     print(f"Indexed {len(index)} chunks (dim {index.dim}) -> {out}")
     return 0
@@ -440,11 +440,10 @@ def cmd_run(cfg: RunConfig) -> int:
     if method == "kewltm":
         _check_n_train([cfg], "--n-train")
     category, client, corpus, out = _setup(cfg, retrieves)
-    query_text = retrieval.DEFAULT_QUERIES[category]
     fields = {"template_hashes": _template_hashes(category)}
     # each report's text is its query, so the run has no query of its own
     if retrieves and not (method == "rag" and cfg.rag_query_mode == "report-text"):
-        fields["query"] = query_text
+        fields["query"] = retrieval.DEFAULT_QUERIES[category]
         fields["query_provenance"] = retrieval.QUERY_PROVENANCE[category]
 
     def body(fields: dict) -> None:
@@ -460,15 +459,17 @@ def cmd_run(cfg: RunConfig) -> int:
             return
         rules, chunk_ids = None, ()
         if retrieves:
-            index, fields["doc_hash"] = _load_or_build_index(cfg, client)
-            query = RetrievalQuery(query_text, cfg.k)
+            index = _load_or_build_index(cfg, client)
+            fields["doc_hash"] = index.doc_hash
+            if cfg.k > len(index):  # logged once here: top_k runs once per report
+                log.warning("k=%d exceeds index size %d; clamping", cfg.k, len(index))
         if method == "kewrag":
-            elicited = pipelines.elicit_kewrag_rules(index, query, category, client)
+            elicited = pipelines.elicit_kewrag_rules(index, category, client, k=cfg.k)
             memory.persist(elicited.memory, out / "rules.json")
             rules, chunk_ids = elicited.memory, elicited.chunk_ids
         if method == "rag":
             records = pipelines.run_rag(
-                list(corpus), category, client, index, query,
+                list(corpus), category, client, index, k=cfg.k,
                 rag_query_mode=cfg.rag_query_mode,
             )
         else:

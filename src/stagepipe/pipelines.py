@@ -31,7 +31,7 @@ from .corpus import Report, StageCategory, StageLabel
 from .llm import LlmClient, SchemaViolationError
 from .memory import RuleMemory, UpdateTrace, gated_update, render_numbered, serialize
 from .prompts import default_templates, render
-from .retrieval import ChunkIndex, RetrievalQuery, top_k
+from .retrieval import DEFAULT_QUERIES, ChunkIndex, top_k
 
 
 @dataclass(frozen=True)
@@ -282,10 +282,10 @@ def infer(
 
 
 def _retrieve(
-    index: ChunkIndex, query: RetrievalQuery, client: LlmClient
+    index: ChunkIndex, text: str, k: int, client: LlmClient
 ) -> tuple[str, tuple[int, ...]]:
-    """Top-k chunks for `query`: their texts joined in rank order, and their ids."""
-    hits = top_k(index, query, client.embed)
+    """Top-k chunks for `text`: their texts joined in rank order, and their ids."""
+    hits = top_k(index, text, k, client.embed)
     return (
         CHUNK_SEPARATOR.join(c.text for c, _ in hits),
         tuple(c.chunk_id for c, _ in hits),
@@ -297,29 +297,30 @@ def run_rag(
     category: StageCategory,
     client: LlmClient,
     index: ChunkIndex,
-    query: RetrievalQuery,
     *,
+    k: int,
     rag_query_mode: str = "guideline",
 ) -> list[PredictionRecord]:
-    """Raw-context inference: retrieved chunks concatenated into each prompt.
+    """Raw-context inference: the top `k` chunks concatenated into each prompt.
 
-    In the default ``guideline`` mode the query is report-independent and
-    retrieval happens once per run; ``report-text`` mode retrieves per report,
-    just before its chat call, using the report text as the query, on a run
-    whose executor is `client.max_in_flight_total` wide, so that the embed
-    and chat endpoints are both kept busy.
+    In the default ``guideline`` mode the query is the category's
+    `DEFAULT_QUERIES` entry and retrieval happens once per run;
+    ``report-text`` mode retrieves per report, just before its chat call,
+    using the report text as the query, on a run whose executor is
+    `client.max_in_flight_total` wide, so that the embed and chat endpoints
+    are both kept busy.
     """
     if rag_query_mode not in RAG_QUERY_MODES:
         raise PipelineError(f"unknown rag_query_mode {rag_query_mode!r}")
     if not reports:  # before the shared retrieval spends an embed call
         raise PipelineError("no reports to run")
     if rag_query_mode == "guideline":
-        shared = _retrieve(index, query, client)
+        shared = _retrieve(index, DEFAULT_QUERIES[category], k, client)
         return infer("rag", reports, category, client, lambda report: shared)
     with Run(client.max_in_flight_total) as run:
         return infer(
             "rag", reports, category, client,
-            lambda report: _retrieve(index, RetrievalQuery(report.text, query.k), client),
+            lambda report: _retrieve(index, report.text, k, client),
             run=run,
         )
 
@@ -394,17 +395,15 @@ def run_kewltm_inference(
 
 
 def elicit_kewrag_rules(
-    index: ChunkIndex,
-    query: RetrievalQuery,
-    category: StageCategory,
-    client: LlmClient,
+    index: ChunkIndex, category: StageCategory, client: LlmClient, *, k: int
 ) -> ElicitedRules:
-    """Retrieve once and synthesize the chunks into a frozen rule set.
+    """Retrieve the top `k` chunks for the category's `DEFAULT_QUERIES` entry
+    once and synthesize them into a frozen rule set.
 
     Single pass, no iteration; an unparseable synthesis is terminal for the
     run.
     """
-    context, chunk_ids = _retrieve(index, query, client)
+    context, chunk_ids = _retrieve(index, DEFAULT_QUERIES[category], k, client)
     request = render(default_templates(category)["rag_elicit"], {"chunks": context})
     try:
         out = client.chat(request)

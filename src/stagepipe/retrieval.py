@@ -9,7 +9,6 @@ spans tile the document exactly.
 from __future__ import annotations
 
 import hashlib
-import logging
 import math
 import operator
 import re
@@ -19,8 +18,6 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .corpus import StageCategory, read_json, typed, write_json
-
-log = logging.getLogger(__name__)
 
 # the T-stage retrieval query; the N variant is an extrapolation and is
 # flagged as such in run manifests
@@ -44,18 +41,6 @@ class Chunk:
     def __post_init__(self) -> None:
         if not self.text:
             raise RetrievalError(f"chunk {self.chunk_id} has empty text")
-
-
-@dataclass(frozen=True)
-class RetrievalQuery:
-    text: str
-    k: int = 5
-
-    def __post_init__(self) -> None:
-        if not self.text.strip():
-            raise RetrievalError("query text must be non-empty")
-        if self.k < 1:
-            raise RetrievalError(f"k must be positive, got {self.k}")
 
 
 @dataclass(frozen=True)
@@ -164,19 +149,20 @@ def build_index(chunks: Sequence[Chunk], embed_fn: EmbedFn, doc_hash: str) -> Ch
 
 
 def top_k(
-    index: ChunkIndex, query: RetrievalQuery, embed_fn: EmbedFn
+    index: ChunkIndex, text: str, k: int, embed_fn: EmbedFn
 ) -> list[tuple[Chunk, float]]:
-    """Exact cosine ranking of all chunks against the query.
+    """Exact cosine ranking of all chunks against the query `text`.
 
-    Descending score; ties broken by ascending chunk_id; k clamped to the
-    index size with a warning. The query must be embedded by the model that
-    built the index.
+    Descending score; ties broken by ascending chunk_id; the best
+    `min(k, len(index))` chunks. A blank `text` or a `k` below 1 fails before
+    the embed call. The query must be embedded by the model that built the
+    index.
     """
-    k = query.k
-    if k > len(index):
-        log.warning("k=%d exceeds index size %d; clamping", k, len(index))
-        k = len(index)
-    (embedded,), model_id = embed_fn([query.text])
+    if not text.strip():
+        raise RetrievalError("query text must be non-empty")
+    if k < 1:
+        raise RetrievalError(f"k must be positive, got {k}")
+    (embedded,), model_id = embed_fn([text])
     if len(embedded) != index.dim:
         raise RetrievalError(
             f"query embedding has dimension {len(embedded)}, the index {index.dim}"

@@ -26,7 +26,7 @@ from stagepipe.pipelines import (
     infer,
     run_rag,
 )
-from stagepipe.retrieval import Chunk, RetrievalQuery, build_index, top_k
+from stagepipe.retrieval import DEFAULT_QUERIES, Chunk, build_index, top_k
 from .conftest import chat_entry, make_report, rules_body, scripted_client, staging_body
 
 T = StageCategory.T
@@ -233,11 +233,10 @@ def test_algorithm2_call_counts():
     embed_entry = {
         "kind": "embed",
         "body": {"map": {t: [1.0, float(i + 1)] for i, t in enumerate(chunk_texts)}
-                 | {"q": [1.0, 0.5]}},
+                 | {DEFAULT_QUERIES[T]: [1.0, 0.5]}},
     }
     chunks = [Chunk(i, t, (0, len(t))) for i, t in enumerate(chunk_texts)]
     reports = [make_report(f"r{i:02d}", t="T1") for i in range(n)]
-    query = RetrievalQuery("q", k=5)
 
     # kewrag: 1 retrieval pass + 1 elicitation chat + N inference chats
     entries = [embed_entry, chat_entry({"rules": ["r1", "r2"]})]
@@ -245,7 +244,7 @@ def test_algorithm2_call_counts():
     client, backend = scripted_client(entries)
     index = build_index(chunks, client.embed, "h")
     backend.embed_calls = backend.chat_calls = 0  # index build is setup
-    elicited = elicit_kewrag_rules(index, query, T, client)
+    elicited = elicit_kewrag_rules(index, T, client, k=5)
     infer("kewrag", reports, T, client,
           rules=elicited.memory, chunk_ids=elicited.chunk_ids)
     assert backend.embed_calls == 1
@@ -256,7 +255,7 @@ def test_algorithm2_call_counts():
     client, backend = scripted_client(entries)
     index = build_index(chunks, client.embed, "h")
     backend.embed_calls = backend.chat_calls = 0
-    run_rag(reports, T, client, index, query)
+    run_rag(reports, T, client, index, k=5)
     assert backend.embed_calls == 1
     assert backend.chat_calls == n
 
@@ -295,7 +294,7 @@ def test_retrieval_oracle():
         cosines = unit_rows @ (qvec / np.linalg.norm(qvec))
         expected = sorted(range(n), key=lambda i: (-cosines[i], i))
         for k in range(1, n + 1):
-            hits = top_k(index, RetrievalQuery("q", k=k), embed)
+            hits = top_k(index, "q", k, embed)
             assert [c.chunk_id for c, _ in hits] == expected[:k], (trial, k)
     _passed("retrieval-oracle", started, 10.0)
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import logging
 import os
 import re
 import subprocess
@@ -104,6 +105,20 @@ def built_backends(monkeypatch) -> list[ScriptedBackend]:
 
     monkeypatch.setattr(cli, "scripted_backend", recording_backend)
     return built
+
+
+@pytest.fixture
+def embedded_texts(monkeypatch) -> list[list[str]]:
+    """Each batch of texts that any scripted backend embeds, in call order."""
+    embedded: list[list[str]] = []
+    original = ScriptedBackend.embed
+
+    def spy(self, texts):
+        embedded.append(list(texts))
+        return original(self, texts)
+
+    monkeypatch.setattr(ScriptedBackend, "embed", spy)
+    return embedded
 
 
 def tree_bytes(root: Path) -> dict[str, bytes]:
@@ -547,7 +562,9 @@ class TestRunRag:
     @pytest.mark.parametrize(
         "category, labels", [("T", LABELS), ("N", ["N0", "N1", "N2", "N3"])], ids=["T", "N"]
     )
-    def test_manifest_records_the_categorys_query_and_prompts(self, tmp_path, category, labels):
+    def test_manifest_records_the_categorys_query_and_prompts(
+        self, tmp_path, embedded_texts, category, labels
+    ):
         # the prompts and the query are fixed by the program, one set per category
         corpus = tmp_path / "c.jsonl"
         write_corpus(corpus, 4)
@@ -565,6 +582,8 @@ class TestRunRag:
         assert (manifest["query"], manifest["query_provenance"]) == (
             DEFAULT_QUERIES[cat], QUERY_PROVENANCE[cat]
         )
+        # the guideline's chunks, then the one query the run retrieved with
+        assert embedded_texts[1:] == [[manifest["query"]]]
         assert manifest["template_hashes"] == {
             tid: t.body_hash() for tid, t in default_templates(cat).items()
         }
@@ -589,6 +608,33 @@ class TestRunRag:
         assert (manifest["query"], manifest["query_provenance"]) == (None, None)
         assert manifest["config"]["rag_query_mode"] == "report-text"
         assert manifest["doc_hash"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--method", "rag", "--rag-query-mode", "report-text"],
+         ["--method", "rag"],
+         ["--method", "kewrag"]],
+        ids=["rag-report-text", "rag-guideline", "kewrag"],
+    )
+    def test_k_above_the_chunk_count_is_logged_once(self, tmp_path, caplog, argv):
+        corpus = tmp_path / "c.jsonl"
+        write_corpus(corpus, 3)
+        guideline = tmp_path / "guide.md"
+        write_guideline(guideline)
+        n_chunks = len(chunk_document(guideline.read_text()))
+        script = tmp_path / "script.json"
+        write_script(script, 4, hash_dim=8)
+        out = tmp_path / "out"
+        with caplog.at_level(logging.WARNING):
+            assert main(
+                ["run", *argv, "--category", "T", "--corpus", str(corpus),
+                 "--guideline", str(guideline), "--script", str(script),
+                 "--out", str(out), "--k", str(n_chunks + 1)]
+            ) == 0
+        clamps = [r.getMessage() for r in caplog.records if "clamping" in r.getMessage()]
+        assert clamps == [f"k={n_chunks + 1} exceeds index size {n_chunks}; clamping"]
+        lines = (out / "predictions.jsonl").read_text().splitlines()
+        assert [len(json.loads(l)["retrieved_chunk_ids"]) for l in lines] == [n_chunks] * 3
 
     def test_no_embedding_backend_is_usage_error(self, tmp_path, capsys, monkeypatch):
         live_env(monkeypatch, llm_base="http://127.0.0.1:9")  # a chat endpoint alone

@@ -24,7 +24,7 @@ from stagepipe.pipelines import (
     run_rag,
 )
 from stagepipe.prompts import default_templates, render
-from stagepipe.retrieval import Chunk, RetrievalQuery, build_index
+from stagepipe.retrieval import DEFAULT_QUERIES, Chunk, RetrievalError, build_index
 from .conftest import (
     REPORT_ID,
     ContentKeyedBackend,
@@ -51,6 +51,26 @@ def embed_script(texts: list[str], extra: dict | None = None) -> dict:
 def guideline_index(client: LlmClient, texts: list[str]):
     chunks = [Chunk(i, t, (0, len(t))) for i, t in enumerate(texts)]
     return build_index(chunks, client.embed, "dochash")
+
+
+def spy_embeds(backend) -> list[list[str]]:
+    """Each batch of texts that `backend` embeds from now on, in call order."""
+    embedded: list[list[str]] = []
+    original = backend.embed
+
+    def spy(texts):
+        embedded.append(list(texts))
+        return original(texts)
+
+    backend.embed = spy
+    return embedded
+
+
+def rag_call(mode: str, n_reports: int = 1, k: int = 2):
+    """A `run_rag` call over `n_reports` reports that takes the index and client."""
+    return lambda index, client: run_rag(
+        reports(n_reports), T, client, index, k=k, rag_query_mode=mode
+    )
 
 
 class TestRunZscot:
@@ -106,7 +126,7 @@ class TestRunZscot:
 
 class TestRunRag:
     def _client(self, n_chat: int, chunk_texts: list[str]):
-        entries = [embed_script(chunk_texts, extra={"q": [1.0, 0.0]})]
+        entries = [embed_script(chunk_texts, extra={DEFAULT_QUERIES[T]: [1.0, 0.0]})]
         entries += [chat_entry(staging_body("T1"))] * n_chat
         return scripted_client(entries)
 
@@ -114,9 +134,7 @@ class TestRunRag:
         texts = [f"chunk number {i}" for i in range(10)]
         client, backend = self._client(4, texts)
         index = guideline_index(client, texts)
-        records = run_rag(
-            reports(4), T, client, index, RetrievalQuery("q", k=5)
-        )
+        records = run_rag(reports(4), T, client, index, k=5)
         assert len(records) == 4
         id_sets = {r.retrieved_chunk_ids for r in records}
         assert len(id_sets) == 1
@@ -127,17 +145,30 @@ class TestRunRag:
         client, backend = self._client(3, texts)
         index = guideline_index(client, texts)
         embeds_before = backend.embed_calls
-        run_rag(reports(3), T, client, index, RetrievalQuery("q", k=2))
+        run_rag(reports(3), T, client, index, k=2)
         assert backend.embed_calls - embeds_before == 1
 
-    def test_k_clamped(self, caplog):
+    def test_k_clamped(self):
         texts = ["chunk a", "chunk b"]
         client, _ = self._client(1, texts)
         index = guideline_index(client, texts)
-        records = run_rag(
-            reports(1), T, client, index, RetrievalQuery("q", k=99)
-        )
+        records = run_rag(reports(1), T, client, index, k=99)
         assert len(records[0].retrieved_chunk_ids) == 2
+
+    @pytest.mark.parametrize("category", list(StageCategory), ids=lambda c: c.value)
+    def test_guideline_retrievals_embed_the_categorys_query(self, category):
+        texts = ["chunk a", "chunk b"]
+        query = DEFAULT_QUERIES[category]
+        stage = "T1" if category is T else "N0"
+        entries = [embed_script(texts, extra={query: [1.0, 0.0]})]
+        entries += [chat_entry(rules_body(stage, ["a rule"]))] * 3
+        client, backend = scripted_client(entries)
+        index = guideline_index(client, texts)
+        embedded = spy_embeds(backend)
+        run_rag(reports(2), category, client, index, k=1)
+        assert embedded == [[query]]
+        elicit_kewrag_rules(index, category, client, k=1)
+        assert embedded == [[query], [query]]
 
     def test_chunks_bound_in_rank_order(self):
         texts = ["first chunk", "second chunk"]
@@ -152,7 +183,7 @@ class TestRunRag:
             return original(request)
 
         backend.complete = spy
-        run_rag(reports(1), T, client, index, RetrievalQuery("q", k=2))
+        run_rag(reports(1), T, client, index, k=2)
         assert CHUNK_SEPARATOR in captured[0]
 
     def test_report_text_mode_retrieves_per_report(self):
@@ -164,28 +195,33 @@ class TestRunRag:
         entries += [chat_entry(staging_body("T1"))] * 3
         client, backend = scripted_client(entries)
         index = guideline_index(client, ["chunk a", "chunk b", "chunk c"])
-        before = backend.embed_calls
-        records = run_rag(
-            reports(3), T, client, index, RetrievalQuery("q", k=3),
-            rag_query_mode="report-text",
-        )
-        assert backend.embed_calls - before == 3
+        embedded = spy_embeds(backend)
+        records = run_rag(reports(3), T, client, index, k=3, rag_query_mode="report-text")
+        # one embed per report, of its text alone, and no guideline query
+        assert sorted(embedded) == [[r.text] for r in reports(3)]
         # ties break by chunk id: r02 scores a and b alike
         assert [r.retrieved_chunk_ids for r in records] == [(0, 2, 1), (1, 2, 0), (2, 0, 1)]
 
     @pytest.mark.parametrize(
-        "n_reports, mode, message",
-        [(1, "guidline", "unknown rag_query_mode 'guidline'"), (0, "guideline", "no reports to run")],
-        ids=["misspelt-mode", "no-reports"],
+        "call, error, message",
+        [
+            (rag_call("guidline"), PipelineError, "unknown rag_query_mode 'guidline'"),
+            (rag_call("guideline", n_reports=0), PipelineError, "no reports to run"),
+            (rag_call("guideline", k=0), RetrievalError, "k must be positive, got 0"),
+            (rag_call("report-text", n_reports=3, k=0), RetrievalError, "k must be positive, got 0"),
+            (lambda index, client: elicit_kewrag_rules(index, T, client, k=0),
+             RetrievalError, "k must be positive, got 0"),
+        ],
+        ids=["misspelt-mode", "no-reports", "k-zero-guideline", "k-zero-report-text",
+             "k-zero-kewrag"],
     )
-    def test_bad_call_fails_before_any_model_call(self, n_reports, mode, message):
+    def test_bad_call_fails_before_any_model_call(self, call, error, message):
         texts = ["chunk a", "chunk b"]
         client, backend = self._client(1, texts)
         index = guideline_index(client, texts)
         embeds_before = backend.embed_calls
-        with pytest.raises(PipelineError, match=message):
-            run_rag(reports(n_reports), T, client, index, RetrievalQuery("q", k=2),
-                    rag_query_mode=mode)
+        with pytest.raises(error, match=message):
+            call(index, client)
         assert (backend.embed_calls - embeds_before, backend.chat_calls) == (0, 0)
 
 
@@ -324,7 +360,7 @@ class TestKewltmInference:
 
 class TestElicitKewrag:
     def _setup(self, texts: list[str], elicit_rules: list[str], n_chat: int = 0):
-        entries = [embed_script(texts, extra={"q": [1.0, 0.0]})]
+        entries = [embed_script(texts, extra={DEFAULT_QUERIES[T]: [1.0, 0.0]})]
         entries.append(chat_entry({"rules": elicit_rules}))
         entries += [chat_entry(staging_body("T1"))] * n_chat
         client, backend = scripted_client(entries)
@@ -334,7 +370,7 @@ class TestElicitKewrag:
     def test_six_rules_version_one(self):
         rules = [f"synthesized rule {i}" for i in range(6)]
         client, _, index = self._setup([f"chunk {i}" for i in range(8)], rules)
-        elicited = elicit_kewrag_rules(index, RetrievalQuery("q", k=5), T, client)
+        elicited = elicit_kewrag_rules(index, T, client, k=5)
         assert len(elicited.memory.rules) == 6
         assert elicited.memory.version == 1
         assert len(elicited.chunk_ids) == 5
@@ -350,18 +386,18 @@ class TestElicitKewrag:
             return original(request)
 
         backend.complete = spy
-        elicit_kewrag_rules(index, RetrievalQuery("q", k=5), T, client)
+        elicit_kewrag_rules(index, T, client, k=5)
         bound = [t for t in texts if t in captured[0]]
         assert len(bound) == 5
 
     def test_unparseable_elicitation_terminal(self):
         texts = ["chunk a"]
-        entries = [embed_script(texts, extra={"q": [1.0, 0.0]})]
+        entries = [embed_script(texts, extra={DEFAULT_QUERIES[T]: [1.0, 0.0]})]
         entries += [chat_entry({"no": "rules"})] * 4
         client, _ = scripted_client(entries)
         index = guideline_index(client, texts)
         with pytest.raises(PipelineError, match="synthesis"):
-            elicit_kewrag_rules(index, RetrievalQuery("q", k=1), T, client)
+            elicit_kewrag_rules(index, T, client, k=1)
 
 
 class TestKewragInference:
@@ -477,7 +513,7 @@ def report_text_rag(backend, n: int, max_in_flight: int) -> list[PredictionRecor
     sys.setswitchinterval(1e-5)  # switch threads often, so interleavings vary
     try:
         return run_rag(
-            reports(n), T, client, index, RetrievalQuery("q", k=3),
+            reports(n), T, client, index, k=3,
             rag_query_mode="report-text",
         )
     finally:
@@ -543,7 +579,7 @@ class TestReportTextRagConcurrency:
         backend.embed = spy("embed", backend.embed)
         backend.complete = spy("chat", backend.complete)
         run_rag(
-            reports(n), T, client, index, RetrievalQuery("q", k=2),
+            reports(n), T, client, index, k=2,
             rag_query_mode="report-text",
         )
         assert events == [

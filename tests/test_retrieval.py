@@ -13,7 +13,6 @@ from stagepipe.retrieval import (
     Chunk,
     ChunkIndex,
     RetrievalError,
-    RetrievalQuery,
     build_index,
     chunk_document,
     hash_document,
@@ -226,9 +225,8 @@ class TestBuildIndex:
         embed = fake_embedder(mapping)
         rebuilt = build_index(chunks, embed, "h")
         for q in queries:
-            query = RetrievalQuery(q, k=n)
-            assert ([c.chunk_id for c, _ in top_k(loaded, query, embed)]
-                    == [c.chunk_id for c, _ in top_k(rebuilt, query, embed)])
+            assert ([c.chunk_id for c, _ in top_k(loaded, q, n, embed)]
+                    == [c.chunk_id for c, _ in top_k(rebuilt, q, n, embed)])
 
 
 class TestTopK:
@@ -246,7 +244,7 @@ class TestTopK:
 
     def test_descending_cosine_order(self):
         index, embed = self._index_with_cosines()
-        hits = top_k(index, RetrievalQuery("q", k=2), embed)
+        hits = top_k(index, "q", 2, embed)
         assert [c.text for c, _ in hits] == ["c0", "c2"]
         scores = [s for _, s in hits]
         assert scores[0] == pytest.approx(0.9)
@@ -254,7 +252,7 @@ class TestTopK:
 
     def test_k_equals_all(self):
         index, embed = self._index_with_cosines()
-        hits = top_k(index, RetrievalQuery("q", k=3), embed)
+        hits = top_k(index, "q", 3, embed)
         assert [c.text for c, _ in hits] == ["c0", "c2", "c1"]
 
     def test_tie_broken_by_chunk_id(self):
@@ -262,22 +260,41 @@ class TestTopK:
         chunks = [Chunk(0, "a", (0, 1)), Chunk(1, "b", (0, 1))]
         embed = fake_embedder(mapping)
         index = build_index(chunks, embed, "h")
-        hits = top_k(index, RetrievalQuery("q", k=1), embed)
+        hits = top_k(index, "q", 1, embed)
         assert hits[0][0].chunk_id == 0
 
-    def test_k_clamped_with_warning(self, caplog):
+    def test_k_clamped_without_logging(self, caplog):
+        # a run logs the clamp once, where its k meets its index (cli)
         index, embed = self._index_with_cosines()
-        with caplog.at_level(logging.WARNING):
-            hits = top_k(index, RetrievalQuery("q", k=10), embed)
+        with caplog.at_level(logging.DEBUG):
+            hits = top_k(index, "q", 10, embed)
         assert len(hits) == 3
-        assert any("clamp" in r.message for r in caplog.records)
+        assert caplog.records == []
+
+    @pytest.mark.parametrize(
+        "text, k, message",
+        [("  ", 5, "must be non-empty"), ("\n\t", 1, "must be non-empty"),
+         ("q", 0, "k must be positive, got 0"), ("q", -1, "k must be positive, got -1")],
+        ids=["spaces", "newline-tab", "k-zero", "k-negative"],
+    )
+    def test_bad_call_fails_before_embedding(self, text, k, message):
+        index, embed = self._index_with_cosines()
+        embedded = []
+
+        def spy(texts):
+            embedded.append(list(texts))
+            return embed(texts)
+
+        with pytest.raises(RetrievalError, match=message):
+            top_k(index, text, k, spy)
+        assert embedded == []
 
     def test_scores_bounded_and_scale_invariant(self):
         index, embed = self._index_with_cosines()
-        hits = top_k(index, RetrievalQuery("q", k=3), embed)
+        hits = top_k(index, "q", 3, embed)
         assert all(-1.0 <= s <= 1.0 for _, s in hits)
         scaled = fake_embedder({"q": [7.0, 0.0]})
-        hits_scaled = top_k(index, RetrievalQuery("q", k=3), scaled)
+        hits_scaled = top_k(index, "q", 3, scaled)
         assert [c.chunk_id for c, _ in hits] == [c.chunk_id for c, _ in hits_scaled]
 
     def test_brute_force_oracle(self):
@@ -298,7 +315,7 @@ class TestTopK:
             ]
             expected = sorted(range(n), key=lambda i: (-cosines[i], i))
             for k in range(1, n + 1):
-                hits = top_k(index, RetrievalQuery("q", k=k), embed)
+                hits = top_k(index, "q", k, embed)
                 assert [c.chunk_id for c, _ in hits] == expected[:k]
 
     # 1e200 squares past the float range and 1e-170 to zero; 4e307 stands
@@ -311,7 +328,7 @@ class TestTopK:
         embed = fake_embedder(mapping)
         index = build_index(chunks, embed, "h")
         assert np.allclose(np.linalg.norm(index.vectors, axis=1), 1.0)
-        hits = top_k(index, RetrievalQuery("q", k=2), embed)
+        hits = top_k(index, "q", 2, embed)
         assert [c.chunk_id for c, _ in hits] == [1, 0]
         assert [score for _, score in hits] == [pytest.approx(0.8), pytest.approx(0.6)]
         save_index(index, tmp_path / "idx.json")
@@ -321,13 +338,6 @@ class TestTopK:
 def test_hash_document_stability():
     assert hash_document("abc") == hash_document("abc")
     assert hash_document("abc") != hash_document("abd")
-
-
-def test_query_validation():
-    with pytest.raises(RetrievalError):
-        RetrievalQuery("  ", k=5)
-    with pytest.raises(RetrievalError):
-        RetrievalQuery("q", k=0)
 
 
 def test_malformed_index_file(tmp_path):
