@@ -81,7 +81,7 @@ class UsageError(ValueError):
 # or not, leaves a FAILED manifest.
 COMMAND_ERRORS = (
     CorpusError, LlmError, RetrievalError, PipelineError, evaluation.EvaluationError,
-    memory.RuleMemoryError, prompts.TemplateError, OSError,
+    memory.RuleMemoryError, OSError,
 )
 
 

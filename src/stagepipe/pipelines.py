@@ -234,14 +234,15 @@ def infer(
     The placeholder of `method`'s template other than ``report``, if it has
     one, takes `rules` rendered numbered (kewltm, kewrag) or the text that
     `context(report)` returns, with the chunk ids the record carries (rag);
-    `context` is called just before the report's chat call. kewrag records
-    carry `chunk_ids`, the chunks its rules came from. A report whose output
-    stays unparseable is recorded as such and the batch goes on. The reports
-    run on `run`'s executor (without a run, on a run of their own); the
-    client decides which waiting call runs next. Any other failure is
-    terminal: it is recorded in `run`, no report starts after it, the
-    reports in flight finish, and the first failure is raised. Records are
-    sorted by report id.
+    `context` is called just before the report's chat call. rag without a
+    `context`, like kewltm and kewrag without rules, fails before any call.
+    kewrag records carry `chunk_ids`, the chunks its rules came from. A
+    report whose output stays unparseable is recorded as such and the batch
+    goes on. The reports run on `run`'s executor (without a run, on a run of
+    their own); the client decides which waiting call runs next. Any other
+    failure is terminal: it is recorded in `run`, no report starts after it,
+    the reports in flight finish, and the first failure is raised. Records
+    are sorted by report id.
     """
     row = METHODS[method]
     if row.carries_memory and (rules is None or not rules.rules):
@@ -251,6 +252,8 @@ def infer(
     template = default_templates(category)[row.template_id]
     slots = template.placeholders - {"report"}
     if context is None:
+        if "chunks" in slots:
+            raise PipelineError(f"cannot run {method} inference without a context")
         fixed = (render_numbered(rules) if row.carries_memory else "",
                  tuple(chunk_ids) if row.carries_chunks else None)
         context = lambda report: fixed

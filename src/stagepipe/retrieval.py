@@ -51,10 +51,12 @@ class ChunkIndex:
     doc_hash: str
 
     def __post_init__(self) -> None:
-        """The one check of the vectors: one row per chunk, one dimension,
-        finite values and unit norm within 1e-6."""
+        """The one check of the index: chunks, none blank, one row per chunk,
+        one dimension, finite values and unit norm within 1e-6."""
         if not self.chunks:
             raise RetrievalError("index is empty")
+        if blank := [c.chunk_id for c in self.chunks if c.text.isspace()]:
+            raise RetrievalError(f"blank chunk(s) {blank}")
         if len(self.chunks) != len(self.vectors):
             raise RetrievalError(f"{len(self.chunks)} chunks but {len(self.vectors)} vectors")
         dims = {len(row) for row in self.vectors}
@@ -136,9 +138,11 @@ def _unit(values: Sequence[float]) -> tuple[float, ...]:
 
 
 def build_index(chunks: Sequence[Chunk], embed_fn: EmbedFn, doc_hash: str) -> ChunkIndex:
-    """Embed every chunk and store L2-normalized vectors."""
+    """Embed every chunk that holds non-whitespace, keeping its tiling id
+    and span, and store L2-normalized vectors; blank chunks are left out."""
+    chunks = [c for c in chunks if not c.text.isspace()]
     if not chunks:
-        raise RetrievalError("cannot build an index over zero chunks")
+        raise RetrievalError("cannot build an index over zero non-blank chunks")
     vectors, model_id = embed_fn([c.text for c in chunks])
     return ChunkIndex(
         chunks=tuple(chunks),

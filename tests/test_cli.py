@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import ast
 import dataclasses
+import importlib
 import json
 import logging
 import os
@@ -635,6 +637,46 @@ class TestRunRag:
         assert clamps == [f"k={n_chunks + 1} exceeds index size {n_chunks}; clamping"]
         lines = (out / "predictions.jsonl").read_text().splitlines()
         assert [len(json.loads(l)["retrieved_chunk_ids"]) for l in lines] == [n_chunks] * 3
+
+    @pytest.mark.parametrize("method, n_chat", [("rag", 3), ("kewrag", 4)])
+    def test_blank_chunk_of_the_tiling_is_never_retrieved(
+        self, tmp_path, monkeypatch, method, n_chat
+    ):
+        # at 200 the tiling is x*199+"\n", "\n", y*200, y*100, and the query
+        # embeds exactly as the "\n" chunk does
+        guideline = tmp_path / "guide.md"
+        guideline.write_text("x" * 199 + "\n\n" + "y" * 300)
+        vectors = {"x" * 199 + "\n": [0.0, 1.0, 0.0], "\n": [1.0, 0.0, 0.0],
+                   "y" * 200: [0.8, 0.0, 0.6], "y" * 100: [0.6, 0.0, 0.8],
+                   DEFAULT_QUERIES[StageCategory.T]: [1.0, 0.0, 0.0]}
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps([{"kind": "embed", "body": {"map": vectors}}]
+                                     + [rules_entry(["size rule"])] * n_chat))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"chunk_max_chars": 200}))
+        corpus = tmp_path / "c.jsonl"
+        write_corpus(corpus, 3)
+        requests = []
+        original = ScriptedBackend.complete
+
+        def spy(self, request):
+            requests.append(request)
+            return original(self, request)
+
+        monkeypatch.setattr(ScriptedBackend, "complete", spy)
+        out = tmp_path / "out"
+        assert main(
+            ["run", "--method", method, "--category", "T", "--corpus", str(corpus),
+             "--guideline", str(guideline), "--script", str(script), "--config", str(cfg),
+             "--out", str(out), "--k", "1"]
+        ) == 0
+        assert json.loads((out / "manifest.json").read_text())["status"] == "ok"
+        lines = [json.loads(l) for l in (out / "predictions.jsonl").read_text().splitlines()]
+        assert [l["retrieved_chunk_ids"] for l in lines] == [[2]] * 3
+        with_chunks = [r.user for r in requests
+                       if r.template_id in ("rawrag_inference", "rag_elicit")]
+        assert len(with_chunks) == {"rag": 3, "kewrag": 1}[method]
+        assert all("y" * 200 in user for user in with_chunks)
 
     def test_no_embedding_backend_is_usage_error(self, tmp_path, capsys, monkeypatch):
         live_env(monkeypatch, llm_base="http://127.0.0.1:9")  # a chat endpoint alone
@@ -2424,3 +2466,24 @@ class TestStartUpImports:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1].split() == []
+
+
+def test_command_errors_are_the_errors_the_package_raises():
+    """Every error class of the package but UsageError ends a command as one
+    error line, and every entry but OSError is raised, itself or a subclass,
+    by some `raise`: a stale entry, or a new error that would end as a
+    traceback, fails here."""
+    defined: list[type] = []
+    raised: set[str] = set()  # the names that `raise Name(...)` and `raise mod.Name(...)` call
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        module = importlib.import_module(f"stagepipe.{path.stem}".removesuffix(".__init__"))
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined += [cls for node in tree.body if isinstance(node, ast.ClassDef)
+                    if issubclass(cls := getattr(module, node.name), BaseException)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+                raised.add(ast.unparse(node.exc.func).rpartition(".")[2])
+    assert [cls for cls in defined
+            if cls is not cli.UsageError and not issubclass(cls, cli.COMMAND_ERRORS)] == []
+    assert [entry for entry in cli.COMMAND_ERRORS if entry is not OSError and not any(
+        issubclass(cls, entry) for cls in defined if cls.__name__ in raised)] == []

@@ -211,9 +211,12 @@ class TestRunRag:
             (rag_call("report-text", n_reports=3, k=0), RetrievalError, "k must be positive, got 0"),
             (lambda index, client: elicit_kewrag_rules(index, T, client, k=0),
              RetrievalError, "k must be positive, got 0"),
+            # no context would bind an empty {chunks}
+            (lambda index, client: infer("rag", reports(1), T, client),
+             PipelineError, "cannot run rag inference without a context"),
         ],
         ids=["misspelt-mode", "no-reports", "k-zero-guideline", "k-zero-report-text",
-             "k-zero-kewrag"],
+             "k-zero-kewrag", "rag-infer-without-context"],
     )
     def test_bad_call_fails_before_any_model_call(self, call, error, message):
         texts = ["chunk a", "chunk b"]

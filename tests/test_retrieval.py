@@ -173,13 +173,32 @@ class TestBuildIndex:
             build_index(self._chunks(["a", "b"]), bad_embed, "h")
 
     def test_empty_chunks(self):
-        with pytest.raises(RetrievalError):
-            build_index([], fake_embedder({}), "h")
+        for texts in ([], [" ", "\n\t"]):  # blank chunks are not indexed
+            with pytest.raises(RetrievalError, match="zero non-blank chunks"):
+                build_index(self._chunks(texts), fake_embedder({}), "h")
 
     def test_index_of_zero_chunks_cannot_be_made(self):
         # the one empty-index check, so retrieval never meets an empty index
         with pytest.raises(RetrievalError, match="index is empty"):
             ChunkIndex(chunks=(), vectors=(), model_id="m", doc_hash="h")
+
+    def test_one_chunk_index(self):
+        embed = fake_embedder({"a": [3.0, 0.0, 4.0], "q": [1.0, 1.0, 1.0]})
+        index = build_index(self._chunks(["a"]), embed, "h")
+        assert (len(index), index.dim) == (1, 3)
+        assert [c.chunk_id for c, _ in top_k(index, "q", 5, embed)] == [0]
+
+    @given(doc=documents(), max_chars=st.integers(min_value=200, max_value=900))
+    @example(doc="x" * 199 + "\n\n" + "y" * 300, max_chars=200)  # a "\n" chunk
+    @example(doc="x" + " " * 300, max_chars=200)  # a blank tail every tiling has
+    @settings(max_examples=50, deadline=None)
+    def test_index_holds_every_non_blank_chunk_of_the_tiling(self, doc, max_chars):
+        assume(doc.strip())
+        chunks = chunk_document(doc, max_chars=max_chars)
+        embed = lambda texts: ([[1.0, float(len(t))] for t in texts], "m")
+        index = build_index(chunks, embed, "h")
+        # ids and spans stay those of the tiling
+        assert index.chunks == tuple(c for c in chunks if not c.text.isspace())
 
     def test_rebuild_is_byte_identical(self, tmp_path):
         texts = ["alpha text", "beta text"]
@@ -344,4 +363,15 @@ def test_malformed_index_file(tmp_path):
     path = tmp_path / "idx.json"
     path.write_text(json.dumps({"chunks": []}))
     with pytest.raises(RetrievalError):
+        load_index(path)
+
+
+def test_index_file_with_a_blank_chunk_is_refused(tmp_path):
+    path = tmp_path / "idx.json"
+    path.write_text(json.dumps({
+        "chunks": [{"chunk_id": 0, "source_span": [0, 1], "text": "a"},
+                   {"chunk_id": 1, "source_span": [1, 3], "text": " \n"}],
+        "doc_hash": "h", "model_id": "m", "vectors": [[1.0, 0.0], [0.0, 1.0]],
+    }))
+    with pytest.raises(RetrievalError, match=r"blank chunk\(s\) \[1\]"):
         load_index(path)
