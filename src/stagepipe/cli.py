@@ -387,15 +387,18 @@ def _category(cfg: RunConfig) -> StageCategory:
 
 
 def _setup(
-    cfg: RunConfig, retrieves: bool
+    cfg: RunConfig, method: str
 ) -> tuple[StageCategory, LlmClient, Corpus, Path]:
-    """Checks the inputs of a `run` or `sweep`, then creates its output directory.
+    """Checks the inputs of a `run` or `sweep` of `method`, then creates its
+    output directory.
 
     Every check runs before any model call and before the directory exists,
     so a usage error leaves nothing behind. A corpus with no report labeled
-    for the category is one: nothing of the run could be scored.
+    for the category is one: nothing of the run could be scored. So is a
+    kewltm `train_size` that leaves a split no test report.
     """
     category = _category(cfg)
+    retrieves = pipelines.METHODS[method].carries_chunks
     if retrieves and not (cfg.guideline or cfg.index):
         raise UsageError(f"--guideline (or --index) is required for method {cfg.method}")
     client = _build_client(cfg)
@@ -408,6 +411,10 @@ def _setup(
     corpus = load_corpus(cfg.corpus)
     if all(report.gold_label(category) is None for report in corpus):
         raise UsageError(f"no report in {cfg.corpus} carries a gold {category.value} label")
+    if method == "kewltm" and cfg.train_size >= len(corpus):
+        raise UsageError(
+            f"train_size must be below the corpus size {len(corpus)}, got {cfg.train_size}"
+        )
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     return category, client, corpus, out
@@ -419,14 +426,16 @@ def _run_command(cfg: RunConfig, command: str, client: LlmClient, out: Path, fie
 
     `body` adds to the manifest `fields` what it learns as it goes (split
     seeds, the guideline hash), so a failed command records as much as it
-    got to. Any error is recorded in a FAILED manifest and raised again:
+    got to. Any error, an interrupt too, is recorded in a FAILED manifest
+    (its message, or its type's name when it has none) and raised again:
     `main` reports one in COMMAND_ERRORS and exits 1, and any other ends the
     command with its traceback.
     """
     try:
         body(fields)
-    except Exception as exc:
-        write_json(out / "manifest.json", _manifest(cfg, command, client, fields, str(exc)))
+    except BaseException as exc:
+        error = str(exc) or type(exc).__name__
+        write_json(out / "manifest.json", _manifest(cfg, command, client, fields, error))
         raise
     write_json(out / "manifest.json", _manifest(cfg, command, client, fields, None))
     return 0
@@ -439,7 +448,7 @@ def cmd_run(cfg: RunConfig) -> int:
     retrieves = pipelines.METHODS[method].carries_chunks
     if method == "kewltm":
         _check_n_train([cfg], "--n-train")
-    category, client, corpus, out = _setup(cfg, retrieves)
+    category, client, corpus, out = _setup(cfg, method)
     fields = {"template_hashes": _template_hashes(category)}
     # each report's text is its query, so the run has no query of its own
     if retrieves and not (method == "rag" and cfg.rag_query_mode == "report-text"):
@@ -518,7 +527,7 @@ def cmd_sweep(cfg: RunConfig, train_counts: list[int] | None, thresholds: list[f
         raise UsageError(f"{flag} repeats a value: {', '.join(map(str, points))}")
     point_cfgs = [dataclasses.replace(cfg, **{param: point}) for point in points]
     _check_n_train(point_cfgs, "--train-counts" if train_counts else "--n-train")
-    category, client, corpus, out = _setup(cfg, retrieves=False)
+    category, client, corpus, out = _setup(cfg, "kewltm")
 
     def body(fields: dict) -> None:
         splits = make_splits(corpus, cfg.n_splits, cfg.train_size, cfg.seed)

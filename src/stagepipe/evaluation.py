@@ -177,19 +177,18 @@ def memory_curve(
 ) -> list[tuple[int, float]]:
     """Per-step mean serialized-memory length across runs.
 
-    Shorter runs are padded by carrying their last length forward.
+    Every run must hold the same number of steps: each split of a point
+    induces over exactly its `n_train` reports, one trace row per step.
     """
     if not per_run_traces or any(not run for run in per_run_traces):
         raise EvaluationError("memory_curve needs at least one non-empty trace per run")
-    max_steps = max(len(run) for run in per_run_traces)
-    series = []
-    for step in range(1, max_steps + 1):
-        lengths = [
-            run[step - 1].current_len if step <= len(run) else run[-1].current_len
-            for run in per_run_traces
-        ]
-        series.append((step, sum(lengths) / len(lengths)))
-    return series
+    lengths = [len(run) for run in per_run_traces]
+    if len(set(lengths)) > 1:
+        raise EvaluationError(f"memory_curve needs traces of equal length, got {lengths}")
+    return [
+        (step, sum(t.current_len for t in rows) / len(rows))
+        for step, rows in enumerate(zip(*per_run_traces), 1)
+    ]
 
 
 def render_metrics_table(block: dict) -> str:

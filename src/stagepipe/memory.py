@@ -140,45 +140,38 @@ def similarity(a: str, b: str) -> float:
 
 def gated_update(
     memory: RuleMemory | None,
-    candidate: Sequence[str],
+    candidate: Sequence[str] | None,
     threshold: float,
     step: int,
     *,
     category: StageCategory | None = None,
-) -> tuple[RuleMemory, UpdateTrace]:
+) -> tuple[RuleMemory | None, UpdateTrace]:
     """Apply the similarity-gated update rule for one induction step.
 
     With no existing memory the candidate is accepted unconditionally.
     Otherwise it is accepted iff ``similarity(candidate, memory) >=
     threshold``; a rejection leaves the memory (and its version) unchanged.
-    An UpdateTrace is produced either way.
+    A `candidate` of None, a step whose reply stayed unparseable, is rejected
+    at similarity 0 without a distance computed; its trace proposes length 0.
+    Every outcome returns the memory it leaves and the step's UpdateTrace.
     """
     if not 0 <= threshold <= 100:
         raise RuleMemoryError(f"threshold must be in [0, 100], got {threshold}")
     if memory is None and category is None:
         raise RuleMemoryError("category is required when memory is absent")
-    cat = memory.category if memory is not None else category
-    assert cat is not None
-    candidate_ser = serialize_rules(candidate)
     current_ser = serialize(memory) if memory is not None else ""
+    if candidate is None:
+        return memory, UpdateTrace(step, 0, len(current_ser), 0.0, accepted=False)
+    candidate_ser = serialize_rules(candidate)
     sim = similarity(candidate_ser, current_ser)
-    accepted = memory is None or sim >= threshold
-    if accepted:
-        new = RuleMemory(
-            category=cat,
-            rules=tuple(candidate),
-            version=(memory.version if memory is not None else 0) + 1,
-        )
-    else:
-        new = memory
-    trace = UpdateTrace(
-        step=step,
-        proposed_len=len(candidate_ser),
-        current_len=len(candidate_ser if accepted else current_ser),
-        similarity=sim,
-        accepted=accepted,
+    if memory is not None and sim < threshold:
+        return memory, UpdateTrace(step, len(candidate_ser), len(current_ser), sim, accepted=False)
+    new = RuleMemory(
+        category=memory.category if memory is not None else category,
+        rules=tuple(candidate),
+        version=(memory.version if memory is not None else 0) + 1,
     )
-    return new, trace
+    return new, UpdateTrace(step, len(candidate_ser), len(candidate_ser), sim, accepted=True)
 
 
 def persist(memory: RuleMemory, path: str | Path) -> None:

@@ -29,7 +29,7 @@ from typing import Callable, Sequence, TypeVar
 
 from .corpus import Report, StageCategory, StageLabel
 from .llm import LlmClient, SchemaViolationError
-from .memory import RuleMemory, UpdateTrace, gated_update, render_numbered, serialize
+from .memory import RuleMemory, UpdateTrace, gated_update, render_numbered
 from .prompts import default_templates, render
 from .retrieval import DEFAULT_QUERIES, ChunkIndex, top_k
 
@@ -341,9 +341,10 @@ def induce_ltm(
     While the memory is empty the elicitation template runs and its candidate
     is accepted unconditionally; afterwards each report runs the update
     template with the current memory bound in, gated by the similarity
-    threshold. A step whose output stays unparseable is skipped: the memory
-    is unchanged and the trace records a rejection at similarity 0. The
-    stage each step predicts is not used. Once `run` holds a failure (of
+    threshold. Every step goes through `gated_update` once and leaves one
+    trace row; a step whose output stays unparseable passes no candidate, so
+    the memory is unchanged and the row records a rejection at similarity 0.
+    The stage each step predicts is not used. Once `run` holds a failure (of
     this or a concurrent task) no further step starts and that failure is
     raised.
     """
@@ -361,24 +362,11 @@ def induce_ltm(
                 {"report": report.text, "memory": render_numbered(memory)},
             )
         try:
-            out = client.chat(request)
+            rules = client.chat(request).rules
         except SchemaViolationError:
-            current_len = len(serialize(memory)) if memory is not None else 0
-            traces.append(
-                UpdateTrace(
-                    step=step,
-                    proposed_len=0,
-                    current_len=current_len,
-                    similarity=0.0,
-                    accepted=False,
-                )
-            )
-        else:
-            assert out.rules is not None
-            memory, trace = gated_update(
-                memory, list(out.rules), threshold, step, category=category
-            )
-            traces.append(trace)
+            rules = None
+        memory, trace = gated_update(memory, rules, threshold, step, category=category)
+        traces.append(trace)
     return InductionResult(final_memory=memory, traces=tuple(traces))
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import csv
 import dataclasses
 import importlib
 import json
@@ -486,6 +487,56 @@ class TestRunKewltm:
         assert built_backends[0].chat_calls == 12
         err_lines = capsys.readouterr().err.splitlines()
         assert [line for line in err_lines if line.startswith("error:")] == [f"error: {error}"]
+
+    def test_curve_is_the_per_step_mean_of_the_split_traces(self, tmp_path):
+        corpus = tmp_path / "c.jsonl"
+        write_corpus(corpus, 12)
+        script = tmp_path / "script.json"
+        # each split has one step whose reply stays unparseable (1 + 3 asks);
+        # threshold 0 accepts every parsed rule list
+        no_rules = {"kind": "chat", "body": {"reasoning": "because", "stage": "T1"}}
+        inference = [rules_entry(["size rule"])] * 9
+        script.write_text(json.dumps(
+            [rules_entry(["a" * 5]), *[no_rules] * 4, rules_entry(["b" * 12]), *inference,
+             rules_entry(["c" * 7]), rules_entry(["d" * 9]), *[no_rules] * 4, *inference]
+        ))
+        out = tmp_path / "out"
+        code = main(
+            ["run", "--method", "kewltm", "--category", "T", "--corpus", str(corpus),
+             "--script", str(script), "--out", str(out), "--threshold", "0",
+             "--splits", "2", "--train-size", "3", "--n-train", "3"]
+        )
+        assert code == 0
+        traces = []
+        for i in range(2):
+            with open(out / f"trace_split{i}.csv", newline="") as fh:
+                traces.append([int(row["current_len"]) for row in csv.DictReader(fh)])
+        assert traces == [[5, 5, 12], [7, 9, 9]]
+        with open(out / "curves.csv", newline="") as fh:
+            curve = [(int(row["step"]), float(row["mean_len"])) for row in csv.DictReader(fh)]
+        assert curve == [(step, sum(lens) / 2) for step, lens in enumerate(zip(*traces), 1)]
+
+    @pytest.mark.parametrize(
+        "command",
+        [["run", "--method", "kewltm", "--n-train", "2"], ["sweep", "--train-counts", "1,2"]],
+        ids=["run", "sweep"],
+    )
+    def test_interrupt_leaves_failed_manifest(self, tmp_path, monkeypatch, command):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(pipelines, "induce_ltm", interrupted)
+        corpus = tmp_path / "c.jsonl"
+        write_corpus(corpus, 12)
+        script = tmp_path / "script.json"
+        write_script(script, 24)
+        out = tmp_path / "out"
+        with pytest.raises(KeyboardInterrupt):
+            main(command + ["--category", "T", "--corpus", str(corpus), "--script", str(script),
+                            "--out", str(out), "--splits", "2", "--train-size", "3"])
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["status"], manifest["error"]) == ("FAILED", "KeyboardInterrupt")
+        assert manifest["seeds"] == [0, 1]
 
     def test_negative_seed_fails_before_any_call(self, tmp_path, capsys, built_backends):
         # Random(-s) draws Random(s)'s stream, so a negative seed would repeat splits
@@ -1330,6 +1381,11 @@ def test_threshold_out_of_range_is_usage_error_before_any_call(
         (["run", "--method", "rag"], {"query": "size"}, "unknown config key(s): ['query']"),
         # no report of the corpus carries an N label, so nothing could be scored
         (["run", "--method", "zscot", "--category", "N"], None, "carries a gold N label"),
+        # every split would be all train and no test
+        (["run", "--method", "kewltm", "--train-size", "12"], None,
+         "usage error: train_size must be below the corpus size 12, got 12\n"),
+        (["sweep", "--train-counts", "2", "--train-size", "13"], None,
+         "usage error: train_size must be below the corpus size 12, got 13\n"),
     ],
     ids=["k", "config-k", "splits", "train-size", "n-train", "sweep-train-counts",
          "sweep-train-counts-above-train-size", "n-train-above-train-size",
@@ -1338,7 +1394,8 @@ def test_threshold_out_of_range_is_usage_error_before_any_call(
          "chunk-max-chars", "config-chunk-overlap",
          "config-seed", "sweep-repeated-train-count", "sweep-repeated-threshold",
          "run-without-method", "config-method", "config-templates", "config-query",
-         "corpus-without-category-label"],
+         "corpus-without-category-label", "train-size-at-corpus-size",
+         "sweep-train-size-above-corpus-size"],
 )
 def test_out_of_range_setting_is_usage_error_before_any_call(
     tmp_path, capsys, built_backends, argv, config, message

@@ -347,11 +347,16 @@ class TestCompareUniqueErrors:
         assert compare_unique_errors(b, a, corpus, T) == ([], ["1"])
 
     def test_id_set_mismatch(self):
-        corpus = self._corpus()
-        a = [prediction("1", "T1")]
-        b = [prediction("2", "T1")]
-        with pytest.raises(EvaluationError, match="different report ids"):
-            compare_unique_errors(a, b, corpus, T)
+        # the sets differ in five ids; the message names the three smallest
+        gold = {rid: "T1" for rid in ("r0", "r1", "r3", "r5", "r7", "r8")}
+        corpus = corpus_with_gold(gold)
+        a = [prediction(rid, "T1") for rid in ("r7", "r0", "r5", "r1")]
+        b = [prediction(rid, "T1") for rid in ("r8", "r3", "r0")]
+        message = "record sets cover different report ids (e.g. ['r1', 'r3', 'r5'])"
+        for pair in ((a, b), (b, a)):
+            with pytest.raises(EvaluationError) as excinfo:
+                compare_unique_errors(*pair, corpus, T)
+            assert str(excinfo.value) == message
 
 
 @pytest.mark.parametrize(
@@ -377,9 +382,10 @@ class TestMemoryCurve:
         series = memory_curve([self._traces([10, 20]), self._traces([30, 40])])
         assert series == [(1, 20.0), (2, 30.0)]
 
-    def test_padding_carries_last_length(self):
-        series = memory_curve([self._traces([10]), self._traces([30, 50])])
-        assert series == [(1, 20.0), (2, 30.0)]
+    def test_unequal_lengths_rejected(self):
+        # every split of a point induces over exactly n_train reports
+        with pytest.raises(EvaluationError, match=r"equal length, got \[1, 2\]"):
+            memory_curve([self._traces([10]), self._traces([30, 50])])
 
     def test_empty_rejected(self):
         with pytest.raises(EvaluationError):

@@ -360,14 +360,29 @@ class TestGatedUpdate:
             (True, 0.0), (True, 80.0), (False, 20.0), (True, 100.0)
         ]
 
+    @pytest.mark.parametrize(
+        "base", [None, RuleMemory(StageCategory.T, ("aaaaa", "bb"), version=3)],
+        ids=["empty-memory", "memory"],
+    )
+    def test_no_candidate_is_rejected_without_a_distance(self, monkeypatch, base):
+        # a step whose reply stayed unparseable: the memory stays as it is,
+        # at threshold 0 too, and the row proposes nothing
+        monkeypatch.setattr(memory, "edit_distance", None)  # any call fails
+        mem, trace = gated_update(base, None, 0.0, 4, category=StageCategory.T)
+        assert mem is base
+        current_len = 0 if base is None else len("aaaaa\nbb")
+        assert trace == UpdateTrace(4, 0, current_len, 0.0, False)
+
     @pytest.mark.parametrize("bad", [-1, 100.5, 1000])
     def test_invalid_threshold(self, bad):
-        with pytest.raises(RuleMemoryError):
-            gated_update(None, ["r"], bad, 1, category=StageCategory.T)
+        for candidate in (["r"], None):
+            with pytest.raises(RuleMemoryError):
+                gated_update(None, candidate, bad, 1, category=StageCategory.T)
 
     def test_absent_memory_requires_category(self):
-        with pytest.raises(RuleMemoryError):
-            gated_update(None, ["r"], 80.0, 1)
+        for candidate in (["r"], None):
+            with pytest.raises(RuleMemoryError):
+                gated_update(None, candidate, 80.0, 1)
 
     def test_replaying_accepted_steps_reconstructs_memory(self):
         candidates = [["a1"], ["a1", "b2"], ["zz", "yy"], ["a1", "b2", "c3"]]

@@ -8,6 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from stagepipe import memory, pipelines
 from stagepipe.corpus import StageCategory, StageLabel
 from stagepipe.llm import LlmClient, ScriptedBackend, TransportError
 from stagepipe.memory import RuleMemory
@@ -281,7 +282,9 @@ class TestInduceLtm:
         for i, prompt in enumerate(prompts):
             assert f"report body for r{i:02d}" in prompt
 
-    def test_unparseable_step_skipped(self):
+    def test_unparseable_step_skipped(self, monkeypatch):
+        # every step goes through the gate once, as the benchmark counts one
+        # memory.gated_update per step; an unparseable step gates no distance
         bad = {"reasoning": "no rules field", "stage": "T1"}
         entries = (
             [chat_entry(rules_body("T1", ["aaaaa"]))]
@@ -289,7 +292,23 @@ class TestInduceLtm:
             + [chat_entry(rules_body("T1", ["aaaaa"]))]
         )
         client, backend = scripted_client(entries)
+        gated, distances = [], []
+        real_gate, real_distance = memory.gated_update, memory.edit_distance
+
+        def counting_gate(mem, candidate, threshold, step, **kwargs):
+            gated.append((step, candidate))
+            return real_gate(mem, candidate, threshold, step, **kwargs)
+
+        def counting_distance(a, b):
+            distances.append(gated[-1][0])
+            return real_distance(a, b)
+
+        for module in (memory, pipelines):  # pipelines binds the gate by name
+            monkeypatch.setattr(module, "gated_update", counting_gate)
+        monkeypatch.setattr(memory, "edit_distance", counting_distance)
         result = induce_ltm(reports(3), T, client, threshold=80.0)
+        assert gated == [(1, ("aaaaa",)), (2, None), (3, ("aaaaa",))]
+        assert distances == [1, 3]
         assert [t.accepted for t in result.traces] == [True, False, True]
         skipped = result.traces[1]
         assert skipped.similarity == 0.0
