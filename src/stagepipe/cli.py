@@ -580,7 +580,9 @@ def _load_predictions(path: str | Path, category: StageCategory, corpus: Corpus)
                 f"does not match --category {category.value}"
             )
         if rec.report_id not in corpus.by_id:
-            raise UsageError(f"{path}: record references unknown report id {rec.report_id!r}")
+            raise UsageError(
+                f"{path} line {lineno}: record references unknown report id {rec.report_id!r}"
+            )
         seen = first_line.setdefault((split, rec.report_id), lineno)
         if seen != lineno:
             where = "" if split is None else f" in split {split}"

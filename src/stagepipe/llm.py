@@ -250,11 +250,14 @@ def _hash_vector(text: str, dim: int) -> list[float]:
     return values
 
 
-def _is_vector(value) -> bool:
-    """A non-empty list of numbers, as a scripted embed entry gives one."""
-    return isinstance(value, list) and bool(value) and all(
-        type(x) in (int, float) for x in value
-    )
+def _as_vector(value) -> list[float] | None:
+    """`value` as floats if it is a non-empty list of numbers in float range, else None."""
+    if not (isinstance(value, list) and value and all(type(x) in (int, float) for x in value)):
+        return None
+    try:
+        return [float(x) for x in value]
+    except OverflowError:
+        return None
 
 
 class ScriptedBackend:
@@ -262,12 +265,13 @@ class ScriptedBackend:
 
     Each entry is ``{"kind": "chat" | "embed", "body": {...}}`` and holds no
     other field. Chat entries are consumed in file order, one per call. Embed
-    entries are either persistent lookups (``{"map": {...}}`` /
-    ``{"hash_dim": n}``) or ``{"vectors": [...]}`` batches consumed in file
-    order; their shapes are checked when the script loads.
+    entries are ``{"map": {text: vector}}`` or ``{"hash_dim": n}``, filed into
+    one table when the script loads: a text embeds as its mapped vector,
+    otherwise as its `_hash_vector` of the one `hash_dim`. A text mapped to
+    two different vectors, or two different dimensions, fails the load.
 
-    The file-order queues follow the order calls arrive in, so a client over
-    this backend makes one call at a time.
+    The chat queue follows the order calls arrive in, so a client over this
+    backend makes one call at a time.
     """
 
     deterministic = True
@@ -281,8 +285,7 @@ class ScriptedBackend:
             raise ScriptError(f"{origin}: script must be a JSON list")
         self._lock = threading.Lock()
         self._chat_queue: deque[dict] = deque()
-        self._vector_queue: deque[list] = deque()
-        self._maps: list[dict] = []
+        self._vectors: dict[str, list[float]] = {}
         self._hash_dim: int | None = None
         for pos, item in enumerate(script):
             where = f"{origin}: entry {pos}"
@@ -300,11 +303,15 @@ class ScriptedBackend:
                 self._chat_queue.append(body)
             elif "map" in body:
                 lookup = body["map"]
-                if not isinstance(lookup, dict) or not all(map(_is_vector, lookup.values())):
+                vectors = (list(map(_as_vector, lookup.values()))
+                           if isinstance(lookup, dict) else [None])
+                if None in vectors:
                     raise ScriptError(
                         f"{where}: embed 'map' must map texts to non-empty number lists"
                     )
-                self._maps.append(lookup)
+                for text, vector in zip(lookup, vectors):
+                    if self._vectors.setdefault(text, vector) != vector:
+                        raise ScriptError(f"{where}: embed 'map' gives {text!r} a different vector")
             elif "hash_dim" in body:
                 dim = body["hash_dim"]
                 if type(dim) is not int or dim < 1:
@@ -316,58 +323,30 @@ class ScriptedBackend:
                         f"{where}: embed 'hash_dim' {dim} contradicts {self._hash_dim}"
                     )
                 self._hash_dim = dim
-            elif "vectors" in body:
-                vectors = body["vectors"]
-                if not isinstance(vectors, list) or not all(map(_is_vector, vectors)):
-                    raise ScriptError(
-                        f"{where}: embed 'vectors' must be a list of non-empty number lists"
-                    )
-                self._vector_queue.append(vectors)
             else:
-                raise ScriptError(
-                    f"{where}: embed body needs one of 'map', 'hash_dim', 'vectors'"
-                )
+                raise ScriptError(f"{where}: embed body needs one of 'map', 'hash_dim'")
         self.chat_calls = 0
         self.embed_calls = 0
 
     def complete(self, request: ChatRequest) -> str:
         with self._lock:
             self.chat_calls += 1
-            if self._chat_queue:
-                return self._chat_body(self._chat_queue.popleft())
-            raise ScriptExhaustedError("script exhausted: no chat responses left")
-
-    @staticmethod
-    def _chat_body(body: dict) -> str:
-        if set(body) == {"raw_text"}:
-            return str(body["raw_text"])
-        return json.dumps(body)
+            if not self._chat_queue:
+                raise ScriptExhaustedError("script exhausted: no chat responses left")
+            body = self._chat_queue.popleft()
+        return str(body["raw_text"]) if set(body) == {"raw_text"} else json.dumps(body)
 
     def embed(self, texts: Sequence[str]) -> tuple[list[list[float]], str]:
         with self._lock:
             self.embed_calls += 1
-            resolved = self._resolve_persistent(texts)
-            if resolved is not None:
-                return resolved, self.model_id
-            if self._vector_queue:
-                vectors = self._vector_queue.popleft()
-                return [list(map(float, v)) for v in vectors], self.model_id
-            raise ScriptExhaustedError("script exhausted: no embed responses left")
+        return [self._vector(text) for text in texts], self.model_id
 
-    def _resolve_persistent(self, texts: Sequence[str]) -> list[list[float]] | None:
-        out: list[list[float]] = []
-        for text in texts:
-            vec = None
-            for m in self._maps:
-                if text in m:
-                    vec = [float(x) for x in m[text]]
-                    break
-            if vec is None and self._hash_dim is not None:
-                vec = _hash_vector(text, self._hash_dim)
-            if vec is None:
-                return None
-            out.append(vec)
-        return out
+    def _vector(self, text: str) -> list[float]:
+        if text in self._vectors:
+            return list(self._vectors[text])
+        if self._hash_dim is not None:
+            return _hash_vector(text, self._hash_dim)
+        raise ScriptError(f"script maps no embed vector to {text!r} and sets no 'hash_dim'")
 
 
 def scripted_backend(script: str | Path) -> ScriptedBackend:

@@ -83,6 +83,19 @@ def embeddings_reply(rows: list[list[float]], n: int) -> dict:
     return {"model": "e", "data": [{"index": i, "embedding": v} for i, v in enumerate(vectors)]}
 
 
+class FixedEmbedBackend:
+    """An embed backend that replies to every batch with `vectors`, whatever
+    the batch's size, so a test can reach the client's checks of a reply."""
+
+    model_id = "fixed"
+
+    def __init__(self, vectors: list[list[float]]):
+        self.vectors = vectors
+
+    def embed(self, texts):
+        return [list(v) for v in self.vectors], self.model_id
+
+
 REPORT_ID = re.compile(r"pathology report body for (\S+)")
 
 
@@ -225,7 +238,9 @@ class LoopbackEndpoint:
     Every request's path, headers and JSON body are recorded in arrival
     order, and `peak` holds the most requests to each path that were in
     hand at once, each counted from its arrival until just before its reply
-    is sent.
+    is sent. `connections` counts the connections it has accepted. Each
+    reply, status line to body, goes out in one write, so a client that
+    keeps its connection alive does not wait on a delayed ACK.
 
     Every chat reply carries `finish_reason` ("stop" unless a test sets
     another), and only the first `content_chars` characters of its content
@@ -242,6 +257,7 @@ class LoopbackEndpoint:
         self.replies = deque(replies)
         self.requests: list[LoopbackRequest] = []
         self.peak: Counter[str] = Counter()
+        self.connections = 0
         self.closing = threading.Event()
         in_hand: Counter[str] = Counter()
         lock = threading.Lock()
@@ -249,6 +265,8 @@ class LoopbackEndpoint:
 
         class Handler(BaseHTTPRequestHandler):
             def handle(self):
+                with lock:
+                    endpoint.connections += 1
                 try:
                     super().handle()
                 except ConnectionError:  # a client that gave up on a slow reply
@@ -274,15 +292,14 @@ class LoopbackEndpoint:
                     self.send_error(404)
                     return
                 payload = reply if isinstance(reply, bytes) else json.dumps(reply).encode()
-                self.send_response(scripted.status)
-                self.send_header("Content-Type", "application/json")
-                for name, value in scripted.headers.items():
-                    self.send_header(name, value)
-                self.send_header("Content-Length", str(len(payload)))
-                self.end_headers()
+                headers = {"Content-Type": "application/json", **scripted.headers,
+                           "Content-Length": str(len(payload))}
                 if scripted.fault == "short body":
                     payload = payload[: len(payload) // 2]
-                self.wfile.write(payload)
+                phrase = self.responses[scripted.status][0]
+                head = [f"{self.protocol_version} {scripted.status} {phrase}"]
+                head += [f"{name}: {value}" for name, value in headers.items()]
+                self.wfile.write(("\r\n".join(head) + "\r\n\r\n").encode() + payload)
 
             def _reply(self, body: dict) -> dict | None:
                 if self.path == "/v1/chat/completions":

@@ -34,6 +34,7 @@ from .conftest import (
     BAD_EMBEDDINGS,
     NULL_CONTENT_REPLY,
     ContentKeyedBackend,
+    FixedEmbedBackend,
     Reply,
     embeddings_reply,
     make_report,
@@ -203,12 +204,14 @@ class TestIndex:
         ([{"hash_dim": -4}], "'hash_dim' must be a positive integer"),
         ([{"hash_dim": True}], "'hash_dim' must be a positive integer"),
         ([{"hash_dim": 8}, {"hash_dim": 8}, {"hash_dim": 16}], "'hash_dim' 16 contradicts 8"),
-        ([{"vectors": 7}], "'vectors' must be"),
-        ([{"vectors": [1.0, 0.0]}], "'vectors' must be"),
-        ([{"vectors": [[1.0, "0"]]}], "'vectors' must be"),
-        ([{"vectors": [[]]}], "'vectors' must be"),
+        ([{"vectors": [[1.0, 0.0]]}], "entry 0: embed body needs one of 'map', 'hash_dim'"),
         ([{"map": 5}], "'map' must"),
         ([{"map": {"x": 1.0}}], "'map' must"),
+        ([{"map": {"x": [1.0, "0"]}}], "'map' must"),
+        ([{"map": {"x": []}}], "'map' must"),
+        ([{"map": {"x": [10**400]}}], "'map' must"),  # an integer past float range
+        ([{"map": {"x": [1, 0]}}, {"map": {"x": [1.0, 0.0], "y": [0.0, 1.0]}},
+          {"map": {"y": [0.0, -1.0]}}], "entry 2: embed 'map' gives 'y' a different vector"),
     ])
     def test_malformed_embed_entry_fails_before_any_call(self, tmp_path, capsys, bodies, complaint):
         guideline = tmp_path / "guide.md"
@@ -233,17 +236,21 @@ class TestIndex:
         )
         assert not out.exists()
 
-    @pytest.mark.parametrize("bodies, complaint", [
-        ([], "script exhausted: no embed responses left"),
-        ([{"vectors": [[1.0, 0.0], [0.0, 1.0]]}], "embedding backend returned 2 vectors for 1 texts"),
+    @pytest.mark.parametrize("vectors, complaint", [
+        (None, "script maps no embed vector to 'One short staging paragraph.' "
+               "and sets no 'hash_dim'"),
+        ([[1.0, 0.0], [0.0, 1.0]], "embedding backend returned 2 vectors for 1 texts"),
     ], ids=["no-embed-entry", "batch-of-another-size"])
     def test_embed_reply_that_misses_the_batch_fails_and_writes_no_index(
-        self, tmp_path, capsys, bodies, complaint
+        self, tmp_path, capsys, monkeypatch, vectors, complaint
     ):
+        # a script embeds any batch whole, so the client's count check is fed by a stub
+        if vectors is not None:
+            monkeypatch.setattr(cli, "scripted_backend", lambda path: FixedEmbedBackend(vectors))
         guideline = tmp_path / "guide.md"
         guideline.write_text("One short staging paragraph.")  # one chunk, so one text
         script = tmp_path / "script.json"
-        script.write_text(json.dumps([{"kind": "embed", "body": b} for b in bodies]))
+        script.write_text("[]")
         out = tmp_path / "idx.json"
         code = main(["index", "--guideline", str(guideline), "--script", str(script), "--out", str(out)])
         assert code == 1
@@ -255,7 +262,9 @@ class TestIndex:
         guideline = tmp_path / "guide.md"
         guideline.write_text("One short staging paragraph.")  # one chunk, so one vector
         script = tmp_path / "script.json"
-        script.write_text(json.dumps([{"kind": "embed", "body": {"vectors": [[value, 1.0]]}}]))
+        # JSON's NaN and Infinity decode, so the client's check names the value
+        chunk = {"One short staging paragraph.": [value, 1.0]}
+        script.write_text(json.dumps([{"kind": "embed", "body": {"map": chunk}}]))
         out = tmp_path / "idx.json"
         code = main(["index", "--guideline", str(guideline), "--script", str(script), "--out", str(out)])
         assert code == 1
@@ -2047,13 +2056,15 @@ class TestEvaluate:
         corpus = tmp_path / "c.jsonl"
         write_corpus(corpus, 2)
         preds = tmp_path / "p.jsonl"
-        self._write_predictions(preds, {"ghost": "T1"})
+        self._write_predictions(preds, {"r000": "T1", "ghost": "T1"})
         code = main(
             ["evaluate", "--predictions", str(preds),
              "--corpus", str(corpus), "--category", "T"]
         )
         assert code == 2
-        assert "ghost" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"usage error: {preds} line 2: record references unknown report id 'ghost'\n"
+        )
 
     def test_duplicated_record_is_usage_error_naming_both_lines(self, tmp_path, capsys):
         corpus = tmp_path / "c.jsonl"

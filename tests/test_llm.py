@@ -26,12 +26,14 @@ from stagepipe.llm import (
     TransportError,
     TruncatedReplyError,
     _extract_json_object,
+    _hash_vector,
     parse_structured,
     scripted_backend,
 )
 from .conftest import (
     BAD_EMBEDDINGS,
     NULL_CONTENT_REPLY,
+    FixedEmbedBackend,
     Reply,
     chat_entry,
     embeddings_reply,
@@ -305,17 +307,14 @@ class TestScriptedBackend:
         # map entries are persistent
         assert client.embed(["chest wall"]) == ([[1.0, 0.0, 0.5]], "scripted")
 
-    def test_embed_vectors_batch(self):
-        entries = [
-            {"kind": "embed", "body": {"vectors": [[1.0, 0.0], [0.0, 1.0]]}}
-        ]
+    def test_embed_map_batch(self):
+        entries = [{"kind": "embed", "body": {"map": {"a": [1, 0], "b": [0.0, 1.0]}}}]
         client, _ = scripted_client(entries)
         assert client.embed(["a", "b"]) == ([[1.0, 0.0], [0.0, 1.0]], "scripted")
 
-    def test_embed_vectors_arity_mismatch(self):
-        # the client's check of every backend's batch, not the script's, names it
-        entries = [{"kind": "embed", "body": {"vectors": [[1.0, 0.0]]}}]
-        client, _ = scripted_client(entries)
+    def test_embed_arity_mismatch(self):
+        # the client's check of every backend's batch names it
+        client = LlmClient(embed_backend=FixedEmbedBackend([[1.0, 0.0]]))
         with pytest.raises(LlmError, match="embedding backend returned 1 vectors for 2 texts"):
             client.embed(["a", "b"])
 
@@ -349,6 +348,87 @@ class TestScriptedBackend:
         ]
         client, _ = scripted_client(entries)
         assert client.embed(["y", "x"]) == ([[0.0, 1.0], [1.0, 0.0]], "scripted")
+
+
+_script_texts = st.text(alphabet="ab ", min_size=1, max_size=3)
+_script_vectors = st.lists(
+    st.integers(-3, 3) | st.floats(allow_nan=False, width=32), min_size=1, max_size=3
+)
+
+
+def _floats(vector: list) -> list[float]:
+    return [float(x) for x in vector]
+
+
+def _embed_entry(body: dict) -> dict:
+    return {"kind": "embed", "body": body}
+
+
+@st.composite
+def _embed_scripts(draw):
+    """A consistent embed script: its text-to-vector table, its `hash_dim`
+    (or None), and entries that file each text in one to three maps, in
+    between chat entries, with the `hash_dim` entry anywhere."""
+    table = draw(st.dictionaries(_script_texts, _script_vectors, max_size=6))
+    maps: list[dict] = [{} for _ in range(draw(st.integers(1, 3)))]
+    for text, vector in table.items():
+        for i in draw(st.sets(st.integers(0, len(maps) - 1), min_size=1)):
+            maps[i][text] = list(vector)
+    entries = [_embed_entry({"map": m}) for m in maps] + [chat_entry(staging_body("T1"))]
+    dim = draw(st.none() | st.integers(1, 4))
+    if dim is not None:
+        entries.append(_embed_entry({"hash_dim": dim}))
+    return table, dim, draw(st.permutations(entries))
+
+
+@given(script=_embed_scripts(), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_scripted_embed_looks_up_each_text_alone(script, data):
+    table, dim, entries = script
+    backend = ScriptedBackend(entries)
+    batch = data.draw(st.lists(
+        st.sampled_from(sorted(table)) | _script_texts if table else _script_texts,
+        min_size=1, max_size=6,
+    ))
+
+    def outcome(texts):
+        try:
+            vectors, model_id = backend.embed(texts)
+        except ScriptError as exc:
+            return str(exc)
+        assert model_id == "scripted"
+        return vectors
+
+    singles = [outcome([text]) for text in batch]
+    for text, single in zip(batch, singles):
+        if text in table:  # its map vector, with or without a hash_dim
+            assert single == [_floats(table[text])]
+        elif dim is not None:
+            assert single == [_hash_vector(text, dim)]
+        else:
+            assert single == f"script maps no embed vector to {text!r} and sets no 'hash_dim'"
+    errors = [single for single in singles if isinstance(single, str)]
+    # a batch is its texts one at a time: grouping and order never matter
+    assert outcome(batch) == (errors[0] if errors else [v for (v,) in singles])
+
+
+@given(script=_embed_scripts(), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_scripted_text_mapped_to_two_vectors_fails_at_load(script, data):
+    table, _, entries = script
+    text = data.draw(_script_texts)
+    first = table[text] if text in table else data.draw(_script_vectors)
+    second = data.draw(_script_vectors.filter(lambda v: _floats(v) != _floats(first)))
+    for vector in ([] if text in table else [first]) + [second]:
+        entries.insert(data.draw(st.integers(0, len(entries))), _embed_entry({"map": {text: vector}}))
+    seen = [
+        (pos, _floats(e["body"]["map"][text])) for pos, e in enumerate(entries)
+        if text in e["body"].get("map", {})
+    ]
+    pos = next(pos for pos, vector in seen if vector != seen[0][1])
+    with pytest.raises(ScriptError) as info:
+        ScriptedBackend(entries, origin="s.json")
+    assert str(info.value) == f"s.json: entry {pos}: embed 'map' gives {text!r} a different vector"
 
 
 class _FlakyBackend:
@@ -462,6 +542,13 @@ class TestHttpChatBackend:
             {"role": "system", "content": "s"}, {"role": "user", "content": "q"},
         ]
 
+    def test_each_call_opens_a_connection(self, loopback_endpoints):
+        # the count that pooled connections are to lower
+        endpoint = loopback_endpoints()
+        client = LlmClient(chat_backend=HttpChatBackend(endpoint.url))
+        for _ in range(3):
+            client.chat(ChatRequest(user="q", schema=STAGING_T))
+        assert endpoint.connections == 3
 
     def test_proxy_variable_is_honoured(self, loopback_endpoints, monkeypatch):
         proxy = loopback_endpoints(Reply(body=CHAT_REPLY))
