@@ -499,13 +499,13 @@ def _parse_list(text: str | None, flag: str, kind: type) -> list | None:
     """A comma-separated flag value as a list of `kind`; None when unset."""
     if not text:
         return None
+    items = text.split(",")
+    if not all(x.strip() for x in items):
+        raise UsageError(f"{flag} must be a comma-separated list of non-empty items: {text!r}")
     try:
-        values = [kind(x) for x in text.split(",") if x.strip()]
+        return [kind(x) for x in items]
     except ValueError:
         raise UsageError(f"{flag} must be a comma-separated {kind.__name__} list")
-    if not values:
-        raise UsageError(f"{flag} must be non-empty")
-    return values
 
 
 def cmd_sweep(cfg: RunConfig, train_counts: list[int] | None, thresholds: list[float] | None) -> int:

@@ -16,7 +16,6 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, replace
-from enum import Enum
 from pathlib import Path
 from typing import Callable, NamedTuple, Protocol, Sequence
 
@@ -73,12 +72,6 @@ class ScriptExhaustedError(ScriptError):
     """The script has no responses left."""
 
 
-class SchemaKind(Enum):
-    STAGING = "staging"
-    STAGING_WITH_RULES = "staging_with_rules"
-    RULES_ONLY = "rules_only"
-
-
 class _Field(NamedTuple):
     """One reply field, stated once for every place that spells it out."""
 
@@ -91,25 +84,20 @@ class _Field(NamedTuple):
 
 @dataclass(frozen=True)
 class OutputSchema:
-    """What a chat response must contain; staging kinds bind a category."""
+    """What a chat reply must hold: `reasoning` and a `stage` of `category`
+    exactly when there is a category, and a `rules` list exactly when
+    `rules` is set; `OutputSchema(None, rules=True)` asks for rules alone."""
 
-    kind: SchemaKind
-    category: StageCategory | None = None
-
-    def __post_init__(self) -> None:
-        needs_category = self.kind is not SchemaKind.RULES_ONLY
-        if needs_category and self.category is None:
-            raise LlmError(f"schema kind {self.kind.value} requires a category")
-        if not needs_category and self.category is not None:
-            raise LlmError("rules_only schema takes no category")
+    category: StageCategory | None
+    rules: bool = False
 
     @property
     def wants_stage(self) -> bool:
-        return self.kind in (SchemaKind.STAGING, SchemaKind.STAGING_WITH_RULES)
+        return self.category is not None
 
     @property
     def wants_rules(self) -> bool:
-        return self.kind in (SchemaKind.STAGING_WITH_RULES, SchemaKind.RULES_ONLY)
+        return self.rules
 
     def label_names(self) -> list[str]:
         return self.category.label_names() if self.category else []
@@ -260,6 +248,11 @@ def _as_vector(value) -> list[float] | None:
         return None
 
 
+def _same_vector(a: list[float], b: list[float]) -> bool:
+    """Equal value by value, where a NaN agrees with any NaN."""
+    return len(a) == len(b) and all(x == y or math.isnan(x) and math.isnan(y) for x, y in zip(a, b))
+
+
 class ScriptedBackend:
     """Replays scripted chat/embed responses; deterministic by construction.
 
@@ -310,7 +303,7 @@ class ScriptedBackend:
                         f"{where}: embed 'map' must map texts to non-empty number lists"
                     )
                 for text, vector in zip(lookup, vectors):
-                    if self._vectors.setdefault(text, vector) != vector:
+                    if not _same_vector(self._vectors.setdefault(text, vector), vector):
                         raise ScriptError(f"{where}: embed 'map' gives {text!r} a different vector")
             elif "hash_dim" in body:
                 dim = body["hash_dim"]

@@ -18,24 +18,24 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .corpus import StageCategory
-from .llm import ChatRequest, OutputSchema, SchemaKind
+from .llm import ChatRequest, OutputSchema
 
 # each template's contract: the placeholders its body holds, exactly, and
-# the kind of reply it asks for
-_CONTRACTS: dict[str, tuple[frozenset[str], SchemaKind]] = {
-    "ltm_elicit": (frozenset({"report"}), SchemaKind.STAGING_WITH_RULES),
-    "ltm_update": (frozenset({"report", "memory"}), SchemaKind.STAGING_WITH_RULES),
-    "ltm_inference": (frozenset({"report", "memory"}), SchemaKind.STAGING),
-    "rag_elicit": (frozenset({"chunks"}), SchemaKind.RULES_ONLY),
-    "rag_inference": (frozenset({"report", "rules"}), SchemaKind.STAGING),
-    "zscot_inference": (frozenset({"report"}), SchemaKind.STAGING),
-    "rawrag_inference": (frozenset({"report", "chunks"}), SchemaKind.STAGING),
+# whether its reply holds a stage and whether it holds a rule list
+_CONTRACTS: dict[str, tuple[frozenset[str], bool, bool]] = {
+    "ltm_elicit": (frozenset({"report"}), True, True),
+    "ltm_update": (frozenset({"report", "memory"}), True, True),
+    "ltm_inference": (frozenset({"report", "memory"}), True, False),
+    "rag_elicit": (frozenset({"chunks"}), False, True),
+    "rag_inference": (frozenset({"report", "rules"}), True, False),
+    "zscot_inference": (frozenset({"report"}), True, False),
+    "rawrag_inference": (frozenset({"report", "chunks"}), True, False),
 }
 
 
 def _schema(template_id: str, category: StageCategory) -> OutputSchema:
-    kind = _CONTRACTS[template_id][1]
-    return OutputSchema(kind, None if kind is SchemaKind.RULES_ONLY else category)
+    _, stage, rules = _CONTRACTS[template_id]
+    return OutputSchema(category if stage else None, rules)
 
 
 @dataclass(frozen=True)

@@ -1138,7 +1138,9 @@ class TestSweep:
     @pytest.mark.parametrize(
         "flag, value, message",
         [("--train-counts", "1,2.5", "int list"), ("--thresholds", "0,high", "float list"),
-         ("--train-counts", ",", "non-empty")],
+         ("--train-counts", ",", "non-empty"),
+         ("--train-counts", "10,,20", "list of non-empty items: '10,,20'"),
+         ("--thresholds", "80, ", "list of non-empty items: '80, '")],
     )
     def test_malformed_point_list_is_usage_error(self, tmp_path, capsys, flag, value, message):
         corpus = tmp_path / "c.jsonl"

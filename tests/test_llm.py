@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,6 @@ from stagepipe.llm import (
     LlmClient,
     LlmError,
     OutputSchema,
-    SchemaKind,
     SchemaViolationError,
     ScriptedBackend,
     ScriptError,
@@ -42,20 +42,12 @@ from .conftest import (
 )
 
 T = StageCategory.T
-STAGING_T = OutputSchema(SchemaKind.STAGING, T)
-WITH_RULES_T = OutputSchema(SchemaKind.STAGING_WITH_RULES, T)
-RULES_ONLY = OutputSchema(SchemaKind.RULES_ONLY)
+STAGING_T = OutputSchema(T)
+WITH_RULES_T = OutputSchema(T, rules=True)
+RULES_ONLY = OutputSchema(None, rules=True)
 
 
 class TestOutputSchema:
-    def test_staging_requires_category(self):
-        with pytest.raises(LlmError):
-            OutputSchema(kind=STAGING_T.kind, category=None)
-
-    def test_rules_only_takes_no_category(self):
-        with pytest.raises(LlmError):
-            OutputSchema(SchemaKind.RULES_ONLY, T)
-
     def test_json_schema_enum(self):
         schema = STAGING_T.json_schema()
         assert schema["properties"]["stage"]["enum"] == ["T1", "T2", "T3", "T4"]
@@ -83,7 +75,7 @@ class TestOutputSchema:
              '"items": {"type": "string", "minLength": 1}, "minItems": 1}}, '
              '"required": ["rules"], "additionalProperties": false}'),
         ],
-        ids=[kind.value for kind in SchemaKind],
+        ids=["staging", "staging_with_rules", "rules_only"],
     )
     def test_json_schema_literal(self, schema, text):
         # the exact bytes a constraining endpoint is sent, key order included
@@ -429,6 +421,21 @@ def test_scripted_text_mapped_to_two_vectors_fails_at_load(script, data):
     with pytest.raises(ScriptError) as info:
         ScriptedBackend(entries, origin="s.json")
     assert str(info.value) == f"s.json: entry {pos}: embed 'map' gives {text!r} a different vector"
+
+
+def test_scripted_text_mapped_twice_to_one_nan_vector_loads():
+    # two distinct NaN objects, as a script built in Python holds them
+    backend = ScriptedBackend([_embed_entry({"map": {"x": [float("nan"), 1.0]}}) for _ in range(2)])
+    (vector,), _ = backend.embed(["x"])
+    assert math.isnan(vector[0]) and vector[1] == 1.0
+
+
+@pytest.mark.parametrize("second", [[float("nan"), 2.0], [1.0, 1.0], [float("nan")]])
+def test_scripted_nan_vector_and_a_different_vector_fail_at_load(second):
+    entries = [_embed_entry({"map": {"x": vector}}) for vector in ([float("nan"), 1.0], second)]
+    with pytest.raises(ScriptError) as info:
+        ScriptedBackend(entries, origin="s.json")
+    assert str(info.value) == "s.json: entry 1: embed 'map' gives 'x' a different vector"
 
 
 class _FlakyBackend:

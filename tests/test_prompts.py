@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import string
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stagepipe.corpus import StageCategory
-from stagepipe.llm import SchemaKind
+from stagepipe.llm import HttpChatBackend, OutputSchema
 from stagepipe.prompts import _CONTRACTS, default_templates, render
 
 T = StageCategory.T
@@ -44,17 +45,24 @@ class TestDefaultTemplates:
 
     def test_n_inference_schema_enum(self):
         schema = default_templates(N)["ltm_inference"].schema
-        assert schema.kind is SchemaKind.STAGING
         assert schema.label_names() == ["N0", "N1", "N2", "N3"]
 
-    def test_schema_kinds_by_role(self):
-        templates = default_templates(T)
-        assert templates["ltm_elicit"].schema.kind is SchemaKind.STAGING_WITH_RULES
-        assert templates["ltm_update"].schema.kind is SchemaKind.STAGING_WITH_RULES
-        assert templates["rag_elicit"].schema.kind is SchemaKind.RULES_ONLY
-        assert templates["rag_elicit"].schema.category is None
-        for tid in ("ltm_inference", "rag_inference", "zscot_inference", "rawrag_inference"):
-            assert templates[tid].schema.kind is SchemaKind.STAGING
+    @pytest.mark.parametrize("category", [T, N])
+    def test_reply_shape_by_role(self, category):
+        # (category, wants_stage, wants_rules) of each template's schema
+        stage_only = (category, True, False)
+        expected = {
+            "ltm_elicit": (category, True, True),
+            "ltm_update": (category, True, True),
+            "rag_elicit": (None, False, True),
+            "ltm_inference": stage_only,
+            "rag_inference": stage_only,
+            "zscot_inference": stage_only,
+            "rawrag_inference": stage_only,
+        }
+        schemas = {tid: t.schema for tid, t in default_templates(category).items()}
+        assert {tid: (s.category, s.wants_stage, s.wants_rules)
+                for tid, s in schemas.items()} == expected
 
     @pytest.mark.parametrize("category", [T, N])
     def test_rendered_inference_contains_every_label(self, category):
@@ -113,14 +121,14 @@ class TestRender:
             default_templates(T)["ltm_update"],
             {"report": "the report", "memory": "1. rule one\n2. rule two"},
         )
-        assert request.schema.kind is SchemaKind.STAGING_WITH_RULES
+        assert request.schema == OutputSchema(T, rules=True)
         assert "the report" in request.user
         assert "2. rule two" in request.user
         assert request.template_id == "ltm_update"
 
     def test_zscot_binding(self):
         request = render(default_templates(T)["zscot_inference"], {"report": "xyz"})
-        assert request.schema.kind is SchemaKind.STAGING
+        assert request.schema == OutputSchema(T)
         assert "memory" not in request.user
 
     def test_braces_in_binding_values_stay_verbatim(self):
@@ -149,7 +157,7 @@ def test_each_shipped_body_holds_exactly_its_contracts_placeholders(category):
     and rendering them all leaves no placeholder behind."""
     templates = default_templates(category)
     assert set(templates) == set(_CONTRACTS)
-    contract_names = set().union(*(names for names, _ in _CONTRACTS.values()))
+    contract_names = set().union(*(names for names, *_ in _CONTRACTS.values()))
     for tid, template in templates.items():
         found = {name for _, name, _, _ in string.Formatter().parse(template.body)
                  if name is not None}
@@ -159,3 +167,55 @@ def test_each_shipped_body_holds_exactly_its_contracts_placeholders(category):
         user = render(template, markers).user
         assert all(marker in user for marker in markers.values()), tid
         assert not any(f"{{{name}}}" in user for name in contract_names), tid
+
+
+
+# the response_format schema a live endpoint receives, key order included,
+# pinned so that no change to how schemas are built changes what is sent
+_T_STAGE = ('{"type": "object", "properties": {"reasoning": {"type": "string"}, '
+            '"stage": {"type": "string", "enum": ["T1", "T2", "T3", "T4"]}}, '
+            '"required": ["reasoning", "stage"], "additionalProperties": false}')
+_T_STAGE_RULES = ('{"type": "object", "properties": {"reasoning": {"type": "string"}, '
+                  '"stage": {"type": "string", "enum": ["T1", "T2", "T3", "T4"]}, '
+                  '"rules": {"type": "array", "items": {"type": "string", "minLength": 1}, '
+                  '"minItems": 1}}, '
+                  '"required": ["reasoning", "stage", "rules"], "additionalProperties": false}')
+_N_STAGE = ('{"type": "object", "properties": {"reasoning": {"type": "string"}, '
+            '"stage": {"type": "string", "enum": ["N0", "N1", "N2", "N3"]}}, '
+            '"required": ["reasoning", "stage"], "additionalProperties": false}')
+_N_STAGE_RULES = ('{"type": "object", "properties": {"reasoning": {"type": "string"}, '
+                  '"stage": {"type": "string", "enum": ["N0", "N1", "N2", "N3"]}, '
+                  '"rules": {"type": "array", "items": {"type": "string", "minLength": 1}, '
+                  '"minItems": 1}}, '
+                  '"required": ["reasoning", "stage", "rules"], "additionalProperties": false}')
+_RULES_ONLY = ('{"type": "object", "properties": {"rules": {"type": "array", '
+               '"items": {"type": "string", "minLength": 1}, "minItems": 1}}, '
+               '"required": ["rules"], "additionalProperties": false}')
+WIRE_SCHEMAS = {
+    category: {
+        "ltm_elicit": with_rules, "ltm_update": with_rules, "rag_elicit": _RULES_ONLY,
+        "ltm_inference": stage, "rag_inference": stage, "zscot_inference": stage,
+        "rawrag_inference": stage,
+    }
+    for category, stage, with_rules in (
+        (T, _T_STAGE, _T_STAGE_RULES), (N, _N_STAGE, _N_STAGE_RULES)
+    )
+}
+
+
+def test_each_template_sends_its_pinned_response_format(loopback_endpoints):
+    """What a live endpoint receives for each of the 14 (template, category)
+    pairs: its rendered schema's JSON schema, equal to a pinned literal."""
+    endpoint = loopback_endpoints()
+    backend = HttpChatBackend(endpoint.url)
+    cases = [(tid, category) for category in (T, N) for tid in WIRE_SCHEMAS[category]]
+    requests = []
+    for tid, category in cases:
+        template = default_templates(category)[tid]
+        requests.append(render(template, {name: "x" for name in template.placeholders}))
+        backend.complete(requests[-1])
+    assert len(endpoint.requests) == len(cases) == 14
+    for (tid, category), request, sent in zip(cases, requests, endpoint.requests):
+        schema = sent.body["response_format"]["json_schema"]["schema"]
+        assert schema == request.schema.json_schema(), (tid, category)
+        assert json.dumps(schema) == WIRE_SCHEMAS[category][tid], (tid, category)
