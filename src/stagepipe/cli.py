@@ -395,7 +395,8 @@ def _setup(
     Every check runs before any model call and before the directory exists,
     so a usage error leaves nothing behind. A corpus with no report labeled
     for the category is one: nothing of the run could be scored. So is a
-    kewltm `train_size` that leaves a split no test report.
+    kewltm `train_size` that leaves a split no test report, and so is a file
+    at `--out` or above it.
     """
     category = _category(cfg)
     retrieves = pipelines.METHODS[method].carries_chunks
@@ -416,7 +417,10 @@ def _setup(
             f"train_size must be below the corpus size {len(corpus)}, got {cfg.train_size}"
         )
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise UsageError(f"--out {out} cannot be a directory: {exc.strerror}")
     return category, client, corpus, out
 
 

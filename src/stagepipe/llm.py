@@ -156,7 +156,7 @@ def _rule_list(value) -> tuple[str, ...]:
         raise SchemaViolationError("'rules' must be a non-empty list of strings")
     if not all(isinstance(r, str) and r.strip() for r in value):
         raise SchemaViolationError("'rules' entries must be non-empty strings")
-    return tuple(r.strip() for r in value)
+    return tuple(value)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .corpus import StageCategory, write_csv, write_json
 
@@ -24,16 +24,17 @@ class RuleMemoryError(ValueError):
 
 @dataclass(frozen=True)
 class RuleMemory:
-    """An immutable snapshot of the rule list for one category."""
+    """An immutable snapshot of the rule list for one category, and the one
+    check of a rule list: at least one rule, each trimmed and non-blank."""
 
     category: StageCategory
     rules: tuple[str, ...]
-    version: int = 0
+    version: int
 
     def __post_init__(self) -> None:
         cleaned = tuple(r.strip() for r in self.rules)
-        if any(not r for r in cleaned):
-            raise RuleMemoryError("rules must be non-empty after trimming")
+        if not cleaned or not all(cleaned):
+            raise RuleMemoryError("rules must be at least one, each non-empty after trimming")
         object.__setattr__(self, "rules", cleaned)
 
 
@@ -48,20 +49,16 @@ class UpdateTrace:
     accepted: bool
 
 
-def serialize_rules(rules: Iterable[str]) -> str:
-    """Trim each rule and join with single newlines (no trailing newline)."""
-    return "\n".join(r.strip() for r in rules)
-
-
 def serialize(memory: RuleMemory) -> str:
-    """Canonical serialization used for edit-distance comparison."""
-    return serialize_rules(memory.rules)
+    """Canonical serialization used for edit-distance comparison: the rules
+    joined with single newlines (no trailing newline)."""
+    return "\n".join(memory.rules)
 
 
 def render_numbered(memory: RuleMemory | Sequence[str]) -> str:
     """Rules as a numbered list, the form bound into prompt templates."""
     rules = memory.rules if isinstance(memory, RuleMemory) else memory
-    return "\n".join(f"{i}. {r.strip()}" for i, r in enumerate(rules, 1))
+    return "\n".join(f"{i}. {r}" for i, r in enumerate(rules, 1))
 
 
 # Characters of the shorter string per run of the column loop between maskings.
@@ -151,7 +148,9 @@ def gated_update(
     With no existing memory the candidate is accepted unconditionally.
     Otherwise it is accepted iff ``similarity(candidate, memory) >=
     threshold``; a rejection leaves the memory (and its version) unchanged.
-    A `candidate` of None, a step whose reply stayed unparseable, is rejected
+    The gate compares the serialization of the candidate's next-version
+    `RuleMemory`, built first (RuleMemoryError for a blank or empty list). A
+    `candidate` of None, a step whose reply stayed unparseable, is rejected
     at similarity 0 without a distance computed; its trace proposes length 0.
     Every outcome returns the memory it leaves and the step's UpdateTrace.
     """
@@ -162,16 +161,13 @@ def gated_update(
     current_ser = serialize(memory) if memory is not None else ""
     if candidate is None:
         return memory, UpdateTrace(step, 0, len(current_ser), 0.0, accepted=False)
-    candidate_ser = serialize_rules(candidate)
-    sim = similarity(candidate_ser, current_ser)
+    new = (RuleMemory(memory.category, candidate, memory.version + 1) if memory is not None
+           else RuleMemory(category, candidate, 1))
+    new_ser = serialize(new)
+    sim = similarity(new_ser, current_ser)
     if memory is not None and sim < threshold:
-        return memory, UpdateTrace(step, len(candidate_ser), len(current_ser), sim, accepted=False)
-    new = RuleMemory(
-        category=memory.category if memory is not None else category,
-        rules=tuple(candidate),
-        version=(memory.version if memory is not None else 0) + 1,
-    )
-    return new, UpdateTrace(step, len(candidate_ser), len(candidate_ser), sim, accepted=True)
+        return memory, UpdateTrace(step, len(new_ser), len(current_ser), sim, accepted=False)
+    return new, UpdateTrace(step, len(new_ser), len(new_ser), sim, accepted=True)
 
 
 def persist(memory: RuleMemory, path: str | Path) -> None:

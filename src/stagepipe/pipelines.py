@@ -69,10 +69,10 @@ class Run(AbstractContextManager):
 
     def __init__(self, width: int) -> None:
         self._lock = threading.Lock()
-        self.error: Exception | None = None
+        self.error: BaseException | None = None
         self.reports = ThreadPoolExecutor(max_workers=width)
 
-    def fail(self, exc: Exception) -> None:
+    def fail(self, exc: BaseException) -> None:
         with self._lock:
             if self.error is None:
                 self.error = exc
@@ -97,9 +97,11 @@ def run_bounded(
 ) -> list[_Result]:
     """`task(item)` for every item, on `pool`; results in item order.
 
-    The first task to raise records its error in `run`. An item that finds
-    `run` failed, by this call or by any other of the run, does not start;
-    the tasks in flight finish, and the first error is raised.
+    The first task to raise records its error in `run`, and so does an
+    exception that ends this call's wait, an interrupt included, before it
+    propagates. An item that finds `run` failed, by this call or by any other
+    of the run, does not start; the tasks in flight finish, and the first
+    error is raised.
     """
 
     def guarded(item: _Item) -> _Result | None:
@@ -111,8 +113,12 @@ def run_bounded(
             run.fail(exc)
             return None
 
-    futures = [pool.submit(guarded, item) for item in items]
-    results = [f.result() for f in futures]
+    try:
+        futures = [pool.submit(guarded, item) for item in items]
+        results = [f.result() for f in futures]
+    except BaseException as exc:  # so the run's queued and chained tasks stop
+        run.fail(exc)
+        raise
     run.check()
     return results
 
@@ -245,7 +251,7 @@ def infer(
     are sorted by report id.
     """
     row = METHODS[method]
-    if row.carries_memory and (rules is None or not rules.rules):
+    if row.carries_memory and rules is None:
         raise PipelineError(f"cannot run {method} inference without rules")
     if not reports:
         raise PipelineError("no reports to run")
@@ -400,6 +406,4 @@ def elicit_kewrag_rules(
         out = client.chat(request)
     except SchemaViolationError as exc:
         raise PipelineError(f"rule synthesis failed: {exc}")
-    assert out.rules is not None
-    memory = RuleMemory(category=category, rules=tuple(out.rules), version=1)
-    return ElicitedRules(memory=memory, chunk_ids=chunk_ids)
+    return ElicitedRules(memory=RuleMemory(category, out.rules, 1), chunk_ids=chunk_ids)

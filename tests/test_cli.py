@@ -8,10 +8,13 @@ import json
 import logging
 import os
 import re
+import signal
 import subprocess
 import sys
 import threading
+import time
 from collections import Counter
+from concurrent.futures import Future
 from pathlib import Path
 
 import pytest
@@ -546,6 +549,23 @@ class TestRunKewltm:
         manifest = json.loads((out / "manifest.json").read_text())
         assert (manifest["status"], manifest["error"]) == ("FAILED", "KeyboardInterrupt")
         assert manifest["seeds"] == [0, 1]
+
+    def test_reply_rules_reach_the_memory_file_trimmed(self, tmp_path):
+        corpus = tmp_path / "c.jsonl"
+        write_corpus(corpus, 12)
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps([rules_entry(["  keep  "])] * 12))
+        out = tmp_path / "out"
+        code = main(
+            ["run", "--method", "kewltm", "--category", "T", "--corpus", str(corpus),
+             "--script", str(script), "--out", str(out),
+             "--splits", "1", "--train-size", "3", "--n-train", "3"]
+        )
+        assert code == 0
+        memory = json.loads((out / "memory_split0.json").read_text())
+        assert (memory["rules"], memory["version"]) == (["keep"], 3)
+        with open(out / "trace_split0.csv", newline="") as fh:
+            assert {int(row["proposed_len"]) for row in csv.DictReader(fh)} == {len("keep")}
 
     def test_negative_seed_fails_before_any_call(self, tmp_path, capsys, built_backends):
         # Random(-s) draws Random(s)'s stream, so a negative seed would repeat splits
@@ -1490,6 +1510,31 @@ def test_empty_out_is_usage_error(tmp_path, capsys, monkeypatch, argv):
     assert list(cwd.iterdir()) == []
 
 
+@pytest.mark.parametrize("out", ["outfile", "outfile/sub"], ids=["file", "below-a-file"])
+@pytest.mark.parametrize(
+    "argv",
+    [["run", "--method", "zscot"], ["sweep", "--train-counts", "1"]],
+    ids=["run", "sweep"],
+)
+def test_out_that_cannot_be_a_directory_is_usage_error_before_any_call(
+    tmp_path, capsys, monkeypatch, built_backends, argv, out
+):
+    corpus = tmp_path / "c.jsonl"
+    write_corpus(corpus, 8)
+    script = tmp_path / "script.json"
+    write_script(script, 40)
+    (tmp_path / "outfile").write_text("kept")
+    monkeypatch.chdir(tmp_path)
+    code = main(
+        argv + ["--category", "T", "--corpus", str(corpus), "--script", str(script),
+                "--out", out, "--splits", "2", "--train-size", "2"]
+    )
+    assert code == 2
+    assert f"usage error: --out {out} cannot be a directory" in capsys.readouterr().err
+    assert sum(b.chat_calls + b.embed_calls for b in built_backends) == 0
+    assert (tmp_path / "outfile").read_text() == "kept"
+
+
 T = StageCategory.T
 N_TRAIN, N_TEST = 3, 4
 
@@ -1824,6 +1869,59 @@ class TestRunThreads:
         assert code == 0
         assert started  # its reports ran on threads
         assert not set(started) & set(threading.enumerate())
+
+
+def waits_on_a_future(thread: threading.Thread) -> bool:
+    """Whether `thread` is inside `Future.result`, as a command's main thread
+    is once it has put a run's tasks on their pool."""
+    frame = sys._current_frames().get(thread.ident)
+    while frame is not None and frame.f_code is not Future.result.__code__:
+        frame = frame.f_back
+    return frame is not None
+
+
+class TestInterrupt:
+    """An interrupt that reaches a run's waiting main thread stops the run's
+    model calls: only the calls already in flight complete."""
+
+    def test_sigint_during_a_sweep_stops_its_calls(self, tmp_path, monkeypatch, failure_recorded):
+        write_keyed_corpus(tmp_path / "c.jsonl", 12)
+        backend = ContentKeyedBackend()
+        monkeypatch.setattr(cli, "scripted_backend", lambda path: backend)
+        complete, lock, sent = backend.complete, threading.Lock(), threading.Event()
+
+        def interrupting(request):
+            # the first call sends SIGINT once the main thread waits on the
+            # cycles, and every call is held until the run records the
+            # interrupt (for 5 s at most, should it never)
+            with lock:
+                first = not sent.is_set()
+                sent.set()
+            if first:
+                for _ in range(5000):
+                    if waits_on_a_future(threading.main_thread()):
+                        break
+                    time.sleep(0.001)
+                os.kill(os.getpid(), signal.SIGINT)
+            if not failure_recorded.wait(timeout=5):
+                failure_recorded.set()
+            return complete(request)
+
+        backend.complete = interrupting
+        handler = signal.signal(signal.SIGINT, signal.default_int_handler)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                # 6 cycles of 1 to 3 induction calls and 9 inference calls: 66 calls
+                main(["sweep", "--category", "T", "--corpus", str(tmp_path / "c.jsonl"),
+                      "--script", "content-keyed", "--out", str(tmp_path / "out"),
+                      "--splits", "2", "--train-size", "3", "--train-counts", "1,2,3"])
+        finally:
+            signal.signal(signal.SIGINT, handler)
+        # at most the first call of each of the 4 cycles that had started
+        assert 1 <= len(backend.calls) <= 4
+        assert {template for template, _ in backend.calls} == {"ltm_elicit"}
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert (manifest["status"], manifest["error"]) == ("FAILED", "KeyboardInterrupt")
 
 
 class TestEvaluate:

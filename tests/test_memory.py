@@ -20,7 +20,6 @@ from stagepipe.memory import (
     persist,
     render_numbered,
     serialize,
-    serialize_rules,
     similarity,
     write_traces,
 )
@@ -248,13 +247,14 @@ class TestSimilarity:
 
 class TestSerialize:
     def test_joins_with_newline(self):
-        assert serialize_rules(["a", "b"]) == "a\nb"
+        assert serialize(RuleMemory(StageCategory.T, ["a", "b"], 1)) == "a\nb"
 
     def test_empty(self):
-        assert serialize_rules([]) == ""
+        with pytest.raises(RuleMemoryError):
+            RuleMemory(StageCategory.T, (), 1)
 
     def test_trims(self):
-        assert serialize_rules(["  x  "]) == "x"
+        assert serialize(RuleMemory(StageCategory.T, ["  x  "], 1)) == "x"
 
     def test_memory_serialize(self):
         mem = RuleMemory(StageCategory.T, ("r one", "r two"), version=1)
@@ -273,6 +273,9 @@ class TestRuleMemory:
     def test_trims_on_construction(self):
         mem = RuleMemory(StageCategory.N, ("  a rule  ",), version=0)
         assert mem.rules == ("a rule",)
+
+
+_pad = st.sampled_from(["", " ", "\t", "\n "])
 
 
 class TestGatedUpdate:
@@ -372,6 +375,32 @@ class TestGatedUpdate:
         assert mem is base
         current_len = 0 if base is None else len("aaaaa\nbb")
         assert trace == UpdateTrace(4, 0, current_len, 0.0, False)
+
+    @pytest.mark.parametrize("base", [None, RuleMemory(StageCategory.T, ("aaaaa",), version=1)],
+                             ids=["empty-memory", "memory"])
+    @pytest.mark.parametrize("candidate", [[], ["ok", "  "]], ids=["empty", "blank-rule"])
+    def test_blank_or_empty_candidate_fails_before_the_gate(self, monkeypatch, base, candidate):
+        monkeypatch.setattr(memory, "edit_distance", None)  # any call fails
+        with pytest.raises(RuleMemoryError, match="at least one"):
+            gated_update(base, candidate, 0.0, 2, category=StageCategory.T)
+
+    @given(
+        padded=st.lists(st.tuples(_pad, st.text(alphabet="ab ", max_size=5).filter(str.strip),
+                                  _pad), min_size=1, max_size=4),
+        current=st.sampled_from([None, ("ab", "ba b"), ("a",)]),
+        threshold=st.sampled_from([0.0, 50.0, 80.0, 100.0]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_gate_reads_the_next_versions_memory(self, padded, current, threshold):
+        base = None if current is None else RuleMemory(StageCategory.N, current, 3)
+        candidate = ["".join(parts) for parts in padded]
+        version = 1 if base is None else base.version + 1
+        expected = RuleMemory(StageCategory.N, candidate, version)
+        expected_ser = serialize(expected)
+        mem, trace = gated_update(base, candidate, threshold, 5, category=StageCategory.N)
+        assert trace.proposed_len == len(expected_ser)
+        assert trace.similarity == similarity(expected_ser, "" if base is None else serialize(base))
+        assert mem == (expected if trace.accepted else base)
 
     @pytest.mark.parametrize("bad", [-1, 100.5, 1000])
     def test_invalid_threshold(self, bad):

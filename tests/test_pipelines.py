@@ -11,7 +11,7 @@ import pytest
 from stagepipe import memory, pipelines
 from stagepipe.corpus import StageCategory, StageLabel
 from stagepipe.llm import LlmClient, ScriptedBackend, TransportError
-from stagepipe.memory import RuleMemory
+from stagepipe.memory import RuleMemory, RuleMemoryError
 from stagepipe.pipelines import (
     CHUNK_SEPARATOR,
     PipelineError,
@@ -373,11 +373,12 @@ class TestKewltmInference:
         assert all(r.retrieved_chunk_ids is None for r in records)
 
     def test_empty_memory_rejected(self):
-        client, _ = scripted_client([])
-        with pytest.raises(PipelineError):
-            run_kewltm_inference(
-                reports(1), T, RuleMemory(T, (), version=0), client
-            )
+        with pytest.raises(RuleMemoryError):  # an empty memory cannot be built
+            RuleMemory(T, (), version=0)
+        client, backend = scripted_client([])
+        with pytest.raises(PipelineError, match="without rules"):
+            run_kewltm_inference(reports(1), T, None, client)
+        assert backend.chat_calls == 0
 
 
 class TestElicitKewrag:
@@ -447,9 +448,12 @@ class TestKewragInference:
         assert record.predicted == StageLabel.parse("T2")
 
     def test_empty_rules_rejected(self):
-        client, _ = scripted_client([])
-        with pytest.raises(PipelineError):
-            infer("kewrag", reports(1), T, client, rules=RuleMemory(T, (), version=0))
+        with pytest.raises(RuleMemoryError):  # an empty rule set cannot be built
+            RuleMemory(T, (), version=0)
+        client, backend = scripted_client([])
+        with pytest.raises(PipelineError, match="without rules"):
+            infer("kewrag", reports(1), T, client, chunk_ids=(0,))
+        assert backend.chat_calls == 0
 
 
 class TestConcurrentInference:
